@@ -170,7 +170,7 @@ def cmd_orbits(args) -> int:
                 f" sizes={','.join(map(str, sizes))}"
             )
             status = EXIT_MATH
-    fixed = fixed_edge_witness(graph, group)
+    fixed = fixed_edge_witness(graph, group, orbits)
     if fixed is not None:
         print(
             f"warning: not semiregular on edges: a non-identity element fixes {fixed[1]}",

@@ -305,13 +305,13 @@ def build_orbit_decomposition(graph, group: FiniteGroup, base: Subgraph) -> Deco
     order exactly when the base has trivial stabilizer; the verifier
     checks that rather than assuming it.
     """
-    fixed = fixed_edge_witness(graph, group)
+    orbits = edge_orbits(graph, group)
+    fixed = fixed_edge_witness(graph, group, orbits)
     if fixed is not None:
         g, e = fixed
         raise PreconditionFailed(
             f"group is not semiregular on edges: an element fixes {e}", witness=fixed
         )
-    orbits = edge_orbits(graph, group)
     check = orbit_transversal_check(base, orbits)
     if not check.ok:
         bad = [orbits[i].id for i, c in enumerate(check.counts) if c != 1]
@@ -356,9 +356,12 @@ def is_path_subgraph(sub: Subgraph) -> bool:
 def subgraphs_isomorphic(a: Subgraph, b: Subgraph) -> bool:
     """Graph isomorphism of two edge-induced subgraphs.
 
-    Paths are recognized by their degree signature; anything else goes
-    through backtracking search, capped at ISO_VERTEX_CAP vertices.
+    Equal edge sets are isomorphic by the identity map.  Paths are
+    recognized by their degree signature; anything else goes through
+    backtracking search, capped at ISO_VERTEX_CAP vertices.
     """
+    if a.edges == b.edges:
+        return True
     if a.edge_count != b.edge_count:
         return False
     deg_a, deg_b = a.degrees(), b.degrees()

@@ -2,9 +2,12 @@
 
 Groups here are tiny (cyclic shifts and the like), so elements are
 materialized as explicit mapping tables and the closure is computed by
-breadth-first multiplication.  The payoff is that every question about
-the action (orbits, semiregularity, stabilizers) can be answered by
-direct enumeration, which is what the verification layer relies on.
+breadth-first multiplication.  Edge orbits are enumerated directly, one
+image per element per orbit, i.e. |E| images in total when the action
+is semiregular.  Semiregularity is read off the orbit sizes by the
+orbit-stabilizer theorem (|orbit| * |stabilizer| = |G|): the action is
+semiregular exactly when every edge orbit has |G| edges, and only edges
+of shorter orbits are searched for a fixing element.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ class Permutation:
     that happens to equal a named shift compares equal to it.
     """
 
-    __slots__ = ("kind", "n", "m", "_map", "_key", "_hash")
+    __slots__ = ("kind", "n", "m", "_map", "_hash")
 
     def __init__(self, mapping, kind: str = EXPLICIT, n: int | None = None, m: int | None = None):
         table = dict(mapping)
@@ -68,8 +71,7 @@ class Permutation:
         self.kind = kind
         self.n = n
         self.m = m
-        self._key = tuple(sorted(table.items()))
-        self._hash = hash(self._key)
+        self._hash = hash(frozenset(table.items()))
 
     def __call__(self, v):
         return self._map[v]
@@ -77,7 +79,7 @@ class Permutation:
     def __eq__(self, other):
         if not isinstance(other, Permutation):
             return NotImplemented
-        return self._key == other._key
+        return self._map == other._map
 
     def __hash__(self) -> int:
         return self._hash
@@ -293,14 +295,27 @@ def edge_orbits(graph, group: FiniteGroup) -> list[EdgeOrbit]:
     return orbits
 
 
-def fixed_edge_witness(graph, group: FiniteGroup):
+def fixed_edge_witness(graph, group: FiniteGroup, orbits: list[EdgeOrbit] | None = None):
     """A pair (element, edge) with the non-identity element fixing the edge, or None.
 
     Fixing is setwise: an element that swaps the two endpoints fixes the
-    edge.  Exhaustive over all non-identity elements and all edges.
+    edge.  By orbit-stabilizer an edge has a non-trivial stabilizer
+    exactly when its orbit has fewer than |G| edges, so None is returned
+    as soon as every orbit is full and otherwise only edges of short
+    orbits are tested.  The witness is the first fixed pair when the
+    non-identity elements are taken in group order and, for each, the
+    edges in ``graph.edges()`` order: the pair an exhaustive scan finds.
+    ``orbits`` are the edge_orbits of (graph, group) when the caller
+    already has them.
     """
+    if orbits is None:
+        orbits = edge_orbits(graph, group)
+    short = {e for o in orbits if o.size < group.order for e in o.edges}
+    if not short:
+        return None
+    candidates = [e for e in graph.edges() if e in short]
     for g in group.non_identity():
-        for e in graph.edges():
+        for e in candidates:
             if edge_image(g, graph, e) == e:
                 return g, e
     return None

@@ -18,10 +18,12 @@ from typing import Iterable, NamedTuple, Sequence
 from .decompose import CompleteGraph, Decomposition, LabelEdge, Subgraph, VerificationReport
 from .grid import GridEdge, GridGraph, GridVertex, Step, make_grid
 from .groups import (
+    DEFAULT_GROUP_CAP,
     DIAGONAL_SHIFT,
     EXPLICIT,
     ROW_SHIFT,
     FiniteGroup,
+    GroupTooLarge,
     Permutation,
     diagonal_shift,
     generate_group,
@@ -47,6 +49,14 @@ __all__ = [
     "step_array_to_json",
     "walk_to_json",
 ]
+
+# Size caps on parsed input, checked before anything proportional to the
+# graph or the group is allocated.  K_101 box K_101 (10,201 vertices,
+# 1,020,100 edges, a row-shift action of 1,030,301 entries) is within them.
+MAX_VERTICES = 20_000
+MAX_EDGES = 2_500_000
+# |G| * |V|: the entries of all group elements' vertex tables together
+MAX_ACTION_ENTRIES = 4_000_000
 
 # 12 distinguishable edge colors, cycled by block index
 PALETTE = (
@@ -202,12 +212,25 @@ def _parse_graph(obj, path: str):
         n = _int_at(_get(obj, "n", path), f"{path}.n")
         m = _int_at(_get(obj, "m", path), f"{path}.m")
         _expect(n >= 2 and m >= 2, path, f"grid needs n, m >= 2, got {n} x {m}")
-        return make_grid(n, m)
-    if kind == "complete":
+        graph = make_grid(n, m)
+    elif kind == "complete":
         n = _int_at(_get(obj, "n", path), f"{path}.n")
         _expect(n >= 1, f"{path}.n", f"complete graph needs n >= 1, got {n}")
-        return CompleteGraph(n)
-    raise SchemaError(f"{path}.kind", f"unknown graph kind {kind!r}")
+        graph = CompleteGraph(n)
+    else:
+        raise SchemaError(f"{path}.kind", f"unknown graph kind {kind!r}")
+    # both graph types hold only their dimensions, so the counts are arithmetic
+    _expect(
+        graph.vertex_count <= MAX_VERTICES,
+        path,
+        f"{graph} has {graph.vertex_count} vertices, more than the cap of {MAX_VERTICES}",
+    )
+    _expect(
+        graph.edge_count <= MAX_EDGES,
+        path,
+        f"{graph} has {graph.edge_count} edges, more than the cap of {MAX_EDGES}",
+    )
+    return graph
 
 
 def _parse_vertex(graph, value, path: str):
@@ -283,19 +306,30 @@ def _parse_group(graph, obj, path: str) -> FiniteGroup:
     _expect(order >= 1, f"{path}.order", "group order must be positive")
     if kind == ROW_SHIFT:
         _expect(isinstance(graph, GridGraph), path, "row_shift needs a grid graph")
-        return generate_group([row_shift(graph.n, graph.m)])
-    if kind == DIAGONAL_SHIFT:
+        gens = [row_shift(graph.n, graph.m)]
+    elif kind == DIAGONAL_SHIFT:
         _expect(isinstance(graph, GridGraph), path, "diagonal_shift needs a grid graph")
         _expect(graph.n == graph.m, path, "diagonal_shift needs a square grid")
-        return generate_group([diagonal_shift(graph.n)])
-    if kind == EXPLICIT:
-        gens = _get(obj, "generators", path)
-        _expect(isinstance(gens, list) and gens, f"{path}.generators", "expected a non-empty list")
-        parsed = [
-            _parse_permutation(graph, g, f"{path}.generators[{i}]") for i, g in enumerate(gens)
+        gens = [diagonal_shift(graph.n)]
+    elif kind == EXPLICIT:
+        raw = _get(obj, "generators", path)
+        _expect(isinstance(raw, list) and raw, f"{path}.generators", "expected a non-empty list")
+        gens = [
+            _parse_permutation(graph, g, f"{path}.generators[{i}]") for i, g in enumerate(raw)
         ]
-        return generate_group(parsed)
-    raise SchemaError(f"{path}.kind", f"unknown group kind {kind!r}")
+    else:
+        raise SchemaError(f"{path}.kind", f"unknown group kind {kind!r}")
+    cap = min(DEFAULT_GROUP_CAP, MAX_ACTION_ENTRIES // graph.vertex_count)
+    try:
+        group = generate_group(gens, cap=cap)
+    except GroupTooLarge as err:
+        raise SchemaError(path, str(err)) from None
+    _expect(
+        group.order == order,
+        f"{path}.order",
+        f"declared order {order} but the generators give order {group.order}",
+    )
+    return group
 
 
 def _parse_base(graph, obj, path: str) -> Subgraph:

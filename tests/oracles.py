@@ -60,6 +60,19 @@ def brute_orbits(edges, perms):
     return orbits
 
 
+def brute_fixed_edge_witness(graph, group):
+    """The first (element, edge) with the non-identity element fixing the edge, or None.
+
+    Exhaustive over all non-identity elements (in group order) and all
+    edges (in graph order); fixing is setwise.
+    """
+    for g in group.non_identity():
+        for e in graph.edges():
+            if graph.edge(g(e.u), g(e.v)) == e:
+                return g, e
+    return None
+
+
 def brute_group_elements(n, m, gens):
     """All permutation dicts generated by `gens` on the n x m vertex set."""
     ident = {(a, b): (a, b) for a in range(n) for b in range(m)}

@@ -1,10 +1,12 @@
 """End-to-end CLI behavior: exit codes, payloads, and streams."""
 
 import json
+import time
 
 import pytest
 
 from rookpaths.cli import main
+from rookpaths.decompose import VerificationReport
 
 
 def run(capsys, *argv):
@@ -149,6 +151,69 @@ def test_verify_non_automorphism_generator(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--input", str(path))
     assert code == 2
     assert "not an automorphism" in err
+
+
+def report_flags(*false):
+    return {flag: flag not in false for flag in VerificationReport.FLAGS}
+
+
+def test_verify_cycle_block_beyond_isomorphism_cap(tmp_path, capsys):
+    # a 20-vertex cycle on K_20 under the trivial group: the only block is the
+    # base, which has more vertices than the isomorphism search accepts
+    n = 20
+    cycle = [[1, 2], [1, n]] + [[v, v + 1] for v in range(2, n)]
+    payload = {
+        "graph": {"kind": "complete", "n": n},
+        "group": {
+            "kind": "explicit",
+            "order": 1,
+            "generators": [{"kind": "explicit", "map": [[v, v] for v in range(1, n + 1)]}],
+        },
+        "base": {"edges": cycle},
+        "blocks": [{"edges": cycle}],
+        "report": report_flags(),
+    }
+    path = tmp_path / "cycle20.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 2
+    report = json.loads(out)
+    witnesses = report.pop("witnesses")
+    assert report == report_flags("is_partition")
+    missing = [[a, b] for a in range(1, n + 1) for b in range(a + 1, n + 1) if [a, b] not in cycle]
+    assert len(missing) == 170
+    assert witnesses == {"is_partition": {"duplicated": [], "missing": missing, "foreign": []}}
+    assert "is_partition" in err
+
+
+def test_verify_rejects_huge_grid_quickly(tmp_path, capsys):
+    payload = {
+        "graph": {"kind": "grid", "n": 100_000, "m": 100_000},
+        "group": {"kind": "row_shift", "order": 100_000},
+        "base": {"edges": [[[0, 0], [0, 1]]]},
+        "blocks": [{"edges": [[[0, 0], [0, 1]]]}],
+        "report": report_flags(),
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert time.perf_counter() - started < 1.0
+    assert code == 1
+    assert out == ""
+    assert "$.graph" in err
+
+
+def test_verify_rejects_wrong_declared_order(tmp_path, capsys):
+    _, out, _ = run(capsys, "generate", "--n", "5")
+    data = json.loads(out)
+    data["group"]["order"] = 999
+    path = tmp_path / "order999.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert "$.group.order" in err
 
 
 def test_orbits_3x3(capsys):

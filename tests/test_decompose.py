@@ -228,8 +228,12 @@ def test_subgraphs_isomorphic_cap():
             k18.edge(base, base + 2),
         ]
     blob = Subgraph(tuple(triangles))
+    # a relabelled copy, so the equal-edge-set shortcut does not apply
+    shifted = Subgraph(tuple(k18.edge(e.u % 18 + 1, e.v % 18 + 1) for e in triangles))
+    assert shifted.edges != blob.edges
     with pytest.raises(ValueError):
-        subgraphs_isomorphic(blob, blob)
+        subgraphs_isomorphic(blob, shifted)
+    assert subgraphs_isomorphic(blob, blob)
 
 
 def test_partition_witnesses():

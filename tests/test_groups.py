@@ -2,7 +2,13 @@
 
 import pytest
 
-from rookpaths.decompose import CompleteGraph
+from rookpaths.decompose import (
+    K9_GENERATOR_CYCLES,
+    CompleteGraph,
+    PreconditionFailed,
+    Subgraph,
+    build_orbit_decomposition,
+)
 from rookpaths.grid import GridVertex, make_grid
 from rookpaths.groups import (
     EdgeOrbit,
@@ -25,6 +31,7 @@ from rookpaths.groups import (
 
 from oracles import (
     brute_diagonal_shift,
+    brute_fixed_edge_witness,
     brute_grid_edges,
     brute_group_elements,
     brute_orbits,
@@ -185,6 +192,44 @@ def test_semiregular_witnesses():
     witness4 = fixed_edge_witness(make_grid(4, 4), generate_group([row_shift(4, 4)]))
     assert witness4 is not None
     assert is_semiregular_on_edges(make_grid(4, 4), generate_group([diagonal_shift(4)]))
+
+
+def witness_corpus():
+    """(label, graph, group) pairs: semiregular actions and actions with fixed edges."""
+    for n in range(2, 8):
+        for m in range(2, 8):
+            yield f"row {n}x{m}", make_grid(n, m), generate_group([row_shift(n, m)])
+    for n in range(2, 7):
+        yield f"diagonal {n}", make_grid(n, n), generate_group([diagonal_shift(n)])
+    g4 = make_grid(4, 4)
+    yield "trivial 4x4", g4, generate_group([identity_permutation(g4)])
+    k9 = CompleteGraph(9)
+    yield "k9", k9, generate_group([permutation_from_cycles(k9, K9_GENERATOR_CYCLES)])
+
+
+def test_fixed_edge_witness_matches_exhaustive_scan():
+    seen_fixed = seen_free = 0
+    for label, graph, group in witness_corpus():
+        expected = brute_fixed_edge_witness(graph, group)
+        assert fixed_edge_witness(graph, group) == expected, label
+        assert fixed_edge_witness(graph, group, edge_orbits(graph, group)) == expected, label
+        if expected is None:
+            seen_free += 1
+        else:
+            seen_fixed += 1
+    # the corpus exercises both outcomes
+    assert seen_fixed and seen_free
+
+
+def test_build_rejects_non_semiregular_with_scan_witness():
+    g = make_grid(4, 4)
+    group = generate_group([row_shift(4, 4)])
+    base = Subgraph((g.edge(GridVertex(0, 0), GridVertex(0, 1)),))
+    with pytest.raises(PreconditionFailed) as info:
+        build_orbit_decomposition(g, group, base)
+    expected = brute_fixed_edge_witness(g, group)
+    assert expected is not None
+    assert info.value.witness == expected
 
 
 def test_same_orbit_spot_values():

@@ -1,10 +1,13 @@
 """JSON schema round trips, schema errors, and text exports."""
 
 import json
+import time
 
 import pytest
 
+from rookpaths import serialize
 from rookpaths.decompose import (
+    VerificationReport,
     build_orbit_decomposition,
     k9_fixture,
     staircase_decomposition,
@@ -28,6 +31,12 @@ from rookpaths.serialize import (
 def n3_payload():
     dec, report = staircase_decomposition(3)
     return decomposition_to_json(make_grid(3, 3), dec, report)
+
+
+def k9_payload():
+    graph, group, base = k9_fixture()
+    dec = build_orbit_decomposition(graph, group, base)
+    return decomposition_to_json(graph, dec, verify_decomposition(graph, group, dec))
 
 
 def test_round_trip_byte_identical():
@@ -193,6 +202,63 @@ def test_parse_report_stub_requires_flags():
     data2["report"]["is_partition"] = "yes"
     with pytest.raises(SchemaError):
         parse_decomposition(data2)
+
+
+def stub_report():
+    return dict.fromkeys(VerificationReport.FLAGS, True)
+
+
+def test_parse_caps_reject_huge_graphs_before_allocating():
+    for graph in (
+        {"kind": "grid", "n": 100_000, "m": 100_000},
+        {"kind": "complete", "n": 10**9},
+    ):
+        data = {"graph": graph, "group": {"kind": "row_shift", "order": 1}}
+        started = time.perf_counter()
+        with pytest.raises(SchemaError) as info:
+            parse_decomposition(data)
+        assert time.perf_counter() - started < 1.0
+        assert info.value.path == "$.graph"
+        assert "cap" in info.value.reason
+
+
+def test_parse_accepts_n101_grid():
+    one_edge = [[[0, 0], [0, 1]]]
+    data = {
+        "graph": {"kind": "grid", "n": 101, "m": 101},
+        "group": {"kind": "row_shift", "order": 101},
+        "base": {"edges": one_edge},
+        "blocks": [{"edges": one_edge}],
+        "report": stub_report(),
+    }
+    graph, group, dec = parse_decomposition(data)
+    assert graph.edge_count == 1_020_100
+    assert group.order == 101
+    assert len(dec.blocks) == 1
+
+
+def test_parse_caps_group_action(monkeypatch):
+    text = k9_payload()
+    parse_decomposition(text)
+    # 9 vertices: an entry cap of 20 leaves room for 2 elements, the closure has 3
+    monkeypatch.setattr(serialize, "MAX_ACTION_ENTRIES", 20)
+    with pytest.raises(SchemaError) as info:
+        parse_decomposition(text)
+    assert info.value.path == "$.group"
+
+
+def test_parse_rejects_wrong_declared_order():
+    data = json.loads(n3_payload())
+    data["group"]["order"] = 999
+    with pytest.raises(SchemaError) as info:
+        parse_decomposition(data)
+    assert info.value.path == "$.group.order"
+    assert "999" in info.value.reason
+    k9 = json.loads(k9_payload())
+    k9["group"]["order"] = 1
+    with pytest.raises(SchemaError) as info:
+        parse_decomposition(k9)
+    assert info.value.path == "$.group.order"
 
 
 def test_edges_to_text():
