@@ -50,7 +50,6 @@ from .groups import (
     Permutation,
     automorphism_violation,
     diagonal_shift,
-    edge_image,
     edge_orbits,
     explicit_permutation,
     fixed_edge_witness,
@@ -86,75 +85,3 @@ from .staircase import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CompleteGraph",
-    "ConstructionInvalid",
-    "Decomposition",
-    "DimensionError",
-    "EdgeKind",
-    "EdgeOrbit",
-    "FiniteGroup",
-    "Fixture",
-    "GridEdge",
-    "GridGraph",
-    "GridVertex",
-    "GroupTooLarge",
-    "LabelEdge",
-    "NecessaryConditions",
-    "NotOddPrime",
-    "OrbitCensus",
-    "PartitionCheck",
-    "Permutation",
-    "PreconditionFailed",
-    "SchemaError",
-    "Step",
-    "Subgraph",
-    "TransversalCheck",
-    "VerificationReport",
-    "Walk",
-    "automorphism_violation",
-    "blocks_to_text",
-    "build_orbit_decomposition",
-    "build_staircase_path",
-    "classify_edge",
-    "decomposition_to_json",
-    "diagonal_fixture_n4",
-    "diagonal_shift",
-    "dot_for_blocks",
-    "edge_difference",
-    "edge_image",
-    "edge_orbits",
-    "edges_to_text",
-    "explicit_permutation",
-    "export_dot",
-    "first_orbit_conflict",
-    "first_repeated_vertex",
-    "fixed_edge_witness",
-    "gallai_check",
-    "generate_group",
-    "haggkvist_split",
-    "identity_permutation",
-    "is_odd_prime",
-    "is_path",
-    "is_path_subgraph",
-    "is_semiregular_on_edges",
-    "k9_fixture",
-    "make_grid",
-    "necessary_conditions",
-    "one_edge_per_orbit",
-    "orbit_census",
-    "orbit_transversal_check",
-    "parse_decomposition",
-    "partial_stretch_sum",
-    "partition_witnesses",
-    "permutation_from_cycles",
-    "row_shift",
-    "same_orbit_row_shift",
-    "staircase_array",
-    "staircase_decomposition",
-    "stretch",
-    "subgraphs_isomorphic",
-    "verify_decomposition",
-    "walk_from_array",
-]

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from .decompose import (
+    IsomorphismCapExceeded,
     NotOddPrime,
     build_orbit_decomposition,
     diagonal_fixture_n4,
@@ -48,8 +49,6 @@ from .serialize import (
     report_to_json_dict,
 )
 from .staircase import ConstructionInvalid
-
-__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -116,7 +115,11 @@ def cmd_verify(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_MATH
-    report = verify_decomposition(graph, group, dec)
+    try:
+        report = verify_decomposition(graph, group, dec)
+    except IsomorphismCapExceeded as err:
+        print(f"error: $.blocks[{err.block_index}]: {err}", file=sys.stderr)
+        return EXIT_USAGE
     print(dumps(report_to_json_dict(report)))
     if not report.all_ok:
         print("verification failed: " + ", ".join(report.failed()), file=sys.stderr)

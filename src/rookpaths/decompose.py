@@ -1,4 +1,4 @@
-"""Orbit-transversal decompositions and their exhaustive verification.
+"""Orbit-transversal decompositions and their independent verification.
 
 The construction implemented here: if a group G of automorphisms acts
 semiregularly on the edges of a graph (no non-identity element fixes an
@@ -9,24 +9,25 @@ G-transitive, and the stabilizer of each block is trivial, so there are
 exactly |G| blocks.
 
 Nothing downstream trusts that argument: verify_decomposition rechecks
-every one of those properties on the finished object by direct
-enumeration and reports a concrete witness for anything that fails.
+every one of those properties on the finished object, on an integer
+edge action it rebuilds from the vertex permutations, and reports a
+concrete witness for anything that fails.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, deque
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from math import comb, gcd, isqrt
 from typing import Iterable, Iterator, NamedTuple
 
 from .grid import GridGraph, GridVertex, Step, make_grid
 from .groups import (
+    EdgeAction,
     EdgeOrbit,
     FiniteGroup,
-    Permutation,
     diagonal_shift,
-    edge_image,
     edge_orbits,
     fixed_edge_witness,
     generate_group,
@@ -34,33 +35,6 @@ from .groups import (
     row_shift,
 )
 from .staircase import Walk, build_staircase_path, walk_from_array
-
-__all__ = [
-    "CompleteGraph",
-    "Decomposition",
-    "Fixture",
-    "LabelEdge",
-    "NecessaryConditions",
-    "NotOddPrime",
-    "PreconditionFailed",
-    "Subgraph",
-    "TransversalCheck",
-    "VerificationReport",
-    "build_orbit_decomposition",
-    "diagonal_fixture_n4",
-    "gallai_check",
-    "haggkvist_split",
-    "is_odd_prime",
-    "is_path_subgraph",
-    "k9_fixture",
-    "necessary_conditions",
-    "orbit_transversal_check",
-    "partition_witnesses",
-    "PartitionCheck",
-    "staircase_decomposition",
-    "subgraphs_isomorphic",
-    "verify_decomposition",
-]
 
 ISO_VERTEX_CAP = 16
 
@@ -72,6 +46,12 @@ class PreconditionFailed(RuntimeError):
         super().__init__(reason)
         self.reason = reason
         self.witness = witness
+
+
+class IsomorphismCapExceeded(ValueError):
+    """The isomorphism search passed ISO_VERTEX_CAP vertices; the verifier sets ``block_index``."""
+
+    block_index: int | None = None
 
 
 class NotOddPrime(ValueError):
@@ -192,6 +172,19 @@ class Subgraph:
         return dict(adj)
 
 
+def _sorted_subgraph(edges: tuple, walk: Walk | None = None) -> Subgraph:
+    """A Subgraph on edges already sorted and distinct, without re-validation."""
+    sub = object.__new__(Subgraph)
+    object.__setattr__(sub, "edges", edges)
+    object.__setattr__(sub, "walk", walk)
+    return sub
+
+
+def _signature(keys) -> bytes:
+    """A compact, comparable form of an edge set given by its keys."""
+    return array("q", sorted(keys)).tobytes()
+
+
 @dataclass(frozen=True, slots=True)
 class Decomposition:
     """A candidate decomposition: blocks, the acting group, and the base block."""
@@ -280,14 +273,14 @@ def orbit_transversal_check(sub: Subgraph, orbits: list[EdgeOrbit]) -> Transvers
     Edges of the subgraph that lie in no orbit at all make the check
     fail regardless of the counts.
     """
-    index: dict = {}
-    for pos, orbit in enumerate(orbits):
-        for e in orbit.edges:
-            index[e] = pos
+    if not orbits:
+        return TransversalCheck(False, ())
+    key = orbits[0].action.key
+    position = {k: pos for pos, orbit in enumerate(orbits) for k in orbit.keys}
     counts = [0] * len(orbits)
     stray = False
     for e in sub.edges:
-        pos = index.get(e)
+        pos = position.get(key(e))
         if pos is None:
             stray = True
             continue
@@ -319,46 +312,57 @@ def build_orbit_decomposition(graph, group: FiniteGroup, base: Subgraph) -> Deco
             f"base subgraph is not an orbit transversal: counts off in {len(bad)} orbits",
             witness=(bad, check.counts),
         )
+    action = EdgeAction(graph, group)
+    base_keys = action.keys(base.edges)
     blocks: list[Subgraph] = []
     seen: set = set()
-    for g in group.elements:
-        edges = tuple(sorted(edge_image(g, graph, e) for e in base.edges))
-        key = frozenset(edges)
-        if key in seen:
+    for g, table in zip(group.elements, action.tables):
+        keys = sorted(action.image_keys(table, base_keys))
+        signature = _signature(keys)
+        if signature in seen:
             continue
-        seen.add(key)
+        seen.add(signature)
         walk = base.walk.transform(g) if base.walk is not None else None
-        blocks.append(Subgraph(edges, walk=walk))
+        blocks.append(_sorted_subgraph(tuple(map(action.edge, keys)), walk))
     return Decomposition(tuple(blocks), group, base)
+
+
+def _component_shapes(sub: Subgraph) -> list[tuple[str, int]]:
+    """Sorted (kind, edge count) of the components of a graph of maximum degree <= 2.
+
+    Each such component is a path (|V| = |E| + 1) or a cycle (|V| = |E|),
+    so two of these graphs are isomorphic exactly when the lists agree.
+    """
+    adj = sub.adjacency()
+    unseen = set(adj)
+    shapes = []
+    while unseen:
+        stack = [unseen.pop()]
+        vertices = degree_sum = 0
+        while stack:
+            v = stack.pop()
+            vertices += 1
+            degree_sum += len(adj[v])
+            stack.extend(adj[v] & unseen)
+            unseen -= adj[v]
+        edges = degree_sum // 2
+        shapes.append(("cycle" if edges == vertices else "path", edges))
+    return sorted(shapes)
 
 
 def is_path_subgraph(sub: Subgraph) -> bool:
     """Connected, max degree 2, exactly two degree-1 vertices, |V| = |E| + 1."""
-    deg = sub.degrees()
-    if len(deg) != sub.edge_count + 1:
-        return False
-    if any(d > 2 for d in deg.values()):
-        return False
-    if sum(1 for d in deg.values() if d == 1) != 2:
-        return False
-    adj = sub.adjacency()
-    start = next(iter(deg))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        for w in adj[queue.popleft()]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(deg)
+    return max(sub.degrees().values()) <= 2 and _component_shapes(sub) == [("path", sub.edge_count)]
 
 
 def subgraphs_isomorphic(a: Subgraph, b: Subgraph) -> bool:
     """Graph isomorphism of two edge-induced subgraphs.
 
-    Equal edge sets are isomorphic by the identity map.  Paths are
-    recognized by their degree signature; anything else goes through
-    backtracking search, capped at ISO_VERTEX_CAP vertices.
+    Equal edge sets are isomorphic by the identity map.  Graphs of
+    maximum degree at most 2 are disjoint paths and cycles and are
+    compared by their component shapes; anything else goes through
+    backtracking search, which raises IsomorphismCapExceeded above
+    ISO_VERTEX_CAP vertices.
     """
     if a.edges == b.edges:
         return True
@@ -369,10 +373,10 @@ def subgraphs_isomorphic(a: Subgraph, b: Subgraph) -> bool:
         return False
     if sorted(deg_a.values()) != sorted(deg_b.values()):
         return False
-    if is_path_subgraph(a) and is_path_subgraph(b):
-        return True
+    if max(deg_a.values()) <= 2:
+        return _component_shapes(a) == _component_shapes(b)
     if len(deg_a) > ISO_VERTEX_CAP:
-        raise ValueError(f"isomorphism search capped at {ISO_VERTEX_CAP} vertices")
+        raise IsomorphismCapExceeded(f"isomorphism search capped at {ISO_VERTEX_CAP} vertices")
     adj_a, adj_b = a.adjacency(), b.adjacency()
     edge_set_b = {frozenset((e.u, e.v)) for e in b.edges}
     verts_b = sorted(deg_b)
@@ -422,30 +426,55 @@ class PartitionCheck(NamedTuple):
     foreign: tuple
 
 
+def _partition_check(action: EdgeAction, block_keys: list, foreign: list) -> PartitionCheck:
+    """Partition witnesses from each block's edge keys and the edges outside the graph."""
+    present: set = set()
+    total = 0
+    for keys in block_keys:
+        present.update(keys)
+        total += len(keys)
+    outside = Counter(foreign)
+    duplicated = [e for e, c in outside.items() if c > 1]
+    if len(present) != total:
+        repeated = Counter(k for keys in block_keys for k in keys)
+        duplicated += map(action.edge, (k for k, c in repeated.items() if c > 1))
+    missing: tuple = ()
+    if len(present) != action.graph.edge_count:
+        missing = tuple(action.edge(k) for k in action.all_keys() if k not in present)
+    ok = not duplicated and not missing and not outside
+    return PartitionCheck(ok, tuple(sorted(duplicated)), missing, tuple(sorted(outside)))
+
+
 def partition_witnesses(graph, blocks: Iterable[Subgraph]) -> PartitionCheck:
     """Do the blocks cover every edge exactly once?  Witnesses either way."""
-    counts: Counter = Counter()
+    action = EdgeAction(graph)
+    keys, foreign = [], []
     for b in blocks:
-        counts.update(b.edges)
-    graph_edges = set(graph.edges())
-    duplicated = tuple(sorted(e for e, c in counts.items() if c > 1))
-    missing = tuple(sorted(e for e in graph_edges if e not in counts))
-    foreign = tuple(sorted(e for e in counts if e not in graph_edges))
-    ok = not duplicated and not missing and not foreign
-    return PartitionCheck(ok, duplicated, missing, foreign)
+        for e in b.edges:
+            k = action.key(e)
+            if k is None:
+                foreign.append(e)
+            else:
+                keys.append(k)
+    return _partition_check(action, [keys], foreign)
 
 
 def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> VerificationReport:
-    """Recheck every structural claim of a decomposition by enumeration.
+    """Recheck every structural claim of a decomposition from the vertex permutations.
 
     Nothing about ``dec`` is trusted: the edge partition, the block
     shapes, invariance and transitivity under the group, the base
-    stabilizer, and semiregularity of the action are each recomputed
-    from scratch.  Every failed flag carries a concrete witness.
+    stabilizer, and semiregularity of the action are each recomputed on
+    an edge action built here from ``group``.  A block equal to an image
+    of the base is isomorphic to it with that element as the certificate;
+    only other blocks go through subgraphs_isomorphic.  Every failed flag
+    carries a concrete witness.
     """
+    action = EdgeAction(graph, group)
     witnesses: dict = {}
+    block_keys = [action.keys(b.edges) for b in dec.blocks]
 
-    partition = partition_witnesses(graph, dec.blocks)
+    partition = _partition_check(action, block_keys, [])
     ok_partition = partition.ok
     if not ok_partition:
         witnesses["is_partition"] = {
@@ -454,23 +483,31 @@ def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> Verif
             "foreign": list(partition.foreign),
         }
 
+    base_keys = action.keys(dec.base.edges)
+    base_signature = _signature(base_keys)
+    images = [_signature(action.image_keys(t, base_keys)) for t in action.tables]
+    certified = set(images)
+    signatures = [_signature(keys) for keys in block_keys]
+
     ok_iso = True
     for idx, block in enumerate(dec.blocks):
-        if not subgraphs_isomorphic(block, dec.base):
+        if signatures[idx] in certified:
+            continue
+        try:
+            same = subgraphs_isomorphic(block, dec.base)
+        except IsomorphismCapExceeded as err:
+            err.block_index = idx
+            raise
+        if not same:
             ok_iso = False
             witnesses["blocks_isomorphic_to_base"] = {"block_index": idx}
             break
 
-    block_keys = [frozenset(b.edges) for b in dec.blocks]
-    block_set = set(block_keys)
-
-    def image_key(sub_edges, g: Permutation) -> frozenset:
-        return frozenset(edge_image(g, graph, e) for e in sub_edges)
-
+    block_set = set(signatures)
     ok_invariant = True
-    for idx, block in enumerate(dec.blocks):
+    for idx, keys in enumerate(block_keys):
         for gdx, gen in enumerate(group.generators):
-            if image_key(block.edges, gen) not in block_set:
+            if _signature(action.image_keys(gen.table, keys)) not in block_set:
                 ok_invariant = False
                 witnesses["group_invariant"] = {"block_index": idx, "generator_index": gdx}
                 break
@@ -479,14 +516,15 @@ def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> Verif
 
     ok_transitive = True
     if dec.blocks:
-        reached = {image_key(dec.blocks[0].edges, g) for g in group.elements}
+        reached = certified if signatures[0] == base_signature else {
+            _signature(action.image_keys(t, block_keys[0])) for t in action.tables
+        }
         if reached != block_set:
             ok_transitive = False
-            unreached = sorted(i for i, key in enumerate(block_keys) if key not in reached)
+            unreached = [i for i, sig in enumerate(signatures) if sig not in reached]
             witnesses["group_transitive"] = {"unreached_blocks": unreached}
 
-    base_key = frozenset(dec.base.edges)
-    stabilizer = sum(1 for g in group.elements if image_key(dec.base.edges, g) == base_key)
+    stabilizer = images.count(base_signature)
     ok_stabilizer = stabilizer == 1
     if not ok_stabilizer:
         witnesses["stabilizer_trivial"] = {"stabilizer_order": stabilizer}

@@ -17,18 +17,6 @@ from enum import Enum
 from math import comb
 from typing import Iterator
 
-__all__ = [
-    "DimensionError",
-    "EdgeKind",
-    "GridEdge",
-    "GridGraph",
-    "GridVertex",
-    "Step",
-    "classify_edge",
-    "edge_difference",
-    "make_grid",
-]
-
 
 class DimensionError(ValueError):
     """A grid dimension outside the supported range."""

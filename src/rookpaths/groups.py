@@ -1,45 +1,24 @@
-"""Vertex permutations, small finite groups, and their induced edge action.
+"""Vertex permutations, small finite groups, and their action on edges.
 
-Groups here are tiny (cyclic shifts and the like), so elements are
-materialized as explicit mapping tables and the closure is computed by
-breadth-first multiplication.  Edge orbits are enumerated directly, one
-image per element per orbit, i.e. |E| images in total when the action
-is semiregular.  Semiregularity is read off the orbit sizes by the
-orbit-stabilizer theorem (|orbit| * |stabilizer| = |G|): the action is
-semiregular exactly when every edge orbit has |G| edges, and only edges
-of shorter orbits are searched for a fixing element.
+A permutation is a table of indices into its sorted vertex list, which
+a generated group's elements share, so the closure composes tuples of
+ints.  EdgeAction carries the action to integer edge keys; orbits,
+semiregularity, transport and every verifier flag read it, and edge
+objects are built only for orbit members, blocks and witnesses.
+Semiregularity is read off the orbit sizes by the orbit-stabilizer
+theorem (|orbit| * |stabilizer| = |G|): the action is semiregular
+exactly when every edge orbit has |G| edges, and only edges of shorter
+orbits are searched for a fixing element.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
-from .grid import GridEdge, GridGraph, GridVertex
-
-__all__ = [
-    "DEFAULT_GROUP_CAP",
-    "EdgeOrbit",
-    "FiniteGroup",
-    "GroupTooLarge",
-    "OrbitCensus",
-    "Permutation",
-    "automorphism_violation",
-    "diagonal_shift",
-    "edge_image",
-    "edge_orbits",
-    "explicit_permutation",
-    "fixed_edge_witness",
-    "generate_group",
-    "identity_permutation",
-    "is_semiregular_on_edges",
-    "orbit_census",
-    "permutation_from_cycles",
-    "row_shift",
-    "same_orbit_row_shift",
-]
+from .grid import DimensionError, GridEdge, GridGraph, GridVertex
 
 DEFAULT_GROUP_CAP = 100_000
 
@@ -53,59 +32,83 @@ class GroupTooLarge(RuntimeError):
 
 
 class Permutation:
-    """A bijection of a finite vertex set.
+    """A bijection of a finite vertex set, stored as a table of indices.
 
-    ``kind`` records how the permutation was built (row_shift,
-    diagonal_shift or explicit) and only matters for serialization;
-    equality and hashing depend on the mapping alone, so a composite
-    that happens to equal a named shift compares equal to it.
+    ``vertices`` is the sorted domain and the permutation maps
+    ``vertices[i]`` to ``vertices[table[i]]``; the elements of a
+    generated group share their generators' vertex list.  ``kind``
+    records how the permutation was built (row_shift, diagonal_shift or
+    explicit) and only matters for serialization; equality and hashing
+    depend on the mapping alone, so a composite that happens to equal a
+    named shift compares equal to it.
     """
 
-    __slots__ = ("kind", "n", "m", "_map", "_hash")
+    __slots__ = ("kind", "n", "m", "table", "vertices", "_index", "_hash")
 
     def __init__(self, mapping, kind: str = EXPLICIT, n: int | None = None, m: int | None = None):
-        table = dict(mapping)
-        if set(table.values()) != set(table.keys()):
+        images = dict(mapping)
+        vertices = tuple(sorted(images))
+        index = {v: i for i, v in enumerate(vertices)}
+        table = tuple(index.get(images[v], -1) for v in vertices)
+        if -1 in table or len(set(table)) != len(table):
             raise ValueError("mapping is not a bijection on its domain")
-        self._map = table
+        self._fill(table, vertices, index, kind, n, m)
+
+    def _fill(self, table, vertices, index, kind=EXPLICIT, n=None, m=None) -> None:
+        self.table = table
+        self.vertices = vertices
+        self._index = index
         self.kind = kind
         self.n = n
         self.m = m
-        self._hash = hash(frozenset(table.items()))
+        self._hash = hash(table)
+
+    def _sibling(self, table: tuple) -> Permutation:
+        """The explicit permutation with ``table`` over this one's vertex list."""
+        perm = Permutation.__new__(Permutation)
+        perm._fill(table, self.vertices, self._index)
+        return perm
 
     def __call__(self, v):
-        return self._map[v]
+        return self.vertices[self.table[self._index[v]]]
+
+    def _same_domain(self, other: Permutation) -> bool:
+        return self.vertices is other.vertices or self.vertices == other.vertices
 
     def __eq__(self, other):
         if not isinstance(other, Permutation):
             return NotImplemented
-        return self._map == other._map
+        return self.table == other.table and self._same_domain(other)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"Permutation({self.kind}, domain={len(self._map)})"
+        return f"Permutation({self.kind}, domain={len(self.table)})"
 
     @property
     def domain(self):
-        return self._map.keys()
+        return self._index.keys()
 
     @property
     def is_identity(self) -> bool:
-        return all(v == w for v, w in self._map.items())
+        return all(i == j for i, j in enumerate(self.table))
 
     def mapping(self) -> dict:
-        return dict(self._map)
+        vs = self.vertices
+        return {v: vs[j] for v, j in zip(vs, self.table)}
 
     def then(self, other: Permutation) -> Permutation:
         """Composite: apply ``self`` first, then ``other``."""
-        if self._map.keys() != other._map.keys():
+        if not self._same_domain(other):
             raise ValueError("cannot compose permutations of different domains")
-        return Permutation({v: other._map[w] for v, w in self._map.items()}, n=self.n, m=self.m)
+        return self._sibling(tuple(map(other.table.__getitem__, self.table)))
 
     def inverse(self) -> Permutation:
-        return Permutation({w: v for v, w in self._map.items()}, n=self.n, m=self.m)
+        table = [0] * len(self.table)
+        for i, j in enumerate(self.table):
+            table[j] = i
+        return self._sibling(tuple(table))
 
 
 def row_shift(n: int, m: int) -> Permutation:
@@ -221,52 +224,144 @@ def generate_group(generators: Iterable[Permutation], cap: int = DEFAULT_GROUP_C
     gens = tuple(generators)
     if not gens:
         raise ValueError("need at least one generator (use identity_permutation for the trivial group)")
-    domain = gens[0].domain
+    first = gens[0]
     for g in gens[1:]:
-        if g.domain != domain:
+        if not first._same_domain(g):
             raise ValueError("generators act on different vertex sets")
-    ident = Permutation({v: v for v in domain}, n=gens[0].n, m=gens[0].m)
-    elements = [ident]
+    tables = [g.table for g in gens]
+    ident = tuple(range(len(first.table)))
+    found = [ident]
     seen = {ident}
     queue = deque([ident])
     while queue:
         cur = queue.popleft()
-        for g in gens:
-            nxt = cur.then(g)
+        for t in tables:
+            nxt = tuple(map(t.__getitem__, cur))
             if nxt in seen:
                 continue
-            if len(elements) + 1 > cap:
+            if len(found) + 1 > cap:
                 raise GroupTooLarge(f"group closure exceeds cap of {cap} elements")
             seen.add(nxt)
-            elements.append(nxt)
+            found.append(nxt)
             queue.append(nxt)
-    return FiniteGroup(gens, tuple(elements))
+    return FiniteGroup(gens, tuple(map(first._sibling, found)))
 
 
-def edge_image(perm: Permutation, graph, e):
-    """Image of an edge under a vertex permutation, in canonical form."""
-    return graph.edge(perm(e.u), perm(e.v))
+def _grid_edge(u: GridVertex, v: GridVertex) -> GridEdge:
+    """A GridEdge on endpoints already known to be canonical, without re-validation."""
+    e = object.__new__(GridEdge)
+    object.__setattr__(e, "u", u)
+    object.__setattr__(e, "v", v)
+    return e
+
+
+class EdgeAction:
+    """A group's action on the edges of a graph, on integer edge keys.
+
+    Vertex i is ``vertices[i]`` (row * m + col on a grid, label - 1 on a
+    complete graph) and the edge on i < j has key i * |V| + j, so keys
+    sort like GridEdge/LabelEdge objects.  ``tables`` lists the elements'
+    vertex tables in group order; edge images are computed, never stored.
+    """
+
+    __slots__ = ("graph", "vertices", "size", "tables", "_grid", "_edge")
+
+    def __init__(self, graph, group: FiniteGroup | None = None):
+        vertices = tuple(graph.vertices())
+        self.tables: tuple = ()
+        if group is not None:
+            if group.identity.vertices != vertices:
+                raise ValueError(f"the group does not act on the vertices of {graph}")
+            vertices = group.identity.vertices
+            self.tables = tuple(g.table for g in group.elements)
+        self.graph = graph
+        self.vertices = vertices
+        self.size = len(vertices)
+        self._grid = (graph.n, graph.m) if isinstance(graph, GridGraph) else None
+        self._edge = graph.edge if self._grid is None else _grid_edge
+
+    def key(self, e) -> int | None:
+        """The key of an edge of the graph, or None for an edge outside it."""
+        u, v = e.u, e.v
+        if self._grid is None:
+            ok = 1 <= u <= self.size and 1 <= v <= self.size
+            return (u - 1) * self.size + v - 1 if ok else None
+        n, m = self._grid
+        if 0 <= u.row < n and 0 <= u.col < m and 0 <= v.row < n and 0 <= v.col < m:
+            return (u.row * m + u.col) * self.size + v.row * m + v.col
+        return None
+
+    def keys(self, edges: tuple) -> list[int]:
+        """Keys of edges of the graph, in order; ValueError for an edge outside it."""
+        out = [self.key(e) for e in edges]
+        if None in out:
+            raise ValueError(f"{edges[out.index(None)]} is not an edge of {self.graph}")
+        return out
+
+    def edge(self, key: int):
+        """The edge object of a key, on the shared vertex list."""
+        i, j = divmod(key, self.size)
+        return self._edge(self.vertices[i], self.vertices[j])
+
+    def image_keys(self, table: tuple, keys) -> list[int]:
+        """Keys of the images of ``keys`` under one vertex table (in no particular order)."""
+        size = self.size
+        return [
+            a * size + b if a < b else b * size + a
+            for a, b in ((table[k // size], table[k % size]) for k in keys)
+        ]
+
+    def all_keys(self) -> Iterator[int]:
+        """Every edge key of the graph, ascending."""
+        size = self.size
+        for i in range(size):
+            above = range(i + 1, size)
+            if self._grid is not None:
+                m = self._grid[1]
+                # the rest of i's row, then the rest of its column
+                above = [*range(i + 1, i - i % m + m), *range(i + m, size, m)]
+            yield from (i * size + j for j in above)
+
+    def orbits(self) -> Iterator[tuple[int, ...]]:
+        """Every orbit as an ascending key tuple, in order of least member."""
+        size, tables = self.size, self.tables
+        seen: set = set()
+        for k in self.all_keys():
+            if k in seen:
+                continue
+            i, j = divmod(k, size)
+            members = {
+                a * size + b if a < b else b * size + a for a, b in ((t[i], t[j]) for t in tables)
+            }
+            seen.update(members)
+            yield tuple(sorted(members))
 
 
 @dataclass(frozen=True, slots=True)
 class EdgeOrbit:
-    """One orbit of the edge action: a sort key plus the member edges."""
+    """One orbit of the edge action: a sort key plus the member keys, ascending."""
 
     id: tuple
-    edges: tuple
+    keys: tuple
+    action: EdgeAction = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
-        return len(self.edges)
+        return len(self.keys)
+
+    @property
+    def edges(self) -> tuple:
+        """The member edges as objects, in canonical order."""
+        return tuple(map(self.action.edge, self.keys))
 
 
-def _row_shift_orbit_id(n: int, e: GridEdge) -> tuple:
-    if e.u.row == e.v.row:
-        b1, b2 = sorted((e.u.col, e.v.col))
-        return ("H", b1, b2)
-    t = (e.v.row - e.u.row) % n
-    t = min(t, n - t)
-    return ("V", t, e.u.col)
+def _row_shift_orbit_id(action: EdgeAction, key: int) -> tuple:
+    n, m = action._grid
+    (r1, c1), (r2, c2) = (divmod(i, m) for i in divmod(key, action.size))
+    if r1 == r2:
+        return ("H", c1, c2)
+    t = (r2 - r1) % n
+    return ("V", min(t, n - t), c1)
 
 
 def edge_orbits(graph, group: FiniteGroup) -> list[EdgeOrbit]:
@@ -277,22 +372,13 @@ def edge_orbits(graph, group: FiniteGroup) -> list[EdgeOrbit]:
     its folded row offset min(t, n-t) and column.  Any other action gets
     opaque ids ("O", least member edge).  Orbits partition the edge set.
     """
-    structured = isinstance(graph, GridGraph) and group.generator_kind == ROW_SHIFT
-    seen: set = set()
-    orbits: list[EdgeOrbit] = []
-    for e in graph.edges():
-        if e in seen:
-            continue
-        members = {edge_image(g, graph, e) for g in group.elements}
-        ordered = tuple(sorted(members))
-        seen.update(ordered)
-        if structured:
-            oid = _row_shift_orbit_id(graph.n, ordered[0])
-        else:
-            oid = ("O", ordered[0])
-        orbits.append(EdgeOrbit(oid, ordered))
-    orbits.sort(key=lambda o: o.id)
-    return orbits
+    action = EdgeAction(graph, group)
+    if isinstance(graph, GridGraph) and group.generator_kind == ROW_SHIFT:
+        orbits = [EdgeOrbit(_row_shift_orbit_id(action, o[0]), o, action) for o in action.orbits()]
+        orbits.sort(key=lambda o: o.id)
+        return orbits
+    # orbits arrive in order of least member, which is the order of these ids
+    return [EdgeOrbit(("O", action.edge(o[0])), o, action) for o in action.orbits()]
 
 
 def fixed_edge_witness(graph, group: FiniteGroup, orbits: list[EdgeOrbit] | None = None):
@@ -306,17 +392,17 @@ def fixed_edge_witness(graph, group: FiniteGroup, orbits: list[EdgeOrbit] | None
     non-identity elements are taken in group order and, for each, the
     edges in ``graph.edges()`` order: the pair an exhaustive scan finds.
     ``orbits`` are the edge_orbits of (graph, group) when the caller
-    already has them.
+    already has them; otherwise only the short orbits are kept.
     """
-    if orbits is None:
-        orbits = edge_orbits(graph, group)
-    short = {e for o in orbits if o.size < group.order for e in o.edges}
+    action = EdgeAction(graph, group)
+    members = (o.keys for o in orbits) if orbits is not None else action.orbits()
+    short = {k for keys in members if len(keys) < group.order for k in keys}
     if not short:
         return None
-    candidates = [e for e in graph.edges() if e in short]
+    candidates = [(e, k) for e in graph.edges() if (k := action.key(e)) in short]
     for g in group.non_identity():
-        for e in candidates:
-            if edge_image(g, graph, e) == e:
+        for e, k in candidates:
+            if action.image_keys(g.table, (k,))[0] == k:
                 return g, e
     return None
 
@@ -336,10 +422,12 @@ def same_orbit_row_shift(e: GridEdge, f: GridEdge, n: int, m: int) -> bool:
     with differences taken componentwise mod (n, m).  The disjunction is
     independent of the chosen endpoint order.
     """
-    grid = GridGraph(n, m)
+    if n < 2 or m < 2:
+        raise DimensionError(f"grid needs n, m >= 2, got {n} x {m}")
     for e_ in (e, f):
-        if not (grid.contains(e_.u) and grid.contains(e_.v)):
-            raise ValueError(f"{e_} is not an edge of {grid}")
+        u, v = e_.u, e_.v
+        if not (0 <= u.row < n and 0 <= u.col < m and 0 <= v.row < n and 0 <= v.col < m):
+            raise ValueError(f"{e_} is not an edge of K_{n} box K_{m}")
 
     def diff(a: GridVertex, b: GridVertex) -> tuple[int, int]:
         return ((a.row - b.row) % n, (a.col - b.col) % m)

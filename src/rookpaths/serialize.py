@@ -29,26 +29,7 @@ from .groups import (
     generate_group,
     row_shift,
 )
-from .staircase import Walk, walk_from_array
-
-__all__ = [
-    "PALETTE",
-    "ParsedDecomposition",
-    "SchemaError",
-    "blocks_to_text",
-    "decomposition_to_json",
-    "decomposition_to_json_dict",
-    "dot_for_blocks",
-    "dumps",
-    "edges_to_text",
-    "export_dot",
-    "orbit_id_str",
-    "parse_decomposition",
-    "permutation_to_json",
-    "report_to_json_dict",
-    "step_array_to_json",
-    "walk_to_json",
-]
+from .staircase import walk_from_array
 
 # Size caps on parsed input, checked before anything proportional to the
 # graph or the group is allocated.  K_101 box K_101 (10,201 vertices,
@@ -94,20 +75,6 @@ def _edge_json(e):
 
 def _step_json(s: Step):
     return [s.drow, s.dcol]
-
-
-def step_array_to_json(steps: Sequence[Step], n: int) -> dict:
-    return {"n": n, "steps": [_step_json(s) for s in steps]}
-
-
-def walk_to_json(walk: Walk) -> dict:
-    out: dict = {"n": walk.n}
-    if walk.m != walk.n:
-        out["m"] = walk.m
-    out["steps"] = [_step_json(s) for s in walk.steps]
-    out["start"] = _vertex_json(walk.start)
-    out["vertices"] = [_vertex_json(v) for v in walk.vertices]
-    return out
 
 
 def permutation_to_json(perm: Permutation) -> dict:

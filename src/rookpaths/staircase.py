@@ -21,20 +21,6 @@ from typing import Callable, Iterable, Sequence
 
 from .grid import DimensionError, GridEdge, GridVertex, Step
 
-__all__ = [
-    "ConstructionInvalid",
-    "Walk",
-    "build_staircase_path",
-    "first_orbit_conflict",
-    "first_repeated_vertex",
-    "is_path",
-    "one_edge_per_orbit",
-    "partial_stretch_sum",
-    "staircase_array",
-    "stretch",
-    "walk_from_array",
-]
-
 
 class ConstructionInvalid(RuntimeError):
     """A constructed walk failed one of its certification checks."""

@@ -1,12 +1,25 @@
 """Brute-force oracles for cross-checking library criteria.
 
-Everything here works with plain tuples, dicts, and sets on purpose: the
-point is an independent route to the same answers, not a fast one.
+Everything here works with plain tuples, dicts, and sets, or with the
+library's edge objects, on purpose: the point is an independent route to
+the same answers, not a fast one.  The object-based verifier below is the
+library's verifier before it moved onto the integer edge action.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
+from typing import Iterable
+
+from rookpaths.decompose import (
+    Decomposition,
+    PartitionCheck,
+    Subgraph,
+    VerificationReport,
+    subgraphs_isomorphic,
+)
+from rookpaths.groups import FiniteGroup, Permutation, fixed_edge_witness
 
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
 
@@ -71,6 +84,96 @@ def brute_fixed_edge_witness(graph, group):
             if graph.edge(g(e.u), g(e.v)) == e:
                 return g, e
     return None
+
+
+def edge_image(perm, graph, e):
+    """Image of an edge under a vertex permutation, in canonical form."""
+    return graph.edge(perm(e.u), perm(e.v))
+
+
+def brute_partition_witnesses(graph, blocks: Iterable[Subgraph]) -> PartitionCheck:
+    """Do the blocks cover every edge exactly once?  Witnesses either way."""
+    counts: Counter = Counter()
+    for b in blocks:
+        counts.update(b.edges)
+    graph_edges = set(graph.edges())
+    duplicated = tuple(sorted(e for e, c in counts.items() if c > 1))
+    missing = tuple(sorted(e for e in graph_edges if e not in counts))
+    foreign = tuple(sorted(e for e in counts if e not in graph_edges))
+    ok = not duplicated and not missing and not foreign
+    return PartitionCheck(ok, duplicated, missing, foreign)
+
+
+def brute_verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> VerificationReport:
+    """Recheck every structural claim of a decomposition by enumeration.
+
+    Nothing about ``dec`` is trusted: the edge partition, the block
+    shapes, invariance and transitivity under the group, the base
+    stabilizer, and semiregularity of the action are each recomputed
+    from scratch.  Every failed flag carries a concrete witness.
+    """
+    witnesses: dict = {}
+
+    partition = brute_partition_witnesses(graph, dec.blocks)
+    ok_partition = partition.ok
+    if not ok_partition:
+        witnesses["is_partition"] = {
+            "duplicated": list(partition.duplicated),
+            "missing": list(partition.missing),
+            "foreign": list(partition.foreign),
+        }
+
+    ok_iso = True
+    for idx, block in enumerate(dec.blocks):
+        if not subgraphs_isomorphic(block, dec.base):
+            ok_iso = False
+            witnesses["blocks_isomorphic_to_base"] = {"block_index": idx}
+            break
+
+    block_keys = [frozenset(b.edges) for b in dec.blocks]
+    block_set = set(block_keys)
+
+    def image_key(sub_edges, g: Permutation) -> frozenset:
+        return frozenset(edge_image(g, graph, e) for e in sub_edges)
+
+    ok_invariant = True
+    for idx, block in enumerate(dec.blocks):
+        for gdx, gen in enumerate(group.generators):
+            if image_key(block.edges, gen) not in block_set:
+                ok_invariant = False
+                witnesses["group_invariant"] = {"block_index": idx, "generator_index": gdx}
+                break
+        if not ok_invariant:
+            break
+
+    ok_transitive = True
+    if dec.blocks:
+        reached = {image_key(dec.blocks[0].edges, g) for g in group.elements}
+        if reached != block_set:
+            ok_transitive = False
+            unreached = sorted(i for i, key in enumerate(block_keys) if key not in reached)
+            witnesses["group_transitive"] = {"unreached_blocks": unreached}
+
+    base_key = frozenset(dec.base.edges)
+    stabilizer = sum(1 for g in group.elements if image_key(dec.base.edges, g) == base_key)
+    ok_stabilizer = stabilizer == 1
+    if not ok_stabilizer:
+        witnesses["stabilizer_trivial"] = {"stabilizer_order": stabilizer}
+
+    fixed = fixed_edge_witness(graph, group)
+    ok_semiregular = fixed is None
+    if not ok_semiregular:
+        witnesses["semiregular"] = {"element": fixed[0], "edge": fixed[1]}
+
+    return VerificationReport(
+        is_partition=ok_partition,
+        blocks_isomorphic_to_base=ok_iso,
+        group_invariant=ok_invariant,
+        group_transitive=ok_transitive,
+        stabilizer_trivial=ok_stabilizer,
+        semiregular=ok_semiregular,
+        witnesses=witnesses,
+    )
 
 
 def brute_group_elements(n, m, gens):

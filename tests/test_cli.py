@@ -186,6 +186,55 @@ def test_verify_cycle_block_beyond_isomorphism_cap(tmp_path, capsys):
     assert "is_partition" in err
 
 
+def trivial_group_file(tmp_path, n, base, blocks):
+    """A K_n document under the trivial group, with edges given as label pairs."""
+    payload = {
+        "graph": {"kind": "complete", "n": n},
+        "group": {
+            "kind": "explicit",
+            "order": 1,
+            "generators": [{"kind": "explicit", "map": [[v, v] for v in range(1, n + 1)]}],
+        },
+        "base": {"edges": base},
+        "blocks": [{"edges": b} for b in blocks],
+        "report": report_flags(),
+    }
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+def test_verify_two_different_cycles(tmp_path, capsys):
+    # base: the cycle 1..20; block: the cycle 1,3,...,19,2,4,...,20.  The block is
+    # no image of the base, and both are 20-cycles, so they are isomorphic
+    n = 20
+    base = [sorted((v, v % n + 1)) for v in range(1, n + 1)]
+    order = list(range(1, n, 2)) + list(range(2, n + 1, 2))
+    block = [sorted(pair) for pair in zip(order, order[1:] + order[:1])]
+    path = trivial_group_file(tmp_path, n, base, [block])
+    code, out, err = run(capsys, "verify", "--input", path)
+    assert code == 2
+    report = json.loads(out)
+    witnesses = report.pop("witnesses")
+    assert report == report_flags("is_partition")
+    assert len(witnesses["is_partition"]["missing"]) == 170
+    assert witnesses["is_partition"]["duplicated"] == []
+    assert "is_partition" in err
+
+
+def test_verify_degree_three_block_beyond_cap(tmp_path, capsys):
+    # 19 vertices and a degree-3 vertex: only the capped search could decide
+    path_edges = [[v, v + 1] for v in range(1, 18)]
+    base = path_edges + [[2, 19]]
+    other = path_edges + [[3, 19]]
+    path = trivial_group_file(tmp_path, 20, base, [base, other])
+    code, out, err = run(capsys, "verify", "--input", path)
+    assert code == 1
+    assert out == ""
+    assert "$.blocks[1]" in err
+    assert "Traceback" not in err
+
+
 def test_verify_rejects_huge_grid_quickly(tmp_path, capsys):
     payload = {
         "graph": {"kind": "grid", "n": 100_000, "m": 100_000},

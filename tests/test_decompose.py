@@ -5,6 +5,7 @@ import pytest
 from rookpaths.decompose import (
     CompleteGraph,
     Decomposition,
+    IsomorphismCapExceeded,
     LabelEdge,
     NotOddPrime,
     PreconditionFailed,
@@ -227,13 +228,18 @@ def test_subgraphs_isomorphic_cap():
             k18.edge(base + 1, base + 2),
             k18.edge(base, base + 2),
         ]
-    blob = Subgraph(tuple(triangles))
+    # chaining the triangles gives degree-3 vertices, so only the search decides
+    chain = triangles + [k18.edge(base + 2, base + 3) for base in range(1, 15, 3)]
+    blob = Subgraph(tuple(chain))
     # a relabelled copy, so the equal-edge-set shortcut does not apply
-    shifted = Subgraph(tuple(k18.edge(e.u % 18 + 1, e.v % 18 + 1) for e in triangles))
+    shifted = Subgraph(tuple(k18.edge(e.u % 18 + 1, e.v % 18 + 1) for e in chain))
     assert shifted.edges != blob.edges
-    with pytest.raises(ValueError):
+    with pytest.raises(IsomorphismCapExceeded):
         subgraphs_isomorphic(blob, shifted)
     assert subgraphs_isomorphic(blob, blob)
+    # six disjoint triangles have maximum degree 2: decided exactly, whatever the size
+    loose = Subgraph(tuple(triangles))
+    assert subgraphs_isomorphic(loose, Subgraph(tuple(k18.edge(e.u % 18 + 1, e.v % 18 + 1) for e in triangles)))
 
 
 def test_partition_witnesses():

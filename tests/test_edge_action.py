@@ -1,0 +1,154 @@
+"""The integer edge action against the object-based oracles."""
+
+import tracemalloc
+
+from rookpaths.decompose import (
+    K9_GENERATOR_CYCLES,
+    CompleteGraph,
+    Decomposition,
+    LabelEdge,
+    Subgraph,
+    build_orbit_decomposition,
+    diagonal_fixture_n4,
+    k9_fixture,
+    staircase_decomposition,
+    verify_decomposition,
+)
+from rookpaths.grid import GridVertex, make_grid
+from rookpaths.groups import (
+    EdgeAction,
+    diagonal_shift,
+    generate_group,
+    identity_permutation,
+    permutation_from_cycles,
+    row_shift,
+)
+from rookpaths.serialize import report_to_json_dict
+from rookpaths.staircase import staircase_array, walk_from_array
+
+from oracles import brute_verify_decomposition, edge_image
+
+
+def replace_block(dec, idx, block):
+    blocks = list(dec.blocks)
+    blocks[idx] = block
+    return Decomposition(tuple(blocks), dec.group, dec.base)
+
+
+def tampered(label, dec):
+    """A valid decomposition and four ways of breaking it."""
+    blocks = dec.blocks
+    moved = list(blocks[0].edges)
+    moved[0] = blocks[1].edges[0]
+    yield f"{label} valid", dec
+    yield f"{label} moved edge", replace_block(dec, 0, Subgraph(tuple(moved)))
+    yield f"{label} dropped edge", replace_block(dec, 0, Subgraph(blocks[0].edges[1:]))
+    yield f"{label} dropped block", Decomposition(blocks[1:], dec.group, dec.base)
+    yield f"{label} rotated blocks", Decomposition(blocks[1:] + blocks[:1], dec.group, dec.base)
+
+
+def relabelled(block, graph, f):
+    """The image of a block under a vertex map outside the acting group."""
+    return Subgraph(tuple(graph.edge(f(e.u), f(e.v)) for e in block.edges))
+
+
+def corpus():
+    """(label, graph, group, decomposition) cases for the verifier."""
+    for n in (3, 5, 7):
+        dec, _ = staircase_decomposition(n)
+        graph = make_grid(n, n)
+        for label, case in tampered(f"staircase {n}", dec):
+            yield label, graph, dec.group, case
+        if n > 3:
+            # defect 3: a base that is no block, since (2,3) is not a row shift of (0,0)
+            walk = walk_from_array((2, 3), staircase_array(n), n, n)
+            shifted = Subgraph(tuple(sorted(walk.edges())), walk=walk)
+            yield f"staircase {n} base at (2,3)", graph, dec.group, Decomposition(
+                dec.blocks, dec.group, shifted
+            )
+    graph, group, base = k9_fixture()
+    dec = build_orbit_decomposition(graph, group, base)
+    swap = {1: 2, 2: 1}
+    yield "k9 valid", graph, group, dec
+    yield "k9 swapped block", graph, group, replace_block(
+        dec, 1, relabelled(dec.blocks[1], graph, lambda v: swap.get(v, v))
+    )
+    graph, group, base = diagonal_fixture_n4()
+    dec = build_orbit_decomposition(graph, group, base)
+    yield "diag4 valid", graph, group, dec
+    yield "diag4 swapped block", graph, group, replace_block(
+        dec, 1, relabelled(dec.blocks[1], graph, lambda v: GridVertex(v.col, v.row))
+    )
+    grid3 = make_grid(3, 3)
+    trivial = generate_group([identity_permutation(grid3)])
+    whole = Subgraph(tuple(grid3.edges()))
+    yield "trivial 3x3", grid3, trivial, Decomposition((whole,), trivial, whole)
+    k20 = CompleteGraph(20)
+    cycle = Subgraph(tuple(LabelEdge(v, v % 20 + 1) for v in range(1, 21)))
+    order = list(range(1, 20, 2)) + list(range(2, 21, 2))
+    other = Subgraph(tuple(LabelEdge(a, b) for a, b in zip(order, order[1:] + order[:1])))
+    trivial20 = generate_group([identity_permutation(k20)])
+    yield "trivial K_20 two cycles", k20, trivial20, Decomposition((other,), trivial20, cycle)
+    # the row shift of even order fixes vertical edges at distance 2
+    grid4 = make_grid(4, 4)
+    shifts = generate_group([row_shift(4, 4)])
+    corner = GridVertex(0, 0)
+    base = Subgraph(
+        (grid4.edge(corner, GridVertex(0, 1)), grid4.edge(corner, GridVertex(2, 0)))
+    )
+    images = {tuple(sorted(edge_image(g, grid4, e) for e in base.edges)) for g in shifts}
+    blocks = tuple(Subgraph(edges) for edges in sorted(images))
+    yield "row shift 4x4", grid4, shifts, Decomposition(blocks, shifts, base)
+    # a column triangle is its own image under every row shift
+    column = Subgraph(tuple(e for e in grid3.edges() if e.u.col == e.v.col == 0))
+    shifts3 = generate_group([row_shift(3, 3)])
+    yield "row shift 3x3 column", grid3, shifts3, Decomposition((column,), shifts3, column)
+
+
+def test_verifier_matches_object_oracle():
+    failing = set()
+    for label, graph, group, dec in corpus():
+        got = report_to_json_dict(verify_decomposition(graph, group, dec))
+        expected = report_to_json_dict(brute_verify_decomposition(graph, group, dec))
+        assert got == expected, label
+        failing.update(flag for flag, ok in expected.items() if ok is False)
+    # every flag fails somewhere in the corpus
+    assert len(failing) == 6, failing
+
+
+def action_corpus():
+    for n in range(2, 7):
+        for m in range(2, 7):
+            yield make_grid(n, m), generate_group([row_shift(n, m)])
+    for n in range(2, 7):
+        yield make_grid(n, n), generate_group([diagonal_shift(n)])
+    k9 = CompleteGraph(9)
+    yield k9, generate_group([permutation_from_cycles(k9, K9_GENERATOR_CYCLES)])
+
+
+def test_int_images_match_edge_image():
+    for graph, group in action_corpus():
+        action = EdgeAction(graph, group)
+        edges = list(graph.edges())
+        keys = action.keys(edges)
+        assert sorted(keys) == list(action.all_keys())
+        assert [action.edge(k) for k in keys] == edges
+        for g, table in zip(group.elements, action.tables):
+            images = [action.edge(k) for k in action.image_keys(table, keys)]
+            assert images == [edge_image(g, graph, e) for e in edges], (graph, g)
+
+
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verifier_peak_memory_within_oracle():
+    dec, _ = staircase_decomposition(23)
+    graph = make_grid(23, 23)
+    peak = traced_peak(verify_decomposition, graph, dec.group, dec)
+    assert peak <= traced_peak(brute_verify_decomposition, graph, dec.group, dec)

@@ -16,7 +16,6 @@ from rookpaths.groups import (
     Permutation,
     automorphism_violation,
     diagonal_shift,
-    edge_image,
     edge_orbits,
     explicit_permutation,
     fixed_edge_witness,
@@ -36,6 +35,7 @@ from oracles import (
     brute_group_elements,
     brute_orbits,
     brute_row_shift,
+    edge_image,
 )
 
 
@@ -262,9 +262,10 @@ def test_same_orbit_criterion_matches_enumeration():
                 for e in orbit.edges:
                     rep[e] = orbit.id
             edges = list(g.edges())
-            for e in edges:
-                for f in edges:
-                    assert same_orbit_row_shift(e, f, n, m) == (rep[e] == rep[f]), (
+            ids = [rep[e] for e in edges]
+            for e, e_id in zip(edges, ids):
+                for f, f_id in zip(edges, ids):
+                    assert same_orbit_row_shift(e, f, n, m) == (e_id == f_id), (
                         n, m, str(e), str(f),
                     )
 
