@@ -323,7 +323,7 @@ def build_orbit_decomposition(graph, group: FiniteGroup, base: Subgraph) -> Deco
             continue
         seen.add(signature)
         walk = base.walk.transform(g) if base.walk is not None else None
-        blocks.append(_sorted_subgraph(tuple(map(action.edge, keys)), walk))
+        blocks.append(_sorted_subgraph(action.edges(keys), walk))
     return Decomposition(tuple(blocks), group, base)
 
 
@@ -437,10 +437,10 @@ def _partition_check(action: EdgeAction, block_keys: list, foreign: list) -> Par
     duplicated = [e for e, c in outside.items() if c > 1]
     if len(present) != total:
         repeated = Counter(k for keys in block_keys for k in keys)
-        duplicated += map(action.edge, (k for k, c in repeated.items() if c > 1))
+        duplicated += action.edges(k for k, c in repeated.items() if c > 1)
     missing: tuple = ()
     if len(present) != action.graph.edge_count:
-        missing = tuple(action.edge(k) for k in action.all_keys() if k not in present)
+        missing = action.edges(k for k in action.all_keys() if k not in present)
     ok = not duplicated and not missing and not outside
     return PartitionCheck(ok, tuple(sorted(duplicated)), missing, tuple(sorted(outside)))
 

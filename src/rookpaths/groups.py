@@ -8,7 +8,9 @@ objects are built only for orbit members, blocks and witnesses.
 Semiregularity is read off the orbit sizes by the orbit-stabilizer
 theorem (|orbit| * |stabilizer| = |G|): the action is semiregular
 exactly when every edge orbit has |G| edges, and only edges of shorter
-orbits are searched for a fixing element.
+orbits are searched for a fixing element.  automorphism_violation reads
+a permutation's table as well: on a grid, vertex i lies in row i // m
+and column i % m, and two images are adjacent iff they share either.
 """
 
 from __future__ import annotations
@@ -111,18 +113,23 @@ class Permutation:
         return self._sibling(tuple(table))
 
 
+def _grid_shift(kind: str, n: int, m: int, table) -> Permutation:
+    """A named permutation of K_n [box] K_m from its table on indices row * m + col."""
+    vertices = tuple(GridGraph(n, m).vertices())
+    perm = Permutation.__new__(Permutation)
+    perm._fill(tuple(table), vertices, {v: i for i, v in enumerate(vertices)}, kind, n, m)
+    return perm
+
+
 def row_shift(n: int, m: int) -> Permutation:
     """The grid automorphism (a, b) -> (a+1, b).  Generates a cyclic group of order n."""
-    graph = GridGraph(n, m)
-    mapping = {v: GridVertex((v.row + 1) % n, v.col) for v in graph.vertices()}
-    return Permutation(mapping, kind=ROW_SHIFT, n=n, m=m)
+    return _grid_shift(ROW_SHIFT, n, m, ((i + m) % (n * m) for i in range(n * m)))
 
 
 def diagonal_shift(n: int) -> Permutation:
     """The square-grid automorphism (a, b) -> (a+1, b+1) on K_n [box] K_n."""
-    graph = GridGraph(n, n)
-    mapping = {v: GridVertex((v.row + 1) % n, (v.col + 1) % n) for v in graph.vertices()}
-    return Permutation(mapping, kind=DIAGONAL_SHIFT, n=n, m=n)
+    table = ((a + 1) % n * n + (b + 1) % n for a in range(n) for b in range(n))
+    return _grid_shift(DIAGONAL_SHIFT, n, n, table)
 
 
 def identity_permutation(graph) -> Permutation:
@@ -130,12 +137,26 @@ def identity_permutation(graph) -> Permutation:
 
 
 def automorphism_violation(graph, perm: Permutation):
-    """First edge whose image under ``perm`` is not an edge, or None."""
-    for e in graph.edges():
-        try:
-            graph.edge(perm(e.u), perm(e.v))
-        except ValueError:
-            return e
+    """First edge, in ``graph.edges()`` order, whose image under ``perm`` is not an edge, or None.
+
+    Every bijection of a complete graph is an automorphism; on a grid the
+    two images of an edge, distinct indices of ``perm.table``, must share
+    a row or a column.
+    """
+    if perm.vertices != tuple(graph.vertices()):
+        raise ValueError(f"the permutation does not act on the vertices of {graph}")
+    if not isinstance(graph, GridGraph):
+        return None
+    n, m = graph.n, graph.m
+    rows = [j // m for j in perm.table]
+    cols = [j % m for j in perm.table]
+    # the rows, then the columns, each pair in order: the order of graph.edges()
+    lines = [range(a * m, a * m + m) for a in range(n)] + [range(b, n * m, m) for b in range(m)]
+    for line in lines:
+        for p, i in enumerate(line):
+            for j in line[p + 1 :]:
+                if rows[i] != rows[j] and cols[i] != cols[j]:
+                    return GridEdge(perm.vertices[i], perm.vertices[j])
     return None
 
 
@@ -247,11 +268,16 @@ def generate_group(generators: Iterable[Permutation], cap: int = DEFAULT_GROUP_C
     return FiniteGroup(gens, tuple(map(first._sibling, found)))
 
 
+# the slot setters, which a frozen dataclass's __setattr__ does not guard
+_set_u = GridEdge.u.__set__
+_set_v = GridEdge.v.__set__
+
+
 def _grid_edge(u: GridVertex, v: GridVertex) -> GridEdge:
     """A GridEdge on endpoints already known to be canonical, without re-validation."""
     e = object.__new__(GridEdge)
-    object.__setattr__(e, "u", u)
-    object.__setattr__(e, "v", v)
+    _set_u(e, u)
+    _set_v(e, v)
     return e
 
 
@@ -303,6 +329,11 @@ class EdgeAction:
         i, j = divmod(key, self.size)
         return self._edge(self.vertices[i], self.vertices[j])
 
+    def edges(self, keys) -> tuple:
+        """The edge objects of ``keys``, in order."""
+        vertices, size, make = self.vertices, self.size, self._edge
+        return tuple([make(vertices[k // size], vertices[k % size]) for k in keys])
+
     def image_keys(self, table: tuple, keys) -> list[int]:
         """Keys of the images of ``keys`` under one vertex table (in no particular order)."""
         size = self.size
@@ -352,7 +383,7 @@ class EdgeOrbit:
     @property
     def edges(self) -> tuple:
         """The member edges as objects, in canonical order."""
-        return tuple(map(self.action.edge, self.keys))
+        return self.action.edges(self.keys)
 
 
 def _row_shift_orbit_id(action: EdgeAction, key: int) -> tuple:

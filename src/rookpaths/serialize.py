@@ -7,7 +7,13 @@ graphs.  Identical inputs always serialize to identical bytes, so
 outputs can be diffed and used as golden files.
 
 Parsing is strict and reports the JSON path of the first offending
-element, e.g. "$.blocks[2].edges[0]".
+element in document order, e.g. "$.blocks[2].edges[0]".  It reads the
+input straight onto the integer representation of groups.EdgeAction:
+a vertex becomes its index (row * m + col on a grid, label - 1 on a
+complete graph) and an edge its key, adjacency is checked on the
+indices, duplicates are found among a block's sorted keys, and each
+edge object is built once, on the action's shared vertex list.  Error
+text is formatted only for an element that fails a check.
 """
 
 from __future__ import annotations
@@ -15,13 +21,21 @@ from __future__ import annotations
 import json
 from typing import Iterable, NamedTuple, Sequence
 
-from .decompose import CompleteGraph, Decomposition, LabelEdge, Subgraph, VerificationReport
+from .decompose import (
+    CompleteGraph,
+    Decomposition,
+    LabelEdge,
+    Subgraph,
+    VerificationReport,
+    _sorted_subgraph,
+)
 from .grid import GridEdge, GridGraph, GridVertex, Step, make_grid
 from .groups import (
     DEFAULT_GROUP_CAP,
     DIAGONAL_SHIFT,
     EXPLICIT,
     ROW_SHIFT,
+    EdgeAction,
     FiniteGroup,
     GroupTooLarge,
     Permutation,
@@ -164,7 +178,8 @@ def _expect(cond: bool, path: str, message: str) -> None:
 
 def _get(obj: dict, key: str, path: str):
     _expect(isinstance(obj, dict), path, "expected an object")
-    _expect(key in obj, path, f"missing key {key!r}")
+    if key not in obj:
+        raise SchemaError(path, f"missing key {key!r}")
     return obj[key]
 
 
@@ -178,51 +193,113 @@ def _parse_graph(obj, path: str):
     if kind == "grid":
         n = _int_at(_get(obj, "n", path), f"{path}.n")
         m = _int_at(_get(obj, "m", path), f"{path}.m")
-        _expect(n >= 2 and m >= 2, path, f"grid needs n, m >= 2, got {n} x {m}")
+        if n < 2 or m < 2:
+            raise SchemaError(path, f"grid needs n, m >= 2, got {n} x {m}")
         graph = make_grid(n, m)
     elif kind == "complete":
         n = _int_at(_get(obj, "n", path), f"{path}.n")
-        _expect(n >= 1, f"{path}.n", f"complete graph needs n >= 1, got {n}")
+        if n < 1:
+            raise SchemaError(f"{path}.n", f"complete graph needs n >= 1, got {n}")
         graph = CompleteGraph(n)
     else:
         raise SchemaError(f"{path}.kind", f"unknown graph kind {kind!r}")
     # both graph types hold only their dimensions, so the counts are arithmetic
-    _expect(
-        graph.vertex_count <= MAX_VERTICES,
-        path,
-        f"{graph} has {graph.vertex_count} vertices, more than the cap of {MAX_VERTICES}",
-    )
-    _expect(
-        graph.edge_count <= MAX_EDGES,
-        path,
-        f"{graph} has {graph.edge_count} edges, more than the cap of {MAX_EDGES}",
-    )
+    if graph.vertex_count > MAX_VERTICES:
+        raise SchemaError(
+            path, f"{graph} has {graph.vertex_count} vertices, more than the cap of {MAX_VERTICES}"
+        )
+    if graph.edge_count > MAX_EDGES:
+        raise SchemaError(
+            path, f"{graph} has {graph.edge_count} edges, more than the cap of {MAX_EDGES}"
+        )
     return graph
 
 
-def _parse_vertex(graph, value, path: str):
+def _vertex_index(graph, value, path: str) -> int:
+    """A serialized vertex as its index: row * m + col on a grid, label - 1 on K_n."""
     if isinstance(graph, GridGraph):
         _expect(
             isinstance(value, list) and len(value) == 2, path, "expected a [row, col] pair"
         )
         row = _int_at(value[0], f"{path}[0]")
         col = _int_at(value[1], f"{path}[1]")
-        v = GridVertex(row, col)
-        _expect(graph.contains(v), path, f"vertex {v} outside {graph}")
-        return v
+        if not (0 <= row < graph.n and 0 <= col < graph.m):
+            raise SchemaError(path, f"vertex ({row},{col}) outside {graph}")
+        return row * graph.m + col
     label = _int_at(value, path)
-    _expect(graph.contains(label), path, f"vertex {label} outside {graph}")
-    return label
+    if not 1 <= label <= graph.n:
+        raise SchemaError(path, f"vertex {label} outside {graph}")
+    return label - 1
 
 
-def _parse_edge(graph, value, path: str):
+def _parse_vertex(action: EdgeAction, value, path: str):
+    return action.vertices[_vertex_index(action.graph, value, path)]
+
+
+def _edge_key(action: EdgeAction, value, path: str) -> int:
+    """The key of one serialized edge; SchemaError naming what is wrong with it."""
     _expect(isinstance(value, list) and len(value) == 2, path, "expected an endpoint pair")
-    u = _parse_vertex(graph, value[0], f"{path}[0]")
-    v = _parse_vertex(graph, value[1], f"{path}[1]")
-    try:
-        return graph.edge(u, v)
-    except ValueError as err:
-        raise SchemaError(path, str(err)) from None
+    graph = action.graph
+    i = _vertex_index(graph, value[0], f"{path}[0]")
+    j = _vertex_index(graph, value[1], f"{path}[1]")
+    u, v = action.vertices[i], action.vertices[j]
+    if i == j:
+        raise SchemaError(path, f"degenerate edge at {u}")
+    if isinstance(graph, GridGraph) and u.row != v.row and u.col != v.col:
+        raise SchemaError(path, f"{u}-{v} is not a grid edge")
+    return i * action.size + j if i < j else j * action.size + i
+
+
+def _edge_keys(action: EdgeAction, value, path: str) -> list[int]:
+    """Keys of a serialized edge list, in document order.
+
+    A well-formed edge is read straight to its key; the first one that
+    is not goes through _edge_key, which raises the SchemaError for it.
+    """
+    _expect(isinstance(value, list) and value, path, "expected a non-empty edge list")
+    graph, size = action.graph, action.size
+    keys: list[int] = []
+    # a list's unpacking can only raise ValueError, for a length other than 2
+    if isinstance(graph, GridGraph):
+        n, m = graph.n, graph.m
+        for e in value:
+            if type(e) is list:
+                try:
+                    a, b = e
+                    if type(a) is type(b) is list:
+                        (r1, c1), (r2, c2) = a, b
+                        if (
+                            type(r1) is type(c1) is type(r2) is type(c2) is int
+                            and 0 <= r1 < n and 0 <= r2 < n and 0 <= c1 < m and 0 <= c2 < m
+                            and (r1 == r2) != (c1 == c2)
+                        ):
+                            i, j = r1 * m + c1, r2 * m + c2
+                            keys.append(i * size + j if i < j else j * size + i)
+                            continue
+                except ValueError:
+                    pass
+            keys.append(_edge_key(action, e, f"{path}[{len(keys)}]"))
+    else:
+        for e in value:
+            if type(e) is list:
+                try:
+                    a, b = e
+                    if type(a) is type(b) is int and 0 < a <= size and 0 < b <= size and a != b:
+                        keys.append((a - 1) * size + b - 1 if a < b else (b - 1) * size + a - 1)
+                        continue
+                except ValueError:
+                    pass
+            keys.append(_edge_key(action, e, f"{path}[{len(keys)}]"))
+    return keys
+
+
+def _subgraph(action: EdgeAction, keys: list[int], path: str, walk=None) -> Subgraph:
+    """The Subgraph on ``keys``; SchemaError at ``path`` for the least duplicated edge."""
+    keys.sort()
+    for a, b in zip(keys, keys[1:]):
+        if a == b:
+            raise SchemaError(path, f"duplicate edge {action.edge(a)}")
+    return _sorted_subgraph(action.edges(keys), walk)
 
 
 def _parse_step(value, path: str) -> Step:
@@ -235,7 +312,8 @@ def _parse_step(value, path: str) -> Step:
         raise SchemaError(path, str(err)) from None
 
 
-def _parse_permutation(graph, obj, path: str) -> Permutation:
+def _parse_permutation(action: EdgeAction, obj, path: str) -> Permutation:
+    graph = action.graph
     kind = _get(obj, "kind", path)
     if kind == ROW_SHIFT:
         _expect(isinstance(graph, GridGraph), path, "row_shift needs a grid graph")
@@ -251,12 +329,14 @@ def _parse_permutation(graph, obj, path: str) -> Permutation:
         for i, pair in enumerate(entries):
             ppath = f"{path}.map[{i}]"
             _expect(isinstance(pair, list) and len(pair) == 2, ppath, "expected a [vertex, image] pair")
-            v = _parse_vertex(graph, pair[0], f"{ppath}[0]")
-            w = _parse_vertex(graph, pair[1], f"{ppath}[1]")
-            _expect(v not in mapping, ppath, f"vertex {v} mapped twice")
+            v = _parse_vertex(action, pair[0], f"{ppath}[0]")
+            w = _parse_vertex(action, pair[1], f"{ppath}[1]")
+            if v in mapping:
+                raise SchemaError(ppath, f"vertex {v} mapped twice")
             mapping[v] = w
+        # every key is a distinct vertex of the graph, so the count decides coverage
         _expect(
-            set(mapping) == set(graph.vertices()),
+            len(mapping) == action.size,
             f"{path}.map",
             "map does not cover the vertex set exactly",
         )
@@ -267,7 +347,8 @@ def _parse_permutation(graph, obj, path: str) -> Permutation:
     raise SchemaError(f"{path}.kind", f"unknown permutation kind {kind!r}")
 
 
-def _parse_group(graph, obj, path: str) -> FiniteGroup:
+def _parse_group(action: EdgeAction, obj, path: str) -> FiniteGroup:
+    graph = action.graph
     kind = _get(obj, "kind", path)
     order = _int_at(_get(obj, "order", path), f"{path}.order")
     _expect(order >= 1, f"{path}.order", "group order must be positive")
@@ -282,30 +363,30 @@ def _parse_group(graph, obj, path: str) -> FiniteGroup:
         raw = _get(obj, "generators", path)
         _expect(isinstance(raw, list) and raw, f"{path}.generators", "expected a non-empty list")
         gens = [
-            _parse_permutation(graph, g, f"{path}.generators[{i}]") for i, g in enumerate(raw)
+            _parse_permutation(action, g, f"{path}.generators[{i}]") for i, g in enumerate(raw)
         ]
     else:
         raise SchemaError(f"{path}.kind", f"unknown group kind {kind!r}")
-    cap = min(DEFAULT_GROUP_CAP, MAX_ACTION_ENTRIES // graph.vertex_count)
+    cap = min(DEFAULT_GROUP_CAP, MAX_ACTION_ENTRIES // action.size)
     try:
         group = generate_group(gens, cap=cap)
     except GroupTooLarge as err:
         raise SchemaError(path, str(err)) from None
-    _expect(
-        group.order == order,
-        f"{path}.order",
-        f"declared order {order} but the generators give order {group.order}",
-    )
+    if group.order != order:
+        raise SchemaError(
+            f"{path}.order", f"declared order {order} but the generators give order {group.order}"
+        )
     return group
 
 
-def _parse_base(graph, obj, path: str) -> Subgraph:
+def _parse_base(action: EdgeAction, obj, path: str) -> Subgraph:
+    graph = action.graph
     _expect(isinstance(obj, dict), path, "expected an object")
     if "start" in obj or "steps" in obj:
         _expect(
             isinstance(graph, GridGraph), path, "walk bases are only defined on grid graphs"
         )
-        start = _parse_vertex(graph, _get(obj, "start", path), f"{path}.start")
+        start = _parse_vertex(action, _get(obj, "start", path), f"{path}.start")
         raw = _get(obj, "steps", path)
         _expect(isinstance(raw, list) and raw, f"{path}.steps", "expected a non-empty list")
         steps = [_parse_step(s, f"{path}.steps[{i}]") for i, s in enumerate(raw)]
@@ -313,19 +394,15 @@ def _parse_base(graph, obj, path: str) -> Subgraph:
             walk = walk_from_array(start, steps, graph.n, graph.m)
         except ValueError as err:
             raise SchemaError(f"{path}.steps", str(err)) from None
-        return Subgraph(tuple(sorted(walk.edges())), walk=walk)
+        # consecutive walk vertices are distinct and share a line, so each pair is an edge
+        size = action.size
+        index = [v.row * graph.m + v.col for v in walk.vertices]
+        keys = [i * size + j if i < j else j * size + i for i, j in zip(index, index[1:])]
+        return _subgraph(action, keys, f"{path}.steps", walk)
     if "edges" in obj:
-        return _parse_subgraph_edges(graph, obj["edges"], f"{path}.edges")
+        path = f"{path}.edges"
+        return _subgraph(action, _edge_keys(action, obj["edges"], path), path)
     raise SchemaError(path, "base needs either start+steps or edges")
-
-
-def _parse_subgraph_edges(graph, value, path: str) -> Subgraph:
-    _expect(isinstance(value, list) and value, path, "expected a non-empty edge list")
-    edges = [_parse_edge(graph, e, f"{path}[{i}]") for i, e in enumerate(value)]
-    try:
-        return Subgraph(tuple(edges))
-    except ValueError as err:
-        raise SchemaError(path, str(err)) from None
 
 
 def _parse_report_stub(obj, path: str) -> None:
@@ -358,14 +435,16 @@ def parse_decomposition(data) -> ParsedDecomposition:
             raise SchemaError("$", f"invalid JSON: {err}") from None
     _expect(isinstance(data, dict), "$", "expected a top-level object")
     graph = _parse_graph(_get(data, "graph", "$"), "$.graph")
-    group = _parse_group(graph, _get(data, "group", "$"), "$.group")
-    base = _parse_base(graph, _get(data, "base", "$"), "$.base")
+    action = EdgeAction(graph)
+    group = _parse_group(action, _get(data, "group", "$"), "$.group")
+    base = _parse_base(action, _get(data, "base", "$"), "$.base")
     raw_blocks = _get(data, "blocks", "$")
     _expect(isinstance(raw_blocks, list) and raw_blocks, "$.blocks", "expected a non-empty list")
     blocks = []
     for i, entry in enumerate(raw_blocks):
-        bpath = f"$.blocks[{i}]"
-        blocks.append(_parse_subgraph_edges(graph, _get(entry, "edges", bpath), f"{bpath}.edges"))
+        path = f"$.blocks[{i}].edges"
+        keys = _edge_keys(action, _get(entry, "edges", f"$.blocks[{i}]"), path)
+        blocks.append(_subgraph(action, keys, path))
     _parse_report_stub(_get(data, "report", "$"), "$.report")
     dec = Decomposition(tuple(blocks), group, base)
     return ParsedDecomposition(graph, group, dec)

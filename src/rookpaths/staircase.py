@@ -206,27 +206,33 @@ def first_orbit_conflict(arr: Sequence[Step], n: int, m: int | None = None):
       (b) the column components of steps i+1 .. j+1 sum to 0 and
           a_{i+1} == -a_{j+1},
     all arithmetic mod (n, m).  This is a pure step-array criterion; no
-    orbit is ever enumerated.
+    orbit is ever enumerated, and one pass over the steps finds the pair.
     """
     if m is None:
         m = n
     steps = _normalize_steps(arr, n, m)
-    neg = [Step((-s.drow) % n, (-s.dcol) % m) for s in steps]
     cols = [0]
     c = 0
     for s in steps:
         c = (c + s.dcol) % m
         cols.append(c)
+    # Condition (a) holds for (i, j) iff (cols[j], step j) == (cols[i], step i),
+    # and (b) iff (cols[j+1], -step j) == (cols[i], step i).  Scanning i
+    # downwards with the least such j > i seen so far keeps the last pair
+    # found, which is the first in (i, j) order.
     ell = len(steps)
-    for i in range(ell):
-        si = steps[i]
-        ci = cols[i]
-        for j in range(i + 1, ell):
-            if cols[j] == ci and si == steps[j]:
-                return i, j
-            if cols[j + 1] == ci and si == neg[j]:
-                return i, j
-    return None
+    same: dict = {}
+    reverse: dict = {}
+    found = None
+    for i in range(ell - 1, -1, -1):
+        s = steps[i]
+        here = (cols[i], s.drow, s.dcol)
+        j = min(same.get(here, ell), reverse.get(here, ell))
+        if j < ell:
+            found = (i, j)
+        same[here] = i
+        reverse[(cols[i + 1], -s.drow % n, -s.dcol % m)] = i
+    return found
 
 
 def one_edge_per_orbit(arr: Sequence[Step], n: int, m: int | None = None) -> bool:

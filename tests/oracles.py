@@ -2,24 +2,49 @@
 
 Everything here works with plain tuples, dicts, and sets, or with the
 library's edge objects, on purpose: the point is an independent route to
-the same answers, not a fast one.  The object-based verifier below is the
-library's verifier before it moved onto the integer edge action.
+the same answers, not a fast one.  The object-based verifier, parser and
+automorphism scan below are the library's own before they moved onto the
+integer edge action; the quadratic orbit-conflict scan is the library's
+before it became one pass.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 from typing import Iterable
 
 from rookpaths.decompose import (
+    CompleteGraph,
     Decomposition,
     PartitionCheck,
     Subgraph,
     VerificationReport,
     subgraphs_isomorphic,
 )
-from rookpaths.groups import FiniteGroup, Permutation, fixed_edge_witness
+from rookpaths.grid import GridGraph, GridVertex, Step, make_grid
+from rookpaths.groups import (
+    DEFAULT_GROUP_CAP,
+    DIAGONAL_SHIFT,
+    EXPLICIT,
+    ROW_SHIFT,
+    FiniteGroup,
+    GroupTooLarge,
+    Permutation,
+    diagonal_shift,
+    fixed_edge_witness,
+    generate_group,
+    row_shift,
+)
+from rookpaths.serialize import (
+    MAX_ACTION_ENTRIES,
+    MAX_EDGES,
+    MAX_VERTICES,
+    ParsedDecomposition,
+    SchemaError,
+)
+from rookpaths.staircase import _normalize_steps, walk_from_array
 
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
 
@@ -293,3 +318,258 @@ def random_step_arrays(count, seed=1729, max_len=30, max_dim=7):
             else:
                 steps.append((0, rng.randint(1, m - 1)))
         yield n, m, tuple(steps)
+
+
+def brute_automorphism_violation(graph, perm: Permutation):
+    """First edge whose image under ``perm`` is not an edge, or None."""
+    for e in graph.edges():
+        try:
+            graph.edge(perm(e.u), perm(e.v))
+        except ValueError:
+            return e
+    return None
+
+
+def brute_first_orbit_conflict(arr: Sequence[Step], n: int, m: int | None = None):
+    """First pair of step indices (0-based) whose edges share a row-shift orbit, or None.
+
+    For the walk edges e_i = {v_{i-1}, v_i}, edges i+1 and j+1 lie in one
+    orbit of the cyclic row-shift group exactly when either
+      (a) the column components of steps i+1 .. j sum to 0 and
+          a_{i+1} == a_{j+1}, or
+      (b) the column components of steps i+1 .. j+1 sum to 0 and
+          a_{i+1} == -a_{j+1},
+    all arithmetic mod (n, m).  This is a pure step-array criterion; no
+    orbit is ever enumerated.
+    """
+    if m is None:
+        m = n
+    steps = _normalize_steps(arr, n, m)
+    neg = [Step((-s.drow) % n, (-s.dcol) % m) for s in steps]
+    cols = [0]
+    c = 0
+    for s in steps:
+        c = (c + s.dcol) % m
+        cols.append(c)
+    ell = len(steps)
+    for i in range(ell):
+        si = steps[i]
+        ci = cols[i]
+        for j in range(i + 1, ell):
+            if cols[j] == ci and si == steps[j]:
+                return i, j
+            if cols[j + 1] == ci and si == neg[j]:
+                return i, j
+    return None
+
+
+# ------------------------------------------------- the object parser
+# (a base walk that repeats an edge escapes it as Subgraph's ValueError)
+
+
+def _expect(cond: bool, path: str, message: str) -> None:
+    if not cond:
+        raise SchemaError(path, message)
+
+
+def _get(obj: dict, key: str, path: str):
+    _expect(isinstance(obj, dict), path, "expected an object")
+    _expect(key in obj, path, f"missing key {key!r}")
+    return obj[key]
+
+
+def _int_at(value, path: str) -> int:
+    _expect(isinstance(value, int) and not isinstance(value, bool), path, "expected an integer")
+    return value
+
+
+def _parse_graph(obj, path: str):
+    kind = _get(obj, "kind", path)
+    if kind == "grid":
+        n = _int_at(_get(obj, "n", path), f"{path}.n")
+        m = _int_at(_get(obj, "m", path), f"{path}.m")
+        _expect(n >= 2 and m >= 2, path, f"grid needs n, m >= 2, got {n} x {m}")
+        graph = make_grid(n, m)
+    elif kind == "complete":
+        n = _int_at(_get(obj, "n", path), f"{path}.n")
+        _expect(n >= 1, f"{path}.n", f"complete graph needs n >= 1, got {n}")
+        graph = CompleteGraph(n)
+    else:
+        raise SchemaError(f"{path}.kind", f"unknown graph kind {kind!r}")
+    # both graph types hold only their dimensions, so the counts are arithmetic
+    _expect(
+        graph.vertex_count <= MAX_VERTICES,
+        path,
+        f"{graph} has {graph.vertex_count} vertices, more than the cap of {MAX_VERTICES}",
+    )
+    _expect(
+        graph.edge_count <= MAX_EDGES,
+        path,
+        f"{graph} has {graph.edge_count} edges, more than the cap of {MAX_EDGES}",
+    )
+    return graph
+
+
+def _parse_vertex(graph, value, path: str):
+    if isinstance(graph, GridGraph):
+        _expect(
+            isinstance(value, list) and len(value) == 2, path, "expected a [row, col] pair"
+        )
+        row = _int_at(value[0], f"{path}[0]")
+        col = _int_at(value[1], f"{path}[1]")
+        v = GridVertex(row, col)
+        _expect(graph.contains(v), path, f"vertex {v} outside {graph}")
+        return v
+    label = _int_at(value, path)
+    _expect(graph.contains(label), path, f"vertex {label} outside {graph}")
+    return label
+
+
+def _parse_edge(graph, value, path: str):
+    _expect(isinstance(value, list) and len(value) == 2, path, "expected an endpoint pair")
+    u = _parse_vertex(graph, value[0], f"{path}[0]")
+    v = _parse_vertex(graph, value[1], f"{path}[1]")
+    try:
+        return graph.edge(u, v)
+    except ValueError as err:
+        raise SchemaError(path, str(err)) from None
+
+
+def _parse_step(value, path: str) -> Step:
+    _expect(isinstance(value, list) and len(value) == 2, path, "expected a [drow, dcol] pair")
+    dr = _int_at(value[0], f"{path}[0]")
+    dc = _int_at(value[1], f"{path}[1]")
+    try:
+        return Step(dr, dc)
+    except ValueError as err:
+        raise SchemaError(path, str(err)) from None
+
+
+def _parse_permutation(graph, obj, path: str) -> Permutation:
+    kind = _get(obj, "kind", path)
+    if kind == ROW_SHIFT:
+        _expect(isinstance(graph, GridGraph), path, "row_shift needs a grid graph")
+        return row_shift(graph.n, graph.m)
+    if kind == DIAGONAL_SHIFT:
+        _expect(isinstance(graph, GridGraph), path, "diagonal_shift needs a grid graph")
+        _expect(graph.n == graph.m, path, "diagonal_shift needs a square grid")
+        return diagonal_shift(graph.n)
+    if kind == EXPLICIT:
+        entries = _get(obj, "map", path)
+        _expect(isinstance(entries, list), f"{path}.map", "expected a list of pairs")
+        mapping = {}
+        for i, pair in enumerate(entries):
+            ppath = f"{path}.map[{i}]"
+            _expect(isinstance(pair, list) and len(pair) == 2, ppath, "expected a [vertex, image] pair")
+            v = _parse_vertex(graph, pair[0], f"{ppath}[0]")
+            w = _parse_vertex(graph, pair[1], f"{ppath}[1]")
+            _expect(v not in mapping, ppath, f"vertex {v} mapped twice")
+            mapping[v] = w
+        _expect(
+            set(mapping) == set(graph.vertices()),
+            f"{path}.map",
+            "map does not cover the vertex set exactly",
+        )
+        try:
+            return Permutation(mapping)
+        except ValueError as err:
+            raise SchemaError(f"{path}.map", str(err)) from None
+    raise SchemaError(f"{path}.kind", f"unknown permutation kind {kind!r}")
+
+
+def _parse_group(graph, obj, path: str) -> FiniteGroup:
+    kind = _get(obj, "kind", path)
+    order = _int_at(_get(obj, "order", path), f"{path}.order")
+    _expect(order >= 1, f"{path}.order", "group order must be positive")
+    if kind == ROW_SHIFT:
+        _expect(isinstance(graph, GridGraph), path, "row_shift needs a grid graph")
+        gens = [row_shift(graph.n, graph.m)]
+    elif kind == DIAGONAL_SHIFT:
+        _expect(isinstance(graph, GridGraph), path, "diagonal_shift needs a grid graph")
+        _expect(graph.n == graph.m, path, "diagonal_shift needs a square grid")
+        gens = [diagonal_shift(graph.n)]
+    elif kind == EXPLICIT:
+        raw = _get(obj, "generators", path)
+        _expect(isinstance(raw, list) and raw, f"{path}.generators", "expected a non-empty list")
+        gens = [
+            _parse_permutation(graph, g, f"{path}.generators[{i}]") for i, g in enumerate(raw)
+        ]
+    else:
+        raise SchemaError(f"{path}.kind", f"unknown group kind {kind!r}")
+    cap = min(DEFAULT_GROUP_CAP, MAX_ACTION_ENTRIES // graph.vertex_count)
+    try:
+        group = generate_group(gens, cap=cap)
+    except GroupTooLarge as err:
+        raise SchemaError(path, str(err)) from None
+    _expect(
+        group.order == order,
+        f"{path}.order",
+        f"declared order {order} but the generators give order {group.order}",
+    )
+    return group
+
+
+def _parse_base(graph, obj, path: str) -> Subgraph:
+    _expect(isinstance(obj, dict), path, "expected an object")
+    if "start" in obj or "steps" in obj:
+        _expect(
+            isinstance(graph, GridGraph), path, "walk bases are only defined on grid graphs"
+        )
+        start = _parse_vertex(graph, _get(obj, "start", path), f"{path}.start")
+        raw = _get(obj, "steps", path)
+        _expect(isinstance(raw, list) and raw, f"{path}.steps", "expected a non-empty list")
+        steps = [_parse_step(s, f"{path}.steps[{i}]") for i, s in enumerate(raw)]
+        try:
+            walk = walk_from_array(start, steps, graph.n, graph.m)
+        except ValueError as err:
+            raise SchemaError(f"{path}.steps", str(err)) from None
+        return Subgraph(tuple(sorted(walk.edges())), walk=walk)
+    if "edges" in obj:
+        return _parse_subgraph_edges(graph, obj["edges"], f"{path}.edges")
+    raise SchemaError(path, "base needs either start+steps or edges")
+
+
+def _parse_subgraph_edges(graph, value, path: str) -> Subgraph:
+    _expect(isinstance(value, list) and value, path, "expected a non-empty edge list")
+    edges = [_parse_edge(graph, e, f"{path}[{i}]") for i, e in enumerate(value)]
+    try:
+        return Subgraph(tuple(edges))
+    except ValueError as err:
+        raise SchemaError(path, str(err)) from None
+
+
+def _parse_report_stub(obj, path: str) -> None:
+    """The embedded report is never trusted, but it must be well-formed."""
+    _expect(isinstance(obj, dict), path, "expected an object")
+    for flag in VerificationReport.FLAGS:
+        value = _get(obj, flag, path)
+        _expect(isinstance(value, bool), f"{path}.{flag}", "expected a boolean")
+
+
+def object_parse_decomposition(data) -> ParsedDecomposition:
+    """Rebuild (graph, group, decomposition) from serialized form.
+
+    ``data`` is a JSON string or an already-decoded object.  The
+    embedded report is type-checked but otherwise ignored; callers are
+    expected to re-verify.  Explicit generators are checked to be
+    bijections here; whether they are automorphisms is a mathematical
+    question left to the caller.
+    """
+    if isinstance(data, str):
+        try:
+            data = json.loads(data)
+        except json.JSONDecodeError as err:
+            raise SchemaError("$", f"invalid JSON: {err}") from None
+    _expect(isinstance(data, dict), "$", "expected a top-level object")
+    graph = _parse_graph(_get(data, "graph", "$"), "$.graph")
+    group = _parse_group(graph, _get(data, "group", "$"), "$.group")
+    base = _parse_base(graph, _get(data, "base", "$"), "$.base")
+    raw_blocks = _get(data, "blocks", "$")
+    _expect(isinstance(raw_blocks, list) and raw_blocks, "$.blocks", "expected a non-empty list")
+    blocks = []
+    for i, entry in enumerate(raw_blocks):
+        bpath = f"$.blocks[{i}]"
+        blocks.append(_parse_subgraph_edges(graph, _get(entry, "edges", bpath), f"{bpath}.edges"))
+    _parse_report_stub(_get(data, "report", "$"), "$.report")
+    dec = Decomposition(tuple(blocks), group, base)
+    return ParsedDecomposition(graph, group, dec)

@@ -265,6 +265,17 @@ def test_verify_rejects_wrong_declared_order(tmp_path, capsys):
     assert "$.group.order" in err
 
 
+def test_verify_base_walk_repeating_an_edge(tmp_path, capsys):
+    _, out, _ = run(capsys, "generate", "--n", "3")
+    data = json.loads(out)
+    data["base"] = {"start": [0, 0], "steps": [[0, 1], [0, 2]]}
+    path = tmp_path / "retrace.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: $.base.steps: duplicate edge (0,0)-(0,1)\n"
+
 def test_orbits_3x3(capsys):
     code, out, _ = run(capsys, "orbits", "--n", "3", "--m", "3")
     assert code == 0

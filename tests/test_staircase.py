@@ -20,6 +20,8 @@ from rookpaths.staircase import (
 )
 
 from oracles import (
+    ODD_PRIMES,
+    brute_first_orbit_conflict,
     random_step_arrays,
     vertices_distinct,
     no_zero_run,
@@ -223,6 +225,17 @@ def test_staircase_orbit_conflict_composites():
     assert not walk_edge_orbits_distinct((0, 0), raw(staircase_array(9)), 9, 9)
     assert not one_edge_per_orbit(staircase_array(15), 15)
 
+
+def test_orbit_conflict_matches_quadratic_scan():
+    found = 0
+    for n, m, steps in random_step_arrays(3000, seed=603):
+        conflict = first_orbit_conflict(steps, n, m)
+        assert conflict == brute_first_orbit_conflict(steps, n, m)
+        found += conflict is not None
+    assert 0 < found < 3000
+    for n in (*ODD_PRIMES, 29, 31, 37, 41, 43, 47, 53, 9, 15, 21):
+        arr = staircase_array(n)
+        assert first_orbit_conflict(arr, n) == brute_first_orbit_conflict(arr, n)
 
 def test_criteria_agree_on_random_arrays():
     for n, m, steps in random_step_arrays(200, seed=97):
