@@ -64,6 +64,14 @@ def _emit_decomposition(fmt: str, graph, dec, report) -> None:
         sys.stdout.write(blocks_to_text(dec.blocks))
 
 
+def _verified(report) -> bool:
+    """True when every flag holds; otherwise names the failed flags on stderr."""
+    if report.all_ok:
+        return True
+    print("verification failed: " + ", ".join(report.failed()), file=sys.stderr)
+    return False
+
+
 def _build_staircase(n: int, force: bool):
     """Shared generate/split front end; returns (dec, report) or an exit code."""
     try:
@@ -89,8 +97,7 @@ def cmd_generate(args) -> int:
     dec, report = result
     graph = make_grid(args.n, args.n)
     _emit_decomposition(args.format, graph, dec, report)
-    if not report.all_ok:
-        print("verification failed: " + ", ".join(report.failed()), file=sys.stderr)
+    if not _verified(report):
         return EXIT_MATH
     print(f"n={args.n}: {len(dec.blocks)} blocks verified", file=sys.stderr)
     return EXIT_OK
@@ -99,7 +106,7 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     try:
         text = Path(args.input).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: cannot read {args.input}: {err}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -121,10 +128,7 @@ def cmd_verify(args) -> int:
         print(f"error: $.blocks[{err.block_index}]: {err}", file=sys.stderr)
         return EXIT_USAGE
     print(dumps(report_to_json_dict(report)))
-    if not report.all_ok:
-        print("verification failed: " + ", ".join(report.failed()), file=sys.stderr)
-        return EXIT_MATH
-    return EXIT_OK
+    return EXIT_OK if _verified(report) else EXIT_MATH
 
 
 def cmd_orbits(args) -> int:
@@ -188,8 +192,7 @@ def cmd_examples(args) -> int:
         dec, report = staircase_decomposition(3)
         graph = make_grid(3, 3)
     else:
-        fixture = k9_fixture() if args.name == "k9" else diagonal_fixture_n4()
-        graph, group, base = fixture
+        graph, group, base = k9_fixture() if args.name == "k9" else diagonal_fixture_n4()
         dec = build_orbit_decomposition(graph, group, base)
         report = verify_decomposition(graph, group, dec)
     _emit_decomposition(args.format, graph, dec, report)
@@ -206,8 +209,7 @@ def cmd_split(args) -> int:
     if isinstance(result, int):
         return result
     dec, report = result
-    if not report.all_ok:
-        print("verification failed: " + ", ".join(report.failed()), file=sys.stderr)
+    if not _verified(report):
         return EXIT_MATH
     b = args.b if args.b is not None else args.n - 1
     try:

@@ -19,10 +19,10 @@ from __future__ import annotations
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from math import comb, gcd, isqrt
+from math import comb, isqrt
 from typing import Iterable, Iterator, NamedTuple
 
-from .grid import GridGraph, GridVertex, Step, make_grid
+from .grid import Step, make_grid
 from .groups import (
     EdgeAction,
     EdgeOrbit,
@@ -115,12 +115,6 @@ class CompleteGraph:
             raise ValueError(f"{u}-{v} is not inside K_{self.n}")
         return LabelEdge(u, v)
 
-    def degree(self, v: int) -> int:
-        return self.n - 1
-
-    def vertex_label(self, v: int) -> str:
-        return str(v)
-
     def __str__(self) -> str:
         return f"K_{self.n}"
 
@@ -196,20 +190,14 @@ class Decomposition:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class VerificationReport:
-    """Outcome of the six structural checks, with witnesses for failures.
+    """Outcome of the six structural checks, as witnesses for the failures.
 
-    ``witnesses`` maps a failed flag name to a concrete counterexample:
+    ``witnesses`` maps each failed flag name to a concrete counterexample:
     the duplicated or missing edges, the offending block index, the
-    fixing element and fixed edge, and so on.  A flag that is True never
-    has a witness.
+    fixing element and fixed edge, and so on.  A flag holds exactly when
+    it has no witness.
     """
 
-    is_partition: bool
-    blocks_isomorphic_to_base: bool
-    group_invariant: bool
-    group_transitive: bool
-    stabilizer_trivial: bool
-    semiregular: bool
     witnesses: dict = field(default_factory=dict)
 
     FLAGS = (
@@ -222,42 +210,14 @@ class VerificationReport:
     )
 
     def flags(self) -> dict[str, bool]:
-        return {name: getattr(self, name) for name in self.FLAGS}
+        return {name: name not in self.witnesses for name in self.FLAGS}
 
     @property
     def all_ok(self) -> bool:
-        return all(self.flags().values())
+        return not self.failed()
 
     def failed(self) -> list[str]:
-        return [name for name, ok in self.flags().items() if not ok]
-
-
-class NecessaryConditions(NamedTuple):
-    """Counting conditions any H-decomposition of a graph must satisfy."""
-
-    subgraph_fits: bool
-    edge_count_divides: bool
-    degrees_divide: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return self.subgraph_fits and self.edge_count_divides and self.degrees_divide
-
-
-def necessary_conditions(graph, sub: Subgraph) -> NecessaryConditions:
-    """Vertex fit, edge-count divisibility, and degree divisibility.
-
-    The degree condition: every graph degree must be divisible by the
-    gcd of the subgraph's degrees, since the blocks covering a vertex
-    partition the edges at that vertex.
-    """
-    fits = len(sub.vertex_set()) <= graph.vertex_count or graph.edge_count == 0
-    divides = graph.edge_count % sub.edge_count == 0
-    d = 0
-    for value in sub.degrees().values():
-        d = gcd(d, value)
-    degrees_ok = all(graph.degree(v) % d == 0 for v in graph.vertices())
-    return NecessaryConditions(fits, divides, degrees_ok)
+        return [name for name in self.FLAGS if name in self.witnesses]
 
 
 class TransversalCheck(NamedTuple):
@@ -475,8 +435,7 @@ def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> Verif
     block_keys = [action.keys(b.edges) for b in dec.blocks]
 
     partition = _partition_check(action, block_keys, [])
-    ok_partition = partition.ok
-    if not ok_partition:
+    if not partition.ok:
         witnesses["is_partition"] = {
             "duplicated": list(partition.duplicated),
             "missing": list(partition.missing),
@@ -489,7 +448,6 @@ def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> Verif
     certified = set(images)
     signatures = [_signature(keys) for keys in block_keys]
 
-    ok_iso = True
     for idx, block in enumerate(dec.blocks):
         if signatures[idx] in certified:
             continue
@@ -499,50 +457,35 @@ def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> Verif
             err.block_index = idx
             raise
         if not same:
-            ok_iso = False
             witnesses["blocks_isomorphic_to_base"] = {"block_index": idx}
             break
 
     block_set = set(signatures)
-    ok_invariant = True
     for idx, keys in enumerate(block_keys):
         for gdx, gen in enumerate(group.generators):
             if _signature(action.image_keys(gen.table, keys)) not in block_set:
-                ok_invariant = False
                 witnesses["group_invariant"] = {"block_index": idx, "generator_index": gdx}
                 break
-        if not ok_invariant:
+        if "group_invariant" in witnesses:
             break
 
-    ok_transitive = True
     if dec.blocks:
         reached = certified if signatures[0] == base_signature else {
             _signature(action.image_keys(t, block_keys[0])) for t in action.tables
         }
         if reached != block_set:
-            ok_transitive = False
             unreached = [i for i, sig in enumerate(signatures) if sig not in reached]
             witnesses["group_transitive"] = {"unreached_blocks": unreached}
 
     stabilizer = images.count(base_signature)
-    ok_stabilizer = stabilizer == 1
-    if not ok_stabilizer:
+    if stabilizer != 1:
         witnesses["stabilizer_trivial"] = {"stabilizer_order": stabilizer}
 
     fixed = fixed_edge_witness(graph, group)
-    ok_semiregular = fixed is None
-    if not ok_semiregular:
+    if fixed is not None:
         witnesses["semiregular"] = {"element": fixed[0], "edge": fixed[1]}
 
-    return VerificationReport(
-        is_partition=ok_partition,
-        blocks_isomorphic_to_base=ok_iso,
-        group_invariant=ok_invariant,
-        group_transitive=ok_transitive,
-        stabilizer_trivial=ok_stabilizer,
-        semiregular=ok_semiregular,
-        witnesses=witnesses,
-    )
+    return VerificationReport(witnesses)
 
 
 def is_odd_prime(n: int) -> bool:
@@ -608,25 +551,18 @@ def haggkvist_split(path: Walk, b: int) -> list[Subgraph]:
     return [Subgraph(tuple(sorted(seg.edges())), walk=seg) for seg in segments]
 
 
-class Fixture(NamedTuple):
-    """A worked example: graph, acting group, and base subgraph."""
-
-    graph: object
-    group: FiniteGroup
-    base: Subgraph
-
-
 K9_TRIANGLES = ((1, 4, 5), (2, 6, 8), (3, 7, 9), (5, 6, 7))
 K9_GENERATOR_CYCLES = ((1, 4, 7), (2, 5, 8), (3, 6, 9))
 
 
-def k9_fixture() -> Fixture:
+def k9_fixture() -> tuple:
     """K_9 under a fixed-point-free order-3 rotation, base = four disjoint triangles.
 
-    The twelve triangle edges hit the twelve edge orbits once each, so
-    the three images of the base partition the 36 edges; each block
-    splits into four triangles, giving a triangle decomposition of K_9.
-    The orbits are always recomputed from the group, never hard-coded.
+    Returns (graph, group, base).  The twelve triangle edges hit the
+    twelve edge orbits once each, so the three images of the base
+    partition the 36 edges; each block splits into four triangles,
+    giving a triangle decomposition of K_9.  The orbits are always
+    recomputed from the group, never hard-coded.
     """
     graph = CompleteGraph(9)
     gen = permutation_from_cycles(graph, K9_GENERATOR_CYCLES)
@@ -636,7 +572,7 @@ def k9_fixture() -> Fixture:
         a, b, c = tri
         edges.extend([LabelEdge(a, b), LabelEdge(b, c), LabelEdge(a, c)])
     base = Subgraph(tuple(sorted(edges)))
-    return Fixture(graph, group, base)
+    return graph, group, base
 
 
 DIAG4_STEPS = (
@@ -646,16 +582,16 @@ DIAG4_STEPS = (
 )
 
 
-def diagonal_fixture_n4() -> Fixture:
+def diagonal_fixture_n4() -> tuple:
     """K_4 [box] K_4 under the diagonal shift, base = a hand-picked 12-edge path.
 
-    Even width rules out the row shift (it fixes edges setwise), but the
-    diagonal shift acts semiregularly here and this particular step
-    array traces an orbit transversal, so the four images partition the
-    48 edges.
+    Returns (graph, group, base).  Even width rules out the row shift
+    (it fixes edges setwise), but the diagonal shift acts semiregularly
+    here and this particular step array traces an orbit transversal, so
+    the four images partition the 48 edges.
     """
     graph = make_grid(4, 4)
     group = generate_group([diagonal_shift(4)])
     walk = walk_from_array((0, 0), [Step(a, b) for a, b in DIAG4_STEPS], 4, 4)
     base = Subgraph(tuple(sorted(walk.edges())), walk=walk)
-    return Fixture(graph, group, base)
+    return graph, group, base

@@ -13,7 +13,6 @@ immutable and all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from math import comb
 from typing import Iterator
 
@@ -52,11 +51,6 @@ class Step:
 
     def __str__(self) -> str:
         return f"({self.drow},{self.dcol})"
-
-
-class EdgeKind(Enum):
-    HORIZONTAL = "horizontal"
-    VERTICAL = "vertical"
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -104,9 +98,6 @@ class GridGraph:
     def edge_count(self) -> int:
         return self.n * comb(self.m, 2) + self.m * comb(self.n, 2)
 
-    def vertex(self, row: int, col: int) -> GridVertex:
-        return GridVertex(row % self.n, col % self.m)
-
     def contains(self, v: GridVertex) -> bool:
         return 0 <= v.row < self.n and 0 <= v.col < self.m
 
@@ -132,15 +123,6 @@ class GridGraph:
             raise ValueError(f"{u}-{v} is not inside the {self.n} x {self.m} grid")
         return GridEdge(u, v)
 
-    def degree(self, v: GridVertex) -> int:
-        return (self.n - 1) + (self.m - 1)
-
-    def shift(self, v: GridVertex, s: Step) -> GridVertex:
-        return GridVertex((v.row + s.drow) % self.n, (v.col + s.dcol) % self.m)
-
-    def vertex_label(self, v: GridVertex) -> str:
-        return f"{v.row},{v.col}"
-
     def __str__(self) -> str:
         return f"K_{self.n} box K_{self.m}"
 
@@ -149,25 +131,3 @@ def make_grid(n: int, m: int) -> GridGraph:
     """The graph K_n [box] K_m for n, m >= 2."""
     return GridGraph(n, m)
 
-
-def classify_edge(g: GridGraph, e: GridEdge) -> EdgeKind:
-    """HORIZONTAL when the rows agree, VERTICAL when the columns agree."""
-    if not (g.contains(e.u) and g.contains(e.v)):
-        raise ValueError(f"{e} is not an edge of {g}")
-    return EdgeKind.HORIZONTAL if e.u.row == e.v.row else EdgeKind.VERTICAL
-
-
-def edge_difference(g: GridGraph, e: GridEdge, base: GridVertex) -> Step:
-    """Displacement from ``base`` to the other endpoint of ``e``, reduced mod (n, m).
-
-    Exactly one component of the result is nonzero.  Reading the same
-    edge from each endpoint gives steps that are negatives of each other
-    modulo the grid dimensions.
-    """
-    if base == e.u:
-        other = e.v
-    elif base == e.v:
-        other = e.u
-    else:
-        raise ValueError(f"{base} is not an endpoint of {e}")
-    return Step((other.row - base.row) % g.n, (other.col - base.col) % g.m)

@@ -88,29 +88,10 @@ class Permutation:
     def __repr__(self) -> str:
         return f"Permutation({self.kind}, domain={len(self.table)})"
 
-    @property
-    def domain(self):
-        return self._index.keys()
-
-    @property
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.table))
-
     def mapping(self) -> dict:
         vs = self.vertices
         return {v: vs[j] for v, j in zip(vs, self.table)}
 
-    def then(self, other: Permutation) -> Permutation:
-        """Composite: apply ``self`` first, then ``other``."""
-        if not self._same_domain(other):
-            raise ValueError("cannot compose permutations of different domains")
-        return self._sibling(tuple(map(other.table.__getitem__, self.table)))
-
-    def inverse(self) -> Permutation:
-        table = [0] * len(self.table)
-        for i, j in enumerate(self.table):
-            table[j] = i
-        return self._sibling(tuple(table))
 
 
 def _grid_shift(kind: str, n: int, m: int, table) -> Permutation:
@@ -130,10 +111,6 @@ def diagonal_shift(n: int) -> Permutation:
     """The square-grid automorphism (a, b) -> (a+1, b+1) on K_n [box] K_n."""
     table = ((a + 1) % n * n + (b + 1) % n for a in range(n) for b in range(n))
     return _grid_shift(DIAGONAL_SHIFT, n, n, table)
-
-
-def identity_permutation(graph) -> Permutation:
-    return Permutation({v: v for v in graph.vertices()})
 
 
 def automorphism_violation(graph, perm: Permutation):
@@ -158,17 +135,6 @@ def automorphism_violation(graph, perm: Permutation):
                 if rows[i] != rows[j] and cols[i] != cols[j]:
                     return GridEdge(perm.vertices[i], perm.vertices[j])
     return None
-
-
-def explicit_permutation(graph, mapping) -> Permutation:
-    """A validated automorphism of ``graph`` given as a vertex mapping."""
-    perm = Permutation(mapping)
-    if set(perm.domain) != set(graph.vertices()):
-        raise ValueError("mapping domain does not match the vertex set")
-    bad = automorphism_violation(graph, perm)
-    if bad is not None:
-        raise ValueError(f"not an automorphism: image of {bad} is not an edge")
-    return perm
 
 
 def permutation_from_cycles(graph, cycles: Iterable[tuple]) -> Permutation:
@@ -216,12 +182,6 @@ class FiniteGroup:
     def non_identity(self) -> tuple[Permutation, ...]:
         return self.elements[1:]
 
-    def __iter__(self) -> Iterator[Permutation]:
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
 
@@ -244,7 +204,7 @@ def generate_group(generators: Iterable[Permutation], cap: int = DEFAULT_GROUP_C
     """
     gens = tuple(generators)
     if not gens:
-        raise ValueError("need at least one generator (use identity_permutation for the trivial group)")
+        raise ValueError("need at least one generator")
     first = gens[0]
     for g in gens[1:]:
         if not first._same_domain(g):
@@ -436,11 +396,6 @@ def fixed_edge_witness(graph, group: FiniteGroup, orbits: list[EdgeOrbit] | None
             if action.image_keys(g.table, (k,))[0] == k:
                 return g, e
     return None
-
-
-def is_semiregular_on_edges(graph, group: FiniteGroup) -> bool:
-    """True iff no non-identity element maps any edge to itself."""
-    return fixed_edge_witness(graph, group) is None
 
 
 def same_orbit_row_shift(e: GridEdge, f: GridEdge, n: int, m: int) -> bool:

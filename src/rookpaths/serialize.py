@@ -128,15 +128,12 @@ def _jsonable(value):
         return _edge_json(value)
     if isinstance(value, GridVertex):
         return _vertex_json(value)
-    if isinstance(value, Step):
-        return _step_json(value)
     if isinstance(value, Permutation):
         return permutation_to_json(value)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = sorted(value, key=str) if isinstance(value, (set, frozenset)) else value
-        return [_jsonable(v) for v in items]
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
     return value
 
 
@@ -348,17 +345,11 @@ def _parse_permutation(action: EdgeAction, obj, path: str) -> Permutation:
 
 
 def _parse_group(action: EdgeAction, obj, path: str) -> FiniteGroup:
-    graph = action.graph
     kind = _get(obj, "kind", path)
     order = _int_at(_get(obj, "order", path), f"{path}.order")
     _expect(order >= 1, f"{path}.order", "group order must be positive")
-    if kind == ROW_SHIFT:
-        _expect(isinstance(graph, GridGraph), path, "row_shift needs a grid graph")
-        gens = [row_shift(graph.n, graph.m)]
-    elif kind == DIAGONAL_SHIFT:
-        _expect(isinstance(graph, GridGraph), path, "diagonal_shift needs a grid graph")
-        _expect(graph.n == graph.m, path, "diagonal_shift needs a square grid")
-        gens = [diagonal_shift(graph.n)]
+    if kind in (ROW_SHIFT, DIAGONAL_SHIFT):
+        gens = [_parse_permutation(action, obj, path)]
     elif kind == EXPLICIT:
         raw = _get(obj, "generators", path)
         _expect(isinstance(raw, list) and raw, f"{path}.generators", "expected a non-empty list")
@@ -433,6 +424,8 @@ def parse_decomposition(data) -> ParsedDecomposition:
             data = json.loads(data)
         except json.JSONDecodeError as err:
             raise SchemaError("$", f"invalid JSON: {err}") from None
+        except RecursionError:
+            raise SchemaError("$", "invalid JSON: nested too deeply") from None
     _expect(isinstance(data, dict), "$", "expected a top-level object")
     graph = _parse_graph(_get(data, "graph", "$"), "$.graph")
     action = EdgeAction(graph)
@@ -473,9 +466,9 @@ def blocks_to_text(blocks: Sequence[Subgraph]) -> str:
     return "".join(chunks)
 
 
-def dot_for_blocks(blocks: Sequence[Subgraph], name: str = "decomposition") -> str:
+def dot_for_blocks(blocks: Sequence[Subgraph]) -> str:
     vertices = sorted({v for b in blocks for v in b.vertex_set()})
-    lines = [f"graph {name} {{", "  node [shape=circle fontsize=10];"]
+    lines = ["graph decomposition {", "  node [shape=circle fontsize=10];"]
     for v in vertices:
         lines.append(f'  "{_vertex_dot_id(v)}";')
     for i, b in enumerate(blocks):

@@ -8,10 +8,12 @@ to (1, 0).  For n an odd prime the resulting walk from (0, 0) is a path
 that meets every orbit of the cyclic row-shift group exactly once,
 which is what makes the construction useful downstream.
 
-Two checks are exposed as step-array criteria rather than vertex
-scans: a walk is a path iff no contiguous run of steps sums to (0, 0),
-and it repeats a row-shift orbit iff some pair of steps violates the
-column-sum conditions implemented in one_edge_per_orbit.
+A walk is stored as its vertex list.  The path check looks for the
+first repeated vertex in that list; a repeat is exactly a contiguous
+run of steps summing to (0, 0), whose sums partial_stretch_sum gives in
+closed form for one stretch.  The orbit check is a step-array
+criterion: a walk repeats a row-shift orbit iff some pair of steps
+violates the column-sum conditions implemented in one_edge_per_orbit.
 """
 
 from __future__ import annotations
@@ -87,21 +89,27 @@ def partial_stretch_sum(n: int, k: int, p: int, q: int) -> tuple[int, int]:
 
 @dataclass(frozen=True, slots=True)
 class Walk:
-    """A walk on K_n [box] K_m: start, steps, and the derived vertex list."""
+    """A walk on K_n [box] K_m, stored as its vertex list; start and steps are derived."""
 
     n: int
     m: int
-    start: GridVertex
-    steps: tuple[Step, ...]
     vertices: tuple[GridVertex, ...]
 
     @property
-    def length(self) -> int:
-        return len(self.steps)
+    def start(self) -> GridVertex:
+        return self.vertices[0]
 
     @property
-    def end(self) -> GridVertex:
-        return self.vertices[-1]
+    def length(self) -> int:
+        return len(self.vertices) - 1
+
+    @property
+    def steps(self) -> tuple[Step, ...]:
+        """Differences of consecutive vertices, reduced mod (n, m)."""
+        vs = self.vertices
+        return tuple(
+            Step((b.row - a.row) % self.n, (b.col - a.col) % self.m) for a, b in zip(vs, vs[1:])
+        )
 
     def edges(self) -> list[GridEdge]:
         return [GridEdge(a, b) for a, b in zip(self.vertices, self.vertices[1:])]
@@ -110,27 +118,11 @@ class Walk:
         """Sub-walk from vertex i to vertex j (0-based, inclusive endpoints)."""
         if not 0 <= i <= j <= self.length:
             raise ValueError(f"segment [{i}, {j}] out of range for length {self.length}")
-        return Walk(self.n, self.m, self.vertices[i], self.steps[i:j], self.vertices[i : j + 1])
+        return Walk(self.n, self.m, self.vertices[i : j + 1])
 
     def transform(self, f: Callable[[GridVertex], GridVertex]) -> "Walk":
-        """Image walk under a vertex map; steps are recomputed from the images."""
-        verts = tuple(f(v) for v in self.vertices)
-        steps = tuple(
-            Step((b.row - a.row) % self.n, (b.col - a.col) % self.m)
-            for a, b in zip(verts, verts[1:])
-        )
-        return Walk(self.n, self.m, verts[0], steps, verts)
-
-    def reverse(self) -> "Walk":
-        verts = tuple(reversed(self.vertices))
-        steps = tuple(
-            Step((-s.drow) % self.n, (-s.dcol) % self.m) for s in reversed(self.steps)
-        )
-        return Walk(self.n, self.m, verts[0], steps, verts)
-
-    def canonical(self) -> "Walk":
-        """A walk and its reversal are the same object; start at the smaller endpoint."""
-        return self if self.start <= self.end else self.reverse()
+        """Image walk under a vertex map."""
+        return Walk(self.n, self.m, tuple(map(f, self.vertices)))
 
 
 def _normalize_steps(arr: Iterable, n: int, m: int) -> tuple[Step, ...]:
@@ -163,31 +155,20 @@ def walk_from_array(v0, arr: Sequence[Step], n: int, m: int) -> Walk:
     for s in steps:
         cur = GridVertex((cur.row + s.drow) % n, (cur.col + s.dcol) % m)
         vertices.append(cur)
-    return Walk(n, m, start, steps, tuple(vertices))
-
-
-def _prefix_sums(steps: Sequence[Step], n: int, m: int) -> list[tuple[int, int]]:
-    sums = [(0, 0)]
-    r = c = 0
-    for s in steps:
-        r = (r + s.drow) % n
-        c = (c + s.dcol) % m
-        sums.append((r, c))
-    return sums
+    return Walk(n, m, tuple(vertices))
 
 
 def first_repeated_vertex(walk: Walk):
     """Earliest coincidence (i, j, vertex) with vertex_i == vertex_j, or None.
 
-    Computed from the step array: positions i < j coincide exactly when
-    the steps strictly between them sum to (0, 0) mod (n, m).
+    j is the first position whose vertex occurred before, and i is that
+    vertex's first position.
     """
-    seen: dict[tuple[int, int], int] = {}
-    for j, p in enumerate(_prefix_sums(walk.steps, walk.n, walk.m)):
-        if p in seen:
-            i = seen[p]
-            return i, j, walk.vertices[i]
-        seen[p] = j
+    seen: dict[GridVertex, int] = {}
+    for j, v in enumerate(walk.vertices):
+        i = seen.setdefault(v, j)
+        if i != j:
+            return i, j, v
     return None
 
 

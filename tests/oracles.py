@@ -190,15 +190,18 @@ def brute_verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) ->
     if not ok_semiregular:
         witnesses["semiregular"] = {"element": fixed[0], "edge": fixed[1]}
 
-    return VerificationReport(
-        is_partition=ok_partition,
-        blocks_isomorphic_to_base=ok_iso,
-        group_invariant=ok_invariant,
-        group_transitive=ok_transitive,
-        stabilizer_trivial=ok_stabilizer,
-        semiregular=ok_semiregular,
-        witnesses=witnesses,
-    )
+    flags = {
+        "is_partition": ok_partition,
+        "blocks_isomorphic_to_base": ok_iso,
+        "group_invariant": ok_invariant,
+        "group_transitive": ok_transitive,
+        "stabilizer_trivial": ok_stabilizer,
+        "semiregular": ok_semiregular,
+    }
+    # a report stores only witnesses: each flag must hold exactly when it has none
+    for name, ok in flags.items():
+        assert ok == (name not in witnesses), name
+    return VerificationReport(witnesses)
 
 
 def brute_group_elements(n, m, gens):

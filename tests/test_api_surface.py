@@ -1,0 +1,78 @@
+"""The package API is README's Library list, and every public name has a use."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "rookpaths"
+
+
+def library_section() -> str:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = text.index("\n## Library\n")
+    end = text.find("\n## ", start + 1)
+    return text[start : end if end >= 0 else len(text)]
+
+
+def readme_names() -> set[str]:
+    """Backquoted identifiers in the Library section's prose, outside its code blocks."""
+    prose = re.sub(r"```.*?```", "", library_section(), flags=re.S)
+    return {name for name in re.findall(r"`([^`]+)`", prose) if name.isidentifier()}
+
+
+def readme_imports() -> set[str]:
+    """Names the Library section's code blocks import from the package."""
+    names = set()
+    for block in re.findall(r"```python\n(.*?)```", library_section(), flags=re.S):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module == "rookpaths":
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def exports() -> set[str]:
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_package_exports_readme_library_list():
+    assert exports() == readme_names()
+    assert readme_imports() <= exports()
+
+
+def used_names(node: ast.AST) -> set[str]:
+    """Names a statement reads or writes, as bare names or as attributes."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def test_every_public_definition_is_used_or_exported():
+    definitions = []  # (module, name, defining statement)
+    statements = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            statements.append(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                definitions.append((path.stem, node.name, node))
+    exported = exports()
+    unused = [
+        f"{module}.{name}"
+        for module, name, own in definitions
+        if name not in exported
+        and not any(name in used_names(node) for node in statements if node is not own)
+    ]
+    assert unused == []

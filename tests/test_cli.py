@@ -276,6 +276,25 @@ def test_verify_base_walk_repeating_an_edge(tmp_path, capsys):
     assert out == ""
     assert err == "error: $.base.steps: duplicate edge (0,0)-(0,1)\n"
 
+
+def test_verify_file_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert err.count("\n") == 1
+
+
+def test_verify_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: $: invalid JSON: nested too deeply\n"
+
 def test_orbits_3x3(capsys):
     code, out, _ = run(capsys, "orbits", "--n", "3", "--m", "3")
     assert code == 0

@@ -17,9 +17,9 @@ from rookpaths.decompose import (
 from rookpaths.grid import GridVertex, make_grid
 from rookpaths.groups import (
     EdgeAction,
+    Permutation,
     diagonal_shift,
     generate_group,
-    identity_permutation,
     permutation_from_cycles,
     row_shift,
 )
@@ -80,14 +80,14 @@ def corpus():
         dec, 1, relabelled(dec.blocks[1], graph, lambda v: GridVertex(v.col, v.row))
     )
     grid3 = make_grid(3, 3)
-    trivial = generate_group([identity_permutation(grid3)])
+    trivial = generate_group([Permutation({v: v for v in grid3.vertices()})])
     whole = Subgraph(tuple(grid3.edges()))
     yield "trivial 3x3", grid3, trivial, Decomposition((whole,), trivial, whole)
     k20 = CompleteGraph(20)
     cycle = Subgraph(tuple(LabelEdge(v, v % 20 + 1) for v in range(1, 21)))
     order = list(range(1, 20, 2)) + list(range(2, 21, 2))
     other = Subgraph(tuple(LabelEdge(a, b) for a, b in zip(order, order[1:] + order[:1])))
-    trivial20 = generate_group([identity_permutation(k20)])
+    trivial20 = generate_group([Permutation({v: v for v in k20.vertices()})])
     yield "trivial K_20 two cycles", k20, trivial20, Decomposition((other,), trivial20, cycle)
     # the row shift of even order fixes vertical edges at distance 2
     grid4 = make_grid(4, 4)
@@ -96,7 +96,7 @@ def corpus():
     base = Subgraph(
         (grid4.edge(corner, GridVertex(0, 1)), grid4.edge(corner, GridVertex(2, 0)))
     )
-    images = {tuple(sorted(edge_image(g, grid4, e) for e in base.edges)) for g in shifts}
+    images = {tuple(sorted(edge_image(g, grid4, e) for e in base.edges)) for g in shifts.elements}
     blocks = tuple(Subgraph(edges) for edges in sorted(images))
     yield "row shift 4x4", grid4, shifts, Decomposition(blocks, shifts, base)
     # a column triangle is its own image under every row shift

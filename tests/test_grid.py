@@ -4,15 +4,14 @@ import pytest
 
 from rookpaths.grid import (
     DimensionError,
-    EdgeKind,
     GridEdge,
     GridGraph,
     GridVertex,
     Step,
-    classify_edge,
-    edge_difference,
     make_grid,
 )
+from rookpaths.groups import edge_orbits, generate_group, row_shift
+from rookpaths.staircase import Walk, walk_from_array
 
 from oracles import brute_grid_edges
 
@@ -44,12 +43,12 @@ def test_edges_match_brute_force():
 
 def test_degree_is_uniform():
     g = make_grid(4, 6)
-    assert g.degree(GridVertex(0, 0)) == (4 - 1) + (6 - 1)
     counts = {}
     for e in g.edges():
         counts[e.u] = counts.get(e.u, 0) + 1
         counts[e.v] = counts.get(e.v, 0) + 1
-    assert set(counts.values()) == {g.degree(GridVertex(0, 0))}
+    assert len(counts) == g.vertex_count
+    assert set(counts.values()) == {(4 - 1) + (6 - 1)}
 
 
 def test_vertices_row_major():
@@ -60,9 +59,9 @@ def test_vertices_row_major():
 
 
 def test_vertex_reduces_modulo():
-    g = make_grid(3, 5)
-    assert g.vertex(4, 7) == GridVertex(1, 2)
-    assert g.vertex(-1, -1) == GridVertex(2, 4)
+    # a walk's start is the one place a vertex is read modulo the dimensions
+    assert walk_from_array((4, 7), [], 3, 5).start == GridVertex(1, 2)
+    assert walk_from_array((-1, -1), [], 3, 5).start == GridVertex(2, 4)
 
 
 def test_edge_canonical_order():
@@ -88,44 +87,34 @@ def test_step_rejects_zero():
 
 
 def test_classify_edge():
+    # under the row shift an edge's orbit id is tagged H when its rows agree, V when its columns do
     g = make_grid(3, 3)
     h = g.edge(GridVertex(0, 0), GridVertex(0, 2))
     v = g.edge(GridVertex(0, 1), GridVertex(2, 1))
-    assert classify_edge(g, h) is EdgeKind.HORIZONTAL
-    assert classify_edge(g, v) is EdgeKind.VERTICAL
-
-
-def test_classify_edge_requires_containment():
-    small = make_grid(2, 2)
-    big = make_grid(5, 5)
-    e = big.edge(GridVertex(3, 0), GridVertex(4, 0))
-    with pytest.raises(ValueError):
-        classify_edge(small, e)
+    tag = {e: o.id[0] for o in edge_orbits(g, generate_group([row_shift(3, 3)])) for e in o.edges}
+    assert (tag[h], tag[v]) == ("H", "V")
 
 
 def test_edge_difference():
-    g = make_grid(5, 5)
-    e = g.edge(GridVertex(0, 0), GridVertex(2, 0))
-    assert edge_difference(g, e, GridVertex(0, 0)) == Step(2, 0)
-    assert edge_difference(g, e, GridVertex(2, 0)) == Step(3, 0)
-    h = g.edge(GridVertex(1, 1), GridVertex(1, 4))
-    assert edge_difference(g, h, GridVertex(1, 1)) == Step(0, 3)
-    with pytest.raises(ValueError):
-        edge_difference(g, e, GridVertex(0, 1))
+    # the step along an edge, read from either endpoint, reduced mod (n, m)
+    u, v, w = GridVertex(0, 0), GridVertex(2, 0), GridVertex(1, 1)
+    assert Walk(5, 5, (u, v)).steps == (Step(2, 0),)
+    assert Walk(5, 5, (v, u)).steps == (Step(3, 0),)
+    assert Walk(5, 5, (w, GridVertex(1, 4))).steps == (Step(0, 3),)
 
 
 def test_edge_differences_cancel():
-    g = make_grid(4, 7)
-    for e in g.edges():
-        a = edge_difference(g, e, e.u)
-        b = edge_difference(g, e, e.v)
+    for e in make_grid(4, 7).edges():
+        (a,) = Walk(4, 7, (e.u, e.v)).steps
+        (b,) = Walk(4, 7, (e.v, e.u)).steps
         assert (a.drow + b.drow) % 4 == 0
         assert (a.dcol + b.dcol) % 7 == 0
 
 
 def test_shift_wraps():
-    g = make_grid(3, 4)
-    assert g.shift(GridVertex(2, 3), Step(1, 1)) == GridVertex(0, 0)
+    # a walk adds each step modulo the dimensions
+    w = walk_from_array((2, 3), [(1, 0), (0, 1)], 3, 4)
+    assert w.vertices == (GridVertex(2, 3), GridVertex(0, 3), GridVertex(0, 0))
 
 
 def test_edge_requires_membership():
@@ -143,7 +132,6 @@ def test_dimension_errors():
 
 def test_str_forms():
     assert str(make_grid(3, 4)) == "K_3 box K_4"
-    assert make_grid(3, 4).vertex_label(GridVertex(2, 1)) == "2,1"
 
 
 def test_grid_graph_is_hashable_value():

@@ -17,11 +17,8 @@ from rookpaths.groups import (
     automorphism_violation,
     diagonal_shift,
     edge_orbits,
-    explicit_permutation,
     fixed_edge_witness,
     generate_group,
-    identity_permutation,
-    is_semiregular_on_edges,
     orbit_census,
     permutation_from_cycles,
     row_shift,
@@ -39,29 +36,44 @@ from oracles import (
 )
 
 
+def identity(graph):
+    return Permutation({v: v for v in graph.vertices()})
+
+
+def compose(a, b):
+    """The table of ``a`` followed by ``b``."""
+    return tuple(b.table[i] for i in a.table)
+
+
 def test_row_shift_acts_and_cycles():
     c = row_shift(3, 3)
     assert c(GridVertex(0, 1)) == GridVertex(1, 1)
     assert c(GridVertex(2, 1)) == GridVertex(0, 1)
-    assert c.then(c).then(c).is_identity
-    assert not c.is_identity
+    group = generate_group([c])
+    # c, c^2, c^3 = identity: the closure has order 3 and lists c right after the identity
+    assert group.order == 3
+    assert group.elements[1] == c != group.identity
+    assert compose(c, group.elements[2]) == group.identity.table
 
 
 def test_diagonal_shift_moves_both_coordinates():
     d = diagonal_shift(4)
     assert d(GridVertex(3, 3)) == GridVertex(0, 0)
     assert d(GridVertex(3, 2)) == GridVertex(0, 3)
-    e = d
-    for _ in range(3):
-        e = e.then(d)
-    assert e.is_identity
+    assert generate_group([d]).order == 4
 
 
 def test_inverse_and_identity():
     g = make_grid(5, 5)
-    c = row_shift(5, 5)
-    assert c.then(c.inverse()).is_identity
-    assert identity_permutation(g).is_identity
+    group = generate_group([row_shift(5, 5)])
+    assert group.identity == identity(g)
+    assert group.identity.table == tuple(range(25))
+    # every element has its inverse in the group
+    tables = {h.table for h in group.elements}
+    for h in group.elements:
+        assert any(compose(h, k) == group.identity.table for k in group.elements)
+        assert all(compose(h, k) in tables for k in group.elements)
+    assert generate_group([identity(g)]).order == 1
 
 
 def test_group_order_matches_brute_force():
@@ -101,8 +113,8 @@ def test_automorphism_violation_witness():
     bad = Permutation(mapping)
     witness = automorphism_violation(g, bad)
     assert witness is not None
-    with pytest.raises(ValueError):
-        explicit_permutation(g, mapping)
+    with pytest.raises(ValueError, match="not an automorphism"):
+        permutation_from_cycles(g, [(GridVertex(1, 0), GridVertex(1, 1))])
 
 
 def test_permutation_from_cycles_k9():
@@ -175,23 +187,23 @@ def test_k9_orbits():
 
 def test_trivial_group_is_semiregular():
     g = make_grid(4, 4)
-    trivial = generate_group([identity_permutation(g)])
+    trivial = generate_group([identity(g)])
     assert trivial.order == 1
-    assert is_semiregular_on_edges(g, trivial)
+    assert fixed_edge_witness(g, trivial) is None
 
 
 def test_semiregular_witnesses():
     assert fixed_edge_witness(make_grid(3, 3), generate_group([row_shift(3, 3)])) is None
-    assert is_semiregular_on_edges(make_grid(7, 4), generate_group([row_shift(7, 4)]))
+    assert fixed_edge_witness(make_grid(7, 4), generate_group([row_shift(7, 4)])) is None
     # even n: c^(n/2) swaps the endpoints of a vertical edge at distance n/2
     witness = fixed_edge_witness(make_grid(2, 3), generate_group([row_shift(2, 3)]))
     assert witness is not None
     elem, edge = witness
-    assert not elem.is_identity
+    assert elem != identity(make_grid(2, 3))
     assert edge_image(elem, make_grid(2, 3), edge) == edge
     witness4 = fixed_edge_witness(make_grid(4, 4), generate_group([row_shift(4, 4)]))
     assert witness4 is not None
-    assert is_semiregular_on_edges(make_grid(4, 4), generate_group([diagonal_shift(4)]))
+    assert fixed_edge_witness(make_grid(4, 4), generate_group([diagonal_shift(4)])) is None
 
 
 def witness_corpus():
@@ -202,7 +214,7 @@ def witness_corpus():
     for n in range(2, 7):
         yield f"diagonal {n}", make_grid(n, n), generate_group([diagonal_shift(n)])
     g4 = make_grid(4, 4)
-    yield "trivial 4x4", g4, generate_group([identity_permutation(g4)])
+    yield "trivial 4x4", g4, generate_group([identity(g4)])
     k9 = CompleteGraph(9)
     yield "k9", k9, generate_group([permutation_from_cycles(k9, K9_GENERATOR_CYCLES)])
 

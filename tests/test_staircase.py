@@ -8,6 +8,7 @@ from rookpaths.grid import DimensionError, GridVertex, Step
 from rookpaths.groups import row_shift
 from rookpaths.staircase import (
     ConstructionInvalid,
+    Walk,
     build_staircase_path,
     first_orbit_conflict,
     first_repeated_vertex,
@@ -118,7 +119,7 @@ def test_walk_from_array_basics():
     w = walk_from_array((0, 0), [(0, 1), (1, 0)], 3, 3)
     assert [str(v) for v in w.vertices] == ["(0,0)", "(0,1)", "(1,1)"]
     assert w.length == 2
-    assert w.end == GridVertex(1, 1)
+    assert w.vertices[-1] == GridVertex(1, 1)
     assert len(w.edges()) == 2
 
 
@@ -154,10 +155,10 @@ def test_walk_segment_and_reverse():
     seg = w.segment(0, 4)
     assert seg.length == 4
     assert seg.vertices == w.vertices[:5]
-    rev = w.reverse()
-    assert rev.vertices == tuple(reversed(w.vertices))
+    # the reversed walk is its reversed vertex list; its steps are derived from it
+    rev = Walk(5, 5, w.vertices[::-1])
+    assert rev.steps == tuple(Step(-s.drow % 5, -s.dcol % 5) for s in reversed(w.steps))
     assert sorted(map(str, rev.edges())) == sorted(map(str, w.edges()))
-    assert w.canonical().start == min(w.start, w.end)
 
 
 def test_walk_transform_commutes_with_shift():
