@@ -38,6 +38,7 @@ from .groups import (
     row_shift,
 )
 from .serialize import (
+    MAX_EDGES,
     SchemaError,
     blocks_to_text,
     decomposition_to_json,
@@ -74,6 +75,10 @@ def _verified(report) -> bool:
 
 def _build_staircase(n: int, force: bool):
     """Shared generate/split front end; returns (dec, report) or an exit code."""
+    if n * n * (n - 1) > MAX_EDGES:
+        message = f"width {n} gives {n * n * (n - 1)} edges, over verify's cap of {MAX_EDGES}"
+        print(f"error: {message}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return staircase_decomposition(n, force=force)
     except NotOddPrime:

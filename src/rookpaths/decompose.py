@@ -1,17 +1,26 @@
 """Orbit-transversal decompositions and their independent verification.
 
-The construction implemented here: if a group G of automorphisms acts
-semiregularly on the edges of a graph (no non-identity element fixes an
-edge, even setwise) and a subgraph H contains exactly one edge from
-each orbit, then the images of H under G are pairwise edge-disjoint and
-partition the edge set.  The resulting decomposition is G-invariant,
-G-transitive, and the stabilizer of each block is trivial, so there are
-exactly |G| blocks.
+If a group G of automorphisms acts semiregularly on the edges of a graph
+(no non-identity element fixes an edge, even setwise) and a subgraph H
+holds exactly one edge of each orbit, the |G| images of H partition the
+edge set into a G-invariant, G-transitive decomposition whose blocks
+have trivial stabilizers.  The two hypotheses together say exactly that
+(g, e) -> g(e) is a bijection G x H -> E: injectivity in g makes every
+stabilizer trivial, surjectivity puts an edge of H in every orbit, and
+two edges of H in one orbit would collide.  So the builder images H
+through each element's vertex table and, when the images are |E|
+distinct edge keys, computes no orbits; otherwise the orbit checks run
+and name a witness.
 
-Nothing downstream trusts that argument: verify_decomposition rechecks
-every one of those properties on the finished object, on an integer
-edge action it rebuilds from the vertex permutations, and reports a
-concrete witness for anything that fails.
+Blocks are ascending edge-key arrays on a groups.EdgeAction, and their
+edge objects are built only when Subgraph.edges is read (witnesses, edge
+text, DOT, split, isomorphism search).  verify_decomposition trusts
+nothing: it rebuilds the action from the vertex permutations and
+range-checks every key.  Blocks that partition E and are exactly the |G|
+distinct images of the base pass all six flags by the same bijection (a
+non-identity h fixing an edge of g(H) would make hg(H) and g(H) distinct
+blocks sharing it); any other input gets each flag checked on its own,
+with a concrete witness for each failure.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from math import comb, isqrt
 from typing import Iterable, Iterator, NamedTuple
 
@@ -56,10 +66,6 @@ class IsomorphismCapExceeded(ValueError):
 
 class NotOddPrime(ValueError):
     """The staircase construction was asked for an unsupported width."""
-
-    def __init__(self, n: int, message: str):
-        super().__init__(message)
-        self.n = n
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -102,16 +108,13 @@ class CompleteGraph:
     def vertices(self) -> Iterator[int]:
         return iter(range(1, self.n + 1))
 
-    def contains(self, v) -> bool:
-        return isinstance(v, int) and 1 <= v <= self.n
-
     def edges(self) -> Iterator[LabelEdge]:
         for i in range(1, self.n + 1):
             for j in range(i + 1, self.n + 1):
                 yield LabelEdge(i, j)
 
     def edge(self, u: int, v: int) -> LabelEdge:
-        if not (self.contains(u) and self.contains(v)):
+        if not all(isinstance(w, int) and 1 <= w <= self.n for w in (u, v)):
             raise ValueError(f"{u}-{v} is not inside K_{self.n}")
         return LabelEdge(u, v)
 
@@ -119,44 +122,52 @@ class CompleteGraph:
         return f"K_{self.n}"
 
 
-@dataclass(frozen=True, slots=True)
 class Subgraph:
-    """An edge-induced subgraph: a sorted, duplicate-free tuple of edges.
+    """An edge-induced subgraph: a sorted, duplicate-free set of edges.
 
-    ``walk`` optionally records how the edge set was traced; blocks that
-    arise as images of a walk keep the transported walk so they can be
-    split back into sub-paths later.
+    ``Subgraph(edges)`` stores sorted edge objects.  Built and parsed
+    blocks come from ``on_keys`` and store only their ascending keys (an
+    array('q') on ``action``); ``edges`` builds their objects when read.
+    ``walk`` optionally records how the edge set was traced, so a block
+    that is the image of a walk can be split back into sub-paths.
     """
 
-    edges: tuple
-    walk: Walk | None = None
+    __slots__ = ("keys", "action", "walk", "_edges")
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.edges))
+    def __init__(self, edges, walk: Walk | None = None):
+        ordered = tuple(sorted(edges))
         if not ordered:
             raise ValueError("a subgraph needs at least one edge")
         for a, b in zip(ordered, ordered[1:]):
             if a == b:
                 raise ValueError(f"duplicate edge {a}")
-        object.__setattr__(self, "edges", ordered)
+        self.keys, self.action, self.walk, self._edges = None, None, walk, ordered
+
+    @classmethod
+    def on_keys(cls, action: EdgeAction, keys: array, walk: Walk | None = None) -> Subgraph:
+        """The subgraph of ascending, distinct edge ``keys`` of ``action``, taken as given."""
+        sub = cls.__new__(cls)
+        sub.keys, sub.action, sub.walk, sub._edges = keys, action, walk, None
+        return sub
+
+    @property
+    def edges(self) -> tuple:
+        return self._edges if self.keys is None else self.action.edges(self.keys)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self._edges if self.keys is None else self.keys)
+
+    def __eq__(self, other):
+        if not isinstance(other, Subgraph):
+            return NotImplemented
+        return self.edges == other.edges and self.walk == other.walk
 
     def vertex_set(self) -> set:
-        out = set()
-        for e in self.edges:
-            out.add(e.u)
-            out.add(e.v)
-        return out
+        return set(self.adjacency())
 
     def degrees(self) -> dict:
-        deg: dict = defaultdict(int)
-        for e in self.edges:
-            deg[e.u] += 1
-            deg[e.v] += 1
-        return dict(deg)
+        return {v: len(ws) for v, ws in self.adjacency().items()}
 
     def adjacency(self) -> dict:
         adj: dict = defaultdict(set)
@@ -166,17 +177,16 @@ class Subgraph:
         return dict(adj)
 
 
-def _sorted_subgraph(edges: tuple, walk: Walk | None = None) -> Subgraph:
-    """A Subgraph on edges already sorted and distinct, without re-validation."""
-    sub = object.__new__(Subgraph)
-    object.__setattr__(sub, "edges", edges)
-    object.__setattr__(sub, "walk", walk)
-    return sub
+def _keys_on(action: EdgeAction, sub: Subgraph) -> array:
+    """``sub``'s ascending edge keys on ``action``; ValueError for an edge outside its graph."""
+    if sub.keys is not None and sub.action.graph == action.graph:
+        return sub.keys
+    return array("q", action.keys(sub.edges))
 
 
-def _signature(keys) -> bytes:
-    """A compact, comparable form of an edge set given by its keys."""
-    return array("q", sorted(keys)).tobytes()
+def _covers_once(action: EdgeAction, key_arrays) -> bool:
+    """True when the arrays together hold every edge key of the graph exactly once."""
+    return sorted(chain.from_iterable(key_arrays)) == list(action.all_keys())
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,53 +247,56 @@ def orbit_transversal_check(sub: Subgraph, orbits: list[EdgeOrbit]) -> Transvers
         return TransversalCheck(False, ())
     key = orbits[0].action.key
     position = {k: pos for pos, orbit in enumerate(orbits) for k in orbit.keys}
+    positions = [position.get(key(e)) for e in sub.edges]
     counts = [0] * len(orbits)
-    stray = False
-    for e in sub.edges:
-        pos = position.get(key(e))
-        if pos is None:
-            stray = True
-            continue
-        counts[pos] += 1
-    ok = not stray and all(c == 1 for c in counts)
+    for pos in positions:
+        if pos is not None:
+            counts[pos] += 1
+    ok = None not in positions and all(c == 1 for c in counts)
     return TransversalCheck(ok, tuple(counts))
 
 
 def build_orbit_decomposition(graph, group: FiniteGroup, base: Subgraph) -> Decomposition:
     """Images of ``base`` under every group element, after checking the hypotheses.
 
-    Raises PreconditionFailed when the action is not semiregular on
-    edges or when ``base`` is not an exact orbit transversal.  Blocks
-    are deduplicated by edge set, so the block count equals the group
-    order exactly when the base has trivial stabilizer; the verifier
-    checks that rather than assuming it.
+    Images that are |E| distinct edge keys certify both hypotheses (see
+    the module docstring).  Otherwise PreconditionFailed is raised when
+    the action is not semiregular on edges or when ``base`` is not an
+    exact orbit transversal.  Blocks are deduplicated by edge set; the
+    verifier checks their count rather than assuming it.
     """
-    orbits = edge_orbits(graph, group)
-    fixed = fixed_edge_witness(graph, group, orbits)
-    if fixed is not None:
-        g, e = fixed
-        raise PreconditionFailed(
-            f"group is not semiregular on edges: an element fixes {e}", witness=fixed
-        )
-    check = orbit_transversal_check(base, orbits)
-    if not check.ok:
-        bad = [orbits[i].id for i, c in enumerate(check.counts) if c != 1]
-        raise PreconditionFailed(
-            f"base subgraph is not an orbit transversal: counts off in {len(bad)} orbits",
-            witness=(bad, check.counts),
-        )
     action = EdgeAction(graph, group)
-    base_keys = action.keys(base.edges)
+    try:
+        images = action.images(_keys_on(action, base))
+    except ValueError:  # a base edge outside the graph, which the transversal check names
+        images = []
+    if not _covers_once(action, images):
+        orbits = edge_orbits(graph, group)
+        fixed = fixed_edge_witness(graph, group, orbits)
+        if fixed is not None:
+            g, e = fixed
+            raise PreconditionFailed(
+                f"group is not semiregular on edges: an element fixes {e}", witness=fixed
+            )
+        check = orbit_transversal_check(base, orbits)
+        if not check.ok:
+            bad = [orbits[i].id for i, c in enumerate(check.counts) if c != 1]
+            raise PreconditionFailed(
+                f"base subgraph is not an orbit transversal: counts off in {len(bad)} orbits",
+                witness=(bad, check.counts),
+            )
+    walk, walks = base.walk, [None] * len(images)
+    if walk is not None:
+        vertices = action.vertices
+        index = {v: i for i, v in enumerate(vertices)}
+        path = [index[v] for v in walk.vertices]
+        walks = [Walk(walk.n, walk.m, tuple([vertices[t[i]] for i in path])) for t in action.tables]
     blocks: list[Subgraph] = []
     seen: set = set()
-    for g, table in zip(group.elements, action.tables):
-        keys = sorted(action.image_keys(table, base_keys))
-        signature = _signature(keys)
-        if signature in seen:
-            continue
-        seen.add(signature)
-        walk = base.walk.transform(g) if base.walk is not None else None
-        blocks.append(_sorted_subgraph(action.edges(keys), walk))
+    for keys, image in zip(images, walks):
+        if (signature := keys.tobytes()) not in seen:
+            seen.add(signature)
+            blocks.append(Subgraph.on_keys(action, keys, image))
     return Decomposition(tuple(blocks), group, base)
 
 
@@ -408,45 +421,52 @@ def _partition_check(action: EdgeAction, block_keys: list, foreign: list) -> Par
 def partition_witnesses(graph, blocks: Iterable[Subgraph]) -> PartitionCheck:
     """Do the blocks cover every edge exactly once?  Witnesses either way."""
     action = EdgeAction(graph)
-    keys, foreign = [], []
-    for b in blocks:
-        for e in b.edges:
-            k = action.key(e)
-            if k is None:
-                foreign.append(e)
-            else:
-                keys.append(k)
-    return _partition_check(action, [keys], foreign)
+    pairs = [(action.key(e), e) for b in blocks for e in b.edges]
+    keys = [k for k, _ in pairs if k is not None]
+    return _partition_check(action, [keys], [e for k, e in pairs if k is None])
+
+
+def _signature(keys) -> bytes:
+    """A compact, comparable form of an edge set given by its keys."""
+    return array("q", sorted(keys)).tobytes()
 
 
 def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> VerificationReport:
     """Recheck every structural claim of a decomposition from the vertex permutations.
 
-    Nothing about ``dec`` is trusted: the edge partition, the block
-    shapes, invariance and transitivity under the group, the base
-    stabilizer, and semiregularity of the action are each recomputed on
-    an edge action built here from ``group``.  A block equal to an image
-    of the base is isomorphic to it with that element as the certificate;
-    only other blocks go through subgraphs_isomorphic.  Every failed flag
-    carries a concrete witness.
+    Nothing about ``dec`` is trusted: every key a block carries is
+    range-checked (ValueError, as for an edge outside the graph), and the
+    flags are recomputed on an edge action built here from ``group``.
+    Blocks that partition the edges and are exactly the |G| distinct
+    images of the base pass all six (see the module docstring).
+    Otherwise each flag is checked on its own: a block equal to an image
+    of the base is certified isomorphic by that element, only other
+    blocks go through subgraphs_isomorphic, and every failed flag carries
+    a concrete witness.
     """
     action = EdgeAction(graph, group)
     witnesses: dict = {}
-    block_keys = [action.keys(b.edges) for b in dec.blocks]
+    block_keys = [_keys_on(action, b) for b in dec.blocks]
+    covered = _covers_once(action, block_keys)
+    if not covered:
+        for keys in block_keys:
+            action.check_keys(keys)
+    base_keys = _keys_on(action, dec.base)
+    action.check_keys(base_keys)
+    images = [keys.tobytes() for keys in action.images(base_keys)]
+    certified = set(images)
+    signatures = [keys.tobytes() for keys in block_keys]
+    exact = len(signatures) == len(certified) == group.order and certified.issuperset(signatures)
+    if covered and exact:
+        return VerificationReport(witnesses)
 
-    partition = _partition_check(action, block_keys, [])
-    if not partition.ok:
+    if not covered:
+        partition = _partition_check(action, block_keys, [])
         witnesses["is_partition"] = {
             "duplicated": list(partition.duplicated),
             "missing": list(partition.missing),
             "foreign": list(partition.foreign),
         }
-
-    base_keys = action.keys(dec.base.edges)
-    base_signature = _signature(base_keys)
-    images = [_signature(action.image_keys(t, base_keys)) for t in action.tables]
-    certified = set(images)
-    signatures = [_signature(keys) for keys in block_keys]
 
     for idx, block in enumerate(dec.blocks):
         if signatures[idx] in certified:
@@ -469,6 +489,7 @@ def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> Verif
         if "group_invariant" in witnesses:
             break
 
+    base_signature = base_keys.tobytes()
     if dec.blocks:
         reached = certified if signatures[0] == base_signature else {
             _signature(action.image_keys(t, block_keys[0])) for t in action.tables
@@ -489,15 +510,8 @@ def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> Verif
 
 
 def is_odd_prime(n: int) -> bool:
-    """Trial division; 2 is excluded by the oddness requirement."""
-    if n < 3 or n % 2 == 0:
-        return False
-    d = 3
-    while d <= isqrt(n):
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Trial division by odd numbers; 2 is excluded by the oddness requirement."""
+    return n >= 3 and n % 2 == 1 and all(n % d for d in range(3, isqrt(n) + 1, 2))
 
 
 def staircase_decomposition(n: int, force: bool = False):
@@ -514,13 +528,13 @@ def staircase_decomposition(n: int, force: bool = False):
     """
     if not is_odd_prime(n):
         if n < 3 or n % 2 == 0:
-            raise NotOddPrime(n, f"staircase decomposition needs odd n >= 3, got {n}")
+            raise NotOddPrime(f"staircase decomposition needs odd n >= 3, got {n}")
         if not force:
-            raise NotOddPrime(n, f"{n} is not prime; pass force=True to run the checks anyway")
+            raise NotOddPrime(f"{n} is not prime; pass force=True to run the checks anyway")
     walk = build_staircase_path(n)
     graph = make_grid(n, n)
     group = generate_group([row_shift(n, n)])
-    base = Subgraph(tuple(sorted(walk.edges())), walk=walk)
+    base = Subgraph(walk.edges(), walk=walk)
     dec = build_orbit_decomposition(graph, group, base)
     report = verify_decomposition(graph, group, dec)
     return dec, report
@@ -548,7 +562,7 @@ def haggkvist_split(path: Walk, b: int) -> list[Subgraph]:
     if path.length % b != 0:
         raise ValueError(f"segment size {b} does not divide path length {path.length}")
     segments = [path.segment(i, i + b) for i in range(0, path.length, b)]
-    return [Subgraph(tuple(sorted(seg.edges())), walk=seg) for seg in segments]
+    return [Subgraph(seg.edges(), walk=seg) for seg in segments]
 
 
 K9_TRIANGLES = ((1, 4, 5), (2, 6, 8), (3, 7, 9), (5, 6, 7))
@@ -571,7 +585,7 @@ def k9_fixture() -> tuple:
     for tri in K9_TRIANGLES:
         a, b, c = tri
         edges.extend([LabelEdge(a, b), LabelEdge(b, c), LabelEdge(a, c)])
-    base = Subgraph(tuple(sorted(edges)))
+    base = Subgraph(edges)
     return graph, group, base
 
 
@@ -593,5 +607,5 @@ def diagonal_fixture_n4() -> tuple:
     graph = make_grid(4, 4)
     group = generate_group([diagonal_shift(4)])
     walk = walk_from_array((0, 0), [Step(a, b) for a, b in DIAG4_STEPS], 4, 4)
-    base = Subgraph(tuple(sorted(walk.edges())), walk=walk)
+    base = Subgraph(walk.edges(), walk=walk)
     return graph, group, base

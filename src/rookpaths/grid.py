@@ -49,9 +49,6 @@ class Step:
         if self.drow == 0 and self.dcol == 0:
             raise ValueError("degenerate step (0,0)")
 
-    def __str__(self) -> str:
-        return f"({self.drow},{self.dcol})"
-
 
 @dataclass(frozen=True, order=True, slots=True)
 class GridEdge:
@@ -98,9 +95,6 @@ class GridGraph:
     def edge_count(self) -> int:
         return self.n * comb(self.m, 2) + self.m * comb(self.n, 2)
 
-    def contains(self, v: GridVertex) -> bool:
-        return 0 <= v.row < self.n and 0 <= v.col < self.m
-
     def vertices(self) -> Iterator[GridVertex]:
         for a in range(self.n):
             for b in range(self.m):
@@ -119,7 +113,7 @@ class GridGraph:
 
     def edge(self, u: GridVertex, v: GridVertex) -> GridEdge:
         """Canonical edge on two vertices of this graph."""
-        if not (self.contains(u) and self.contains(v)):
+        if not all(0 <= w.row < self.n and 0 <= w.col < self.m for w in (u, v)):
             raise ValueError(f"{u}-{v} is not inside the {self.n} x {self.m} grid")
         return GridEdge(u, v)
 

@@ -2,21 +2,25 @@
 
 A permutation is a table of indices into its sorted vertex list, which
 a generated group's elements share, so the closure composes tuples of
-ints.  EdgeAction carries the action to integer edge keys; orbits,
-semiregularity, transport and every verifier flag read it, and edge
-objects are built only for orbit members, blocks and witnesses.
-Semiregularity is read off the orbit sizes by the orbit-stabilizer
-theorem (|orbit| * |stabilizer| = |G|): the action is semiregular
-exactly when every edge orbit has |G| edges, and only edges of shorter
-orbits are searched for a fixing element.  automorphism_violation reads
-a permutation's table as well: on a grid, vertex i lies in row i // m
-and column i % m, and two images are adjacent iff they share either.
+ints.  EdgeAction carries the action to integer edge keys (vertex i is
+row * m + col on a grid, label - 1 on K_n; edge i < j is i * |V| + j),
+the form blocks are stored in (decompose.Subgraph): transport, the
+verifier and JSON output read keys, and edge objects are built only
+when read.  EdgeAction.images transports a key array through every
+element; |E| distinct images of a base certify semiregularity and the
+transversal at once (see decompose).  Otherwise semiregularity is read
+off the orbit sizes by orbit-stabilizer (|orbit| * |stabilizer| = |G|),
+and only edges of orbits shorter than |G| are searched for a fixing
+element.  automorphism_violation reads a permutation's table as well: on
+a grid, vertex i lies in row i // m and column i % m.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
@@ -57,12 +61,8 @@ class Permutation:
         self._fill(table, vertices, index, kind, n, m)
 
     def _fill(self, table, vertices, index, kind=EXPLICIT, n=None, m=None) -> None:
-        self.table = table
-        self.vertices = vertices
-        self._index = index
-        self.kind = kind
-        self.n = n
-        self.m = m
+        self.table, self.vertices, self._index = table, vertices, index
+        self.kind, self.n, self.m = kind, n, m
         self._hash = hash(table)
 
     def _sibling(self, table: tuple) -> Permutation:
@@ -87,11 +87,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({self.kind}, domain={len(self.table)})"
-
-    def mapping(self) -> dict:
-        vs = self.vertices
-        return {v: vs[j] for v, j in zip(vs, self.table)}
-
 
 
 def _grid_shift(kind: str, n: int, m: int, table) -> Permutation:
@@ -188,11 +183,7 @@ class FiniteGroup:
     @property
     def generator_kind(self) -> str:
         kinds = {g.kind for g in self.generators}
-        if kinds == {ROW_SHIFT}:
-            return ROW_SHIFT
-        if kinds == {DIAGONAL_SHIFT}:
-            return DIAGONAL_SHIFT
-        return EXPLICIT
+        return kinds.pop() if kinds in ({ROW_SHIFT}, {DIAGONAL_SHIFT}) else EXPLICIT
 
 
 def generate_group(generators: Iterable[Permutation], cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
@@ -302,16 +293,29 @@ class EdgeAction:
             for a, b in ((table[k // size], table[k % size]) for k in keys)
         ]
 
+    def images(self, keys) -> list[array]:
+        """The image of ``keys`` under every element, in group order, each an ascending array."""
+        return [array("q", sorted(self.image_keys(t, keys))) for t in self.tables]
+
     def all_keys(self) -> Iterator[int]:
-        """Every edge key of the graph, ascending."""
+        """Every edge key of the graph, ascending: for each i, the rest of its row, then column."""
         size = self.size
-        for i in range(size):
-            above = range(i + 1, size)
-            if self._grid is not None:
-                m = self._grid[1]
-                # the rest of i's row, then the rest of its column
-                above = [*range(i + 1, i - i % m + m), *range(i + m, size, m)]
-            yield from (i * size + j for j in above)
+        m = self._grid[1] if self._grid is not None else size
+        return chain.from_iterable(
+            r
+            for i, row in zip(range(size), range(0, size * size, size))
+            for r in (range(row + i + 1, row + i - i % m + m), range(row + i + m, row + size, m))
+        )
+
+    def check_keys(self, keys) -> None:
+        """ValueError naming the first of ``keys`` that is not the key of an edge of the graph."""
+        size = self.size
+        m = self._grid[1] if self._grid is not None else size
+        for k in keys:
+            i, j = divmod(k, size)
+            if not 0 <= i < j < size or (i // m != j // m and (j - i) % m):
+                name = f"{self.vertices[i]}-{self.vertices[j]}" if 0 <= i < size else f"key {k}"
+                raise ValueError(f"{name} is not an edge of {self.graph}")
 
     def orbits(self) -> Iterator[tuple[int, ...]]:
         """Every orbit as an ascending key tuple, in order of least member."""
@@ -375,15 +379,12 @@ def edge_orbits(graph, group: FiniteGroup) -> list[EdgeOrbit]:
 def fixed_edge_witness(graph, group: FiniteGroup, orbits: list[EdgeOrbit] | None = None):
     """A pair (element, edge) with the non-identity element fixing the edge, or None.
 
-    Fixing is setwise: an element that swaps the two endpoints fixes the
-    edge.  By orbit-stabilizer an edge has a non-trivial stabilizer
-    exactly when its orbit has fewer than |G| edges, so None is returned
-    as soon as every orbit is full and otherwise only edges of short
-    orbits are tested.  The witness is the first fixed pair when the
-    non-identity elements are taken in group order and, for each, the
-    edges in ``graph.edges()`` order: the pair an exhaustive scan finds.
-    ``orbits`` are the edge_orbits of (graph, group) when the caller
-    already has them; otherwise only the short orbits are kept.
+    Fixing is setwise.  By orbit-stabilizer an edge has a non-trivial
+    stabilizer exactly when its orbit has fewer than |G| edges, so only
+    edges of short orbits are tested.  The witness is the first fixed
+    pair with the non-identity elements in group order and, for each,
+    the edges in ``graph.edges()`` order: the pair an exhaustive scan
+    finds.  ``orbits`` are the edge_orbits of (graph, group) if known.
     """
     action = EdgeAction(graph, group)
     members = (o.keys for o in orbits) if orbits is not None else action.orbits()

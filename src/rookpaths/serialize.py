@@ -4,22 +4,24 @@ The JSON layout is fixed: top-level keys graph, group, base, blocks,
 report in that order, edge arrays sorted canonically, vertices written
 as [row, col] pairs on grids and bare integer labels on complete
 graphs.  Identical inputs always serialize to identical bytes, so
-outputs can be diffed and used as golden files.
+outputs can be diffed and used as golden files.  Blocks are written
+straight from their key arrays through a per-vertex string table; only
+edge text, DOT and witnesses build edge objects.
 
 Parsing is strict and reports the JSON path of the first offending
 element in document order, e.g. "$.blocks[2].edges[0]".  It reads the
 input straight onto the integer representation of groups.EdgeAction:
 a vertex becomes its index (row * m + col on a grid, label - 1 on a
 complete graph) and an edge its key, adjacency is checked on the
-indices, duplicates are found among a block's sorted keys, and each
-edge object is built once, on the action's shared vertex list.  Error
-text is formatted only for an element that fails a check.
+indices, and each block's sorted, duplicate-free keys become its key
+array.  Error text is formatted only for an element that fails a check.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable, NamedTuple, Sequence
+from array import array
+from typing import Iterable, Sequence
 
 from .decompose import (
     CompleteGraph,
@@ -27,7 +29,6 @@ from .decompose import (
     LabelEdge,
     Subgraph,
     VerificationReport,
-    _sorted_subgraph,
 )
 from .grid import GridEdge, GridGraph, GridVertex, Step, make_grid
 from .groups import (
@@ -87,15 +88,12 @@ def _edge_json(e):
     return [e.u, e.v]
 
 
-def _step_json(s: Step):
-    return [s.drow, s.dcol]
-
-
 def permutation_to_json(perm: Permutation) -> dict:
     if perm.kind in (ROW_SHIFT, DIAGONAL_SHIFT):
         return {"kind": perm.kind, "n": perm.n, "m": perm.m}
-    pairs = sorted(perm.mapping().items())
-    return {"kind": EXPLICIT, "map": [[_vertex_json(v), _vertex_json(w)] for v, w in pairs]}
+    vs = perm.vertices
+    pairs = [[_vertex_json(v), _vertex_json(vs[j])] for v, j in zip(vs, perm.table)]
+    return {"kind": EXPLICIT, "map": pairs}
 
 
 def _graph_json(graph) -> dict:
@@ -118,7 +116,7 @@ def _group_json(group: FiniteGroup) -> dict:
 def _base_json(base: Subgraph) -> dict:
     if base.walk is not None:
         w = base.walk
-        return {"start": _vertex_json(w.start), "steps": [_step_json(s) for s in w.steps]}
+        return {"start": _vertex_json(w.start), "steps": [[s.drow, s.dcol] for s in w.steps]}
     return {"edges": [_edge_json(e) for e in base.edges]}
 
 
@@ -155,14 +153,25 @@ def decomposition_to_json_dict(graph, dec: Decomposition, report: VerificationRe
 
 
 def decomposition_to_json(graph, dec: Decomposition, report: VerificationReport) -> str:
-    return dumps(decomposition_to_json_dict(graph, dec, report))
+    """The text of decomposition_to_json_dict, with the blocks written from their keys."""
+    head = decomposition_to_json_dict(graph, Decomposition((), dec.group, dec.base), report)
+    fields = {key: dumps(value) for key, value in head.items()}
+    texts = [dumps(_vertex_json(v)) for v in graph.vertices()]
+    size = len(texts)
+    lows, highs = [f"[{t}," for t in texts], [f"{t}]" for t in texts]
+    blocks = []
+    for b in dec.blocks:
+        if b.keys is not None and b.action.graph == graph:
+            edges = ",".join([lows[k // size] + highs[k % size] for k in b.keys])
+            blocks.append(f'{{"edges":[{edges}]}}')
+        else:
+            blocks.append(dumps({"edges": [_edge_json(e) for e in b.edges]}))
+    fields["blocks"] = f"[{','.join(blocks)}]"
+    return "{" + ",".join(f'"{key}":{text}' for key, text in fields.items()) + "}"
 
 
 def orbit_id_str(oid: tuple) -> str:
-    tag = oid[0]
-    if tag in ("H", "V"):
-        return f"{tag}({oid[1]},{oid[2]})"
-    return f"O({oid[1]})"
+    return f"{oid[0]}({oid[1]},{oid[2]})" if oid[0] in ("H", "V") else f"O({oid[1]})"
 
 
 # ---------------------------------------------------------------- parsing
@@ -296,7 +305,7 @@ def _subgraph(action: EdgeAction, keys: list[int], path: str, walk=None) -> Subg
     for a, b in zip(keys, keys[1:]):
         if a == b:
             raise SchemaError(path, f"duplicate edge {action.edge(a)}")
-    return _sorted_subgraph(action.edges(keys), walk)
+    return Subgraph.on_keys(action, array("q", keys), walk)
 
 
 def _parse_step(value, path: str) -> Step:
@@ -404,13 +413,7 @@ def _parse_report_stub(obj, path: str) -> None:
         _expect(isinstance(value, bool), f"{path}.{flag}", "expected a boolean")
 
 
-class ParsedDecomposition(NamedTuple):
-    graph: object
-    group: FiniteGroup
-    decomposition: Decomposition
-
-
-def parse_decomposition(data) -> ParsedDecomposition:
+def parse_decomposition(data) -> tuple:
     """Rebuild (graph, group, decomposition) from serialized form.
 
     ``data`` is a JSON string or an already-decoded object.  The
@@ -422,7 +425,7 @@ def parse_decomposition(data) -> ParsedDecomposition:
     if isinstance(data, str):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # a JSONDecodeError, or an integer past the digit limit
             raise SchemaError("$", f"invalid JSON: {err}") from None
         except RecursionError:
             raise SchemaError("$", "invalid JSON: nested too deeply") from None
@@ -439,8 +442,7 @@ def parse_decomposition(data) -> ParsedDecomposition:
         keys = _edge_keys(action, _get(entry, "edges", f"$.blocks[{i}]"), path)
         blocks.append(_subgraph(action, keys, path))
     _parse_report_stub(_get(data, "report", "$"), "$.report")
-    dec = Decomposition(tuple(blocks), group, base)
-    return ParsedDecomposition(graph, group, dec)
+    return graph, group, Decomposition(tuple(blocks), group, base)
 
 
 # ---------------------------------------------------------------- text formats
@@ -467,13 +469,14 @@ def blocks_to_text(blocks: Sequence[Subgraph]) -> str:
 
 
 def dot_for_blocks(blocks: Sequence[Subgraph]) -> str:
-    vertices = sorted({v for b in blocks for v in b.vertex_set()})
+    edge_lists = [b.edges for b in blocks]
+    vertices = sorted({v for edges in edge_lists for e in edges for v in (e.u, e.v)})
     lines = ["graph decomposition {", "  node [shape=circle fontsize=10];"]
     for v in vertices:
         lines.append(f'  "{_vertex_dot_id(v)}";')
-    for i, b in enumerate(blocks):
+    for i, edges in enumerate(edge_lists):
         color = PALETTE[i % len(PALETTE)]
-        for e in b.edges:
+        for e in edges:
             lines.append(
                 f'  "{_vertex_dot_id(e.u)}" -- "{_vertex_dot_id(e.v)}" [color="{color}"];'
             )

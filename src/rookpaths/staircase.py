@@ -19,7 +19,7 @@ violates the column-sum conditions implemented in one_edge_per_orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .grid import DimensionError, GridEdge, GridVertex, Step
 
@@ -33,35 +33,24 @@ class ConstructionInvalid(RuntimeError):
         self.witness = witness
 
 
-def _require_odd(n: int) -> None:
+def _require_stretch(n: int, k: int = 1) -> None:
     if n < 3 or n % 2 == 0:
         raise ValueError(f"staircase arrays need odd n >= 3, got {n}")
+    if not 1 <= k <= (n - 1) // 2:
+        raise ValueError(f"stretch index must satisfy 1 <= k <= {(n - 1) // 2}, got {k}")
 
 
 def stretch(n: int, k: int) -> tuple[Step, ...]:
     """Stretch k for width n: 2n steps alternating (0, 2k-1), (2k-1, 0), ending (2k, 0)."""
-    _require_odd(n)
-    if not 1 <= k <= (n - 1) // 2:
-        raise ValueError(f"stretch index must satisfy 1 <= k <= {(n - 1) // 2}, got {k}")
+    _require_stretch(n, k)
     c = 2 * k - 1
-    steps = []
-    for g in range(1, 2 * n + 1):
-        if g == 2 * n:
-            steps.append(Step(2 * k, 0))
-        elif g % 2:
-            steps.append(Step(0, c))
-        else:
-            steps.append(Step(c, 0))
-    return tuple(steps)
+    return tuple(Step(0, c) if g % 2 else Step(c, 0) for g in range(1, 2 * n)) + (Step(2 * k, 0),)
 
 
 def staircase_array(n: int) -> tuple[Step, ...]:
     """Concatenation of stretches 1 .. (n-1)/2; n(n-1) steps in total."""
-    _require_odd(n)
-    steps: list[Step] = []
-    for k in range(1, (n - 1) // 2 + 1):
-        steps.extend(stretch(n, k))
-    return tuple(steps)
+    _require_stretch(n)
+    return tuple(s for k in range(1, (n - 1) // 2 + 1) for s in stretch(n, k))
 
 
 def partial_stretch_sum(n: int, k: int, p: int, q: int) -> tuple[int, int]:
@@ -72,9 +61,7 @@ def partial_stretch_sum(n: int, k: int, p: int, q: int) -> tuple[int, int]:
     except that the final entry 2n contributes 2k to the row.  For n an
     odd prime the result is never (0, 0).
     """
-    _require_odd(n)
-    if not 1 <= k <= (n - 1) // 2:
-        raise ValueError(f"stretch index must satisfy 1 <= k <= {(n - 1) // 2}, got {k}")
+    _require_stretch(n, k)
     if not 1 <= p <= q <= 2 * n:
         raise ValueError(f"need 1 <= p <= q <= {2 * n}, got p={p}, q={q}")
     c = 2 * k - 1
@@ -119,10 +106,6 @@ class Walk:
         if not 0 <= i <= j <= self.length:
             raise ValueError(f"segment [{i}, {j}] out of range for length {self.length}")
         return Walk(self.n, self.m, self.vertices[i : j + 1])
-
-    def transform(self, f: Callable[[GridVertex], GridVertex]) -> "Walk":
-        """Image walk under a vertex map."""
-        return Walk(self.n, self.m, tuple(map(f, self.vertices)))
 
 
 def _normalize_steps(arr: Iterable, n: int, m: int) -> tuple[Step, ...]:

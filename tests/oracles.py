@@ -5,7 +5,8 @@ library's edge objects, on purpose: the point is an independent route to
 the same answers, not a fast one.  The object-based verifier, parser and
 automorphism scan below are the library's own before they moved onto the
 integer edge action; the quadratic orbit-conflict scan is the library's
-before it became one pass.
+before it became one pass, and the orbit-path precondition checks are the
+builder's before the bijection test decided the common case.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from rookpaths.decompose import (
     CompleteGraph,
     Decomposition,
     PartitionCheck,
+    PreconditionFailed,
     Subgraph,
+    TransversalCheck,
     VerificationReport,
     subgraphs_isomorphic,
 )
@@ -31,8 +34,10 @@ from rookpaths.groups import (
     ROW_SHIFT,
     FiniteGroup,
     GroupTooLarge,
+    EdgeOrbit,
     Permutation,
     diagonal_shift,
+    edge_orbits,
     fixed_edge_witness,
     generate_group,
     row_shift,
@@ -41,7 +46,6 @@ from rookpaths.serialize import (
     MAX_ACTION_ENTRIES,
     MAX_EDGES,
     MAX_VERTICES,
-    ParsedDecomposition,
     SchemaError,
 )
 from rookpaths.staircase import _normalize_steps, walk_from_array
@@ -202,6 +206,46 @@ def brute_verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) ->
     for name, ok in flags.items():
         assert ok == (name not in witnesses), name
     return VerificationReport(witnesses)
+
+
+def orbit_transversal_check(sub: Subgraph, orbits: list[EdgeOrbit]) -> TransversalCheck:
+    """Exactly-one-edge-per-orbit test; counts are aligned with ``orbits``.
+
+    Edges of the subgraph that lie in no orbit at all make the check
+    fail regardless of the counts.
+    """
+    if not orbits:
+        return TransversalCheck(False, ())
+    key = orbits[0].action.key
+    position = {k: pos for pos, orbit in enumerate(orbits) for k in orbit.keys}
+    counts = [0] * len(orbits)
+    stray = False
+    for e in sub.edges:
+        pos = position.get(key(e))
+        if pos is None:
+            stray = True
+            continue
+        counts[pos] += 1
+    ok = not stray and all(c == 1 for c in counts)
+    return TransversalCheck(ok, tuple(counts))
+
+
+def orbit_path_preconditions(graph, group: FiniteGroup, base: Subgraph) -> None:
+    """The builder's precondition checks on the orbits: PreconditionFailed or None."""
+    orbits = edge_orbits(graph, group)
+    fixed = fixed_edge_witness(graph, group, orbits)
+    if fixed is not None:
+        g, e = fixed
+        raise PreconditionFailed(
+            f"group is not semiregular on edges: an element fixes {e}", witness=fixed
+        )
+    check = orbit_transversal_check(base, orbits)
+    if not check.ok:
+        bad = [orbits[i].id for i, c in enumerate(check.counts) if c != 1]
+        raise PreconditionFailed(
+            f"base subgraph is not an orbit transversal: counts off in {len(bad)} orbits",
+            witness=(bad, check.counts),
+        )
 
 
 def brute_group_elements(n, m, gens):
@@ -421,10 +465,10 @@ def _parse_vertex(graph, value, path: str):
         row = _int_at(value[0], f"{path}[0]")
         col = _int_at(value[1], f"{path}[1]")
         v = GridVertex(row, col)
-        _expect(graph.contains(v), path, f"vertex {v} outside {graph}")
+        _expect(0 <= v.row < graph.n and 0 <= v.col < graph.m, path, f"vertex {v} outside {graph}")
         return v
     label = _int_at(value, path)
-    _expect(graph.contains(label), path, f"vertex {label} outside {graph}")
+    _expect(1 <= label <= graph.n, path, f"vertex {label} outside {graph}")
     return label
 
 
@@ -549,7 +593,7 @@ def _parse_report_stub(obj, path: str) -> None:
         _expect(isinstance(value, bool), f"{path}.{flag}", "expected a boolean")
 
 
-def object_parse_decomposition(data) -> ParsedDecomposition:
+def object_parse_decomposition(data) -> tuple:
     """Rebuild (graph, group, decomposition) from serialized form.
 
     ``data`` is a JSON string or an already-decoded object.  The
@@ -575,4 +619,4 @@ def object_parse_decomposition(data) -> ParsedDecomposition:
         blocks.append(_parse_subgraph_edges(graph, _get(entry, "edges", bpath), f"{bpath}.edges"))
     _parse_report_stub(_get(data, "report", "$"), "$.report")
     dec = Decomposition(tuple(blocks), group, base)
-    return ParsedDecomposition(graph, group, dec)
+    return graph, group, dec

@@ -7,6 +7,7 @@ import pytest
 
 from rookpaths.cli import main
 from rookpaths.decompose import VerificationReport
+from rookpaths.serialize import MAX_EDGES
 
 
 def run(capsys, *argv):
@@ -29,6 +30,17 @@ def test_generate_rejects_nine_without_force(capsys):
     assert code == 1
     assert out == ""
     assert "--force" in err
+
+
+def test_generate_refuses_widths_over_the_edge_cap(capsys):
+    # 131^2 * 130 = 2,230,930 edges fit the cap; 137^2 * 136 = 2,552,584 do not
+    assert 131 * 131 * 130 <= MAX_EDGES < 137 * 137 * 136
+    started = time.perf_counter()
+    code, out, err = run(capsys, "generate", "--n", "137")
+    assert time.perf_counter() - started < 1.0
+    assert code == 1
+    assert out == ""
+    assert err == "error: width 137 gives 2552584 edges, over verify's cap of 2500000\n"
 
 
 def test_generate_nine_forced_fails_path_check(capsys):
@@ -294,6 +306,16 @@ def test_verify_deeply_nested_json(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err == "error: $: invalid JSON: nested too deeply\n"
+
+def test_verify_integer_past_the_digit_limit(tmp_path, capsys):
+    path = tmp_path / "digits.json"
+    path.write_text('{"graph":' + "1" * 5000 + "}", encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: $: invalid JSON: Exceeds the limit")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
 
 def test_orbits_3x3(capsys):
     code, out, _ = run(capsys, "orbits", "--n", "3", "--m", "3")

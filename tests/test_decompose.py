@@ -30,9 +30,9 @@ from rookpaths.groups import (
     permutation_from_cycles,
     row_shift,
 )
-from rookpaths.staircase import walk_from_array
+from rookpaths.staircase import staircase_array, walk_from_array
 
-from oracles import path_edge_set
+from oracles import orbit_path_preconditions, path_edge_set
 
 
 def grid_subgraph(g, pairs):
@@ -139,6 +139,45 @@ def test_build_rejects_non_semiregular():
     with pytest.raises(PreconditionFailed) as info:
         build_orbit_decomposition(g, group, base)
     assert "semiregular" in str(info.value)
+
+
+def precondition_outcome(check, graph, group, base):
+    try:
+        check(graph, group, base)
+    except PreconditionFailed as err:
+        return err.reason, err.witness
+    return None
+
+
+def precondition_cases():
+    """(label, graph, group, base) triples on both sides of the bijection test."""
+    for n, m in ((2, 3), (4, 4)):
+        graph = make_grid(n, m)
+        base = Subgraph(list(graph.edges())[: graph.edge_count // n])
+        yield f"row shift {n}x{m}", graph, generate_group([row_shift(n, m)]), base
+    graph = make_grid(5, 5)
+    group = generate_group([row_shift(5, 5)])
+    walk = walk_from_array((0, 0), staircase_array(5), 5, 5)
+    edges = walk.edges()
+    shift = group.elements[1]
+    yield "staircase 5", graph, group, Subgraph(edges, walk=walk)
+    yield "one edge", graph, group, Subgraph(edges[:1])
+    yield "doubled", graph, group, Subgraph(edges + [graph.edge(shift(e.u), shift(e.v)) for e in edges])
+    # |E|/|G| edges, but the last one is the row shift of the first: two edges in one orbit
+    collide = edges[:-1] + [graph.edge(shift(edges[0].u), shift(edges[0].v))]
+    assert len(set(collide)) == graph.edge_count // group.order
+    yield "colliding", graph, group, Subgraph(collide)
+
+
+def test_build_witnesses_match_orbit_path():
+    outcomes = []
+    for label, graph, group, base in precondition_cases():
+        expected = precondition_outcome(orbit_path_preconditions, graph, group, base)
+        got = precondition_outcome(build_orbit_decomposition, graph, group, base)
+        assert got == expected, label
+        outcomes.append(expected is None)
+    # one case builds, the others fail a precondition
+    assert outcomes.count(True) == 1
 
 
 def test_is_path_subgraph():

@@ -1,6 +1,9 @@
 """The integer edge action against the object-based oracles."""
 
 import tracemalloc
+from array import array
+
+import pytest
 
 from rookpaths.decompose import (
     K9_GENERATOR_CYCLES,
@@ -14,7 +17,7 @@ from rookpaths.decompose import (
     staircase_decomposition,
     verify_decomposition,
 )
-from rookpaths.grid import GridVertex, make_grid
+from rookpaths.grid import GridEdge, GridVertex, make_grid
 from rookpaths.groups import (
     EdgeAction,
     Permutation,
@@ -103,6 +106,14 @@ def corpus():
     column = Subgraph(tuple(e for e in grid3.edges() if e.u.col == e.v.col == 0))
     shifts3 = generate_group([row_shift(3, 3)])
     yield "row shift 3x3 column", grid3, shifts3, Decomposition((column,), shifts3, column)
+    # |G| blocks that partition the edges without being the base's images:
+    # row i with column i, where the row shift moves rows but fixes columns
+    crosses = tuple(
+        Subgraph(tuple(e for e in grid3.edges() if e.u.row == e.v.row == i or e.u.col == e.v.col == i))
+        for i in range(3)
+    )
+    yield "row shift 3x3 crosses", grid3, shifts3, Decomposition(crosses, shifts3, crosses[0])
+    yield "trivial 3x3 column base", grid3, trivial, Decomposition((whole,), trivial, column)
 
 
 def test_verifier_matches_object_oracle():
@@ -114,6 +125,28 @@ def test_verifier_matches_object_oracle():
         failing.update(flag for flag, ok in expected.items() if ok is False)
     # every flag fails somewhere in the corpus
     assert len(failing) == 6, failing
+
+
+def test_key_off_the_grid_lines_raises_like_an_outside_edge():
+    dec, _ = staircase_decomposition(5)
+    graph = make_grid(5, 5)
+    first = dec.blocks[0]
+    size = first.action.size
+    outside = GridEdge(GridVertex(0, 0), GridVertex(0, 5))
+    blocks = {
+        "edge outside": Subgraph((*first.edges[1:], outside)),
+        "key off every line": Subgraph.on_keys(first.action, array("q", sorted([*first.keys[1:], 6]))),
+        "key past the grid": Subgraph.on_keys(first.action, array("q", [*first.keys[1:], size * size])),
+    }
+    errors = {}
+    for label, block in blocks.items():
+        with pytest.raises(ValueError) as info:
+            verify_decomposition(graph, dec.group, replace_block(dec, 0, block))
+        errors[label] = info.value
+    assert {type(err) for err in errors.values()} == {ValueError}
+    assert str(errors["edge outside"]) == "(0,0)-(0,5) is not an edge of K_5 box K_5"
+    assert str(errors["key off every line"]) == "(0,0)-(1,1) is not an edge of K_5 box K_5"
+    assert str(errors["key past the grid"]) == "key 625 is not an edge of K_5 box K_5"
 
 
 def action_corpus():

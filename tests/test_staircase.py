@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rookpaths.grid import DimensionError, GridVertex, Step
-from rookpaths.groups import row_shift
+from rookpaths.decompose import Subgraph, build_orbit_decomposition
+from rookpaths.grid import DimensionError, GridVertex, Step, make_grid
+from rookpaths.groups import generate_group, row_shift
 from rookpaths.staircase import (
     ConstructionInvalid,
     Walk,
@@ -161,12 +162,15 @@ def test_walk_segment_and_reverse():
     assert sorted(map(str, rev.edges())) == sorted(map(str, w.edges()))
 
 
-def test_walk_transform_commutes_with_shift():
-    c = row_shift(5, 5)
+def test_transported_walk_commutes_with_shift():
+    group = generate_group([row_shift(5, 5)])
     w = walk_from_array((2, 3), staircase_array(5), 5, 5)
-    moved = w.transform(c)
-    assert moved.vertices == tuple(c(v) for v in w.vertices)
-    assert moved.steps == w.steps
+    dec = build_orbit_decomposition(make_grid(5, 5), group, Subgraph(w.edges(), walk=w))
+    assert len(dec.blocks) == group.order
+    for g, block in zip(group.elements, dec.blocks):
+        assert block.walk.vertices == tuple(g(v) for v in w.vertices)
+        assert block.walk.steps == w.steps
+        assert block.edges == Subgraph(block.walk.edges()).edges
 
 
 def test_staircase_is_path_for_primes():
