@@ -44,6 +44,7 @@ from .serialize import (
     decomposition_to_json,
     dot_for_blocks,
     dumps,
+    dumps_with_edges,
     export_dot,
     orbit_id_str,
     parse_decomposition,
@@ -56,9 +57,9 @@ EXIT_USAGE = 1
 EXIT_MATH = 2
 
 
-def _emit_decomposition(fmt: str, graph, dec, report) -> None:
+def _emit_decomposition(fmt: str, dec, report) -> None:
     if fmt == "json":
-        print(decomposition_to_json(graph, dec, report))
+        print(decomposition_to_json(dec.base.action.graph, dec, report))
     elif fmt == "dot":
         sys.stdout.write(export_dot(dec))
     else:
@@ -100,8 +101,7 @@ def cmd_generate(args) -> int:
     if isinstance(result, int):
         return result
     dec, report = result
-    graph = make_grid(args.n, args.n)
-    _emit_decomposition(args.format, graph, dec, report)
+    _emit_decomposition(args.format, dec, report)
     if not _verified(report):
         return EXIT_MATH
     print(f"n={args.n}: {len(dec.blocks)} blocks verified", file=sys.stderr)
@@ -195,12 +195,11 @@ def cmd_orbits(args) -> int:
 def cmd_examples(args) -> int:
     if args.name == "fig3":
         dec, report = staircase_decomposition(3)
-        graph = make_grid(3, 3)
     else:
         graph, group, base = k9_fixture() if args.name == "k9" else diagonal_fixture_n4()
         dec = build_orbit_decomposition(graph, group, base)
         report = verify_decomposition(graph, group, dec)
-    _emit_decomposition(args.format, graph, dec, report)
+    _emit_decomposition(args.format, dec, report)
     covered = sum(b.edge_count for b in dec.blocks)
     print(
         f"{args.name}: blocks={len(dec.blocks)} edges={covered} verified={report.all_ok}",
@@ -224,22 +223,18 @@ def cmd_split(args) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    graph = make_grid(args.n, args.n)
+    graph = dec.base.action.graph
     partition = partition_witnesses(graph, segments)
     paths_ok = all(is_path_subgraph(s) and s.edge_count == b for s in segments)
     if args.format == "json":
-        payload = {
+        summary = {
             "graph": {"kind": "grid", "n": args.n, "m": args.n},
             "edges_per_segment": b,
             "segment_count": len(segments),
             "is_partition": partition.ok,
             "segments_are_paths": paths_ok,
-            "segments": [
-                {"edges": [[[e.u.row, e.u.col], [e.v.row, e.v.col]] for e in s.edges]}
-                for s in segments
-            ],
         }
-        print(dumps(payload))
+        print(dumps_with_edges(summary, "segments", graph, segments))
     elif args.format == "dot":
         sys.stdout.write(dot_for_blocks(segments))
     else:

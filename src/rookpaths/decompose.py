@@ -12,9 +12,9 @@ through each element's vertex table and, when the images are |E|
 distinct edge keys, computes no orbits; otherwise the orbit checks run
 and name a witness.
 
-Blocks are ascending edge-key arrays on a groups.EdgeAction, and their
-edge objects are built only when Subgraph.edges is read (witnesses, edge
-text, DOT, split, isomorphism search).  verify_decomposition trusts
+Every Subgraph (base, block or split segment) is an ascending edge-key
+array on a groups.EdgeAction, and its edge objects are built only when
+Subgraph.edges is read (witnesses, edge text, DOT).  The verifier trusts
 nothing: it rebuilds the action from the vertex permutations and
 range-checks every key.  Blocks that partition E and are exactly the |G|
 distinct images of the base pass all six flags by the same bijection (a
@@ -123,40 +123,40 @@ class CompleteGraph:
 
 
 class Subgraph:
-    """An edge-induced subgraph: a sorted, duplicate-free set of edges.
+    """An edge-induced subgraph of ``action.graph``, stored as its edge keys.
 
-    ``Subgraph(edges)`` stores sorted edge objects.  Built and parsed
-    blocks come from ``on_keys`` and store only their ascending keys (an
-    array('q') on ``action``); ``edges`` builds their objects when read.
-    ``walk`` optionally records how the edge set was traced, so a block
-    that is the image of a walk can be split back into sub-paths.
+    ``keys`` is an ascending array('q') of keys on ``action`` (an
+    EdgeAction): the constructor sorts the keys it is given and rejects
+    an empty or repeated set, and range checks are the verifier's.
+    ``edges`` builds the edge objects when read.  ``walk`` optionally
+    records how the edge set was traced, so a block that is the image of
+    a walk can be split back into sub-paths.
     """
 
-    __slots__ = ("keys", "action", "walk", "_edges")
+    __slots__ = ("action", "keys", "walk")
 
-    def __init__(self, edges, walk: Walk | None = None):
-        ordered = tuple(sorted(edges))
+    def __init__(self, action: EdgeAction, keys, walk: Walk | None = None):
+        ordered = sorted(keys)
         if not ordered:
             raise ValueError("a subgraph needs at least one edge")
         for a, b in zip(ordered, ordered[1:]):
             if a == b:
-                raise ValueError(f"duplicate edge {a}")
-        self.keys, self.action, self.walk, self._edges = None, None, walk, ordered
+                raise ValueError(f"duplicate edge {action.edge(a)}")
+        self.action, self.keys, self.walk = action, array("q", ordered), walk
 
     @classmethod
-    def on_keys(cls, action: EdgeAction, keys: array, walk: Walk | None = None) -> Subgraph:
-        """The subgraph of ascending, distinct edge ``keys`` of ``action``, taken as given."""
-        sub = cls.__new__(cls)
-        sub.keys, sub.action, sub.walk, sub._edges = keys, action, walk, None
-        return sub
+    def of_edges(cls, graph, edges, walk: Walk | None = None) -> Subgraph:
+        """The subgraph of ``graph`` on edge objects; ValueError for an edge outside it."""
+        action = EdgeAction(graph)
+        return cls(action, action.keys(tuple(edges)), walk)
 
     @property
     def edges(self) -> tuple:
-        return self._edges if self.keys is None else self.action.edges(self.keys)
+        return self.action.edges(self.keys)
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges if self.keys is None else self.keys)
+        return len(self.keys)
 
     def __eq__(self, other):
         if not isinstance(other, Subgraph):
@@ -171,17 +171,21 @@ class Subgraph:
 
     def adjacency(self) -> dict:
         adj: dict = defaultdict(set)
-        for e in self.edges:
-            adj[e.u].add(e.v)
-            adj[e.v].add(e.u)
+        vertices, size = self.action.vertices, self.action.size
+        for k in self.keys:
+            u, v = vertices[k // size], vertices[k % size]
+            adj[u].add(v)
+            adj[v].add(u)
         return dict(adj)
 
 
-def _keys_on(action: EdgeAction, sub: Subgraph) -> array:
-    """``sub``'s ascending edge keys on ``action``; ValueError for an edge outside its graph."""
-    if sub.keys is not None and sub.action.graph == action.graph:
-        return sub.keys
-    return array("q", action.keys(sub.edges))
+def _keys_on(action: EdgeAction, sub: Subgraph) -> tuple:
+    """``sub``'s ascending edge keys on ``action``'s graph, and its edges outside that graph."""
+    if sub.action.graph == action.graph:
+        return sub.keys, []
+    pairs = [(action.key(e), e) for e in sub.edges]
+    keys = array("q", sorted(k for k, _ in pairs if k is not None))
+    return keys, [e for k, e in pairs if k is None]
 
 
 def _covers_once(action: EdgeAction, key_arrays) -> bool:
@@ -245,15 +249,11 @@ def orbit_transversal_check(sub: Subgraph, orbits: list[EdgeOrbit]) -> Transvers
     """
     if not orbits:
         return TransversalCheck(False, ())
-    key = orbits[0].action.key
+    keys, outside = _keys_on(orbits[0].action, sub)
     position = {k: pos for pos, orbit in enumerate(orbits) for k in orbit.keys}
-    positions = [position.get(key(e)) for e in sub.edges]
-    counts = [0] * len(orbits)
-    for pos in positions:
-        if pos is not None:
-            counts[pos] += 1
-    ok = None not in positions and all(c == 1 for c in counts)
-    return TransversalCheck(ok, tuple(counts))
+    hits = Counter(position.get(k) for k in keys)  # None counts keys in no orbit
+    counts = tuple(hits[pos] for pos in range(len(orbits)))
+    return TransversalCheck(not outside and None not in hits and set(counts) == {1}, counts)
 
 
 def build_orbit_decomposition(graph, group: FiniteGroup, base: Subgraph) -> Decomposition:
@@ -262,21 +262,19 @@ def build_orbit_decomposition(graph, group: FiniteGroup, base: Subgraph) -> Deco
     Images that are |E| distinct edge keys certify both hypotheses (see
     the module docstring).  Otherwise PreconditionFailed is raised when
     the action is not semiregular on edges or when ``base`` is not an
-    exact orbit transversal.  Blocks are deduplicated by edge set; the
-    verifier checks their count rather than assuming it.
+    exact orbit transversal.  Past those checks the images are |E|
+    distinct keys, so the |G| blocks are pairwise disjoint.
     """
     action = EdgeAction(graph, group)
-    try:
-        images = action.images(_keys_on(action, base))
-    except ValueError:  # a base edge outside the graph, which the transversal check names
-        images = []
-    if not _covers_once(action, images):
+    keys, stray = _keys_on(action, base)
+    # a base edge outside the graph is named by the transversal check
+    blocks = [] if stray else [Subgraph(action, action.image_keys(t, keys)) for t in action.tables]
+    if not _covers_once(action, [block.keys for block in blocks]):
         orbits = edge_orbits(graph, group)
         fixed = fixed_edge_witness(graph, group, orbits)
         if fixed is not None:
-            g, e = fixed
             raise PreconditionFailed(
-                f"group is not semiregular on edges: an element fixes {e}", witness=fixed
+                f"group is not semiregular on edges: an element fixes {fixed[1]}", witness=fixed
             )
         check = orbit_transversal_check(base, orbits)
         if not check.ok:
@@ -285,28 +283,19 @@ def build_orbit_decomposition(graph, group: FiniteGroup, base: Subgraph) -> Deco
                 f"base subgraph is not an orbit transversal: counts off in {len(bad)} orbits",
                 witness=(bad, check.counts),
             )
-    walk, walks = base.walk, [None] * len(images)
-    if walk is not None:
-        vertices = action.vertices
-        index = {v: i for i, v in enumerate(vertices)}
-        path = [index[v] for v in walk.vertices]
-        walks = [Walk(walk.n, walk.m, tuple([vertices[t[i]] for i in path])) for t in action.tables]
-    blocks: list[Subgraph] = []
-    seen: set = set()
-    for keys, image in zip(images, walks):
-        if (signature := keys.tobytes()) not in seen:
-            seen.add(signature)
-            blocks.append(Subgraph.on_keys(action, keys, image))
+    if (walk := base.walk) is not None:
+        vertices, path = action.vertices, action.walk_path(walk)
+        for t, block in zip(action.tables, blocks):
+            block.walk = Walk(walk.n, walk.m, tuple([vertices[t[i]] for i in path]))
     return Decomposition(tuple(blocks), group, base)
 
 
-def _component_shapes(sub: Subgraph) -> list[tuple[str, int]]:
-    """Sorted (kind, edge count) of the components of a graph of maximum degree <= 2.
+def _component_shapes(adj: dict) -> list[tuple[str, int]]:
+    """Sorted (kind, edge count) of the components of an adjacency of maximum degree <= 2.
 
     Each such component is a path (|V| = |E| + 1) or a cycle (|V| = |E|),
     so two of these graphs are isomorphic exactly when the lists agree.
     """
-    adj = sub.adjacency()
     unseen = set(adj)
     shapes = []
     while unseen:
@@ -325,7 +314,8 @@ def _component_shapes(sub: Subgraph) -> list[tuple[str, int]]:
 
 def is_path_subgraph(sub: Subgraph) -> bool:
     """Connected, max degree 2, exactly two degree-1 vertices, |V| = |E| + 1."""
-    return max(sub.degrees().values()) <= 2 and _component_shapes(sub) == [("path", sub.edge_count)]
+    adj = sub.adjacency()
+    return max(map(len, adj.values())) <= 2 and _component_shapes(adj) == [("path", len(sub.keys))]
 
 
 def subgraphs_isomorphic(a: Subgraph, b: Subgraph) -> bool:
@@ -341,17 +331,17 @@ def subgraphs_isomorphic(a: Subgraph, b: Subgraph) -> bool:
         return True
     if a.edge_count != b.edge_count:
         return False
-    deg_a, deg_b = a.degrees(), b.degrees()
+    adj_a, adj_b = a.adjacency(), b.adjacency()
+    deg_a = {v: len(ws) for v, ws in adj_a.items()}
+    deg_b = {v: len(ws) for v, ws in adj_b.items()}
     if len(deg_a) != len(deg_b):
         return False
     if sorted(deg_a.values()) != sorted(deg_b.values()):
         return False
     if max(deg_a.values()) <= 2:
-        return _component_shapes(a) == _component_shapes(b)
+        return _component_shapes(adj_a) == _component_shapes(adj_b)
     if len(deg_a) > ISO_VERTEX_CAP:
         raise IsomorphismCapExceeded(f"isomorphism search capped at {ISO_VERTEX_CAP} vertices")
-    adj_a, adj_b = a.adjacency(), b.adjacency()
-    edge_set_b = {frozenset((e.u, e.v)) for e in b.edges}
     verts_b = sorted(deg_b)
 
     # visit a's vertices so each one touches an already-placed vertex when possible
@@ -377,7 +367,7 @@ def subgraphs_isomorphic(a: Subgraph, b: Subgraph) -> bool:
         for x in verts_b:
             if x in used or deg_b[x] != deg_a[v]:
                 continue
-            if any(frozenset((assign[w], x)) not in edge_set_b for w in anchors):
+            if any(x not in adj_b[assign[w]] for w in anchors):
                 continue
             assign[v] = x
             used.add(x)
@@ -421,9 +411,9 @@ def _partition_check(action: EdgeAction, block_keys: list, foreign: list) -> Par
 def partition_witnesses(graph, blocks: Iterable[Subgraph]) -> PartitionCheck:
     """Do the blocks cover every edge exactly once?  Witnesses either way."""
     action = EdgeAction(graph)
-    pairs = [(action.key(e), e) for b in blocks for e in b.edges]
-    keys = [k for k, _ in pairs if k is not None]
-    return _partition_check(action, [keys], [e for k, e in pairs if k is None])
+    keyed = [_keys_on(action, block) for block in blocks]
+    foreign = [e for _, outside in keyed for e in outside]
+    return _partition_check(action, [keys for keys, _ in keyed], foreign)
 
 
 def _signature(keys) -> bytes:
@@ -446,14 +436,21 @@ def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> Verif
     """
     action = EdgeAction(graph, group)
     witnesses: dict = {}
-    block_keys = [_keys_on(action, b) for b in dec.blocks]
+
+    def keys_of(sub: Subgraph) -> array:
+        keys, outside = _keys_on(action, sub)
+        if outside:
+            raise ValueError(f"{outside[0]} is not an edge of {graph}")
+        return keys
+
+    block_keys = [keys_of(b) for b in dec.blocks]
     covered = _covers_once(action, block_keys)
     if not covered:
         for keys in block_keys:
             action.check_keys(keys)
-    base_keys = _keys_on(action, dec.base)
+    base_keys = keys_of(dec.base)
     action.check_keys(base_keys)
-    images = [keys.tobytes() for keys in action.images(base_keys)]
+    images = [_signature(action.image_keys(t, base_keys)) for t in action.tables]
     certified = set(images)
     signatures = [keys.tobytes() for keys in block_keys]
     exact = len(signatures) == len(certified) == group.order and certified.issuperset(signatures)
@@ -534,7 +531,8 @@ def staircase_decomposition(n: int, force: bool = False):
     walk = build_staircase_path(n)
     graph = make_grid(n, n)
     group = generate_group([row_shift(n, n)])
-    base = Subgraph(walk.edges(), walk=walk)
+    action = EdgeAction(graph)
+    base = Subgraph(action, action.walk_keys(walk), walk)
     dec = build_orbit_decomposition(graph, group, base)
     report = verify_decomposition(graph, group, dec)
     return dec, report
@@ -561,8 +559,9 @@ def haggkvist_split(path: Walk, b: int) -> list[Subgraph]:
         raise ValueError(f"segment size must be positive, got {b}")
     if path.length % b != 0:
         raise ValueError(f"segment size {b} does not divide path length {path.length}")
-    segments = [path.segment(i, i + b) for i in range(0, path.length, b)]
-    return [Subgraph(seg.edges(), walk=seg) for seg in segments]
+    action = EdgeAction(make_grid(path.n, path.m))
+    keys, starts = action.walk_keys(path), range(0, path.length, b)
+    return [Subgraph(action, keys[i : i + b], path.segment(i, i + b)) for i in starts]
 
 
 K9_TRIANGLES = ((1, 4, 5), (2, 6, 8), (3, 7, 9), (5, 6, 7))
@@ -585,8 +584,7 @@ def k9_fixture() -> tuple:
     for tri in K9_TRIANGLES:
         a, b, c = tri
         edges.extend([LabelEdge(a, b), LabelEdge(b, c), LabelEdge(a, c)])
-    base = Subgraph(edges)
-    return graph, group, base
+    return graph, group, Subgraph.of_edges(graph, edges)
 
 
 DIAG4_STEPS = (
@@ -607,5 +605,5 @@ def diagonal_fixture_n4() -> tuple:
     graph = make_grid(4, 4)
     group = generate_group([diagonal_shift(4)])
     walk = walk_from_array((0, 0), [Step(a, b) for a, b in DIAG4_STEPS], 4, 4)
-    base = Subgraph(walk.edges(), walk=walk)
-    return graph, group, base
+    action = EdgeAction(graph)
+    return graph, group, Subgraph(action, action.walk_keys(walk), walk)

@@ -4,10 +4,10 @@ A permutation is a table of indices into its sorted vertex list, which
 a generated group's elements share, so the closure composes tuples of
 ints.  EdgeAction carries the action to integer edge keys (vertex i is
 row * m + col on a grid, label - 1 on K_n; edge i < j is i * |V| + j),
-the form blocks are stored in (decompose.Subgraph): transport, the
-verifier and JSON output read keys, and edge objects are built only
-when read.  EdgeAction.images transports a key array through every
-element; |E| distinct images of a base certify semiregularity and the
+the one form every decompose.Subgraph is stored in (walk_keys keys a
+walk, keys() a list of edge objects); edge objects are built back only
+when read.  EdgeAction.image_keys transports a key array through
+an element; |E| distinct images of a base certify semiregularity and the
 transversal at once (see decompose).  Otherwise semiregularity is read
 off the orbit sizes by orbit-stabilizer (|orbit| * |stabilizer| = |G|),
 and only edges of orbits shorter than |G| are searched for a fixing
@@ -17,7 +17,6 @@ a grid, vertex i lies in row i // m and column i % m.
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
@@ -293,9 +292,15 @@ class EdgeAction:
             for a, b in ((table[k // size], table[k % size]) for k in keys)
         ]
 
-    def images(self, keys) -> list[array]:
-        """The image of ``keys`` under every element, in group order, each an ascending array."""
-        return [array("q", sorted(self.image_keys(t, keys))) for t in self.tables]
+    def walk_path(self, walk) -> list[int]:
+        """The vertex indices of a walk on this grid, in walk order."""
+        m = self._grid[1]
+        return [v.row * m + v.col for v in walk.vertices]
+
+    def walk_keys(self, walk) -> list[int]:
+        """Keys of a walk's edges, in walk order; an edge walked twice appears twice."""
+        path, size = self.walk_path(walk), self.size
+        return [i * size + j if i < j else j * size + i for i, j in zip(path, path[1:])]
 
     def all_keys(self) -> Iterator[int]:
         """Every edge key of the graph, ascending: for each i, the rest of its row, then column."""

@@ -4,23 +4,24 @@ The JSON layout is fixed: top-level keys graph, group, base, blocks,
 report in that order, edge arrays sorted canonically, vertices written
 as [row, col] pairs on grids and bare integer labels on complete
 graphs.  Identical inputs always serialize to identical bytes, so
-outputs can be diffed and used as golden files.  Blocks are written
-straight from their key arrays through a per-vertex string table; only
-edge text, DOT and witnesses build edge objects.
+outputs can be diffed and used as golden files.  Blocks and split
+segments are written straight from their key arrays through a
+per-vertex string table; only edge text, DOT and witnesses build edge
+objects.
 
 Parsing is strict and reports the JSON path of the first offending
 element in document order, e.g. "$.blocks[2].edges[0]".  It reads the
 input straight onto the integer representation of groups.EdgeAction:
 a vertex becomes its index (row * m + col on a grid, label - 1 on a
 complete graph) and an edge its key, adjacency is checked on the
-indices, and each block's sorted, duplicate-free keys become its key
-array.  Error text is formatted only for an element that fails a check.
+indices, and each block's keys, or the base walk's, become a Subgraph,
+which rejects a repeated edge.  Error text is formatted only for an
+element that fails a check.
 """
 
 from __future__ import annotations
 
 import json
-from array import array
 from typing import Iterable, Sequence
 
 from .decompose import (
@@ -152,22 +153,21 @@ def decomposition_to_json_dict(graph, dec: Decomposition, report: VerificationRe
     }
 
 
+def dumps_with_edges(fields: dict, name: str, graph, subgraphs: Sequence[Subgraph]) -> str:
+    """dumps(fields) with member ``name`` the subgraphs' edge lists, each large text copied once."""
+    vertex_texts = [dumps(_vertex_json(v)) for v in graph.vertices()]
+    size = len(vertex_texts)
+    lows, highs = [f"[{t}," for t in vertex_texts], [f"{t}]" for t in vertex_texts]
+    joined = (",".join([lows[k // size] + highs[k % size] for k in s.keys]) for s in subgraphs)
+    texts = {key: dumps(value) for key, value in fields.items()}
+    texts[name] = "[%s]" % ",".join([f'{{"edges":[{edges}]}}' for edges in joined])
+    return "{" + ",".join(f'"{key}":{text}' for key, text in texts.items()) + "}"
+
+
 def decomposition_to_json(graph, dec: Decomposition, report: VerificationReport) -> str:
     """The text of decomposition_to_json_dict, with the blocks written from their keys."""
     head = decomposition_to_json_dict(graph, Decomposition((), dec.group, dec.base), report)
-    fields = {key: dumps(value) for key, value in head.items()}
-    texts = [dumps(_vertex_json(v)) for v in graph.vertices()]
-    size = len(texts)
-    lows, highs = [f"[{t}," for t in texts], [f"{t}]" for t in texts]
-    blocks = []
-    for b in dec.blocks:
-        if b.keys is not None and b.action.graph == graph:
-            edges = ",".join([lows[k // size] + highs[k % size] for k in b.keys])
-            blocks.append(f'{{"edges":[{edges}]}}')
-        else:
-            blocks.append(dumps({"edges": [_edge_json(e) for e in b.edges]}))
-    fields["blocks"] = f"[{','.join(blocks)}]"
-    return "{" + ",".join(f'"{key}":{text}' for key, text in fields.items()) + "}"
+    return dumps_with_edges(head, "blocks", graph, dec.blocks)
 
 
 def orbit_id_str(oid: tuple) -> str:
@@ -301,11 +301,10 @@ def _edge_keys(action: EdgeAction, value, path: str) -> list[int]:
 
 def _subgraph(action: EdgeAction, keys: list[int], path: str, walk=None) -> Subgraph:
     """The Subgraph on ``keys``; SchemaError at ``path`` for the least duplicated edge."""
-    keys.sort()
-    for a, b in zip(keys, keys[1:]):
-        if a == b:
-            raise SchemaError(path, f"duplicate edge {action.edge(a)}")
-    return Subgraph.on_keys(action, array("q", keys), walk)
+    try:
+        return Subgraph(action, keys, walk)
+    except ValueError as err:
+        raise SchemaError(path, str(err)) from None
 
 
 def _parse_step(value, path: str) -> Step:
@@ -395,10 +394,7 @@ def _parse_base(action: EdgeAction, obj, path: str) -> Subgraph:
         except ValueError as err:
             raise SchemaError(f"{path}.steps", str(err)) from None
         # consecutive walk vertices are distinct and share a line, so each pair is an edge
-        size = action.size
-        index = [v.row * graph.m + v.col for v in walk.vertices]
-        keys = [i * size + j if i < j else j * size + i for i, j in zip(index, index[1:])]
-        return _subgraph(action, keys, f"{path}.steps", walk)
+        return _subgraph(action, action.walk_keys(walk), f"{path}.steps", walk)
     if "edges" in obj:
         path = f"{path}.edges"
         return _subgraph(action, _edge_keys(action, obj["edges"], path), path)
@@ -434,6 +430,9 @@ def parse_decomposition(data) -> tuple:
     action = EdgeAction(graph)
     group = _parse_group(action, _get(data, "group", "$"), "$.group")
     base = _parse_base(action, _get(data, "base", "$"), "$.base")
+    images = group.order * base.edge_count  # the verifier's first work; |E| in a valid file
+    if images > MAX_EDGES:
+        raise SchemaError("$.base", f"{images} base edge images, more than the cap of {MAX_EDGES}")
     raw_blocks = _get(data, "blocks", "$")
     _expect(isinstance(raw_blocks, list) and raw_blocks, "$.blocks", "expected a non-empty list")
     blocks = []

@@ -5,8 +5,9 @@ library's edge objects, on purpose: the point is an independent route to
 the same answers, not a fast one.  The object-based verifier, parser and
 automorphism scan below are the library's own before they moved onto the
 integer edge action; the quadratic orbit-conflict scan is the library's
-before it became one pass, and the orbit-path precondition checks are the
-builder's before the bijection test decided the common case.
+before it became one pass, the orbit-path precondition checks are the
+builder's before the bijection test decided the common case, and
+walk_edge_set is how a walk became a base before walks were keyed.
 """
 
 from __future__ import annotations
@@ -319,6 +320,20 @@ def walk_edge_orbits_distinct(start, steps, n, m):
     return len(set(ids)) == len(ids)
 
 
+def walk_edge_set(walk) -> list:
+    """A walk's edges, sorted, or the ValueError a walk that repeats an edge raised.
+
+    This is the edge-object path bases were built on before walks were
+    keyed: sort the walk's edge objects and name the least one that
+    occurs twice, as ``duplicate edge (a,b)-(c,d)``.
+    """
+    edges = sorted(walk.edges())
+    for a, b in zip(edges, edges[1:]):
+        if a == b:
+            raise ValueError(f"duplicate edge {a}")
+    return edges
+
+
 def path_edge_set(edges):
     """True iff `edges` (iterable of frozenset pairs) forms a simple path."""
     edges = list(edges)
@@ -570,7 +585,7 @@ def _parse_base(graph, obj, path: str) -> Subgraph:
             walk = walk_from_array(start, steps, graph.n, graph.m)
         except ValueError as err:
             raise SchemaError(f"{path}.steps", str(err)) from None
-        return Subgraph(tuple(sorted(walk.edges())), walk=walk)
+        return Subgraph.of_edges(graph, walk.edges(), walk)
     if "edges" in obj:
         return _parse_subgraph_edges(graph, obj["edges"], f"{path}.edges")
     raise SchemaError(path, "base needs either start+steps or edges")
@@ -580,7 +595,7 @@ def _parse_subgraph_edges(graph, value, path: str) -> Subgraph:
     _expect(isinstance(value, list) and value, path, "expected a non-empty edge list")
     edges = [_parse_edge(graph, e, f"{path}[{i}]") for i, e in enumerate(value)]
     try:
-        return Subgraph(tuple(edges))
+        return Subgraph.of_edges(graph, edges)
     except ValueError as err:
         raise SchemaError(path, str(err)) from None
 

@@ -167,7 +167,7 @@ def test_criterion_6_k9_fixture():
                                 seen.add(tri)
                                 a, b, c = sorted(tri)
                                 triangles.append(
-                                    Subgraph((k9.edge(a, b), k9.edge(b, c), k9.edge(a, c)))
+                                    Subgraph.of_edges(k9, (k9.edge(a, b), k9.edge(b, c), k9.edge(a, c)))
                                 )
         assert len(triangles) == 12
         check = partition_witnesses(graph, triangles)

@@ -265,6 +265,33 @@ def test_verify_rejects_huge_grid_quickly(tmp_path, capsys):
     assert "$.graph" in err
 
 
+def test_verify_caps_the_base_images(tmp_path, capsys):
+    # K_300 under a 251-cycle passes the vertex, edge and |G|*|V| caps, but the
+    # verifier would image the 44,850-edge base under all 251 elements
+    n, order = 300, 251
+    edges = [[a, b] for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    cycle = [[v, v % order + 1] if v <= order else [v, v] for v in range(1, n + 1)]
+    payload = {
+        "graph": {"kind": "complete", "n": n},
+        "group": {
+            "kind": "explicit",
+            "order": order,
+            "generators": [{"kind": "explicit", "map": cycle}],
+        },
+        "base": {"edges": edges},
+        "blocks": [{"edges": edges}],
+        "report": report_flags(),
+    }
+    path = tmp_path / "k300.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert time.perf_counter() - started < 1.0
+    assert code == 1
+    assert out == ""
+    assert err == "error: $.base: 11257350 base edge images, more than the cap of 2500000\n"
+
+
 def test_verify_rejects_wrong_declared_order(tmp_path, capsys):
     _, out, _ = run(capsys, "generate", "--n", "5")
     data = json.loads(out)

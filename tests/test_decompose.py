@@ -36,7 +36,7 @@ from oracles import orbit_path_preconditions, path_edge_set
 
 
 def grid_subgraph(g, pairs):
-    return Subgraph(tuple(g.edge(GridVertex(*a), GridVertex(*b)) for a, b in pairs))
+    return Subgraph.of_edges(g, [g.edge(GridVertex(*a), GridVertex(*b)) for a, b in pairs])
 
 
 def test_complete_graph_basics():
@@ -60,10 +60,10 @@ def test_label_edge_canonical():
 def test_subgraph_validation():
     k4 = CompleteGraph(4)
     with pytest.raises(ValueError):
-        Subgraph(())
+        Subgraph.of_edges(k4, ())
     with pytest.raises(ValueError):
-        Subgraph((k4.edge(1, 2), k4.edge(2, 1)))
-    sub = Subgraph((k4.edge(1, 2), k4.edge(2, 3)))
+        Subgraph.of_edges(k4, (k4.edge(1, 2), k4.edge(2, 1)))
+    sub = Subgraph.of_edges(k4, (k4.edge(1, 2), k4.edge(2, 3)))
     assert sub.edge_count == 2
     assert sub.vertex_set() == {1, 2, 3}
     assert sub.degrees()[2] == 2
@@ -80,7 +80,7 @@ def test_orbit_transversal_check():
     good = orbit_transversal_check(base, orbits)
     assert good.ok
     assert set(good.counts) == {1}
-    missing = Subgraph(base.edges[:11])
+    missing = Subgraph.of_edges(graph, base.edges[:11])
     bad = orbit_transversal_check(missing, orbits)
     assert not bad.ok
     assert 0 in bad.counts
@@ -107,7 +107,7 @@ def test_build_orbit_decomposition_n3():
     g = make_grid(3, 3)
     group = generate_group([row_shift(3, 3)])
     walk = walk_from_array((0, 0), [(0, 1), (1, 0), (0, 1), (1, 0), (0, 1), (2, 0)], 3, 3)
-    base = Subgraph(tuple(sorted(walk.edges())), walk=walk)
+    base = Subgraph.of_edges(g, walk.edges(), walk)
     dec = build_orbit_decomposition(g, group, base)
     assert len(dec.blocks) == 3
     assert all(b.edge_count == 6 for b in dec.blocks)
@@ -153,20 +153,20 @@ def precondition_cases():
     """(label, graph, group, base) triples on both sides of the bijection test."""
     for n, m in ((2, 3), (4, 4)):
         graph = make_grid(n, m)
-        base = Subgraph(list(graph.edges())[: graph.edge_count // n])
+        base = Subgraph.of_edges(graph, list(graph.edges())[: graph.edge_count // n])
         yield f"row shift {n}x{m}", graph, generate_group([row_shift(n, m)]), base
     graph = make_grid(5, 5)
     group = generate_group([row_shift(5, 5)])
     walk = walk_from_array((0, 0), staircase_array(5), 5, 5)
     edges = walk.edges()
     shift = group.elements[1]
-    yield "staircase 5", graph, group, Subgraph(edges, walk=walk)
-    yield "one edge", graph, group, Subgraph(edges[:1])
-    yield "doubled", graph, group, Subgraph(edges + [graph.edge(shift(e.u), shift(e.v)) for e in edges])
+    yield "staircase 5", graph, group, Subgraph.of_edges(graph, edges, walk)
+    yield "one edge", graph, group, Subgraph.of_edges(graph, edges[:1])
+    yield "doubled", graph, group, Subgraph.of_edges(graph, edges + [graph.edge(shift(e.u), shift(e.v)) for e in edges])
     # |E|/|G| edges, but the last one is the row shift of the first: two edges in one orbit
     collide = edges[:-1] + [graph.edge(shift(edges[0].u), shift(edges[0].v))]
     assert len(set(collide)) == graph.edge_count // group.order
-    yield "colliding", graph, group, Subgraph(collide)
+    yield "colliding", graph, group, Subgraph.of_edges(graph, collide)
 
 
 def test_build_witnesses_match_orbit_path():
@@ -185,12 +185,12 @@ def test_is_path_subgraph():
     path = grid_subgraph(g, [((0, 0), (0, 1)), ((0, 1), (0, 2))])
     assert is_path_subgraph(path)
     k3 = CompleteGraph(3)
-    triangle = Subgraph(tuple(k3.edges()))
+    triangle = Subgraph.of_edges(k3, k3.edges())
     assert not is_path_subgraph(triangle)
     k5 = CompleteGraph(5)
-    star = Subgraph((k5.edge(1, 2), k5.edge(1, 3), k5.edge(1, 4)))
+    star = Subgraph.of_edges(k5, (k5.edge(1, 2), k5.edge(1, 3), k5.edge(1, 4)))
     assert not is_path_subgraph(star)
-    split = Subgraph((k5.edge(1, 2), k5.edge(3, 4)))
+    split = Subgraph.of_edges(k5, (k5.edge(1, 2), k5.edge(3, 4)))
     assert not is_path_subgraph(split)
 
 
@@ -204,7 +204,7 @@ def test_is_path_subgraph_matches_oracle():
         (k5.edge(1, 2), k5.edge(3, 4), k5.edge(4, 5)),
     ]
     for edges in cases:
-        sub = Subgraph(edges)
+        sub = Subgraph.of_edges(k5, edges)
         assert is_path_subgraph(sub) == path_edge_set(
             frozenset({e.u, e.v}) for e in edges
         )
@@ -212,21 +212,21 @@ def test_is_path_subgraph_matches_oracle():
 
 def test_subgraphs_isomorphic():
     k9 = CompleteGraph(9)
-    t1 = Subgraph((k9.edge(1, 4), k9.edge(4, 5), k9.edge(1, 5)))
-    t2 = Subgraph((k9.edge(2, 6), k9.edge(6, 8), k9.edge(2, 8)))
-    p3 = Subgraph((k9.edge(1, 2), k9.edge(2, 3), k9.edge(3, 4)))
-    star = Subgraph((k9.edge(1, 2), k9.edge(1, 3), k9.edge(1, 4)))
+    t1 = Subgraph.of_edges(k9, (k9.edge(1, 4), k9.edge(4, 5), k9.edge(1, 5)))
+    t2 = Subgraph.of_edges(k9, (k9.edge(2, 6), k9.edge(6, 8), k9.edge(2, 8)))
+    p3 = Subgraph.of_edges(k9, (k9.edge(1, 2), k9.edge(2, 3), k9.edge(3, 4)))
+    star = Subgraph.of_edges(k9, (k9.edge(1, 2), k9.edge(1, 3), k9.edge(1, 4)))
     assert subgraphs_isomorphic(t1, t2)
     assert not subgraphs_isomorphic(t1, p3)
     assert not subgraphs_isomorphic(p3, star)
-    assert subgraphs_isomorphic(p3, Subgraph((k9.edge(5, 9), k9.edge(7, 9), k9.edge(5, 2))))
+    assert subgraphs_isomorphic(p3, Subgraph.of_edges(k9, (k9.edge(5, 9), k9.edge(7, 9), k9.edge(5, 2))))
 
 
 def test_subgraphs_isomorphic_mixed_graphs():
     g = make_grid(3, 3)
     grid_path = grid_subgraph(g, [((0, 0), (0, 1)), ((0, 1), (1, 1))])
     k4 = CompleteGraph(4)
-    label_path = Subgraph((k4.edge(1, 2), k4.edge(2, 3)))
+    label_path = Subgraph.of_edges(k4, (k4.edge(1, 2), k4.edge(2, 3)))
     assert subgraphs_isomorphic(grid_path, label_path)
 
 
@@ -241,16 +241,16 @@ def test_subgraphs_isomorphic_cap():
         ]
     # chaining the triangles gives degree-3 vertices, so only the search decides
     chain = triangles + [k18.edge(base + 2, base + 3) for base in range(1, 15, 3)]
-    blob = Subgraph(tuple(chain))
+    blob = Subgraph.of_edges(k18, chain)
     # a relabelled copy, so the equal-edge-set shortcut does not apply
-    shifted = Subgraph(tuple(k18.edge(e.u % 18 + 1, e.v % 18 + 1) for e in chain))
+    shifted = Subgraph.of_edges(k18, [k18.edge(e.u % 18 + 1, e.v % 18 + 1) for e in chain])
     assert shifted.edges != blob.edges
     with pytest.raises(IsomorphismCapExceeded):
         subgraphs_isomorphic(blob, shifted)
     assert subgraphs_isomorphic(blob, blob)
     # six disjoint triangles have maximum degree 2: decided exactly, whatever the size
-    loose = Subgraph(tuple(triangles))
-    assert subgraphs_isomorphic(loose, Subgraph(tuple(k18.edge(e.u % 18 + 1, e.v % 18 + 1) for e in triangles)))
+    loose = Subgraph.of_edges(k18, triangles)
+    assert subgraphs_isomorphic(loose, Subgraph.of_edges(k18, [k18.edge(e.u % 18 + 1, e.v % 18 + 1) for e in triangles]))
 
 
 def test_partition_witnesses():
@@ -263,7 +263,7 @@ def test_partition_witnesses():
     edges0 = list(blocks[0].edges)
     moved = edges0[0]
     edges0[0] = blocks[1].edges[0]
-    blocks[0] = Subgraph(tuple(edges0))
+    blocks[0] = Subgraph.of_edges(g, edges0)
     mutated = partition_witnesses(g, blocks)
     assert not mutated.ok
     assert blocks[1].edges[0] in mutated.duplicated
@@ -292,7 +292,7 @@ def test_verify_catches_moved_edge():
     blocks = list(dec.blocks)
     edges0 = list(blocks[0].edges)
     edges0[0] = blocks[1].edges[0]
-    blocks[0] = Subgraph(tuple(edges0))
+    blocks[0] = Subgraph.of_edges(g, edges0)
     group = dec.group
     broken = Decomposition(blocks=tuple(blocks), group=group, base=blocks[0])
     rep = verify_decomposition(g, group, broken)
@@ -355,7 +355,7 @@ def test_k9_triangle_refinement():
                             seen.add(tri)
                             a, b, c = sorted(tri)
                             triangles.append(
-                                Subgraph((k9.edge(a, b), k9.edge(b, c), k9.edge(a, c)))
+                                Subgraph.of_edges(k9, (k9.edge(a, b), k9.edge(b, c), k9.edge(a, c)))
                             )
     assert len(triangles) == 12
     check = partition_witnesses(graph, triangles)
@@ -381,7 +381,7 @@ def test_gallai_check():
     # 26 blocks on 49 vertices violates 2*blocks <= vertices + 1
     g7 = make_grid(7, 7)
     edges = list(g7.edges())[:26]
-    blocks = tuple(Subgraph((e,)) for e in edges)
+    blocks = tuple(Subgraph.of_edges(g7, (e,)) for e in edges)
     fake = Decomposition(blocks=blocks, group=generate_group([row_shift(7, 7)]), base=blocks[0])
     assert not gallai_check(g7, fake)
 

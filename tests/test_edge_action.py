@@ -1,7 +1,6 @@
 """The integer edge action against the object-based oracles."""
 
 import tracemalloc
-from array import array
 
 import pytest
 
@@ -41,18 +40,19 @@ def replace_block(dec, idx, block):
 def tampered(label, dec):
     """A valid decomposition and four ways of breaking it."""
     blocks = dec.blocks
+    graph = blocks[0].action.graph
     moved = list(blocks[0].edges)
     moved[0] = blocks[1].edges[0]
     yield f"{label} valid", dec
-    yield f"{label} moved edge", replace_block(dec, 0, Subgraph(tuple(moved)))
-    yield f"{label} dropped edge", replace_block(dec, 0, Subgraph(blocks[0].edges[1:]))
+    yield f"{label} moved edge", replace_block(dec, 0, Subgraph.of_edges(graph, moved))
+    yield f"{label} dropped edge", replace_block(dec, 0, Subgraph.of_edges(graph, blocks[0].edges[1:]))
     yield f"{label} dropped block", Decomposition(blocks[1:], dec.group, dec.base)
     yield f"{label} rotated blocks", Decomposition(blocks[1:] + blocks[:1], dec.group, dec.base)
 
 
 def relabelled(block, graph, f):
     """The image of a block under a vertex map outside the acting group."""
-    return Subgraph(tuple(graph.edge(f(e.u), f(e.v)) for e in block.edges))
+    return Subgraph.of_edges(graph, [graph.edge(f(e.u), f(e.v)) for e in block.edges])
 
 
 def corpus():
@@ -65,7 +65,7 @@ def corpus():
         if n > 3:
             # defect 3: a base that is no block, since (2,3) is not a row shift of (0,0)
             walk = walk_from_array((2, 3), staircase_array(n), n, n)
-            shifted = Subgraph(tuple(sorted(walk.edges())), walk=walk)
+            shifted = Subgraph.of_edges(graph, walk.edges(), walk)
             yield f"staircase {n} base at (2,3)", graph, dec.group, Decomposition(
                 dec.blocks, dec.group, shifted
             )
@@ -84,32 +84,32 @@ def corpus():
     )
     grid3 = make_grid(3, 3)
     trivial = generate_group([Permutation({v: v for v in grid3.vertices()})])
-    whole = Subgraph(tuple(grid3.edges()))
+    whole = Subgraph.of_edges(grid3, grid3.edges())
     yield "trivial 3x3", grid3, trivial, Decomposition((whole,), trivial, whole)
     k20 = CompleteGraph(20)
-    cycle = Subgraph(tuple(LabelEdge(v, v % 20 + 1) for v in range(1, 21)))
+    cycle = Subgraph.of_edges(k20, [LabelEdge(v, v % 20 + 1) for v in range(1, 21)])
     order = list(range(1, 20, 2)) + list(range(2, 21, 2))
-    other = Subgraph(tuple(LabelEdge(a, b) for a, b in zip(order, order[1:] + order[:1])))
+    other = Subgraph.of_edges(k20, [LabelEdge(a, b) for a, b in zip(order, order[1:] + order[:1])])
     trivial20 = generate_group([Permutation({v: v for v in k20.vertices()})])
     yield "trivial K_20 two cycles", k20, trivial20, Decomposition((other,), trivial20, cycle)
     # the row shift of even order fixes vertical edges at distance 2
     grid4 = make_grid(4, 4)
     shifts = generate_group([row_shift(4, 4)])
     corner = GridVertex(0, 0)
-    base = Subgraph(
-        (grid4.edge(corner, GridVertex(0, 1)), grid4.edge(corner, GridVertex(2, 0)))
+    base = Subgraph.of_edges(
+        grid4, (grid4.edge(corner, GridVertex(0, 1)), grid4.edge(corner, GridVertex(2, 0)))
     )
     images = {tuple(sorted(edge_image(g, grid4, e) for e in base.edges)) for g in shifts.elements}
-    blocks = tuple(Subgraph(edges) for edges in sorted(images))
+    blocks = tuple(Subgraph.of_edges(grid4, edges) for edges in sorted(images))
     yield "row shift 4x4", grid4, shifts, Decomposition(blocks, shifts, base)
     # a column triangle is its own image under every row shift
-    column = Subgraph(tuple(e for e in grid3.edges() if e.u.col == e.v.col == 0))
+    column = Subgraph.of_edges(grid3, [e for e in grid3.edges() if e.u.col == e.v.col == 0])
     shifts3 = generate_group([row_shift(3, 3)])
     yield "row shift 3x3 column", grid3, shifts3, Decomposition((column,), shifts3, column)
     # |G| blocks that partition the edges without being the base's images:
     # row i with column i, where the row shift moves rows but fixes columns
     crosses = tuple(
-        Subgraph(tuple(e for e in grid3.edges() if e.u.row == e.v.row == i or e.u.col == e.v.col == i))
+        Subgraph.of_edges(grid3, [e for e in grid3.edges() if e.u.row == e.v.row == i or e.u.col == e.v.col == i])
         for i in range(3)
     )
     yield "row shift 3x3 crosses", grid3, shifts3, Decomposition(crosses, shifts3, crosses[0])
@@ -134,9 +134,9 @@ def test_key_off_the_grid_lines_raises_like_an_outside_edge():
     size = first.action.size
     outside = GridEdge(GridVertex(0, 0), GridVertex(0, 5))
     blocks = {
-        "edge outside": Subgraph((*first.edges[1:], outside)),
-        "key off every line": Subgraph.on_keys(first.action, array("q", sorted([*first.keys[1:], 6]))),
-        "key past the grid": Subgraph.on_keys(first.action, array("q", [*first.keys[1:], size * size])),
+        "edge outside": Subgraph.of_edges(make_grid(5, 6), (*first.edges[1:], outside)),
+        "key off every line": Subgraph(first.action, [*first.keys[1:], 6]),
+        "key past the grid": Subgraph(first.action, [*first.keys[1:], size * size]),
     }
     errors = {}
     for label, block in blocks.items():

@@ -236,7 +236,7 @@ def test_fixed_edge_witness_matches_exhaustive_scan():
 def test_build_rejects_non_semiregular_with_scan_witness():
     g = make_grid(4, 4)
     group = generate_group([row_shift(4, 4)])
-    base = Subgraph((g.edge(GridVertex(0, 0), GridVertex(0, 1)),))
+    base = Subgraph.of_edges(g, (g.edge(GridVertex(0, 0), GridVertex(0, 1)),))
     with pytest.raises(PreconditionFailed) as info:
         build_orbit_decomposition(g, group, base)
     expected = brute_fixed_edge_witness(g, group)

@@ -165,12 +165,13 @@ def test_walk_segment_and_reverse():
 def test_transported_walk_commutes_with_shift():
     group = generate_group([row_shift(5, 5)])
     w = walk_from_array((2, 3), staircase_array(5), 5, 5)
-    dec = build_orbit_decomposition(make_grid(5, 5), group, Subgraph(w.edges(), walk=w))
+    graph = make_grid(5, 5)
+    dec = build_orbit_decomposition(graph, group, Subgraph.of_edges(graph, w.edges(), w))
     assert len(dec.blocks) == group.order
     for g, block in zip(group.elements, dec.blocks):
         assert block.walk.vertices == tuple(g(v) for v in w.vertices)
         assert block.walk.steps == w.steps
-        assert block.edges == Subgraph(block.walk.edges()).edges
+        assert block.edges == Subgraph.of_edges(graph, block.walk.edges()).edges
 
 
 def test_staircase_is_path_for_primes():

@@ -5,7 +5,7 @@ tree and times each stage once through the library API:
 
   walk          build_staircase_path(n)
   group         generate_group([row_shift(n, n)])
-  build         build_orbit_decomposition on the walk's edges
+  build         build_orbit_decomposition on the walk's base
   verify        verify_decomposition of the built decomposition
   json_out      decomposition_to_json
   parse         parse_decomposition of that text
@@ -44,9 +44,28 @@ ROOT = Path(__file__).resolve().parents[1]
 STAGES = ("walk", "group", "build", "verify", "json_out", "parse", "verify_again")
 
 
+def walk_base(n: int, walk):
+    """The walk as a base Subgraph, read back through the JSON walk-base format.
+
+    The format is stable across source trees while Subgraph's
+    constructors are not, so every tree builds its base the same way.
+    """
+    from rookpaths.decompose import VerificationReport
+    from rookpaths.serialize import parse_decomposition
+
+    doc = {
+        "graph": {"kind": "grid", "n": n, "m": n},
+        "group": {"kind": "row_shift", "order": n},
+        "base": {"start": [0, 0], "steps": [[s.drow, s.dcol] for s in walk.steps]},
+        "blocks": [{"edges": [[[0, 0], [0, 1]]]}],
+        "report": dict.fromkeys(VerificationReport.FLAGS, True),
+    }
+    return parse_decomposition(json.dumps(doc))[2].base
+
+
 def child(n: int) -> None:
     """Time every stage for width n in this process; print one JSON line."""
-    from rookpaths.decompose import Subgraph, build_orbit_decomposition, verify_decomposition
+    from rookpaths.decompose import build_orbit_decomposition, verify_decomposition
     from rookpaths.grid import make_grid
     from rookpaths.groups import generate_group, row_shift
     from rookpaths.serialize import decomposition_to_json, parse_decomposition
@@ -60,13 +79,10 @@ def child(n: int) -> None:
         times[stage] = perf_counter() - start
         return result
 
-    def build():
-        return build_orbit_decomposition(graph, group, Subgraph(tuple(walk.edges()), walk=walk))
-
     graph = make_grid(n, n)
     walk = timed("walk", build_staircase_path, n)
     group = timed("group", generate_group, [row_shift(n, n)])
-    dec = timed("build", build)
+    dec = timed("build", build_orbit_decomposition, graph, group, walk_base(n, walk))
     report = timed("verify", verify_decomposition, graph, group, dec)
     text = timed("json_out", decomposition_to_json, graph, dec, report)
     parsed_graph, parsed_group, parsed = timed("parse", parse_decomposition, text)
