@@ -144,6 +144,10 @@ def cmd_orbits(args) -> int:
     except DimensionError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    if graph.edge_count > MAX_EDGES:
+        message = f"{graph} has {graph.edge_count} edges, over the cap of {MAX_EDGES}"
+        print(f"error: {message}", file=sys.stderr)
+        return EXIT_USAGE
     if args.group == "diagonal_shift":
         if n != m:
             print(f"error: diagonal_shift needs a square grid, got {n} x {m}", file=sys.stderr)
@@ -223,8 +227,7 @@ def cmd_split(args) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    graph = dec.base.action.graph
-    partition = partition_witnesses(graph, segments)
+    partition = partition_witnesses(dec.base.action.graph, segments)
     paths_ok = all(is_path_subgraph(s) and s.edge_count == b for s in segments)
     if args.format == "json":
         summary = {
@@ -233,8 +236,9 @@ def cmd_split(args) -> int:
             "segment_count": len(segments),
             "is_partition": partition.ok,
             "segments_are_paths": paths_ok,
+            "segments": segments,
         }
-        print(dumps_with_edges(summary, "segments", graph, segments))
+        print(dumps_with_edges(summary, "segments"))
     elif args.format == "dot":
         sys.stdout.write(dot_for_blocks(segments))
     else:

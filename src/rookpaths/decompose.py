@@ -13,14 +13,15 @@ distinct edge keys, computes no orbits; otherwise the orbit checks run
 and name a witness.
 
 Every Subgraph (base, block or split segment) is an ascending edge-key
-array on a groups.EdgeAction, and its edge objects are built only when
-Subgraph.edges is read (witnesses, edge text, DOT).  The verifier trusts
-nothing: it rebuilds the action from the vertex permutations and
-range-checks every key.  Blocks that partition E and are exactly the |G|
-distinct images of the base pass all six flags by the same bijection (a
-non-identity h fixing an edge of g(H) would make hg(H) and g(H) distinct
-blocks sharing it); any other input gets each flag checked on its own,
-with a concrete witness for each failure.
+array on a groups.EdgeAction; the path and isomorphism checks read an
+adjacency of vertex indices.  Edge and vertex objects are built only for
+witnesses and the public Subgraph.edges and Subgraph.adjacency.  The
+verifier trusts nothing: it rebuilds the action from the vertex
+permutations and range-checks every key.  Blocks that partition E and
+are exactly the |G| distinct images of the base pass all six flags by
+the same bijection (a non-identity h fixing an edge of g(H) would make
+hg(H) and g(H) distinct blocks sharing it); any other input gets each
+flag checked on its own, with a concrete witness for each failure.
 """
 
 from __future__ import annotations
@@ -105,8 +106,8 @@ class CompleteGraph:
     def edge_count(self) -> int:
         return comb(self.n, 2)
 
-    def vertices(self) -> Iterator[int]:
-        return iter(range(1, self.n + 1))
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(range(1, self.n + 1))
 
     def edges(self) -> Iterator[LabelEdge]:
         for i in range(1, self.n + 1):
@@ -163,20 +164,21 @@ class Subgraph:
             return NotImplemented
         return self.edges == other.edges and self.walk == other.walk
 
-    def vertex_set(self) -> set:
-        return set(self.adjacency())
-
-    def degrees(self) -> dict:
-        return {v: len(ws) for v, ws in self.adjacency().items()}
-
     def adjacency(self) -> dict:
-        adj: dict = defaultdict(set)
-        vertices, size = self.action.vertices, self.action.size
-        for k in self.keys:
-            u, v = vertices[k // size], vertices[k % size]
-            adj[u].add(v)
-            adj[v].add(u)
-        return dict(adj)
+        """Each vertex of an edge of the subgraph, with the set of its neighbours."""
+        vertices = self.action.vertices
+        return {vertices[i]: {vertices[j] for j in js} for i, js in _index_adjacency(self).items()}
+
+
+def _index_adjacency(sub: Subgraph) -> dict[int, set[int]]:
+    """The subgraph's adjacency on vertex indices of its action."""
+    adj: dict = defaultdict(set)
+    size = sub.action.size
+    for k in sub.keys:
+        i, j = divmod(k, size)
+        adj[i].add(j)
+        adj[j].add(i)
+    return adj
 
 
 def _keys_on(action: EdgeAction, sub: Subgraph) -> tuple:
@@ -314,7 +316,7 @@ def _component_shapes(adj: dict) -> list[tuple[str, int]]:
 
 def is_path_subgraph(sub: Subgraph) -> bool:
     """Connected, max degree 2, exactly two degree-1 vertices, |V| = |E| + 1."""
-    adj = sub.adjacency()
+    adj = _index_adjacency(sub)
     return max(map(len, adj.values())) <= 2 and _component_shapes(adj) == [("path", len(sub.keys))]
 
 
@@ -327,11 +329,11 @@ def subgraphs_isomorphic(a: Subgraph, b: Subgraph) -> bool:
     backtracking search, which raises IsomorphismCapExceeded above
     ISO_VERTEX_CAP vertices.
     """
-    if a.edges == b.edges:
+    if a.keys == b.keys if a.action.graph == b.action.graph else a.edges == b.edges:
         return True
     if a.edge_count != b.edge_count:
         return False
-    adj_a, adj_b = a.adjacency(), b.adjacency()
+    adj_a, adj_b = _index_adjacency(a), _index_adjacency(b)
     deg_a = {v: len(ws) for v, ws in adj_a.items()}
     deg_b = {v: len(ws) for v, ws in adj_b.items()}
     if len(deg_a) != len(deg_b):
@@ -351,7 +353,7 @@ def subgraphs_isomorphic(a: Subgraph, b: Subgraph) -> bool:
     while remaining:
         frontier = [v for v in remaining if any(w in placed for w in adj_a[v])]
         pool = frontier or list(remaining)
-        nxt = max(pool, key=lambda v: (deg_a[v], str(v)))
+        nxt = max(pool, key=lambda v: (deg_a[v], v))
         order.append(nxt)
         placed.add(nxt)
         remaining.discard(nxt)

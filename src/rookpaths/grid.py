@@ -5,16 +5,19 @@ adjacent exactly when they agree in one coordinate.  Each row induces a
 copy of K_m (its edges are "horizontal"), each column a copy of K_n
 ("vertical"), so the edge count is n*C(m,2) + m*C(n,2).
 
-Graphs are kept implicit: the two dimensions determine everything, and
-vertices and edges are enumerated on demand.  All values here are
-immutable and all operations are pure.
+Graphs are kept implicit: the two dimensions determine everything, a
+shape's vertices are one shared tuple, and edges are enumerated on
+demand.  All values here are immutable and all operations are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Iterator
+
+VERTEX_TUPLE_SHAPES = 8  # grid shapes whose vertex tuples are kept
 
 
 class DimensionError(ValueError):
@@ -95,10 +98,10 @@ class GridGraph:
     def edge_count(self) -> int:
         return self.n * comb(self.m, 2) + self.m * comb(self.n, 2)
 
-    def vertices(self) -> Iterator[GridVertex]:
-        for a in range(self.n):
-            for b in range(self.m):
-                yield GridVertex(a, b)
+    @lru_cache(maxsize=VERTEX_TUPLE_SHAPES)
+    def vertices(self) -> tuple[GridVertex, ...]:
+        """Every vertex, vertex i at (i // m, i % m); one shared tuple per grid shape."""
+        return tuple([GridVertex(a, b) for a in range(self.n) for b in range(self.m)])
 
     def edges(self) -> Iterator[GridEdge]:
         """Every edge once: horizontal by (row, col, col'), then vertical by (col, row, row')."""

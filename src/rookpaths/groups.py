@@ -6,13 +6,14 @@ ints.  EdgeAction carries the action to integer edge keys (vertex i is
 row * m + col on a grid, label - 1 on K_n; edge i < j is i * |V| + j),
 the one form every decompose.Subgraph is stored in (walk_keys keys a
 walk, keys() a list of edge objects); edge objects are built back only
-when read.  EdgeAction.image_keys transports a key array through
-an element; |E| distinct images of a base certify semiregularity and the
-transversal at once (see decompose).  Otherwise semiregularity is read
-off the orbit sizes by orbit-stabilizer (|orbit| * |stabilizer| = |G|),
-and only edges of orbits shorter than |G| are searched for a fixing
-element.  automorphism_violation reads a permutation's table as well: on
-a grid, vertex i lies in row i // m and column i % m.
+for witnesses, orbit listings and Subgraph.edges.  EdgeAction.image_keys
+transports a key array through an element; |E| distinct images of a
+base certify semiregularity and the transversal at once (see
+decompose).  Otherwise semiregularity is read off the orbit sizes by
+orbit-stabilizer (|orbit| * |stabilizer| = |G|), and only edges of
+orbits shorter than |G| are searched for a fixing element.
+automorphism_violation reads a permutation's table as well: on a grid,
+vertex i lies in row i // m and column i % m.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class Permutation:
 
 def _grid_shift(kind: str, n: int, m: int, table) -> Permutation:
     """A named permutation of K_n [box] K_m from its table on indices row * m + col."""
-    vertices = tuple(GridGraph(n, m).vertices())
+    vertices = GridGraph(n, m).vertices()
     perm = Permutation.__new__(Permutation)
     perm._fill(tuple(table), vertices, {v: i for i, v in enumerate(vertices)}, kind, n, m)
     return perm
@@ -114,7 +115,7 @@ def automorphism_violation(graph, perm: Permutation):
     two images of an edge, distinct indices of ``perm.table``, must share
     a row or a column.
     """
-    if perm.vertices != tuple(graph.vertices()):
+    if perm.vertices != graph.vertices():
         raise ValueError(f"the permutation does not act on the vertices of {graph}")
     if not isinstance(graph, GridGraph):
         return None
@@ -218,43 +219,29 @@ def generate_group(generators: Iterable[Permutation], cap: int = DEFAULT_GROUP_C
     return FiniteGroup(gens, tuple(map(first._sibling, found)))
 
 
-# the slot setters, which a frozen dataclass's __setattr__ does not guard
-_set_u = GridEdge.u.__set__
-_set_v = GridEdge.v.__set__
-
-
-def _grid_edge(u: GridVertex, v: GridVertex) -> GridEdge:
-    """A GridEdge on endpoints already known to be canonical, without re-validation."""
-    e = object.__new__(GridEdge)
-    _set_u(e, u)
-    _set_v(e, v)
-    return e
-
-
 class EdgeAction:
     """A group's action on the edges of a graph, on integer edge keys.
 
-    Vertex i is ``vertices[i]`` (row * m + col on a grid, label - 1 on a
-    complete graph) and the edge on i < j has key i * |V| + j, so keys
-    sort like GridEdge/LabelEdge objects.  ``tables`` lists the elements'
-    vertex tables in group order; edge images are computed, never stored.
+    Vertex i is ``vertices[i]``, the graph's own vertex tuple (row * m +
+    col on a grid, label - 1 on a complete graph), and the edge on i < j
+    has key i * |V| + j, so keys sort like GridEdge/LabelEdge objects.
+    ``tables`` lists the elements' vertex tables in group order; edge
+    images are computed, never stored.  edge() and edges() build
+    validated edge objects, for witnesses, orbit listings and
+    Subgraph.edges only.
     """
 
-    __slots__ = ("graph", "vertices", "size", "tables", "_grid", "_edge")
+    __slots__ = ("graph", "vertices", "size", "tables", "_grid")
 
     def __init__(self, graph, group: FiniteGroup | None = None):
-        vertices = tuple(graph.vertices())
+        self.graph, self.vertices = graph, graph.vertices()
+        self.size = len(self.vertices)
         self.tables: tuple = ()
         if group is not None:
-            if group.identity.vertices != vertices:
+            if group.identity.vertices != self.vertices:
                 raise ValueError(f"the group does not act on the vertices of {graph}")
-            vertices = group.identity.vertices
             self.tables = tuple(g.table for g in group.elements)
-        self.graph = graph
-        self.vertices = vertices
-        self.size = len(vertices)
         self._grid = (graph.n, graph.m) if isinstance(graph, GridGraph) else None
-        self._edge = graph.edge if self._grid is None else _grid_edge
 
     def key(self, e) -> int | None:
         """The key of an edge of the graph, or None for an edge outside it."""
@@ -277,11 +264,11 @@ class EdgeAction:
     def edge(self, key: int):
         """The edge object of a key, on the shared vertex list."""
         i, j = divmod(key, self.size)
-        return self._edge(self.vertices[i], self.vertices[j])
+        return self.graph.edge(self.vertices[i], self.vertices[j])
 
     def edges(self, keys) -> tuple:
         """The edge objects of ``keys``, in order."""
-        vertices, size, make = self.vertices, self.size, self._edge
+        vertices, size, make = self.vertices, self.size, self.graph.edge
         return tuple([make(vertices[k // size], vertices[k % size]) for k in keys])
 
     def image_keys(self, table: tuple, keys) -> list[int]:

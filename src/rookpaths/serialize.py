@@ -4,10 +4,10 @@ The JSON layout is fixed: top-level keys graph, group, base, blocks,
 report in that order, edge arrays sorted canonically, vertices written
 as [row, col] pairs on grids and bare integer labels on complete
 graphs.  Identical inputs always serialize to identical bytes, so
-outputs can be diffed and used as golden files.  Blocks and split
-segments are written straight from their key arrays through a
-per-vertex string table; only edge text, DOT and witnesses build edge
-objects.
+outputs can be diffed and used as golden files.  JSON blocks and split
+segments, edge text and DOT are all written straight from key arrays
+through one per-vertex text table per graph (_vertex_texts); edge
+objects are written only for witnesses and an edge-list base.
 
 Parsing is strict and reports the JSON path of the first offending
 element in document order, e.g. "$.blocks[2].edges[0]".  It reads the
@@ -22,7 +22,8 @@ element that fails a check.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Sequence
 
 from .decompose import (
     CompleteGraph,
@@ -54,6 +55,8 @@ MAX_VERTICES = 20_000
 MAX_EDGES = 2_500_000
 # |G| * |V|: the entries of all group elements' vertex tables together
 MAX_ACTION_ENTRIES = 4_000_000
+# per-vertex text tables kept for the writers: (graph, form) pairs
+VERTEX_TEXT_TABLES = 8
 
 # 12 distinguishable edge colors, cycled by block index
 PALETTE = (
@@ -84,9 +87,7 @@ def _vertex_json(v):
 
 
 def _edge_json(e):
-    if isinstance(e, GridEdge):
-        return [[e.u.row, e.u.col], [e.v.row, e.v.col]]
-    return [e.u, e.v]
+    return [_vertex_json(e.u), _vertex_json(e.v)]
 
 
 def permutation_to_json(perm: Permutation) -> dict:
@@ -143,31 +144,38 @@ def report_to_json_dict(report: VerificationReport) -> dict:
     return out
 
 
-def decomposition_to_json_dict(graph, dec: Decomposition, report: VerificationReport) -> dict:
-    return {
-        "graph": _graph_json(graph),
-        "group": _group_json(dec.group),
-        "base": _base_json(dec.base),
-        "blocks": [{"edges": [_edge_json(e) for e in b.edges]} for b in dec.blocks],
-        "report": report_to_json_dict(report),
-    }
+@lru_cache(maxsize=VERTEX_TEXT_TABLES)
+def _vertex_texts(graph, grid_form: str) -> tuple[str, ...]:
+    """Each vertex's text by index: ``grid_form % (row, col)`` on a grid, the label on K_n."""
+    if isinstance(graph, GridGraph):
+        return tuple([grid_form % (v.row, v.col) for v in graph.vertices()])
+    return tuple(map(str, graph.vertices()))
 
 
-def dumps_with_edges(fields: dict, name: str, graph, subgraphs: Sequence[Subgraph]) -> str:
-    """dumps(fields) with member ``name`` the subgraphs' edge lists, each large text copied once."""
-    vertex_texts = [dumps(_vertex_json(v)) for v in graph.vertices()]
-    size = len(vertex_texts)
-    lows, highs = [f"[{t}," for t in vertex_texts], [f"{t}]" for t in vertex_texts]
-    joined = (",".join([lows[k // size] + highs[k % size] for k in s.keys]) for s in subgraphs)
-    texts = {key: dumps(value) for key, value in fields.items()}
-    texts[name] = "[%s]" % ",".join([f'{{"edges":[{edges}]}}' for edges in joined])
-    return "{" + ",".join(f'"{key}":{text}' for key, text in texts.items()) + "}"
+def dumps_with_edges(fields: dict, name: str) -> str:
+    """dumps(fields), member ``name`` (subgraphs) written from the keys, large texts copied once."""
+    lists = []
+    for sub in fields[name]:
+        texts, size = _vertex_texts(sub.action.graph, "[%d,%d]"), sub.action.size
+        edges = ",".join([f"[{texts[k // size]},{texts[k % size]}]" for k in sub.keys])
+        lists.append(f'{{"edges":[{edges}]}}')
+    edge_lists = "[%s]" % ",".join(lists)
+    members = (
+        f'"{key}":{edge_lists if key == name else dumps(value)}' for key, value in fields.items()
+    )
+    return "{" + ",".join(members) + "}"
 
 
 def decomposition_to_json(graph, dec: Decomposition, report: VerificationReport) -> str:
-    """The text of decomposition_to_json_dict, with the blocks written from their keys."""
-    head = decomposition_to_json_dict(graph, Decomposition((), dec.group, dec.base), report)
-    return dumps_with_edges(head, "blocks", graph, dec.blocks)
+    """The decomposition's JSON text: graph, group, base, blocks, report."""
+    fields = {
+        "graph": _graph_json(graph),
+        "group": _group_json(dec.group),
+        "base": _base_json(dec.base),
+        "blocks": dec.blocks,
+        "report": report_to_json_dict(report),
+    }
+    return dumps_with_edges(fields, "blocks")
 
 
 def orbit_id_str(oid: tuple) -> str:
@@ -447,38 +455,33 @@ def parse_decomposition(data) -> tuple:
 # ---------------------------------------------------------------- text formats
 
 
-def _vertex_dot_id(v) -> str:
-    if isinstance(v, GridVertex):
-        return f"{v.row},{v.col}"
-    return str(v)
-
-
-def edges_to_text(edges: Iterable) -> str:
-    """One edge per line, canonical endpoint first: (a,b)-(c,d) or u-v."""
-    return "".join(f"{e}\n" for e in edges)
-
-
 def blocks_to_text(blocks: Sequence[Subgraph]) -> str:
-    """Edge text for several blocks, with a comment header per block."""
+    """Edge text for several blocks, with a comment header per block.
+
+    One edge per line, canonical endpoint first: (a,b)-(c,d) or u-v.
+    """
     chunks = []
-    for i, b in enumerate(blocks):
+    for i, block in enumerate(blocks):
+        texts, size = _vertex_texts(block.action.graph, "(%d,%d)"), block.action.size
         chunks.append(f"# block {i}\n")
-        chunks.append(edges_to_text(b.edges))
+        chunks.extend([f"{texts[k // size]}-{texts[k % size]}\n" for k in block.keys])
     return "".join(chunks)
 
 
 def dot_for_blocks(blocks: Sequence[Subgraph]) -> str:
-    edge_lists = [b.edges for b in blocks]
-    vertices = sorted({v for edges in edge_lists for e in edges for v in (e.u, e.v)})
+    """GraphViz text: the blocks' vertices in order, then their edges, colored by block."""
+    nodes: dict = {}  # vertex object -> its text, for the sort across graphs
+    edge_lines = []
+    for i, block in enumerate(blocks):
+        action, color = block.action, PALETTE[i % len(PALETTE)]
+        texts, vertices = _vertex_texts(action.graph, "%d,%d"), action.vertices
+        for k in block.keys:
+            a, b = divmod(k, action.size)
+            nodes[vertices[a]], nodes[vertices[b]] = texts[a], texts[b]
+            edge_lines.append(f'  "{texts[a]}" -- "{texts[b]}" [color="{color}"];')
     lines = ["graph decomposition {", "  node [shape=circle fontsize=10];"]
-    for v in vertices:
-        lines.append(f'  "{_vertex_dot_id(v)}";')
-    for i, edges in enumerate(edge_lists):
-        color = PALETTE[i % len(PALETTE)]
-        for e in edges:
-            lines.append(
-                f'  "{_vertex_dot_id(e.u)}" -- "{_vertex_dot_id(e.v)}" [color="{color}"];'
-            )
+    lines.extend([f'  "{nodes[v]}";' for v in sorted(nodes)])
+    lines.extend(edge_lines)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

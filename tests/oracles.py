@@ -6,8 +6,10 @@ the same answers, not a fast one.  The object-based verifier, parser and
 automorphism scan below are the library's own before they moved onto the
 integer edge action; the quadratic orbit-conflict scan is the library's
 before it became one pass, the orbit-path precondition checks are the
-builder's before the bijection test decided the common case, and
-walk_edge_set is how a walk became a base before walks were keyed.
+builder's before the bijection test decided the common case,
+walk_edge_set is how a walk became a base before walks were keyed, and
+blocks_to_text and dot_for_blocks are the edge text and DOT writers as
+they were on edge objects, before they read key arrays.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from rookpaths.serialize import (
     MAX_ACTION_ENTRIES,
     MAX_EDGES,
     MAX_VERTICES,
+    PALETTE,
     SchemaError,
 )
 from rookpaths.staircase import _normalize_steps, walk_from_array
@@ -332,6 +335,42 @@ def walk_edge_set(walk) -> list:
         if a == b:
             raise ValueError(f"duplicate edge {a}")
     return edges
+
+
+def _vertex_dot_id(v) -> str:
+    if isinstance(v, GridVertex):
+        return f"{v.row},{v.col}"
+    return str(v)
+
+
+def edges_to_text(edges: Iterable) -> str:
+    """One edge per line, canonical endpoint first: (a,b)-(c,d) or u-v."""
+    return "".join(f"{e}\n" for e in edges)
+
+
+def blocks_to_text(blocks) -> str:
+    """Edge text for several blocks, with a comment header per block."""
+    chunks = []
+    for i, b in enumerate(blocks):
+        chunks.append(f"# block {i}\n")
+        chunks.append(edges_to_text(b.edges))
+    return "".join(chunks)
+
+
+def dot_for_blocks(blocks) -> str:
+    edge_lists = [b.edges for b in blocks]
+    vertices = sorted({v for edges in edge_lists for e in edges for v in (e.u, e.v)})
+    lines = ["graph decomposition {", "  node [shape=circle fontsize=10];"]
+    for v in vertices:
+        lines.append(f'  "{_vertex_dot_id(v)}";')
+    for i, edges in enumerate(edge_lists):
+        color = PALETTE[i % len(PALETTE)]
+        for e in edges:
+            lines.append(
+                f'  "{_vertex_dot_id(e.u)}" -- "{_vertex_dot_id(e.v)}" [color="{color}"];'
+            )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def path_edge_set(edges):

@@ -58,7 +58,17 @@ def used_names(node: ast.AST) -> set[str]:
 
 
 def test_every_public_definition_is_used_or_exported():
-    definitions = []  # (module, name, defining statement)
+    """Public functions, classes, and their public methods and properties.
+
+    A definition counts as used when a statement of the package outside
+    it reads its name as a name or an attribute; for a class member,
+    the other definitions in its class body count, the class statement
+    as a whole does not.  Dunders are private here.  The package's
+    exports, and class members the Library section names as
+    `Class.member` or `Class.member()`, are public API.
+    """
+    documented = set(re.findall(r"`(\w+\.\w+)(?:\(\))?`", library_section()))
+    definitions = []  # (qualified name, name, statements it spans, public API)
     statements = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -66,13 +76,23 @@ def test_every_public_definition_is_used_or_exported():
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
             statements.append(node)
+            body = node.body if isinstance(node, ast.ClassDef) else []
+            statements.extend(body)
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                definitions.append((path.stem, node.name, node))
+                definitions.append((f"{path.stem}.{node.name}", node.name, [node, *body], False))
+            for member in body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    qualified = f"{node.name}.{member.name}"
+                    spans, public = [node, member], qualified in documented
+                    definitions.append((f"{path.stem}.{qualified}", member.name, spans, public))
     exported = exports()
     unused = [
-        f"{module}.{name}"
-        for module, name, own in definitions
+        qualified
+        for qualified, name, spans, public in definitions
         if name not in exported
-        and not any(name in used_names(node) for node in statements if node is not own)
+        and not public
+        and not any(
+            name in used_names(node) for node in statements if not any(node is s for s in spans)
+        )
     ]
     assert unused == []

@@ -1,12 +1,18 @@
 """End-to-end CLI behavior: exit codes, payloads, and streams."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import rookpaths
 from rookpaths.cli import main
 from rookpaths.decompose import VerificationReport
+from rookpaths.grid import GridGraph
 from rookpaths.serialize import MAX_EDGES
 
 
@@ -23,6 +29,15 @@ def test_generate_n5(capsys):
     assert len(data["blocks"]) == 5
     assert all(data["report"][k] is True for k in data["report"])
     assert "verified" in err
+
+
+def test_generate_builds_one_vertex_tuple(capsys):
+    # the row shift, the base's, builder's, verifier's actions and the writer share it
+    GridGraph.vertices.cache_clear()
+    code, _, _ = run(capsys, "generate", "--n", "23")
+    assert code == 0
+    info = GridGraph.vertices.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits >= 4
 
 
 def test_generate_rejects_nine_without_force(capsys):
@@ -263,6 +278,22 @@ def test_verify_rejects_huge_grid_quickly(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "$.graph" in err
+
+
+def test_orbits_refuses_grids_over_the_edge_cap(capsys):
+    # K_400 box K_400 has 63,840,000 edges; a child process bounds the wait
+    # in case the cap is not checked before the orbits are enumerated
+    argv = ["orbits", "--n", "400"]
+    env = {**os.environ, "PYTHONPATH": str(Path(rookpaths.__file__).parents[1])}
+    child = [sys.executable, "-m", "rookpaths", *argv]
+    done = subprocess.run(child, capture_output=True, text=True, timeout=5, env=env)
+    assert done.returncode == 1
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 1
+    assert out == ""
+    assert err == f"error: K_400 box K_400 has 63840000 edges, over the cap of {MAX_EDGES}\n"
 
 
 def test_verify_caps_the_base_images(tmp_path, capsys):

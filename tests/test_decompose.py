@@ -65,8 +65,8 @@ def test_subgraph_validation():
         Subgraph.of_edges(k4, (k4.edge(1, 2), k4.edge(2, 1)))
     sub = Subgraph.of_edges(k4, (k4.edge(1, 2), k4.edge(2, 3)))
     assert sub.edge_count == 2
-    assert sub.vertex_set() == {1, 2, 3}
-    assert sub.degrees()[2] == 2
+    assert set(sub.adjacency()) == {1, 2, 3}
+    assert len(sub.adjacency()[2]) == 2
 
 
 def test_is_odd_prime():

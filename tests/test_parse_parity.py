@@ -22,7 +22,7 @@ from rookpaths.groups import (
     diagonal_shift,
     row_shift,
 )
-from rookpaths.serialize import SchemaError, decomposition_to_json_dict, parse_decomposition
+from rookpaths.serialize import SchemaError, decomposition_to_json, parse_decomposition
 
 from oracles import brute_automorphism_violation, object_parse_decomposition
 
@@ -32,11 +32,12 @@ def documents():
     docs = {}
     for n in (3, 5, 7):
         dec, report = staircase_decomposition(n)
-        docs[f"n{n}"] = decomposition_to_json_dict(make_grid(n, n), dec, report)
+        docs[f"n{n}"] = json.loads(decomposition_to_json(make_grid(n, n), dec, report))
     for name, fixture in (("k9", k9_fixture), ("diag4", diagonal_fixture_n4)):
         graph, group, base = fixture()
         dec = build_orbit_decomposition(graph, group, base)
-        docs[name] = decomposition_to_json_dict(graph, dec, verify_decomposition(graph, group, dec))
+        report = verify_decomposition(graph, group, dec)
+        docs[name] = json.loads(decomposition_to_json(graph, dec, report))
     return docs
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from rookpaths import serialize
 from rookpaths.decompose import (
+    Subgraph,
     VerificationReport,
     build_orbit_decomposition,
     k9_fixture,
@@ -20,7 +21,6 @@ from rookpaths.serialize import (
     decomposition_to_json,
     dot_for_blocks,
     dumps,
-    edges_to_text,
     export_dot,
     orbit_id_str,
     parse_decomposition,
@@ -263,8 +263,9 @@ def test_parse_rejects_wrong_declared_order():
 
 def test_edges_to_text():
     g = make_grid(3, 3)
-    text = edges_to_text(list(g.edges())[:2])
-    assert text == "(0,0)-(0,1)\n(0,0)-(0,2)\n"
+    block = Subgraph.of_edges(g, list(g.edges())[:2])
+    text = blocks_to_text([block])
+    assert text == "# block 0\n(0,0)-(0,1)\n(0,0)-(0,2)\n"
 
 
 def test_blocks_to_text_headers():

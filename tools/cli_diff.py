@@ -1,0 +1,126 @@
+"""Byte-identity of the command line between two source trees.
+
+    python tools/cli_diff.py --tree parent=../parent/src --tree change=src
+
+runs each command of a fixed corpus as its own process,
+``python -m rookpaths ARGS`` with PYTHONPATH set to the tree, once per
+tree, and compares the exit code, stdout and stderr.  It prints one line
+per command that differs, naming what differs, then a count, and exits 1
+when any command differs.  The corpus:
+
+  - every command in perfbench/digests.json (read, never written);
+  - generate for the odd primes up to 13, in all three formats;
+  - split --n 5 and --n 7 with several --b, in all three formats;
+  - orbits --edges under both groups;
+  - verify of files written from the first tree's output of generate
+    --n 5 and 7 and examples k9 and diag4: the valid file, one with an
+    edge moved to another block and one with an edge dropped.
+
+--limit N runs N commands spread evenly over the corpus, the first and
+the last included.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+DIGESTS = ROOT / "perfbench" / "digests.json"
+FORMATS = ("json", "dot", "edges")
+SPLITS = {5: (None, 1, 2, 3, 4, 5, 10, 20), 7: (None, 1, 2, 3, 4, 6, 7, 14, 21, 42)}
+VERIFY_SOURCES = {
+    "n5": ("generate", "--n", "5"),
+    "n7": ("generate", "--n", "7"),
+    "k9": ("examples", "k9"),
+    "diag4": ("examples", "diag4"),
+}
+
+
+def moved(doc: dict) -> None:
+    doc["blocks"][1]["edges"].append(doc["blocks"][0]["edges"].pop())
+
+
+def dropped(doc: dict) -> None:
+    doc["blocks"][0]["edges"].pop()
+
+
+TAMPERS = {"valid": lambda doc: None, "moved": moved, "dropped": dropped}
+
+
+def corpus() -> list[tuple[str, ...]]:
+    """Every command once, as argument tuples, in a fixed order."""
+    commands = [tuple(c.split()) for c in json.loads(DIGESTS.read_text("utf-8"))["commands"]]
+    for n in (3, 5, 7, 11, 13):
+        commands += [("generate", "--n", str(n), "--format", fmt) for fmt in FORMATS]
+    for n, sizes in SPLITS.items():
+        for b in sizes:
+            size = () if b is None else ("--b", str(b))
+            commands += [("split", "--n", str(n), *size, "--format", fmt) for fmt in FORMATS]
+    for group in ("row_shift", "diagonal_shift"):
+        commands += [("orbits", "--n", str(n), "--group", group, "--edges") for n in (2, 3, 4, 5)]
+    for name in VERIFY_SOURCES:
+        commands += [("verify", "--input", f"{name}-{kind}.json") for kind in TAMPERS]
+    return list(dict.fromkeys(commands))
+
+
+def run(src: Path, args: tuple[str, ...], cwd: Path) -> tuple[int, bytes, bytes]:
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "rookpaths", *args], cwd=cwd, env=env, capture_output=True
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def write_verify_files(src: Path, work: Path) -> None:
+    """The verify inputs, from ``src``'s JSON output of each source command."""
+    for name, args in VERIFY_SOURCES.items():
+        code, out, err = run(src, args, work)
+        if code != 0:
+            raise SystemExit(f"error: {' '.join(args)} exited {code}: {err.decode()}")
+        for kind, tamper in TAMPERS.items():
+            doc = json.loads(out)
+            tamper(doc)
+            (work / f"{name}-{kind}.json").write_text(json.dumps(doc), encoding="utf-8")
+
+
+def differences(a: tuple, b: tuple) -> list[str]:
+    parts = [f"exit {a[0]} != {b[0]}"] if a[0] != b[0] else []
+    return parts + [stream for stream, x, y in zip(("stdout", "stderr"), a[1:], b[1:]) if x != y]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tree", action="append", default=[], metavar="NAME=SRC",
+                        help="a source tree to run; give exactly two")
+    parser.add_argument("--limit", type=int, help="run this many commands, spread evenly")
+    args = parser.parse_args(argv)
+    if len(args.tree) != 2 or not all("=" in t for t in args.tree):
+        parser.error("give --tree NAME=SRC exactly twice")
+    trees = [(name, Path(src).resolve()) for name, src in (t.split("=", 1) for t in args.tree)]
+    commands = corpus()
+    if args.limit is not None and 0 < args.limit < len(commands):
+        step = (len(commands) - 1) / max(args.limit - 1, 1)
+        commands = [commands[round(i * step)] for i in range(args.limit)]
+    (first, src_a), (second, src_b) = trees
+    differing = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        if any(c[0] == "verify" for c in commands):
+            write_verify_files(src_a, work)
+        for command in commands:
+            found = differences(run(src_a, command, work), run(src_b, command, work))
+            if found:
+                differing += 1
+                print(f"{' '.join(command)}: {', '.join(found)}")
+    print(f"{len(commands)} commands, {differing} differ between {first} and {second}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
