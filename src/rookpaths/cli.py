@@ -27,7 +27,7 @@ from .decompose import (
     staircase_decomposition,
     verify_decomposition,
 )
-from .grid import DimensionError, make_grid
+from .grid import DimensionError, GridGraph
 from .groups import (
     automorphism_violation,
     diagonal_shift,
@@ -140,7 +140,7 @@ def cmd_orbits(args) -> int:
     n = args.n
     m = args.m if args.m is not None else n
     try:
-        graph = make_grid(n, m)
+        graph = GridGraph(n, m)
     except DimensionError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -186,7 +186,7 @@ def cmd_orbits(args) -> int:
                 f" sizes={','.join(map(str, sizes))}"
             )
             status = EXIT_MATH
-    fixed = fixed_edge_witness(graph, group, orbits)
+    fixed = fixed_edge_witness(graph, group)
     if fixed is not None:
         print(
             f"warning: not semiregular on edges: a non-identity element fixes {fixed[1]}",

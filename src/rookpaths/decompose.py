@@ -9,8 +9,8 @@ have trivial stabilizers.  The two hypotheses together say exactly that
 stabilizer trivial, surjectivity puts an edge of H in every orbit, and
 two edges of H in one orbit would collide.  So the builder images H
 through each element's vertex table and, when the images are |E|
-distinct edge keys, computes no orbits; otherwise the orbit checks run
-and name a witness.
+distinct edge keys, computes no orbits; otherwise the fixed-edge test
+reads the vertex tables and only the transversal witness needs orbits.
 
 Every Subgraph (base, block or split segment) is an ascending edge-key
 array on a groups.EdgeAction; the path and isomorphism checks read an
@@ -22,6 +22,9 @@ are exactly the |G| distinct images of the base pass all six flags by
 the same bijection (a non-identity h fixing an edge of g(H) would make
 hg(H) and g(H) distinct blocks sharing it); any other input gets each
 flag checked on its own, with a concrete witness for each failure.
+The blocks are one orbit exactly when they are the base's images, so
+the verifier images |G| * |base| keys, and off the common case |gens|
+more per block edge.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from itertools import chain
 from math import comb, isqrt
 from typing import Iterable, Iterator, NamedTuple
 
-from .grid import Step, make_grid
+from .grid import GridGraph, Step
 from .groups import (
     EdgeAction,
     EdgeOrbit,
@@ -263,21 +266,21 @@ def build_orbit_decomposition(graph, group: FiniteGroup, base: Subgraph) -> Deco
 
     Images that are |E| distinct edge keys certify both hypotheses (see
     the module docstring).  Otherwise PreconditionFailed is raised when
-    the action is not semiregular on edges or when ``base`` is not an
-    exact orbit transversal.  Past those checks the images are |E|
-    distinct keys, so the |G| blocks are pairwise disjoint.
+    an element fixes an edge or when ``base`` is not an exact orbit
+    transversal, the one check that computes edge_orbits.  Past those
+    checks the |G| blocks are |E| distinct keys, pairwise disjoint.
     """
     action = EdgeAction(graph, group)
     keys, stray = _keys_on(action, base)
     # a base edge outside the graph is named by the transversal check
     blocks = [] if stray else [Subgraph(action, action.image_keys(t, keys)) for t in action.tables]
     if not _covers_once(action, [block.keys for block in blocks]):
-        orbits = edge_orbits(graph, group)
-        fixed = fixed_edge_witness(graph, group, orbits)
+        fixed = fixed_edge_witness(graph, group)
         if fixed is not None:
             raise PreconditionFailed(
                 f"group is not semiregular on edges: an element fixes {fixed[1]}", witness=fixed
             )
+        orbits = edge_orbits(graph, group)
         check = orbit_transversal_check(base, orbits)
         if not check.ok:
             bad = [orbits[i].id for i, c in enumerate(check.counts) if c != 1]
@@ -488,16 +491,11 @@ def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> Verif
         if "group_invariant" in witnesses:
             break
 
-    base_signature = base_keys.tobytes()
-    if dec.blocks:
-        reached = certified if signatures[0] == base_signature else {
-            _signature(action.image_keys(t, block_keys[0])) for t in action.tables
-        }
-        if reached != block_set:
-            unreached = [i for i, sig in enumerate(signatures) if sig not in reached]
-            witnesses["group_transitive"] = {"unreached_blocks": unreached}
+    if dec.blocks and block_set != certified:
+        unreached = [i for i, sig in enumerate(signatures) if sig not in certified]
+        witnesses["group_transitive"] = {"unreached_blocks": unreached}
 
-    stabilizer = images.count(base_signature)
+    stabilizer = images.count(base_keys.tobytes())
     if stabilizer != 1:
         witnesses["stabilizer_trivial"] = {"stabilizer_order": stabilizer}
 
@@ -531,7 +529,7 @@ def staircase_decomposition(n: int, force: bool = False):
         if not force:
             raise NotOddPrime(f"{n} is not prime; pass force=True to run the checks anyway")
     walk = build_staircase_path(n)
-    graph = make_grid(n, n)
+    graph = GridGraph(n, n)
     group = generate_group([row_shift(n, n)])
     action = EdgeAction(graph)
     base = Subgraph(action, action.walk_keys(walk), walk)
@@ -561,7 +559,7 @@ def haggkvist_split(path: Walk, b: int) -> list[Subgraph]:
         raise ValueError(f"segment size must be positive, got {b}")
     if path.length % b != 0:
         raise ValueError(f"segment size {b} does not divide path length {path.length}")
-    action = EdgeAction(make_grid(path.n, path.m))
+    action = EdgeAction(GridGraph(path.n, path.m))
     keys, starts = action.walk_keys(path), range(0, path.length, b)
     return [Subgraph(action, keys[i : i + b], path.segment(i, i + b)) for i in starts]
 
@@ -604,7 +602,7 @@ def diagonal_fixture_n4() -> tuple:
     here and this particular step array traces an orbit transversal, so
     the four images partition the 48 edges.
     """
-    graph = make_grid(4, 4)
+    graph = GridGraph(4, 4)
     group = generate_group([diagonal_shift(4)])
     walk = walk_from_array((0, 0), [Step(a, b) for a, b in DIAG4_STEPS], 4, 4)
     action = EdgeAction(graph)

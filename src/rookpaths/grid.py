@@ -122,9 +122,3 @@ class GridGraph:
 
     def __str__(self) -> str:
         return f"K_{self.n} box K_{self.m}"
-
-
-def make_grid(n: int, m: int) -> GridGraph:
-    """The graph K_n [box] K_m for n, m >= 2."""
-    return GridGraph(n, m)
-

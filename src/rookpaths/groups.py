@@ -9,11 +9,11 @@ walk, keys() a list of edge objects); edge objects are built back only
 for witnesses, orbit listings and Subgraph.edges.  EdgeAction.image_keys
 transports a key array through an element; |E| distinct images of a
 base certify semiregularity and the transversal at once (see
-decompose).  Otherwise semiregularity is read off the orbit sizes by
-orbit-stabilizer (|orbit| * |stabilizer| = |G|), and only edges of
-orbits shorter than |G| are searched for a fixing element.
-automorphism_violation reads a permutation's table as well: on a grid,
-vertex i lies in row i // m and column i % m.
+decompose).  The other checks read the vertex tables directly: both
+ends of an edge lie on one grid line (one line of all vertices on K_n),
+so automorphism_violation and fixed_edge_witness walk the lines, and an
+element fixes an edge setwise exactly when it fixes both ends or swaps
+them.  Only edge_orbits images whole orbits.
 """
 
 from __future__ import annotations
@@ -108,6 +108,14 @@ def diagonal_shift(n: int) -> Permutation:
     return _grid_shift(DIAGONAL_SHIFT, n, n, table)
 
 
+def _lines(graph) -> list[range]:
+    """Index lines whose pairs, in order, give graph.edges(): rows, then columns; K_n is one line."""
+    if not isinstance(graph, GridGraph):
+        return [range(graph.vertex_count)]
+    n, m = graph.n, graph.m
+    return [range(a * m, a * m + m) for a in range(n)] + [range(b, n * m, m) for b in range(m)]
+
+
 def automorphism_violation(graph, perm: Permutation):
     """First edge, in ``graph.edges()`` order, whose image under ``perm`` is not an edge, or None.
 
@@ -119,12 +127,10 @@ def automorphism_violation(graph, perm: Permutation):
         raise ValueError(f"the permutation does not act on the vertices of {graph}")
     if not isinstance(graph, GridGraph):
         return None
-    n, m = graph.n, graph.m
+    m = graph.m
     rows = [j // m for j in perm.table]
     cols = [j % m for j in perm.table]
-    # the rows, then the columns, each pair in order: the order of graph.edges()
-    lines = [range(a * m, a * m + m) for a in range(n)] + [range(b, n * m, m) for b in range(m)]
-    for line in lines:
+    for line in _lines(graph):
         for p, i in enumerate(line):
             for j in line[p + 1 :]:
                 if rows[i] != rows[j] and cols[i] != cols[j]:
@@ -309,20 +315,6 @@ class EdgeAction:
                 name = f"{self.vertices[i]}-{self.vertices[j]}" if 0 <= i < size else f"key {k}"
                 raise ValueError(f"{name} is not an edge of {self.graph}")
 
-    def orbits(self) -> Iterator[tuple[int, ...]]:
-        """Every orbit as an ascending key tuple, in order of least member."""
-        size, tables = self.size, self.tables
-        seen: set = set()
-        for k in self.all_keys():
-            if k in seen:
-                continue
-            i, j = divmod(k, size)
-            members = {
-                a * size + b if a < b else b * size + a for a, b in ((t[i], t[j]) for t in tables)
-            }
-            seen.update(members)
-            yield tuple(sorted(members))
-
 
 @dataclass(frozen=True, slots=True)
 class EdgeOrbit:
@@ -360,34 +352,47 @@ def edge_orbits(graph, group: FiniteGroup) -> list[EdgeOrbit]:
     opaque ids ("O", least member edge).  Orbits partition the edge set.
     """
     action = EdgeAction(graph, group)
+    size, tables = action.size, action.tables
+    seen: set = set()
+    members = []  # each orbit as an ascending key tuple, in order of least member
+    for k in action.all_keys():
+        if k not in seen:
+            i, j = divmod(k, size)
+            orbit = {a * size + b if a < b else b * size + a for a, b in ((t[i], t[j]) for t in tables)}
+            seen.update(orbit)
+            members.append(tuple(sorted(orbit)))
     if isinstance(graph, GridGraph) and group.generator_kind == ROW_SHIFT:
-        orbits = [EdgeOrbit(_row_shift_orbit_id(action, o[0]), o, action) for o in action.orbits()]
+        orbits = [EdgeOrbit(_row_shift_orbit_id(action, o[0]), o, action) for o in members]
         orbits.sort(key=lambda o: o.id)
         return orbits
     # orbits arrive in order of least member, which is the order of these ids
-    return [EdgeOrbit(("O", action.edge(o[0])), o, action) for o in action.orbits()]
+    return [EdgeOrbit(("O", action.edge(o[0])), o, action) for o in members]
 
 
-def fixed_edge_witness(graph, group: FiniteGroup, orbits: list[EdgeOrbit] | None = None):
+def fixed_edge_witness(graph, group: FiniteGroup):
     """A pair (element, edge) with the non-identity element fixing the edge, or None.
 
-    Fixing is setwise.  By orbit-stabilizer an edge has a non-trivial
-    stabilizer exactly when its orbit has fewer than |G| edges, so only
-    edges of short orbits are tested.  The witness is the first fixed
-    pair with the non-identity elements in group order and, for each,
-    the edges in ``graph.edges()`` order: the pair an exhaustive scan
-    finds.  ``orbits`` are the edge_orbits of (graph, group) if known.
+    Fixing is setwise: the element fixes both ends or swaps them.  The
+    witness is the first such pair with the non-identity elements in
+    group order and, for each, the edges in ``graph.edges()`` order: the
+    pair an exhaustive scan finds, i.e. on the first line that has one,
+    the lesser of its first two fixed points and its first 2-cycle.
+    Only the vertex tables are read, O(|G| * |V|) work.
     """
     action = EdgeAction(graph, group)
-    members = (o.keys for o in orbits) if orbits is not None else action.orbits()
-    short = {k for keys in members if len(keys) < group.order for k in keys}
-    if not short:
-        return None
-    candidates = [(e, k) for e in graph.edges() if (k := action.key(e)) in short]
+    lines = _lines(graph)
     for g in group.non_identity():
-        for e, k in candidates:
-            if action.image_keys(g.table, (k,))[0] == k:
-                return g, e
+        t = g.table
+        if sum(t[t[i]] == i for i in range(action.size)) < 2:
+            continue  # a fixed edge needs two fixed points or a 2-cycle
+        for line in lines:
+            fixed = [i for i in line if t[i] == i][:2]
+            pairs = [(i, t[i]) for i in line if i < t[i] and t[i] in line and t[t[i]] == i][:1]
+            if len(fixed) == 2:
+                pairs.append(tuple(fixed))
+            if pairs:
+                i, j = min(pairs)
+                return g, action.edge(i * action.size + j)
     return None
 
 

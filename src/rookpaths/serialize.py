@@ -32,7 +32,7 @@ from .decompose import (
     Subgraph,
     VerificationReport,
 )
-from .grid import GridEdge, GridGraph, GridVertex, Step, make_grid
+from .grid import GridEdge, GridGraph, GridVertex, Step
 from .groups import (
     DEFAULT_GROUP_CAP,
     DIAGONAL_SHIFT,
@@ -209,7 +209,7 @@ def _parse_graph(obj, path: str):
         m = _int_at(_get(obj, "m", path), f"{path}.m")
         if n < 2 or m < 2:
             raise SchemaError(path, f"grid needs n, m >= 2, got {n} x {m}")
-        graph = make_grid(n, m)
+        graph = GridGraph(n, m)
     elif kind == "complete":
         n = _int_at(_get(obj, "n", path), f"{path}.n")
         if n < 1:

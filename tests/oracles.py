@@ -29,7 +29,7 @@ from rookpaths.decompose import (
     VerificationReport,
     subgraphs_isomorphic,
 )
-from rookpaths.grid import GridGraph, GridVertex, Step, make_grid
+from rookpaths.grid import GridGraph, GridVertex, Step
 from rookpaths.groups import (
     DEFAULT_GROUP_CAP,
     DIAGONAL_SHIFT,
@@ -181,7 +181,7 @@ def brute_verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) ->
 
     ok_transitive = True
     if dec.blocks:
-        reached = {image_key(dec.blocks[0].edges, g) for g in group.elements}
+        reached = {image_key(dec.base.edges, g) for g in group.elements}
         if reached != block_set:
             ok_transitive = False
             unreached = sorted(i for i, key in enumerate(block_keys) if key not in reached)
@@ -237,7 +237,7 @@ def orbit_transversal_check(sub: Subgraph, orbits: list[EdgeOrbit]) -> Transvers
 def orbit_path_preconditions(graph, group: FiniteGroup, base: Subgraph) -> None:
     """The builder's precondition checks on the orbits: PreconditionFailed or None."""
     orbits = edge_orbits(graph, group)
-    fixed = fixed_edge_witness(graph, group, orbits)
+    fixed = fixed_edge_witness(graph, group)
     if fixed is not None:
         g, e = fixed
         raise PreconditionFailed(
@@ -490,7 +490,7 @@ def _parse_graph(obj, path: str):
         n = _int_at(_get(obj, "n", path), f"{path}.n")
         m = _int_at(_get(obj, "m", path), f"{path}.m")
         _expect(n >= 2 and m >= 2, path, f"grid needs n, m >= 2, got {n} x {m}")
-        graph = make_grid(n, m)
+        graph = GridGraph(n, m)
     elif kind == "complete":
         n = _int_at(_get(obj, "n", path), f"{path}.n")
         _expect(n >= 1, f"{path}.n", f"complete graph needs n >= 1, got {n}")

@@ -27,7 +27,7 @@ from rookpaths.decompose import (
     staircase_decomposition,
     verify_decomposition,
 )
-from rookpaths.grid import make_grid
+from rookpaths.grid import GridGraph
 from rookpaths.groups import (
     edge_orbits,
     fixed_edge_witness,
@@ -78,7 +78,7 @@ def test_criterion_1_staircase_end_to_end():
     with criterion(1, "staircase decomposition for every supported width"):
         for n in ODD_PRIMES:
             dec, report, elapsed = decomposition_for(n)
-            graph = make_grid(n, n)
+            graph = GridGraph(n, n)
             assert len(dec.blocks) == n
             assert all(is_path_subgraph(b) for b in dec.blocks)
             assert all(b.edge_count == n * (n - 1) for b in dec.blocks)
@@ -102,7 +102,7 @@ def test_criterion_3_orbit_census():
         for n in (3, 5, 7, 9, 11, 13):
             for m in range(2, 14):
                 census = orbit_census(n, m)
-                orbits = edge_orbits(make_grid(n, m), generate_group([row_shift(n, m)]))
+                orbits = edge_orbits(GridGraph(n, m), generate_group([row_shift(n, m)]))
                 horizontal = sum(1 for o in orbits if o.id[0] == "H")
                 vertical = sum(1 for o in orbits if o.id[0] == "V")
                 assert horizontal == census.horizontal_orbits, (n, m)
@@ -193,7 +193,7 @@ def test_criterion_8_negative_controls(tmp_path):
         assert info.value.check == "path"
         assert info.value.witness is not None
 
-        witness = fixed_edge_witness(make_grid(2, 3), generate_group([row_shift(2, 3)]))
+        witness = fixed_edge_witness(GridGraph(2, 3), generate_group([row_shift(2, 3)]))
         assert witness is not None
 
         sink = io.StringIO()
@@ -221,7 +221,7 @@ def test_criterion_9_refinement():
     with criterion(9, "block count bound and short-path refinement"):
         for n in ODD_PRIMES:
             dec, report, _ = decomposition_for(n)
-            graph = make_grid(n, n)
+            graph = GridGraph(n, n)
             assert gallai_check(graph, dec)
             segments = []
             for block in dec.blocks:

@@ -233,7 +233,8 @@ def trivial_group_file(tmp_path, n, base, blocks):
 
 def test_verify_two_different_cycles(tmp_path, capsys):
     # base: the cycle 1..20; block: the cycle 1,3,...,19,2,4,...,20.  The block is
-    # no image of the base, and both are 20-cycles, so they are isomorphic
+    # no image of the base, and both are 20-cycles, so they are isomorphic; the
+    # base is no block, so the blocks are not its orbit
     n = 20
     base = [sorted((v, v % n + 1)) for v in range(1, n + 1)]
     order = list(range(1, n, 2)) + list(range(2, n + 1, 2))
@@ -243,9 +244,10 @@ def test_verify_two_different_cycles(tmp_path, capsys):
     assert code == 2
     report = json.loads(out)
     witnesses = report.pop("witnesses")
-    assert report == report_flags("is_partition")
+    assert report == report_flags("is_partition", "group_transitive")
     assert len(witnesses["is_partition"]["missing"]) == 170
     assert witnesses["is_partition"]["duplicated"] == []
+    assert witnesses["group_transitive"] == {"unreached_blocks": [0]}
     assert "is_partition" in err
 
 

@@ -23,7 +23,7 @@ from rookpaths.decompose import (
     subgraphs_isomorphic,
     verify_decomposition,
 )
-from rookpaths.grid import GridVertex, make_grid
+from rookpaths.grid import GridGraph, GridVertex
 from rookpaths.groups import (
     edge_orbits,
     generate_group,
@@ -88,7 +88,7 @@ def test_orbit_transversal_check():
 
 def test_orbit_transversal_staircase_n5():
     dec, _ = staircase_decomposition(5)
-    g = make_grid(5, 5)
+    g = GridGraph(5, 5)
     orbits = edge_orbits(g, generate_group([row_shift(5, 5)]))
     assert len(orbits) == 20
     check = orbit_transversal_check(dec.base, orbits)
@@ -97,14 +97,14 @@ def test_orbit_transversal_staircase_n5():
 
 
 def test_orbit_transversal_check_rejects_stray_edges():
-    g = make_grid(3, 3)
+    g = GridGraph(3, 3)
     orbits = edge_orbits(g, generate_group([row_shift(3, 3)]))
-    stray = grid_subgraph(make_grid(5, 5), [((0, 0), (0, 4))])
+    stray = grid_subgraph(GridGraph(5, 5), [((0, 0), (0, 4))])
     assert not orbit_transversal_check(stray, orbits).ok
 
 
 def test_build_orbit_decomposition_n3():
-    g = make_grid(3, 3)
+    g = GridGraph(3, 3)
     group = generate_group([row_shift(3, 3)])
     walk = walk_from_array((0, 0), [(0, 1), (1, 0), (0, 1), (1, 0), (0, 1), (2, 0)], 3, 3)
     base = Subgraph.of_edges(g, walk.edges(), walk)
@@ -118,12 +118,12 @@ def test_build_orbit_decomposition_n3():
 
 
 def test_build_rejects_non_transversal():
-    g = make_grid(3, 3)
+    g = GridGraph(3, 3)
     group = generate_group([row_shift(3, 3)])
     base = grid_subgraph(g, [((0, 0), (0, 1))])
     with pytest.raises(PreconditionFailed):
         build_orbit_decomposition(g, group, base)
-    g5 = make_grid(5, 5)
+    g5 = GridGraph(5, 5)
     group5 = generate_group([row_shift(5, 5)])
     # two edges of one orbit plus none from most others
     doubled = grid_subgraph(g5, [((0, 0), (0, 1)), ((1, 0), (1, 1))])
@@ -133,7 +133,7 @@ def test_build_rejects_non_transversal():
 
 
 def test_build_rejects_non_semiregular():
-    g = make_grid(2, 3)
+    g = GridGraph(2, 3)
     group = generate_group([row_shift(2, 3)])
     base = grid_subgraph(g, [((0, 0), (0, 1))])
     with pytest.raises(PreconditionFailed) as info:
@@ -152,10 +152,10 @@ def precondition_outcome(check, graph, group, base):
 def precondition_cases():
     """(label, graph, group, base) triples on both sides of the bijection test."""
     for n, m in ((2, 3), (4, 4)):
-        graph = make_grid(n, m)
+        graph = GridGraph(n, m)
         base = Subgraph.of_edges(graph, list(graph.edges())[: graph.edge_count // n])
         yield f"row shift {n}x{m}", graph, generate_group([row_shift(n, m)]), base
-    graph = make_grid(5, 5)
+    graph = GridGraph(5, 5)
     group = generate_group([row_shift(5, 5)])
     walk = walk_from_array((0, 0), staircase_array(5), 5, 5)
     edges = walk.edges()
@@ -181,7 +181,7 @@ def test_build_witnesses_match_orbit_path():
 
 
 def test_is_path_subgraph():
-    g = make_grid(3, 3)
+    g = GridGraph(3, 3)
     path = grid_subgraph(g, [((0, 0), (0, 1)), ((0, 1), (0, 2))])
     assert is_path_subgraph(path)
     k3 = CompleteGraph(3)
@@ -223,7 +223,7 @@ def test_subgraphs_isomorphic():
 
 
 def test_subgraphs_isomorphic_mixed_graphs():
-    g = make_grid(3, 3)
+    g = GridGraph(3, 3)
     grid_path = grid_subgraph(g, [((0, 0), (0, 1)), ((0, 1), (1, 1))])
     k4 = CompleteGraph(4)
     label_path = Subgraph.of_edges(k4, (k4.edge(1, 2), k4.edge(2, 3)))
@@ -254,7 +254,7 @@ def test_subgraphs_isomorphic_cap():
 
 
 def test_partition_witnesses():
-    g = make_grid(3, 3)
+    g = GridGraph(3, 3)
     dec, _ = staircase_decomposition(3)
     good = partition_witnesses(g, dec.blocks)
     assert good.ok and not (good.duplicated or good.missing or good.foreign)
@@ -277,8 +277,8 @@ def test_partition_witnesses():
 
 
 def test_partition_foreign_edges():
-    g = make_grid(3, 3)
-    other = make_grid(5, 5)
+    g = GridGraph(3, 3)
+    other = GridGraph(5, 5)
     alien = grid_subgraph(other, [((0, 0), (0, 4))])
     check = partition_witnesses(g, [alien])
     assert not check.ok
@@ -286,7 +286,7 @@ def test_partition_foreign_edges():
 
 
 def test_verify_catches_moved_edge():
-    g = make_grid(3, 3)
+    g = GridGraph(3, 3)
     dec, report = staircase_decomposition(3)
     assert report.all_ok
     blocks = list(dec.blocks)
@@ -303,7 +303,7 @@ def test_verify_catches_moved_edge():
 
 
 def test_verify_catches_dropped_block():
-    g = make_grid(3, 3)
+    g = GridGraph(3, 3)
     dec, _ = staircase_decomposition(3)
     broken = Decomposition(blocks=dec.blocks[:2], group=dec.group, base=dec.base)
     rep = verify_decomposition(g, dec.group, broken)
@@ -375,11 +375,11 @@ def test_diagonal_fixture_n4():
 
 
 def test_gallai_check():
-    g = make_grid(3, 3)
+    g = GridGraph(3, 3)
     dec, _ = staircase_decomposition(3)
     assert gallai_check(g, dec)
     # 26 blocks on 49 vertices violates 2*blocks <= vertices + 1
-    g7 = make_grid(7, 7)
+    g7 = GridGraph(7, 7)
     edges = list(g7.edges())[:26]
     blocks = tuple(Subgraph.of_edges(g7, (e,)) for e in edges)
     fake = Decomposition(blocks=blocks, group=generate_group([row_shift(7, 7)]), base=blocks[0])

@@ -16,7 +16,7 @@ from rookpaths.decompose import (
     staircase_decomposition,
     verify_decomposition,
 )
-from rookpaths.grid import GridEdge, GridVertex, make_grid
+from rookpaths.grid import GridEdge, GridGraph, GridVertex
 from rookpaths.groups import (
     EdgeAction,
     Permutation,
@@ -59,7 +59,7 @@ def corpus():
     """(label, graph, group, decomposition) cases for the verifier."""
     for n in (3, 5, 7):
         dec, _ = staircase_decomposition(n)
-        graph = make_grid(n, n)
+        graph = GridGraph(n, n)
         for label, case in tampered(f"staircase {n}", dec):
             yield label, graph, dec.group, case
         if n > 3:
@@ -82,7 +82,7 @@ def corpus():
     yield "diag4 swapped block", graph, group, replace_block(
         dec, 1, relabelled(dec.blocks[1], graph, lambda v: GridVertex(v.col, v.row))
     )
-    grid3 = make_grid(3, 3)
+    grid3 = GridGraph(3, 3)
     trivial = generate_group([Permutation({v: v for v in grid3.vertices()})])
     whole = Subgraph.of_edges(grid3, grid3.edges())
     yield "trivial 3x3", grid3, trivial, Decomposition((whole,), trivial, whole)
@@ -93,7 +93,7 @@ def corpus():
     trivial20 = generate_group([Permutation({v: v for v in k20.vertices()})])
     yield "trivial K_20 two cycles", k20, trivial20, Decomposition((other,), trivial20, cycle)
     # the row shift of even order fixes vertical edges at distance 2
-    grid4 = make_grid(4, 4)
+    grid4 = GridGraph(4, 4)
     shifts = generate_group([row_shift(4, 4)])
     corner = GridVertex(0, 0)
     base = Subgraph.of_edges(
@@ -129,12 +129,12 @@ def test_verifier_matches_object_oracle():
 
 def test_key_off_the_grid_lines_raises_like_an_outside_edge():
     dec, _ = staircase_decomposition(5)
-    graph = make_grid(5, 5)
+    graph = GridGraph(5, 5)
     first = dec.blocks[0]
     size = first.action.size
     outside = GridEdge(GridVertex(0, 0), GridVertex(0, 5))
     blocks = {
-        "edge outside": Subgraph.of_edges(make_grid(5, 6), (*first.edges[1:], outside)),
+        "edge outside": Subgraph.of_edges(GridGraph(5, 6), (*first.edges[1:], outside)),
         "key off every line": Subgraph(first.action, [*first.keys[1:], 6]),
         "key past the grid": Subgraph(first.action, [*first.keys[1:], size * size]),
     }
@@ -152,9 +152,9 @@ def test_key_off_the_grid_lines_raises_like_an_outside_edge():
 def action_corpus():
     for n in range(2, 7):
         for m in range(2, 7):
-            yield make_grid(n, m), generate_group([row_shift(n, m)])
+            yield GridGraph(n, m), generate_group([row_shift(n, m)])
     for n in range(2, 7):
-        yield make_grid(n, n), generate_group([diagonal_shift(n)])
+        yield GridGraph(n, n), generate_group([diagonal_shift(n)])
     k9 = CompleteGraph(9)
     yield k9, generate_group([permutation_from_cycles(k9, K9_GENERATOR_CYCLES)])
 
@@ -182,6 +182,6 @@ def traced_peak(fn, *args) -> int:
 
 def test_verifier_peak_memory_within_oracle():
     dec, _ = staircase_decomposition(23)
-    graph = make_grid(23, 23)
+    graph = GridGraph(23, 23)
     peak = traced_peak(verify_decomposition, graph, dec.group, dec)
     assert peak <= traced_peak(brute_verify_decomposition, graph, dec.group, dec)

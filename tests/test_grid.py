@@ -8,7 +8,6 @@ from rookpaths.grid import (
     GridGraph,
     GridVertex,
     Step,
-    make_grid,
 )
 from rookpaths.groups import edge_orbits, generate_group, row_shift
 from rookpaths.staircase import Walk, walk_from_array
@@ -17,18 +16,18 @@ from oracles import brute_grid_edges
 
 
 def test_vertex_and_edge_counts():
-    g = make_grid(3, 3)
+    g = GridGraph(3, 3)
     assert g.vertex_count == 9
     assert g.edge_count == 18
-    assert make_grid(5, 5).edge_count == 100
-    assert make_grid(3, 4).edge_count == 30
-    assert make_grid(2, 2).edge_count == 4
+    assert GridGraph(5, 5).edge_count == 100
+    assert GridGraph(3, 4).edge_count == 30
+    assert GridGraph(2, 2).edge_count == 4
 
 
 def test_edge_count_matches_enumeration():
     for n in range(2, 7):
         for m in range(2, 7):
-            g = make_grid(n, m)
+            g = GridGraph(n, m)
             edges = list(g.edges())
             assert len(edges) == g.edge_count
             assert len(set(edges)) == len(edges)
@@ -36,13 +35,13 @@ def test_edge_count_matches_enumeration():
 
 def test_edges_match_brute_force():
     for n, m in [(2, 2), (3, 3), (3, 5), (4, 4), (5, 3)]:
-        g = make_grid(n, m)
+        g = GridGraph(n, m)
         got = {frozenset({(e.u.row, e.u.col), (e.v.row, e.v.col)}) for e in g.edges()}
         assert got == brute_grid_edges(n, m)
 
 
 def test_degree_is_uniform():
-    g = make_grid(4, 6)
+    g = GridGraph(4, 6)
     counts = {}
     for e in g.edges():
         counts[e.u] = counts.get(e.u, 0) + 1
@@ -52,7 +51,7 @@ def test_degree_is_uniform():
 
 
 def test_vertices_row_major():
-    g = make_grid(2, 3)
+    g = GridGraph(2, 3)
     assert [str(v) for v in g.vertices()] == [
         "(0,0)", "(0,1)", "(0,2)", "(1,0)", "(1,1)", "(1,2)",
     ]
@@ -88,7 +87,7 @@ def test_step_rejects_zero():
 
 def test_classify_edge():
     # under the row shift an edge's orbit id is tagged H when its rows agree, V when its columns do
-    g = make_grid(3, 3)
+    g = GridGraph(3, 3)
     h = g.edge(GridVertex(0, 0), GridVertex(0, 2))
     v = g.edge(GridVertex(0, 1), GridVertex(2, 1))
     tag = {e: o.id[0] for o in edge_orbits(g, generate_group([row_shift(3, 3)])) for e in o.edges}
@@ -104,7 +103,7 @@ def test_edge_difference():
 
 
 def test_edge_differences_cancel():
-    for e in make_grid(4, 7).edges():
+    for e in GridGraph(4, 7).edges():
         (a,) = Walk(4, 7, (e.u, e.v)).steps
         (b,) = Walk(4, 7, (e.v, e.u)).steps
         assert (a.drow + b.drow) % 4 == 0
@@ -118,22 +117,22 @@ def test_shift_wraps():
 
 
 def test_edge_requires_membership():
-    g = make_grid(2, 2)
+    g = GridGraph(2, 2)
     with pytest.raises(ValueError):
         g.edge(GridVertex(0, 0), GridVertex(0, 5))
 
 
 def test_dimension_errors():
     with pytest.raises(DimensionError):
-        make_grid(1, 5)
+        GridGraph(1, 5)
     with pytest.raises(DimensionError):
-        make_grid(3, 0)
+        GridGraph(3, 0)
 
 
 def test_str_forms():
-    assert str(make_grid(3, 4)) == "K_3 box K_4"
+    assert str(GridGraph(3, 4)) == "K_3 box K_4"
 
 
 def test_grid_graph_is_hashable_value():
-    assert make_grid(3, 3) == GridGraph(3, 3)
-    assert len({make_grid(3, 3), GridGraph(3, 3)}) == 1
+    assert GridGraph(3, 3) == GridGraph(3, 3)
+    assert len({GridGraph(3, 3), GridGraph(3, 3)}) == 1

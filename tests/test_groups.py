@@ -1,5 +1,7 @@
 """Permutation groups, edge orbits, and the semiregularity check."""
 
+import random
+
 import pytest
 
 from rookpaths.decompose import (
@@ -9,7 +11,7 @@ from rookpaths.decompose import (
     Subgraph,
     build_orbit_decomposition,
 )
-from rookpaths.grid import GridVertex, make_grid
+from rookpaths.grid import GridGraph, GridVertex
 from rookpaths.groups import (
     EdgeOrbit,
     GroupTooLarge,
@@ -64,7 +66,7 @@ def test_diagonal_shift_moves_both_coordinates():
 
 
 def test_inverse_and_identity():
-    g = make_grid(5, 5)
+    g = GridGraph(5, 5)
     group = generate_group([row_shift(5, 5)])
     assert group.identity == identity(g)
     assert group.identity.table == tuple(range(25))
@@ -101,7 +103,7 @@ def test_generate_group_rejects_empty_and_mixed():
 
 
 def test_automorphism_violation_witness():
-    g = make_grid(2, 2)
+    g = GridGraph(2, 2)
     # transposing a single vertex pair breaks some edge image
     mapping = {
         GridVertex(0, 0): GridVertex(0, 0),
@@ -127,7 +129,7 @@ def test_permutation_from_cycles_k9():
 
 
 def test_edge_image():
-    g = make_grid(3, 3)
+    g = GridGraph(3, 3)
     c = row_shift(3, 3)
     e = g.edge(GridVertex(2, 0), GridVertex(2, 1))
     assert edge_image(c, g, e) == g.edge(GridVertex(0, 0), GridVertex(0, 1))
@@ -135,17 +137,17 @@ def test_edge_image():
 
 def test_orbit_counts_small_grids():
     # frozen counts: horizontal C(m,2), vertical m(n-1)/2, size n
-    grid33 = edge_orbits(make_grid(3, 3), generate_group([row_shift(3, 3)]))
+    grid33 = edge_orbits(GridGraph(3, 3), generate_group([row_shift(3, 3)]))
     assert len(grid33) == 6
     assert {o.size for o in grid33} == {3}
-    grid34 = edge_orbits(make_grid(3, 4), generate_group([row_shift(3, 4)]))
+    grid34 = edge_orbits(GridGraph(3, 4), generate_group([row_shift(3, 4)]))
     assert len(grid34) == 10
     assert {o.size for o in grid34} == {3}
 
 
 def test_orbits_match_brute_closure():
     for n, m in [(2, 3), (3, 3), (3, 4), (4, 4), (5, 4), (6, 3)]:
-        g = make_grid(n, m)
+        g = GridGraph(n, m)
         grp = generate_group([row_shift(n, m)])
         got = {
             frozenset(
@@ -158,7 +160,7 @@ def test_orbits_match_brute_closure():
 
 
 def test_orbit_ids_structured_for_row_shift():
-    orbits = edge_orbits(make_grid(5, 5), generate_group([row_shift(5, 5)]))
+    orbits = edge_orbits(GridGraph(5, 5), generate_group([row_shift(5, 5)]))
     kinds = {o.id[0] for o in orbits}
     assert kinds == {"H", "V"}
     # vertical ids fold the row difference: only 1..(n-1)/2 appear
@@ -166,7 +168,7 @@ def test_orbit_ids_structured_for_row_shift():
 
 
 def test_orbit_ids_generic_otherwise():
-    orbits = edge_orbits(make_grid(4, 4), generate_group([diagonal_shift(4)]))
+    orbits = edge_orbits(GridGraph(4, 4), generate_group([diagonal_shift(4)]))
     assert all(o.id[0] == "O" for o in orbits)
     assert len(orbits) == 12
     assert {o.size for o in orbits} == {4}
@@ -186,55 +188,96 @@ def test_k9_orbits():
 
 
 def test_trivial_group_is_semiregular():
-    g = make_grid(4, 4)
+    g = GridGraph(4, 4)
     trivial = generate_group([identity(g)])
     assert trivial.order == 1
     assert fixed_edge_witness(g, trivial) is None
 
 
 def test_semiregular_witnesses():
-    assert fixed_edge_witness(make_grid(3, 3), generate_group([row_shift(3, 3)])) is None
-    assert fixed_edge_witness(make_grid(7, 4), generate_group([row_shift(7, 4)])) is None
+    assert fixed_edge_witness(GridGraph(3, 3), generate_group([row_shift(3, 3)])) is None
+    assert fixed_edge_witness(GridGraph(7, 4), generate_group([row_shift(7, 4)])) is None
     # even n: c^(n/2) swaps the endpoints of a vertical edge at distance n/2
-    witness = fixed_edge_witness(make_grid(2, 3), generate_group([row_shift(2, 3)]))
+    witness = fixed_edge_witness(GridGraph(2, 3), generate_group([row_shift(2, 3)]))
     assert witness is not None
     elem, edge = witness
-    assert elem != identity(make_grid(2, 3))
-    assert edge_image(elem, make_grid(2, 3), edge) == edge
-    witness4 = fixed_edge_witness(make_grid(4, 4), generate_group([row_shift(4, 4)]))
+    assert elem != identity(GridGraph(2, 3))
+    assert edge_image(elem, GridGraph(2, 3), edge) == edge
+    witness4 = fixed_edge_witness(GridGraph(4, 4), generate_group([row_shift(4, 4)]))
     assert witness4 is not None
-    assert fixed_edge_witness(make_grid(4, 4), generate_group([diagonal_shift(4)])) is None
+    assert fixed_edge_witness(GridGraph(4, 4), generate_group([diagonal_shift(4)])) is None
 
 
 def witness_corpus():
     """(label, graph, group) pairs: semiregular actions and actions with fixed edges."""
     for n in range(2, 8):
         for m in range(2, 8):
-            yield f"row {n}x{m}", make_grid(n, m), generate_group([row_shift(n, m)])
+            yield f"row {n}x{m}", GridGraph(n, m), generate_group([row_shift(n, m)])
     for n in range(2, 7):
-        yield f"diagonal {n}", make_grid(n, n), generate_group([diagonal_shift(n)])
-    g4 = make_grid(4, 4)
+        yield f"diagonal {n}", GridGraph(n, n), generate_group([diagonal_shift(n)])
+    g4 = GridGraph(4, 4)
     yield "trivial 4x4", g4, generate_group([identity(g4)])
     k9 = CompleteGraph(9)
     yield "k9", k9, generate_group([permutation_from_cycles(k9, K9_GENERATOR_CYCLES)])
+    yield from permuted_grids(random.Random(7))
+    yield from relabelled_complete_graphs(random.Random(11))
+
+
+def permuted_grids(rng, cap=200):
+    """Seeded row x column permutations of grids up to 6 x 6, some transposed, some with the row shift.
+
+    Unlike the shifts these have fixed points, so a line can hold both a
+    pair of fixed ends and a swapped pair.  Groups over ``cap`` elements
+    are skipped.
+    """
+    for n in range(2, 7):
+        for m in range(2, 7):
+            for extra in ("", "transpose", "row shift", "transpose, row shift"):
+                if "transpose" in extra and n != m:
+                    continue
+                graph = GridGraph(n, m)
+                for _ in range(3):
+                    rows, cols = rng.sample(range(n), n), rng.sample(range(m), m)
+                    if "transpose" in extra:
+                        image = lambda v: GridVertex(rows[v.col], cols[v.row])  # noqa: E731
+                    else:
+                        image = lambda v: GridVertex(rows[v.row], cols[v.col])  # noqa: E731
+                    gens = [Permutation({v: image(v) for v in graph.vertices()})]
+                    if "row shift" in extra:
+                        gens.append(row_shift(n, m))
+                    try:
+                        group = generate_group(gens, cap=cap)
+                    except GroupTooLarge:
+                        continue
+                    yield f"rows {rows} cols {cols} {extra} {n}x{m}", graph, group
+
+
+def relabelled_complete_graphs(rng):
+    """Seeded label permutations of K_n for n <= 7, each generating a cyclic group."""
+    for n in range(2, 8):
+        graph = CompleteGraph(n)
+        for _ in range(6):
+            labels = rng.sample(range(1, n + 1), n)
+            yield f"labels {labels}", graph, generate_group([Permutation(zip(range(1, n + 1), labels))])
 
 
 def test_fixed_edge_witness_matches_exhaustive_scan():
-    seen_fixed = seen_free = 0
+    seen_free = 0
+    ends = set()
     for label, graph, group in witness_corpus():
         expected = brute_fixed_edge_witness(graph, group)
         assert fixed_edge_witness(graph, group) == expected, label
-        assert fixed_edge_witness(graph, group, edge_orbits(graph, group)) == expected, label
         if expected is None:
             seen_free += 1
         else:
-            seen_fixed += 1
-    # the corpus exercises both outcomes
-    assert seen_fixed and seen_free
+            g, e = expected
+            ends.add("fixed" if g(e.u) == e.u else "swapped")
+    # the corpus exercises both outcomes, and fixed edges of both kinds
+    assert seen_free and ends == {"fixed", "swapped"}
 
 
 def test_build_rejects_non_semiregular_with_scan_witness():
-    g = make_grid(4, 4)
+    g = GridGraph(4, 4)
     group = generate_group([row_shift(4, 4)])
     base = Subgraph.of_edges(g, (g.edge(GridVertex(0, 0), GridVertex(0, 1)),))
     with pytest.raises(PreconditionFailed) as info:
@@ -245,7 +288,7 @@ def test_build_rejects_non_semiregular_with_scan_witness():
 
 
 def test_same_orbit_spot_values():
-    g = make_grid(5, 5)
+    g = GridGraph(5, 5)
     assert same_orbit_row_shift(
         g.edge(GridVertex(0, 0), GridVertex(0, 2)),
         g.edge(GridVertex(3, 0), GridVertex(3, 2)),
@@ -267,7 +310,7 @@ def test_same_orbit_spot_values():
 def test_same_orbit_criterion_matches_enumeration():
     for n in (3, 5, 7, 9):
         for m in range(2, 10):
-            g = make_grid(n, m)
+            g = GridGraph(n, m)
             grp = generate_group([row_shift(n, m)])
             rep = {}
             for orbit in edge_orbits(g, grp):
@@ -283,7 +326,7 @@ def test_same_orbit_criterion_matches_enumeration():
 
 
 def test_same_orbit_validates_membership():
-    g = make_grid(5, 5)
+    g = GridGraph(5, 5)
     e = g.edge(GridVertex(0, 0), GridVertex(0, 4))
     with pytest.raises(ValueError):
         same_orbit_row_shift(e, e, 3, 3)
@@ -302,7 +345,7 @@ def test_orbit_census_values():
 def test_census_matches_enumeration_everywhere():
     for n in (3, 5, 7):
         for m in range(2, 8):
-            g = make_grid(n, m)
+            g = GridGraph(n, m)
             orbits = edge_orbits(g, generate_group([row_shift(n, m)]))
             census = orbit_census(n, m)
             horizontal = sum(1 for o in orbits if o.id[0] == "H")
@@ -312,6 +355,6 @@ def test_census_matches_enumeration_everywhere():
 
 
 def test_orbit_tuple_shape():
-    orbits = edge_orbits(make_grid(3, 3), generate_group([row_shift(3, 3)]))
+    orbits = edge_orbits(GridGraph(3, 3), generate_group([row_shift(3, 3)]))
     assert all(isinstance(o, EdgeOrbit) for o in orbits)
     assert [o.id for o in orbits] == sorted(o.id for o in orbits)

@@ -15,7 +15,7 @@ from rookpaths.decompose import (
     staircase_decomposition,
     verify_decomposition,
 )
-from rookpaths.grid import make_grid
+from rookpaths.grid import GridGraph
 from rookpaths.groups import (
     Permutation,
     automorphism_violation,
@@ -32,7 +32,7 @@ def documents():
     docs = {}
     for n in (3, 5, 7):
         dec, report = staircase_decomposition(n)
-        docs[f"n{n}"] = json.loads(decomposition_to_json(make_grid(n, n), dec, report))
+        docs[f"n{n}"] = json.loads(decomposition_to_json(GridGraph(n, n), dec, report))
     for name, fixture in (("k9", k9_fixture), ("diag4", diagonal_fixture_n4)):
         graph, group, base = fixture()
         dec = build_orbit_decomposition(graph, group, base)
@@ -161,10 +161,10 @@ def permutations_of(graph, tables):
 
 def automorphism_corpus():
     rng = random.Random(604)
-    grid23 = make_grid(2, 3)
+    grid23 = GridGraph(2, 3)
     yield grid23, permutations_of(grid23, itertools.permutations(range(6)))
     for n, m in ((3, 3), (3, 4), (4, 4)):
-        graph = make_grid(n, m)
+        graph = GridGraph(n, m)
         tables = (rng.sample(range(n * m), n * m) for _ in range(200))
         yield graph, permutations_of(graph, tables)
         # an automorphism with two vertices swapped breaks edges late in the order
@@ -178,9 +178,9 @@ def automorphism_corpus():
     k5 = CompleteGraph(5)
     yield k5, permutations_of(k5, itertools.permutations(range(5)))
     for n in range(2, 6):
-        yield make_grid(n, n), [diagonal_shift(n)]
+        yield GridGraph(n, n), [diagonal_shift(n)]
         for m in range(2, 6):
-            yield make_grid(n, m), [row_shift(n, m)]
+            yield GridGraph(n, m), [row_shift(n, m)]
 
 
 def test_automorphism_violation_matches_object_scan():
@@ -196,4 +196,4 @@ def test_automorphism_violation_matches_object_scan():
 
 def test_automorphism_violation_rejects_another_domain():
     with pytest.raises(ValueError):
-        automorphism_violation(make_grid(3, 3), row_shift(3, 4))
+        automorphism_violation(GridGraph(3, 3), row_shift(3, 4))

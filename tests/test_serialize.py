@@ -14,7 +14,7 @@ from rookpaths.decompose import (
     staircase_decomposition,
     verify_decomposition,
 )
-from rookpaths.grid import make_grid
+from rookpaths.grid import GridGraph
 from rookpaths.serialize import (
     SchemaError,
     blocks_to_text,
@@ -30,7 +30,7 @@ from rookpaths.serialize import (
 
 def n3_payload():
     dec, report = staircase_decomposition(3)
-    return decomposition_to_json(make_grid(3, 3), dec, report)
+    return decomposition_to_json(GridGraph(3, 3), dec, report)
 
 
 def k9_payload():
@@ -262,7 +262,7 @@ def test_parse_rejects_wrong_declared_order():
 
 
 def test_edges_to_text():
-    g = make_grid(3, 3)
+    g = GridGraph(3, 3)
     block = Subgraph.of_edges(g, list(g.edges())[:2])
     text = blocks_to_text([block])
     assert text == "# block 0\n(0,0)-(0,1)\n(0,0)-(0,2)\n"

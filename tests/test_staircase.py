@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rookpaths.decompose import Subgraph, build_orbit_decomposition
-from rookpaths.grid import DimensionError, GridVertex, Step, make_grid
+from rookpaths.grid import DimensionError, GridGraph, GridVertex, Step
 from rookpaths.groups import generate_group, row_shift
 from rookpaths.staircase import (
     ConstructionInvalid,
@@ -165,7 +165,7 @@ def test_walk_segment_and_reverse():
 def test_transported_walk_commutes_with_shift():
     group = generate_group([row_shift(5, 5)])
     w = walk_from_array((2, 3), staircase_array(5), 5, 5)
-    graph = make_grid(5, 5)
+    graph = GridGraph(5, 5)
     dec = build_orbit_decomposition(graph, group, Subgraph.of_edges(graph, w.edges(), w))
     assert len(dec.blocks) == group.order
     for g, block in zip(group.elements, dec.blocks):

@@ -1,0 +1,85 @@
+"""verify images at most |G| * |base| + |gens| * (sum of block sizes) edge keys, on hostile files too."""
+
+import json
+
+import pytest
+
+from rookpaths.decompose import VerificationReport, staircase_decomposition, verify_decomposition
+from rookpaths.grid import GridGraph
+from rookpaths.groups import EdgeAction
+from rookpaths.serialize import decomposition_to_json, parse_decomposition
+
+REPORT = dict.fromkeys(VerificationReport.FLAGS, True)
+
+
+def one_edge_base():
+    """K_30 box K_30 under the row shift: a one-edge base and one block holding every edge."""
+    edges = [[[e.u.row, e.u.col], [e.v.row, e.v.col]] for e in GridGraph(30, 30).edges()]
+    return {
+        "graph": {"kind": "grid", "n": 30, "m": 30},
+        "group": {"kind": "row_shift", "order": 30},
+        "base": {"edges": edges[:1]},
+        "blocks": [{"edges": edges}],
+        "report": REPORT,
+    }
+
+
+def rotated_staircase():
+    """The staircase decomposition for n = 7, its blocks rotated by 3 and one edge of block 0 moved."""
+    dec, report = staircase_decomposition(7)
+    doc = json.loads(decomposition_to_json(dec.base.action.graph, dec, report))
+    blocks = doc["blocks"][3:] + doc["blocks"][:3]
+    blocks[1]["edges"].append(blocks[0]["edges"].pop())
+    return dict(doc, blocks=blocks)
+
+
+def two_cycles():
+    """K_20 under the trivial group: the base is one 20-cycle, the only block another."""
+    n = 20
+    order = list(range(1, n, 2)) + list(range(2, n + 1, 2))
+    return {
+        "graph": {"kind": "complete", "n": n},
+        "group": {
+            "kind": "explicit",
+            "order": 1,
+            "generators": [{"kind": "explicit", "map": [[v, v] for v in range(1, n + 1)]}],
+        },
+        "base": {"edges": [sorted((v, v % n + 1)) for v in range(1, n + 1)]},
+        "blocks": [{"edges": [sorted(p) for p in zip(order, order[1:] + order[:1])]}],
+        "report": REPORT,
+    }
+
+
+# each file with the flags its report fails
+FILES = {
+    "one-edge base": (
+        one_edge_base,
+        ["blocks_isomorphic_to_base", "group_transitive", "semiregular"],
+    ),
+    "rotated staircase": (
+        rotated_staircase,
+        ["blocks_isomorphic_to_base", "group_invariant", "group_transitive"],
+    ),
+    "two cycles": (two_cycles, ["is_partition", "group_transitive"]),
+}
+
+
+@pytest.mark.parametrize("name", FILES)
+def test_verify_images_within_the_bound(monkeypatch, name):
+    make, failed = FILES[name]
+    graph, group, dec = parse_decomposition(json.dumps(make()))
+    imaged = []
+    image_keys = EdgeAction.image_keys
+
+    def counted(self, table, keys):
+        out = image_keys(self, table, keys)
+        imaged.append(len(out))
+        return out
+
+    monkeypatch.setattr(EdgeAction, "image_keys", counted)
+    report = verify_decomposition(graph, group, dec)
+    bound = group.order * dec.base.edge_count + len(group.generators) * sum(
+        block.edge_count for block in dec.blocks
+    )
+    assert 0 < sum(imaged) <= bound
+    assert report.failed() == failed

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from rookpaths.decompose import Subgraph, diagonal_fixture_n4
-from rookpaths.grid import GridEdge, GridVertex, Step, make_grid
+from rookpaths.grid import GridEdge, GridGraph, GridVertex, Step
 from rookpaths.groups import EdgeAction
 from rookpaths.staircase import build_staircase_path, walk_from_array
 
@@ -31,12 +31,12 @@ def walks():
 
 
 def keyed(walk):
-    action = EdgeAction(make_grid(walk.n, walk.m))
+    action = EdgeAction(GridGraph(walk.n, walk.m))
     return Subgraph(action, action.walk_keys(walk), walk)
 
 
 def of_edges(walk):
-    return Subgraph.of_edges(make_grid(walk.n, walk.m), walk.edges(), walk)
+    return Subgraph.of_edges(GridGraph(walk.n, walk.m), walk.edges(), walk)
 
 
 def outcome(build, walk):
@@ -75,5 +75,5 @@ def test_repeated_walk_edge_names_the_least_one():
 def test_of_edges_rejects_an_edge_outside_the_graph():
     outside = GridEdge(GridVertex(0, 0), GridVertex(0, 4))
     with pytest.raises(ValueError) as info:
-        Subgraph.of_edges(make_grid(3, 3), [outside])
+        Subgraph.of_edges(GridGraph(3, 3), [outside])
     assert str(info.value) == "(0,0)-(0,4) is not an edge of K_3 box K_3"

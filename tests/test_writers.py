@@ -12,7 +12,7 @@ from rookpaths.decompose import (
     k9_fixture,
     staircase_decomposition,
 )
-from rookpaths.grid import GridVertex, make_grid
+from rookpaths.grid import GridGraph, GridVertex
 from rookpaths.serialize import blocks_to_text, dot_for_blocks
 
 SPLITS = {5: (1, 2, 4, 5, 10, 20), 7: (1, 2, 3, 6, 7, 14, 21, 42)}
@@ -32,7 +32,7 @@ def block_lists():
         yield name, build_orbit_decomposition(graph, group, base).blocks
     yield "one block", blocks[7][:1]
     yield "empty", []
-    g34 = make_grid(3, 4)
+    g34 = GridGraph(3, 4)
     pairs = (((2, 0), (2, 3)), ((0, 1), (2, 1)))
     wide = Subgraph.of_edges(g34, [g34.edge(GridVertex(*u), GridVertex(*v)) for u, v in pairs])
     # vertices such as (0,1) and (2,0) lie on several of these grids and are listed once

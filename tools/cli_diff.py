@@ -14,7 +14,9 @@ when any command differs.  The corpus:
   - orbits --edges under both groups;
   - verify of files written from the first tree's output of generate
     --n 5 and 7 and examples k9 and diag4: the valid file, one with an
-    edge moved to another block and one with an edge dropped.
+    edge moved to another block and one with an edge dropped; for
+    generate also one whose base walk starts one column over, so that
+    the base is no block.
 
 --limit N runs N commands spread evenly over the corpus, the first and
 the last included.  Standard library only.
@@ -50,7 +52,18 @@ def dropped(doc: dict) -> None:
     doc["blocks"][0]["edges"].pop()
 
 
-TAMPERS = {"valid": lambda doc: None, "moved": moved, "dropped": dropped}
+def shifted_base(doc: dict) -> None:
+    """Move the base walk's start one column over: the base is then no image of any block."""
+    start = doc["base"]["start"]
+    start[1] = (start[1] + 1) % doc["graph"]["m"]
+
+
+TAMPERS = {"valid": lambda doc: None, "moved": moved, "dropped": dropped, "shifted-base": shifted_base}
+
+
+def tampers(source: tuple) -> list[str]:
+    """The variants written for a source command: a shifted base only for generate's walk."""
+    return [kind for kind in TAMPERS if kind != "shifted-base" or source[0] == "generate"]
 
 
 def corpus() -> list[tuple[str, ...]]:
@@ -64,8 +77,8 @@ def corpus() -> list[tuple[str, ...]]:
             commands += [("split", "--n", str(n), *size, "--format", fmt) for fmt in FORMATS]
     for group in ("row_shift", "diagonal_shift"):
         commands += [("orbits", "--n", str(n), "--group", group, "--edges") for n in (2, 3, 4, 5)]
-    for name in VERIFY_SOURCES:
-        commands += [("verify", "--input", f"{name}-{kind}.json") for kind in TAMPERS]
+    for name, source in VERIFY_SOURCES.items():
+        commands += [("verify", "--input", f"{name}-{kind}.json") for kind in tampers(source)]
     return list(dict.fromkeys(commands))
 
 
@@ -83,9 +96,9 @@ def write_verify_files(src: Path, work: Path) -> None:
         code, out, err = run(src, args, work)
         if code != 0:
             raise SystemExit(f"error: {' '.join(args)} exited {code}: {err.decode()}")
-        for kind, tamper in TAMPERS.items():
+        for kind in tampers(args):
             doc = json.loads(out)
-            tamper(doc)
+            TAMPERS[kind](doc)
             (work / f"{name}-{kind}.json").write_text(json.dumps(doc), encoding="utf-8")
 
 

@@ -66,7 +66,7 @@ def walk_base(n: int, walk):
 def child(n: int) -> None:
     """Time every stage for width n in this process; print one JSON line."""
     from rookpaths.decompose import build_orbit_decomposition, verify_decomposition
-    from rookpaths.grid import make_grid
+    from rookpaths.grid import GridGraph
     from rookpaths.groups import generate_group, row_shift
     from rookpaths.serialize import decomposition_to_json, parse_decomposition
     from rookpaths.staircase import build_staircase_path
@@ -79,7 +79,7 @@ def child(n: int) -> None:
         times[stage] = perf_counter() - start
         return result
 
-    graph = make_grid(n, n)
+    graph = GridGraph(n, n)
     walk = timed("walk", build_staircase_path, n)
     group = timed("group", generate_group, [row_shift(n, n)])
     dec = timed("build", build_orbit_decomposition, graph, group, walk_base(n, walk))
