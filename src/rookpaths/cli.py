@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .decompose import (
@@ -253,6 +254,7 @@ def cmd_split(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)  # one parser per process: parse_args reads it and never changes it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rookpaths",
@@ -293,9 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     return args.func(args)

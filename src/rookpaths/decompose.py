@@ -36,7 +36,7 @@ from itertools import chain
 from math import comb, isqrt
 from typing import Iterable, Iterator, NamedTuple
 
-from .grid import GridGraph, Step
+from .grid import GridGraph
 from .groups import (
     EdgeAction,
     EdgeOrbit,
@@ -143,9 +143,9 @@ class Subgraph:
         ordered = sorted(keys)
         if not ordered:
             raise ValueError("a subgraph needs at least one edge")
-        for a, b in zip(ordered, ordered[1:]):
-            if a == b:
-                raise ValueError(f"duplicate edge {action.edge(a)}")
+        if len(set(ordered)) < len(ordered):
+            least = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
+            raise ValueError(f"duplicate edge {action.edge(least)}")
         self.action, self.keys, self.walk = action, array("q", ordered), walk
 
     @classmethod
@@ -604,6 +604,6 @@ def diagonal_fixture_n4() -> tuple:
     """
     graph = GridGraph(4, 4)
     group = generate_group([diagonal_shift(4)])
-    walk = walk_from_array((0, 0), [Step(a, b) for a, b in DIAG4_STEPS], 4, 4)
+    walk = walk_from_array((0, 0), DIAG4_STEPS, 4, 4)
     action = EdgeAction(graph)
     return graph, group, Subgraph(action, action.walk_keys(walk), walk)

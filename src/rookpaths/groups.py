@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import lru_cache
+from itertools import chain, combinations
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
-from .grid import DimensionError, GridEdge, GridGraph, GridVertex
+from .grid import VERTEX_TUPLE_SHAPES, DimensionError, GridEdge, GridGraph, GridVertex
 
 DEFAULT_GROUP_CAP = 100_000
 
@@ -97,11 +98,13 @@ def _grid_shift(kind: str, n: int, m: int, table) -> Permutation:
     return perm
 
 
+@lru_cache(maxsize=VERTEX_TUPLE_SHAPES)  # one per grid shape, like its vertex tuple
 def row_shift(n: int, m: int) -> Permutation:
     """The grid automorphism (a, b) -> (a+1, b).  Generates a cyclic group of order n."""
     return _grid_shift(ROW_SHIFT, n, m, ((i + m) % (n * m) for i in range(n * m)))
 
 
+@lru_cache(maxsize=VERTEX_TUPLE_SHAPES)
 def diagonal_shift(n: int) -> Permutation:
     """The square-grid automorphism (a, b) -> (a+1, b+1) on K_n [box] K_n."""
     table = ((a + 1) % n * n + (b + 1) % n for a in range(n) for b in range(n))
@@ -119,9 +122,9 @@ def _lines(graph) -> list[range]:
 def automorphism_violation(graph, perm: Permutation):
     """First edge, in ``graph.edges()`` order, whose image under ``perm`` is not an edge, or None.
 
-    Every bijection of a complete graph is an automorphism; on a grid the
-    two images of an edge, distinct indices of ``perm.table``, must share
-    a row or a column.
+    Every bijection of a complete graph is an automorphism.  On a grid,
+    a line's images form a clique only if they all share a row or all a
+    column; the first line that fails has its pairs scanned for the witness.
     """
     if perm.vertices != graph.vertices():
         raise ValueError(f"the permutation does not act on the vertices of {graph}")
@@ -131,10 +134,11 @@ def automorphism_violation(graph, perm: Permutation):
     rows = [j // m for j in perm.table]
     cols = [j % m for j in perm.table]
     for line in _lines(graph):
-        for p, i in enumerate(line):
-            for j in line[p + 1 :]:
-                if rows[i] != rows[j] and cols[i] != cols[j]:
-                    return GridEdge(perm.vertices[i], perm.vertices[j])
+        if len({rows[i] for i in line}) > 1 and len({cols[i] for i in line}) > 1:
+            i, j = next(
+                (i, j) for i, j in combinations(line, 2) if rows[i] != rows[j] and cols[i] != cols[j]
+            )
+            return GridEdge(perm.vertices[i], perm.vertices[j])
     return None
 
 

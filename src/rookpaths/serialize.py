@@ -46,7 +46,7 @@ from .groups import (
     generate_group,
     row_shift,
 )
-from .staircase import walk_from_array
+from .staircase import _index_walk, walk_from_array
 
 # Size caps on parsed input, checked before anything proportional to the
 # graph or the group is allocated.  K_101 box K_101 (10,201 vertices,
@@ -246,10 +246,6 @@ def _vertex_index(graph, value, path: str) -> int:
     return label - 1
 
 
-def _parse_vertex(action: EdgeAction, value, path: str):
-    return action.vertices[_vertex_index(action.graph, value, path)]
-
-
 def _edge_key(action: EdgeAction, value, path: str) -> int:
     """The key of one serialized edge; SchemaError naming what is wrong with it."""
     _expect(isinstance(value, list) and len(value) == 2, path, "expected an endpoint pair")
@@ -342,8 +338,8 @@ def _parse_permutation(action: EdgeAction, obj, path: str) -> Permutation:
         for i, pair in enumerate(entries):
             ppath = f"{path}.map[{i}]"
             _expect(isinstance(pair, list) and len(pair) == 2, ppath, "expected a [vertex, image] pair")
-            v = _parse_vertex(action, pair[0], f"{ppath}[0]")
-            w = _parse_vertex(action, pair[1], f"{ppath}[1]")
+            v = action.vertices[_vertex_index(graph, pair[0], f"{ppath}[0]")]
+            w = action.vertices[_vertex_index(graph, pair[1], f"{ppath}[1]")]
             if v in mapping:
                 raise SchemaError(ppath, f"vertex {v} mapped twice")
             mapping[v] = w
@@ -393,14 +389,19 @@ def _parse_base(action: EdgeAction, obj, path: str) -> Subgraph:
         _expect(
             isinstance(graph, GridGraph), path, "walk bases are only defined on grid graphs"
         )
-        start = _parse_vertex(action, _get(obj, "start", path), f"{path}.start")
+        start = _vertex_index(graph, _get(obj, "start", path), f"{path}.start")
         raw = _get(obj, "steps", path)
         _expect(isinstance(raw, list) and raw, f"{path}.steps", "expected a non-empty list")
-        steps = [_parse_step(s, f"{path}.steps[{i}]") for i, s in enumerate(raw)]
-        try:
-            walk = walk_from_array(start, steps, graph.n, graph.m)
-        except ValueError as err:
-            raise SchemaError(f"{path}.steps", str(err)) from None
+        plain = all(type(s) is list and len(s) == 2 and type(s[0]) is type(s[1]) is int for s in raw)
+        steps = [(dr % graph.n, dc % graph.m) for dr, dc in raw] if plain else []
+        if plain and all((dr == 0) != (dc == 0) for dr, dc in steps):
+            walk = _index_walk(start, steps, graph.n, graph.m)[1]
+        else:  # the object path, which raises the error for the first bad step
+            arr = [_parse_step(s, f"{path}.steps[{i}]") for i, s in enumerate(raw)]
+            try:
+                walk = walk_from_array(action.vertices[start], arr, graph.n, graph.m)
+            except ValueError as err:
+                raise SchemaError(f"{path}.steps", str(err)) from None
         # consecutive walk vertices are distinct and share a line, so each pair is an edge
         return _subgraph(action, action.walk_keys(walk), f"{path}.steps", walk)
     if "edges" in obj:

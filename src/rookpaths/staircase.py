@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .grid import DimensionError, GridEdge, GridVertex, Step
+from .grid import DimensionError, GridEdge, GridGraph, GridVertex, Step
 
 
 class ConstructionInvalid(RuntimeError):
@@ -40,11 +40,15 @@ def _require_stretch(n: int, k: int = 1) -> None:
         raise ValueError(f"stretch index must satisfy 1 <= k <= {(n - 1) // 2}, got {k}")
 
 
+def _stretch_pairs(n: int, k: int) -> list[tuple[int, int]]:
+    c = 2 * k - 1
+    return [(0, c) if g % 2 else (c, 0) for g in range(1, 2 * n)] + [(2 * k, 0)]
+
+
 def stretch(n: int, k: int) -> tuple[Step, ...]:
     """Stretch k for width n: 2n steps alternating (0, 2k-1), (2k-1, 0), ending (2k, 0)."""
     _require_stretch(n, k)
-    c = 2 * k - 1
-    return tuple(Step(0, c) if g % 2 else Step(c, 0) for g in range(1, 2 * n)) + (Step(2 * k, 0),)
+    return tuple([Step(*p) for p in _stretch_pairs(n, k)])
 
 
 def staircase_array(n: int) -> tuple[Step, ...]:
@@ -108,7 +112,7 @@ class Walk:
         return Walk(self.n, self.m, self.vertices[i : j + 1])
 
 
-def _normalize_steps(arr: Iterable, n: int, m: int) -> tuple[Step, ...]:
+def _normalize_steps(arr: Iterable, n: int, m: int) -> list[tuple[int, int]]:
     steps = []
     for i, s in enumerate(arr):
         raw = (s.drow, s.dcol) if isinstance(s, Step) else tuple(s)
@@ -117,8 +121,18 @@ def _normalize_steps(arr: Iterable, n: int, m: int) -> tuple[Step, ...]:
             raise ValueError(
                 f"step {i + 1} = {raw} does not move along one grid line mod ({n},{m})"
             )
-        steps.append(Step(dr, dc))
-    return tuple(steps)
+        steps.append((dr, dc))
+    return steps
+
+
+def _index_walk(start: int, steps, n: int, m: int) -> tuple[list[int], Walk]:
+    """Indices (row * m + col) of the walk from ``start`` along reduced steps, and its Walk."""
+    path = [start]
+    for dr, dc in steps:
+        start = (start // m + dr) % n * m + (start % m + dc) % m
+        path.append(start)
+    vertices = GridGraph(n, m).vertices()
+    return path, Walk(n, m, tuple([vertices[i] for i in path]))
 
 
 def walk_from_array(v0, arr: Sequence[Step], n: int, m: int) -> Walk:
@@ -135,8 +149,8 @@ def walk_from_array(v0, arr: Sequence[Step], n: int, m: int) -> Walk:
     steps = _normalize_steps(arr, n, m)
     vertices = [start]
     cur = start
-    for s in steps:
-        cur = GridVertex((cur.row + s.drow) % n, (cur.col + s.dcol) % m)
+    for dr, dc in steps:
+        cur = GridVertex((cur.row + dr) % n, (cur.col + dc) % m)
         vertices.append(cur)
     return Walk(n, m, tuple(vertices))
 
@@ -177,8 +191,8 @@ def first_orbit_conflict(arr: Sequence[Step], n: int, m: int | None = None):
     steps = _normalize_steps(arr, n, m)
     cols = [0]
     c = 0
-    for s in steps:
-        c = (c + s.dcol) % m
+    for _, dc in steps:
+        c = (c + dc) % m
         cols.append(c)
     # Condition (a) holds for (i, j) iff (cols[j], step j) == (cols[i], step i),
     # and (b) iff (cols[j+1], -step j) == (cols[i], step i).  Scanning i
@@ -189,13 +203,13 @@ def first_orbit_conflict(arr: Sequence[Step], n: int, m: int | None = None):
     reverse: dict = {}
     found = None
     for i in range(ell - 1, -1, -1):
-        s = steps[i]
-        here = (cols[i], s.drow, s.dcol)
+        dr, dc = steps[i]
+        here = (cols[i], dr, dc)
         j = min(same.get(here, ell), reverse.get(here, ell))
         if j < ell:
             found = (i, j)
         same[here] = i
-        reverse[(cols[i + 1], -s.drow % n, -s.dcol % m)] = i
+        reverse[(cols[i + 1], -dr % n, -dc % m)] = i
     return found
 
 
@@ -212,15 +226,15 @@ def build_staircase_path(n: int) -> Walk:
     odd prime; for odd composite n the path check fails and the walk is
     rejected with a ConstructionInvalid naming the repeated vertex.
     """
-    arr = staircase_array(n)
-    walk = walk_from_array((0, 0), arr, n, n)
-    rep = first_repeated_vertex(walk)
-    if rep is not None:
-        i, j, v = rep
+    _require_stretch(n)
+    steps = [p for k in range(1, (n - 1) // 2 + 1) for p in _stretch_pairs(n, k)]
+    path, walk = _index_walk(0, steps, n, n)
+    if len(set(path)) < len(path):
+        i, j, v = rep = first_repeated_vertex(walk)
         raise ConstructionInvalid(
             "path", f"staircase walk revisits {v} at positions {i} and {j}", witness=rep
         )
-    conflict = first_orbit_conflict(arr, n)
+    conflict = first_orbit_conflict(steps, n)
     if conflict is not None:
         i, j = conflict
         raise ConstructionInvalid(

@@ -4,12 +4,15 @@ Everything here works with plain tuples, dicts, and sets, or with the
 library's edge objects, on purpose: the point is an independent route to
 the same answers, not a fast one.  The object-based verifier, parser and
 automorphism scan below are the library's own before they moved onto the
-integer edge action; the quadratic orbit-conflict scan is the library's
-before it became one pass, the orbit-path precondition checks are the
-builder's before the bijection test decided the common case,
-walk_edge_set is how a walk became a base before walks were keyed, and
-blocks_to_text and dot_for_blocks are the edge text and DOT writers as
-they were on edge objects, before they read key arrays.
+integer edge action (the parser still reads walk bases through Step and
+GridVertex objects); the quadratic orbit-conflict scan is the library's
+before it became one pass, the pair scan on vertex tables is
+automorphism_violation's before it tested each grid line as a whole,
+the orbit-path precondition checks are the builder's before the
+bijection test decided the common case, walk_edge_set is how a walk
+became a base before walks were keyed, and blocks_to_text and
+dot_for_blocks are the edge text and DOT writers as they were on edge
+objects, before they read key arrays.
 """
 
 from __future__ import annotations
@@ -421,13 +424,36 @@ def random_step_arrays(count, seed=1729, max_len=30, max_dim=7):
         yield n, m, tuple(steps)
 
 
-def brute_automorphism_violation(graph, perm: Permutation):
+def object_automorphism_violation(graph, perm: Permutation):
     """First edge whose image under ``perm`` is not an edge, or None."""
     for e in graph.edges():
         try:
             graph.edge(perm(e.u), perm(e.v))
         except ValueError:
             return e
+    return None
+
+
+def brute_automorphism_violation(graph, perm: Permutation):
+    """The same on the vertex tables: every pair of every line, rows first, then columns.
+
+    Both ends of an edge lie on one line, and its image is an edge
+    exactly when the two image indices share a row or a column.  This
+    is the library's scan before it tested each line as a whole.
+    """
+    if perm.vertices != graph.vertices():
+        raise ValueError(f"the permutation does not act on the vertices of {graph}")
+    if not isinstance(graph, GridGraph):
+        return None
+    n, m = graph.n, graph.m
+    rows = [j // m for j in perm.table]
+    cols = [j % m for j in perm.table]
+    lines = [range(a * m, a * m + m) for a in range(n)] + [range(b, n * m, m) for b in range(m)]
+    for line in lines:
+        for p, i in enumerate(line):
+            for j in line[p + 1 :]:
+                if rows[i] != rows[j] and cols[i] != cols[j]:
+                    return graph.edge(perm.vertices[i], perm.vertices[j])
     return None
 
 
@@ -446,11 +472,11 @@ def brute_first_orbit_conflict(arr: Sequence[Step], n: int, m: int | None = None
     if m is None:
         m = n
     steps = _normalize_steps(arr, n, m)
-    neg = [Step((-s.drow) % n, (-s.dcol) % m) for s in steps]
+    neg = [((-dr) % n, (-dc) % m) for dr, dc in steps]
     cols = [0]
     c = 0
-    for s in steps:
-        c = (c + s.dcol) % m
+    for _, dc in steps:
+        c = (c + dc) % m
         cols.append(c)
     ell = len(steps)
     for i in range(ell):

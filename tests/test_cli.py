@@ -520,3 +520,32 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
     assert main(["generate", "--help"]) == 0
     capsys.readouterr()
+
+
+def test_parser_reuse_matches_fresh_processes(tmp_path, capsys, monkeypatch):
+    """Commands run in one process give what each gives alone in a fresh process."""
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps to the terminal width
+    _, out, _ = run(capsys, "generate", "--n", "5")
+    data = json.loads(out)
+    data["blocks"][1]["edges"].append(data["blocks"][0]["edges"].pop())
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(data), encoding="utf-8")
+    commands = [
+        ["generate", "--n", "x"],
+        ["--help"],
+        ["generate", "--n", "5"],
+        ["frobnicate"],
+        ["verify", "--input", str(tampered)],
+        ["generate", "--n", "5"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(rookpaths.__file__).parents[1])}
+    codes = []
+    for argv in commands:
+        in_process = run(capsys, *argv)
+        alone = subprocess.run(
+            [sys.executable, "-m", "rookpaths", *argv],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert in_process == (alone.returncode, alone.stdout, alone.stderr), argv
+        codes.append(in_process[0])
+    assert codes == [1, 0, 0, 1, 2, 0]

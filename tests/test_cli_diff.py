@@ -27,7 +27,7 @@ def test_cli_diff_lists_each_differing_command(tmp_path):
     shutil.copytree(ROOT / "src", changed, ignore=shutil.ignore_patterns("__pycache__"))
     cli = changed / "rookpaths" / "cli.py"
     text = cli.read_text(encoding="utf-8")
-    marker = "    parser = build_parser()\n"
+    marker = "    return args.func(args)\n"
     assert text.count(marker) == 1
     cli.write_text(text.replace(marker, '    print("extra", file=sys.stderr)\n' + marker))
     done = cli_diff(f"same={ROOT / 'src'}", f"changed={changed}", limit=3)

@@ -1,6 +1,7 @@
 """Permutation groups, edge orbits, and the semiregularity check."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -28,6 +29,7 @@ from rookpaths.groups import (
 )
 
 from oracles import (
+    brute_automorphism_violation,
     brute_diagonal_shift,
     brute_fixed_edge_witness,
     brute_grid_edges,
@@ -259,6 +261,39 @@ def relabelled_complete_graphs(rng):
         for _ in range(6):
             labels = rng.sample(range(1, n + 1), n)
             yield f"labels {labels}", graph, generate_group([Permutation(zip(range(1, n + 1), labels))])
+
+
+def automorphism_corpus(rng):
+    """(label, graph, permutation): every element of witness_corpus, then seeded bijections.
+
+    The group elements (shifts, row x column permutations, transposes,
+    label permutations of K_n) are automorphisms.  Random bijections of
+    grids up to 6 x 6, and row shifts with two images swapped, mostly
+    are not, and their first broken line falls anywhere.
+    """
+    for label, graph, group in witness_corpus():
+        for g in group.elements:
+            yield label, graph, g
+    for n in range(2, 7):
+        for m in range(2, 7):
+            graph = GridGraph(n, m)
+            vs = graph.vertices()
+            for _ in range(10):
+                shuffled = rng.sample(range(n * m), n * m)
+                swapped = list(row_shift(n, m).table)
+                i, j = rng.sample(range(n * m), 2)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                for label, table in ((f"random {shuffled}", shuffled), (f"{i}, {j} swapped", swapped)):
+                    yield f"{n}x{m} {label}", graph, Permutation(zip(vs, (vs[k] for k in table)))
+
+
+def test_automorphism_violation_matches_pair_scan():
+    outcomes = Counter()
+    for label, graph, perm in automorphism_corpus(random.Random(1009)):
+        witness = automorphism_violation(graph, perm)
+        assert witness == brute_automorphism_violation(graph, perm), label
+        outcomes[witness is None] += 1
+    assert outcomes[True] > 1000 and outcomes[False] > 400, outcomes
 
 
 def test_fixed_edge_witness_matches_exhaustive_scan():

@@ -7,8 +7,10 @@ import random
 
 import pytest
 
+from rookpaths.cli import main
 from rookpaths.decompose import (
     CompleteGraph,
+    VerificationReport,
     build_orbit_decomposition,
     diagonal_fixture_n4,
     k9_fixture,
@@ -24,7 +26,7 @@ from rookpaths.groups import (
 )
 from rookpaths.serialize import SchemaError, decomposition_to_json, parse_decomposition
 
-from oracles import brute_automorphism_violation, object_parse_decomposition
+from oracles import object_automorphism_violation, object_parse_decomposition
 
 
 def documents():
@@ -147,6 +149,85 @@ def test_parse_corpus_covers_errors_and_successes():
     assert {"$.graph", "$.group.order", "$.base.steps", "$.blocks[0].edges"} <= paths
 
 
+def walk_base_documents():
+    """Documents with a walk base: generate --n 3, 5 and 7, diag4, and a 3 x 5 grid (n != m)."""
+    docs = {name: doc for name, doc in documents().items() if "start" in doc["base"]}
+    docs["3x5"] = {
+        "graph": {"kind": "grid", "n": 3, "m": 5},
+        "group": {"kind": "row_shift", "order": 3},
+        "base": {"start": [1, 2], "steps": [[0, 1], [1, 0], [0, 2], [2, 0], [0, 4]]},
+        "blocks": [{"edges": [[[1, 2], [1, 3]]]}],
+        "report": dict.fromkeys(VerificationReport.FLAGS, True),
+    }
+    return docs
+
+
+def walk_base_cases(doc):
+    """(label, document) pairs: each bad step and start at both ends of the walk, and valid rewrites."""
+    n, m = doc["graph"]["n"], doc["graph"]["m"]
+    steps = doc["base"]["steps"]
+    last = len(steps) - 1
+    bad_steps = {
+        "not a list": 1,
+        "an object": {"drow": 1},
+        "null": None,
+        "length 0": [],
+        "length 1": [1],
+        "length 3": [0, 1, 0],
+        "float": [0, 1.0],
+        "bool": [True, 0],
+        "string": ["0", 1],
+        "(0,0)": [0, 0],
+        "(0,0) mod n": [n, 0],
+        "(0,0) mod m": [0, -m],
+        "(0,0) mod both": [2 * n, -m],
+        "diagonal": [1, 1],
+        "diagonal mod (n,m)": [n + 1, -1],
+    }
+    for position in (0, last):
+        for label, value in bad_steps.items():
+            yield f"step {position} {label}", edited(doc, ("base", "steps", position), value)
+    diagonal_then_bool = edited(doc, ("base", "steps", 0), [1, 1])
+    diagonal_then_bool["base"]["steps"][last] = [True, 0]
+    yield "diagonal step, then a bool one", diagonal_then_bool
+    negative = [[dr - n, dc - 2 * m] for dr, dc in steps]
+    yield "every step negative", edited(doc, ("base", "steps"), negative)
+    yield "last step negative", edited(doc, ("base", "steps", last), negative[last])
+    for start in ([n, 0], [0, m], [-1, 0], [0, -1], [0.5, 0], [0, True], [0], None):
+        yield f"start {start}", edited(doc, ("base", "start"), start)
+    yield "start moved", edited(doc, ("base", "start"), [n - 1, m - 1])
+
+
+WALK_BASE_CORPUS = [
+    (f"{name}: {label}", doc)
+    for name, valid in walk_base_documents().items()
+    for label, doc in [("valid", valid), *walk_base_cases(valid)]
+]
+
+
+@pytest.mark.parametrize("label, doc", WALK_BASE_CORPUS, ids=[label for label, _ in WALK_BASE_CORPUS])
+def test_walk_base_matches_object_path(label, doc, tmp_path, capsys):
+    """The same parse, exit code and error line as the object path reading Step objects."""
+    expected = outcome(object_parse_decomposition, doc)
+    assert outcome(parse_decomposition, doc) == expected
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["verify", "--input", str(path)])
+    err = capsys.readouterr().err
+    if expected[0] == "error":
+        assert (code, err) == (1, f"error: {expected[1]}: {expected[2]}\n")
+    else:
+        graph, group, dec = object_parse_decomposition(json.dumps(doc))
+        assert code == (0 if verify_decomposition(graph, group, dec).all_ok else 2)
+
+
+def test_walk_base_corpus_covers_each_outcome():
+    results = [outcome(parse_decomposition, doc) for _, doc in WALK_BASE_CORPUS]
+    paths = {r[1] for r in results if r[0] == "error"}
+    assert {"$.base.start", "$.base.steps", "$.base.steps[0]", "$.base.steps[0][1]"} <= paths
+    assert sum(r[0] == "ok" for r in results) >= 12
+
+
 def test_parse_builds_one_vertex_object_per_vertex():
     graph, group, dec = parse_decomposition(json.dumps(documents()["n5"]))
     vertices = {id(v) for b in (dec.base, *dec.blocks) for e in b.edges for v in (e.u, e.v)}
@@ -188,7 +269,7 @@ def test_automorphism_violation_matches_object_scan():
     for graph, perms in automorphism_corpus():
         for perm in perms:
             witness = automorphism_violation(graph, perm)
-            assert witness == brute_automorphism_violation(graph, perm)
+            assert witness == object_automorphism_violation(graph, perm)
             checked += 1
             found += witness is not None
     assert checked > 1600 and 0 < found < checked
