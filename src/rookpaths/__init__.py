@@ -34,6 +34,7 @@ from .staircase import (
     one_edge_per_orbit,
     partial_stretch_sum,
     staircase_array,
+    stretch,
 )
 
 __version__ = "0.1.0"

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import lru_cache
 from pathlib import Path
 
 from .decompose import (
@@ -254,8 +253,9 @@ def cmd_split(args) -> int:
     return EXIT_OK
 
 
-@lru_cache(maxsize=1)  # one parser per process: parse_args reads it and never changes it
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser, with arguments only for the subcommands in ``argv``: argparse runs one of them."""
+    named = argv.__contains__
     parser = argparse.ArgumentParser(
         prog="rookpaths",
         description="Group-transitive path decompositions of K_n box K_m, verified.",
@@ -263,40 +263,47 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="build and verify a staircase decomposition")
-    g.add_argument("--n", type=int, required=True, help="grid width; odd prime unless --force")
-    g.add_argument("--format", choices=["json", "dot", "edges"], default="json")
-    g.add_argument("--force", action="store_true", help="run odd non-prime widths through the checks")
-    g.set_defaults(func=cmd_generate)
+    if named("generate"):
+        g.add_argument("--n", type=int, required=True, help="grid width; odd prime unless --force")
+        g.add_argument("--format", choices=["json", "dot", "edges"], default="json")
+        g.add_argument("--force", action="store_true", help="run odd non-prime widths through the checks")
+        g.set_defaults(func=cmd_generate)
 
     v = sub.add_parser("verify", help="re-verify a serialized decomposition from scratch")
-    v.add_argument("--input", required=True, help="path to a decomposition JSON file")
-    v.set_defaults(func=cmd_verify)
+    if named("verify"):
+        v.add_argument("--input", required=True, help="path to a decomposition JSON file")
+        v.set_defaults(func=cmd_verify)
 
     o = sub.add_parser("orbits", help="list edge orbits of a cyclic shift action")
-    o.add_argument("--n", type=int, required=True)
-    o.add_argument("--m", type=int, default=None, help="defaults to n")
-    o.add_argument("--group", choices=["row_shift", "diagonal_shift"], default="row_shift")
-    o.add_argument("--edges", action="store_true", help="also list the member edges")
-    o.set_defaults(func=cmd_orbits)
+    if named("orbits"):
+        o.add_argument("--n", type=int, required=True)
+        o.add_argument("--m", type=int, default=None, help="defaults to n")
+        o.add_argument("--group", choices=["row_shift", "diagonal_shift"], default="row_shift")
+        o.add_argument("--edges", action="store_true", help="also list the member edges")
+        o.set_defaults(func=cmd_orbits)
 
     e = sub.add_parser("examples", help="build and verify a named example")
-    e.add_argument("name", choices=["k9", "fig3", "diag4"])
-    e.add_argument("--format", choices=["json", "dot", "edges"], default="json")
-    e.set_defaults(func=cmd_examples)
+    if named("examples"):
+        e.add_argument("name", choices=["k9", "fig3", "diag4"])
+        e.add_argument("--format", choices=["json", "dot", "edges"], default="json")
+        e.set_defaults(func=cmd_examples)
 
     s = sub.add_parser("split", help="refine staircase blocks into short path segments")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--b", type=int, default=None, help="edges per segment; defaults to n-1")
-    s.add_argument("--force", action="store_true", help="run odd non-prime widths through the checks")
-    s.add_argument("--format", choices=["json", "dot", "edges"], default="json")
-    s.set_defaults(func=cmd_split)
+    if named("split"):
+        s.add_argument("--n", type=int, required=True)
+        s.add_argument("--b", type=int, default=None, help="edges per segment; defaults to n-1")
+        s.add_argument("--force", action="store_true", help="run odd non-prime widths through the checks")
+        s.add_argument("--format", choices=["json", "dot", "edges"], default="json")
+        s.set_defaults(func=cmd_split)
 
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     return args.func(args)

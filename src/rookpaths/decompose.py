@@ -143,9 +143,9 @@ class Subgraph:
         ordered = sorted(keys)
         if not ordered:
             raise ValueError("a subgraph needs at least one edge")
-        if len(set(ordered)) < len(ordered):
-            least = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
-            raise ValueError(f"duplicate edge {action.edge(least)}")
+        for a, b in zip(ordered, ordered[1:]):
+            if a == b:
+                raise ValueError(f"duplicate edge {action.edge(a)}")
         self.action, self.keys, self.walk = action, array("q", ordered), walk
 
     @classmethod

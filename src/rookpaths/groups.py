@@ -20,12 +20,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
-from .grid import VERTEX_TUPLE_SHAPES, DimensionError, GridEdge, GridGraph, GridVertex
+from .grid import DimensionError, GridEdge, GridGraph, GridVertex
 
 DEFAULT_GROUP_CAP = 100_000
 
@@ -98,13 +97,11 @@ def _grid_shift(kind: str, n: int, m: int, table) -> Permutation:
     return perm
 
 
-@lru_cache(maxsize=VERTEX_TUPLE_SHAPES)  # one per grid shape, like its vertex tuple
 def row_shift(n: int, m: int) -> Permutation:
     """The grid automorphism (a, b) -> (a+1, b).  Generates a cyclic group of order n."""
     return _grid_shift(ROW_SHIFT, n, m, ((i + m) % (n * m) for i in range(n * m)))
 
 
-@lru_cache(maxsize=VERTEX_TUPLE_SHAPES)
 def diagonal_shift(n: int) -> Permutation:
     """The square-grid automorphism (a, b) -> (a+1, b+1) on K_n [box] K_n."""
     table = ((a + 1) % n * n + (b + 1) % n for a in range(n) for b in range(n))

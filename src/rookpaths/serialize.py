@@ -22,6 +22,7 @@ element that fails a check.
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from functools import lru_cache
 from typing import Sequence
 
@@ -46,7 +47,7 @@ from .groups import (
     generate_group,
     row_shift,
 )
-from .staircase import _index_walk, walk_from_array
+from .staircase import walk_from_array
 
 # Size caps on parsed input, checked before anything proportional to the
 # graph or the group is allocated.  K_101 box K_101 (10,201 vertices,
@@ -392,11 +393,11 @@ def _parse_base(action: EdgeAction, obj, path: str) -> Subgraph:
         start = _vertex_index(graph, _get(obj, "start", path), f"{path}.start")
         raw = _get(obj, "steps", path)
         _expect(isinstance(raw, list) and raw, f"{path}.steps", "expected a non-empty list")
-        plain = all(type(s) is list and len(s) == 2 and type(s[0]) is type(s[1]) is int for s in raw)
-        steps = [(dr % graph.n, dc % graph.m) for dr, dc in raw] if plain else []
-        if plain and all((dr == 0) != (dc == 0) for dr, dc in steps):
-            walk = _index_walk(start, steps, graph.n, graph.m)[1]
-        else:  # the object path, which raises the error for the first bad step
+        walk = None
+        if all(type(s) is list and len(s) == 2 and type(s[0]) is type(s[1]) is int for s in raw):
+            with suppress(ValueError):
+                walk = walk_from_array(action.vertices[start], raw, graph.n, graph.m)
+        if walk is None:  # the Step objects give the error for the first bad step
             arr = [_parse_step(s, f"{path}.steps[{i}]") for i, s in enumerate(raw)]
             try:
                 walk = walk_from_array(action.vertices[start], arr, graph.n, graph.m)

@@ -19,6 +19,7 @@ violates the column-sum conditions implemented in one_edge_per_orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .grid import DimensionError, GridEdge, GridGraph, GridVertex, Step
@@ -51,10 +52,14 @@ def stretch(n: int, k: int) -> tuple[Step, ...]:
     return tuple([Step(*p) for p in _stretch_pairs(n, k)])
 
 
+def _staircase_pairs(n: int) -> list[tuple[int, int]]:
+    _require_stretch(n)
+    return [p for k in range(1, (n - 1) // 2 + 1) for p in _stretch_pairs(n, k)]
+
+
 def staircase_array(n: int) -> tuple[Step, ...]:
     """Concatenation of stretches 1 .. (n-1)/2; n(n-1) steps in total."""
-    _require_stretch(n)
-    return tuple(s for k in range(1, (n - 1) // 2 + 1) for s in stretch(n, k))
+    return tuple([Step(*p) for p in _staircase_pairs(n)])
 
 
 def partial_stretch_sum(n: int, k: int, p: int, q: int) -> tuple[int, int]:
@@ -140,19 +145,13 @@ def walk_from_array(v0, arr: Sequence[Step], n: int, m: int) -> Walk:
 
     Steps are reduced mod (n, m) and must each move along exactly one
     grid line after reduction; v0 may be a GridVertex or an (a, b) pair.
+    The vertices come from the grid's shared vertex tuple.
     """
     if n < 2 or m < 2:
         raise DimensionError(f"walks need n, m >= 2, got {n} x {m}")
     if not isinstance(v0, GridVertex):
         v0 = GridVertex(*v0)
-    start = GridVertex(v0.row % n, v0.col % m)
-    steps = _normalize_steps(arr, n, m)
-    vertices = [start]
-    cur = start
-    for dr, dc in steps:
-        cur = GridVertex((cur.row + dr) % n, (cur.col + dc) % m)
-        vertices.append(cur)
-    return Walk(n, m, tuple(vertices))
+    return _index_walk(v0.row % n * m + v0.col % m, _normalize_steps(arr, n, m), n, m)[1]
 
 
 def first_repeated_vertex(walk: Walk):
@@ -189,11 +188,7 @@ def first_orbit_conflict(arr: Sequence[Step], n: int, m: int | None = None):
     if m is None:
         m = n
     steps = _normalize_steps(arr, n, m)
-    cols = [0]
-    c = 0
-    for _, dc in steps:
-        c = (c + dc) % m
-        cols.append(c)
+    cols = list(accumulate((dc for _, dc in steps), lambda c, dc: (c + dc) % m, initial=0))
     # Condition (a) holds for (i, j) iff (cols[j], step j) == (cols[i], step i),
     # and (b) iff (cols[j+1], -step j) == (cols[i], step i).  Scanning i
     # downwards with the least such j > i seen so far keeps the last pair
@@ -226,8 +221,7 @@ def build_staircase_path(n: int) -> Walk:
     odd prime; for odd composite n the path check fails and the walk is
     rejected with a ConstructionInvalid naming the repeated vertex.
     """
-    _require_stretch(n)
-    steps = [p for k in range(1, (n - 1) // 2 + 1) for p in _stretch_pairs(n, k)]
+    steps = _staircase_pairs(n)
     path, walk = _index_walk(0, steps, n, n)
     if len(set(path)) < len(path):
         i, j, v = rep = first_repeated_vertex(walk)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import rookpaths
-from rookpaths.cli import main
+from rookpaths.cli import build_parser, main
 from rookpaths.decompose import VerificationReport
 from rookpaths.grid import GridGraph
 from rookpaths.serialize import MAX_EDGES
@@ -522,8 +522,8 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-def test_parser_reuse_matches_fresh_processes(tmp_path, capsys, monkeypatch):
-    """Commands run in one process give what each gives alone in a fresh process."""
+def test_commands_in_one_process_match_fresh_processes(tmp_path, capsys, monkeypatch):
+    """Commands run one after another in one process give what each gives alone in a fresh one."""
     monkeypatch.setenv("COLUMNS", "80")  # the help text wraps to the terminal width
     _, out, _ = run(capsys, "generate", "--n", "5")
     data = json.loads(out)
@@ -549,3 +549,30 @@ def test_parser_reuse_matches_fresh_processes(tmp_path, capsys, monkeypatch):
         assert in_process == (alone.returncode, alone.stdout, alone.stderr), argv
         codes.append(in_process[0])
     assert codes == [1, 0, 0, 1, 2, 0]
+
+
+COMMANDS = ["generate", "verify", "orbits", "examples", "split"]
+PARSER_CASES = [
+    [], ["--help"], ["-h", "generate"], ["--", "generate", "--n", "5"], ["frobnicate"],
+    ["gen", "--n", "5"], ["--n", "5", "generate"], ["generate"], ["generate", "--n", "x"],
+    ["generate", "--n=5", "--format=edges", "--force"], ["generate", "--n", "5", "verify"],
+    ["verify", "--input", "x.json"], ["verify", "--input"], ["orbits", "--n", "3", "--m"],
+    ["orbits", "--n", "3", "--m", "4", "--group", "diagonal_shift", "--edges"],
+    ["orbits", "--n", "3", "--group", "split"], ["examples", "k10"], ["examples", "diag4"],
+    ["split", "--n", "5", "--b", "generate"], ["split", "--n", "7", "--b", "3", "--format", "dot"],
+    *([name, "--help"] for name in COMMANDS),
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_parser_for_named_subcommands_parses_as_the_full_parser(argv, capsys, monkeypatch):
+    """Arguments only for the subcommands in argv: the namespace, exit code and text of all of them."""
+    monkeypatch.setenv("COLUMNS", "80")
+    outcomes = []
+    for parser in (build_parser(argv), build_parser(COMMANDS)):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+        outcomes.append((result, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]

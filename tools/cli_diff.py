@@ -12,6 +12,9 @@ when any command differs.  The corpus:
   - generate for the odd primes up to 13, in all three formats;
   - split --n 5 and --n 7 with several --b, in all three formats;
   - orbits --edges under both groups;
+  - help and usage errors (USAGE): no arguments, --help before and
+    after each subcommand, unknown or abbreviated subcommands, "--",
+    missing, extra and malformed arguments;
   - verify of files written from the first tree's output of generate
     --n 5 and 7 and examples k9 and diag4: the valid file, one with an
     edge moved to another block and one with an edge dropped; for
@@ -36,6 +39,14 @@ ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = ROOT / "perfbench" / "digests.json"
 FORMATS = ("json", "dot", "edges")
 SPLITS = {5: (None, 1, 2, 3, 4, 5, 10, 20), 7: (None, 1, 2, 3, 4, 6, 7, 14, 21, 42)}
+USAGE = [
+    (), ("--help",), ("-h", "generate"), ("--", "generate", "--n", "5"), ("frobnicate",),
+    ("gen", "--n", "5"), ("--n", "5", "generate"), ("generate",), ("generate", "--n", "x"),
+    ("generate", "--n=5", "--format=edges"), ("generate", "--n", "5", "verify"),
+    ("verify", "--input"), ("orbits", "--n", "3", "--m"), ("orbits", "--n", "3", "--group", "split"),
+    ("examples", "k10"), ("examples",), ("split", "--n", "5", "--b", "generate"),
+    *((name, "--help") for name in ("generate", "verify", "orbits", "examples", "split")),
+]
 VERIFY_SOURCES = {
     "n5": ("generate", "--n", "5"),
     "n7": ("generate", "--n", "7"),
@@ -77,6 +88,7 @@ def corpus() -> list[tuple[str, ...]]:
             commands += [("split", "--n", str(n), *size, "--format", fmt) for fmt in FORMATS]
     for group in ("row_shift", "diagonal_shift"):
         commands += [("orbits", "--n", str(n), "--group", group, "--edges") for n in (2, 3, 4, 5)]
+    commands += USAGE
     for name, source in VERIFY_SOURCES.items():
         commands += [("verify", "--input", f"{name}-{kind}.json") for kind in tampers(source)]
     return list(dict.fromkeys(commands))
@@ -124,7 +136,7 @@ def main(argv=None) -> int:
     differing = 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        if any(c[0] == "verify" for c in commands):
+        if any(c[:1] == ("verify",) for c in commands):
             write_verify_files(src_a, work)
         for command in commands:
             found = differences(run(src_a, command, work), run(src_b, command, work))

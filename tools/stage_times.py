@@ -17,6 +17,13 @@ too (--cli widths): ``python -m rookpaths generate --n N`` into a file,
 then ``verify --input`` of that file, each as its own process, with wall
 time, peak RSS and the sha256 of the generated file.
 
+Short commands cost less than interpreter start-up, so --first-call
+times them inside the process instead: each of SMALL_COMMANDS runs in
+that many fresh processes, which import rookpaths.cli and time one
+``main(argv)`` call (``first_ms``, what a user's command pays after the
+import) and then AGAIN_CALLS more in the same process (``again_ms``, their
+median: the cost of a command that follows others in one process).
+
     python tools/stage_times.py --label after
     python tools/stage_times.py --label compare --tree before=../old/src --tree after=src
 
@@ -42,6 +49,15 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
 STAGES = ("walk", "group", "build", "verify", "json_out", "parse", "verify_again")
+SMALL_COMMANDS = (
+    ("generate", "--n", "5"),
+    ("generate", "--n", "13"),
+    ("generate", "--n", "9"),
+    ("orbits", "--n", "7"),
+    ("split", "--n", "7", "--format", "edges"),
+    ("examples", "k9"),
+)
+AGAIN_CALLS = 20
 
 
 def walk_base(n: int, walk):
@@ -91,6 +107,38 @@ def child(n: int) -> None:
         raise SystemExit(f"n={n}: verification failed")
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(json.dumps({"edges": graph.edge_count, "times": times, "peak_rss_mb": peak}))
+
+
+def first_call_child(argv: list[str]) -> None:
+    """Time main(argv) once right after the import, then AGAIN_CALLS more; print one JSON line."""
+    import contextlib
+    import io
+
+    from rookpaths.cli import main as cli_main
+
+    times = []
+    for _ in range(1 + AGAIN_CALLS):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            start = perf_counter()
+            code = cli_main(argv)
+            times.append(perf_counter() - start)
+    print(json.dumps({"code": code, "first": times[0], "again": statistics.median(times[1:])}))
+
+
+def run_first_call(src: Path, argv: tuple[str, ...]) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    cmd = [sys.executable, __file__, "--first-call-child", json.dumps(argv)]
+    out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def median_first_call(argv: tuple[str, ...], runs: list[dict]) -> dict:
+    return {
+        "argv": " ".join(argv),
+        "exit_code": runs[0]["code"],
+        "first_ms": round(statistics.median(r["first"] for r in runs) * 1000, 3),
+        "again_ms": round(statistics.median(r["again"] for r in runs) * 1000, 3),
+    }
 
 
 def run_row(src: Path, n: int) -> dict:
@@ -166,11 +214,17 @@ def main(argv=None) -> int:
     parser.add_argument("--cli", type=int, nargs="*", default=[101],
                         help="widths for the generate+verify command-line timing")
     parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--first-call", type=int, default=20, metavar="PROCESSES",
+                        help="fresh processes per short command (0 skips them)")
     parser.add_argument("--out", type=Path, default=ROOT)
     parser.add_argument("--child", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--first-call-child", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child is not None:
         child(args.child)
+        return 0
+    if args.first_call_child is not None:
+        first_call_child(json.loads(args.first_call_child))
         return 0
     if not args.label:
         parser.error("--label is required")
@@ -191,6 +245,13 @@ def main(argv=None) -> int:
                 for name, src in order:
                     cli[name][n].append(run_cli(src, n, Path(tmp)))
                     print(f"[{rep + 1}/{args.repeat}] {name} cli n={n}", file=sys.stderr)
+    small = {name: {argv: [] for argv in SMALL_COMMANDS} for name in trees}
+    for run in range(args.first_call):
+        order = list(trees.items())[:: -1 if run % 2 else 1]
+        for argv in SMALL_COMMANDS:
+            for name, src in order:
+                small[name][argv].append(run_first_call(src, argv))
+        print(f"[{run + 1}/{args.first_call}] first calls", file=sys.stderr)
 
     record = {
         "label": args.label,
@@ -199,12 +260,15 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count(),
         "repeat": args.repeat,
         "stages": list(STAGES),
-        "units": {"times": "s", "rss": "MB (peak RSS of the process)"},
+        "units": {"times": "s", "rss": "MB (peak RSS of the process)", "first_call": "ms"},
         "trees": {
             name: {
                 "describe": describe(src),
                 "rows": [median_row(n, runs) for n, runs in rows[name].items()],
                 "cli": [median_cli(n, runs) for n, runs in cli[name].items()],
+                "first_call": [
+                    median_first_call(argv, runs) for argv, runs in small[name].items() if runs
+                ],
             }
             for name, src in trees.items()
         },
