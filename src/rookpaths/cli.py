@@ -222,8 +222,8 @@ def cmd_split(args) -> int:
     b = args.b if args.b is not None else args.n - 1
     try:
         segments = []
-        for block in dec.blocks:
-            segments.extend(haggkvist_split(block.walk, b))
+        for g in dec.group.elements:
+            segments.extend(haggkvist_split(dec.base.walk.image(g.table), b))
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

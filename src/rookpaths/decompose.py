@@ -23,8 +23,8 @@ the same bijection (a non-identity h fixing an edge of g(H) would make
 hg(H) and g(H) distinct blocks sharing it); any other input gets each
 flag checked on its own, with a concrete witness for each failure.
 The blocks are one orbit exactly when they are the base's images, so
-the verifier images |G| * |base| keys, and off the common case |gens|
-more per block edge.
+the verifier images |G| * |base| keys, and off the common case one
+more per block edge and distinct generator.
 """
 
 from __future__ import annotations
@@ -132,9 +132,9 @@ class Subgraph:
     ``keys`` is an ascending array('q') of keys on ``action`` (an
     EdgeAction): the constructor sorts the keys it is given and rejects
     an empty or repeated set, and range checks are the verifier's.
-    ``edges`` builds the edge objects when read.  ``walk`` optionally
-    records how the edge set was traced, so a block that is the image of
-    a walk can be split back into sub-paths.
+    ``edges`` builds the edge objects when read.  ``walk`` records how a
+    walk base or a split segment was traced; blocks carry none, and the
+    walk of block g(base) is ``base.walk.image(g.table)``.
     """
 
     __slots__ = ("action", "keys", "walk")
@@ -288,10 +288,6 @@ def build_orbit_decomposition(graph, group: FiniteGroup, base: Subgraph) -> Deco
                 f"base subgraph is not an orbit transversal: counts off in {len(bad)} orbits",
                 witness=(bad, check.counts),
             )
-    if (walk := base.walk) is not None:
-        vertices, path = action.vertices, action.walk_path(walk)
-        for t, block in zip(action.tables, blocks):
-            block.walk = Walk(walk.n, walk.m, tuple([vertices[t[i]] for i in path]))
     return Decomposition(tuple(blocks), group, base)
 
 
@@ -483,9 +479,11 @@ def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> Verif
             break
 
     block_set = set(signatures)
+    generators = dict.fromkeys(group.generators)  # a repeated one fails where its first copy does
     for idx, keys in enumerate(block_keys):
-        for gdx, gen in enumerate(group.generators):
+        for gen in generators:
             if _signature(action.image_keys(gen.table, keys)) not in block_set:
+                gdx = group.generators.index(gen)
                 witnesses["group_invariant"] = {"block_index": idx, "generator_index": gdx}
                 break
         if "group_invariant" in witnesses:

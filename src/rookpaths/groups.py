@@ -5,15 +5,15 @@ a generated group's elements share, so the closure composes tuples of
 ints.  EdgeAction carries the action to integer edge keys (vertex i is
 row * m + col on a grid, label - 1 on K_n; edge i < j is i * |V| + j),
 the one form every decompose.Subgraph is stored in (walk_keys keys a
-walk, keys() a list of edge objects); edge objects are built back only
-for witnesses, orbit listings and Subgraph.edges.  EdgeAction.image_keys
-transports a key array through an element; |E| distinct images of a
-base certify semiregularity and the transversal at once (see
-decompose).  The other checks read the vertex tables directly: both
-ends of an edge lie on one grid line (one line of all vertices on K_n),
-so automorphism_violation and fixed_edge_witness walk the lines, and an
-element fixes an edge setwise exactly when it fixes both ends or swaps
-them.  Only edge_orbits images whole orbits.
+Walk's index path, keys() a list of edge objects); edge objects are
+built back only for witnesses, orbit listings and Subgraph.edges.
+EdgeAction.image_keys transports a key array through an element; |E|
+distinct images of a base certify semiregularity and the transversal
+at once (see decompose).  The other checks read the vertex tables
+directly: both ends of an edge lie on one grid line (one line of all
+vertices on K_n), so automorphism_violation and fixed_edge_witness walk
+the lines, and an element fixes an edge setwise exactly when it fixes
+both ends or swaps them.  Only edge_orbits images whole orbits.
 """
 
 from __future__ import annotations
@@ -198,7 +198,8 @@ def generate_group(generators: Iterable[Permutation], cap: int = DEFAULT_GROUP_C
 
     Raises GroupTooLarge as soon as the closure would exceed ``cap``
     elements, so runaway generators fail fast instead of exhausting
-    memory.
+    memory.  A generator equal to an earlier one adds no element and is
+    not applied again; the group keeps every generator as given.
     """
     gens = tuple(generators)
     if not gens:
@@ -207,7 +208,7 @@ def generate_group(generators: Iterable[Permutation], cap: int = DEFAULT_GROUP_C
     for g in gens[1:]:
         if not first._same_domain(g):
             raise ValueError("generators act on different vertex sets")
-    tables = [g.table for g in gens]
+    tables = [g.table for g in dict.fromkeys(gens)]
     ident = tuple(range(len(first.table)))
     found = [ident]
     seen = {ident}
@@ -286,14 +287,9 @@ class EdgeAction:
             for a, b in ((table[k // size], table[k % size]) for k in keys)
         ]
 
-    def walk_path(self, walk) -> list[int]:
-        """The vertex indices of a walk on this grid, in walk order."""
-        m = self._grid[1]
-        return [v.row * m + v.col for v in walk.vertices]
-
     def walk_keys(self, walk) -> list[int]:
         """Keys of a walk's edges, in walk order; an edge walked twice appears twice."""
-        path, size = self.walk_path(walk), self.size
+        path, size = walk.path, self.size
         return [i * size + j if i < j else j * size + i for i, j in zip(path, path[1:])]
 
     def all_keys(self) -> Iterator[int]:

@@ -22,7 +22,6 @@ element that fails a check.
 from __future__ import annotations
 
 import json
-from contextlib import suppress
 from functools import lru_cache
 from typing import Sequence
 
@@ -119,7 +118,7 @@ def _group_json(group: FiniteGroup) -> dict:
 def _base_json(base: Subgraph) -> dict:
     if base.walk is not None:
         w = base.walk
-        return {"start": _vertex_json(w.start), "steps": [[s.drow, s.dcol] for s in w.steps]}
+        return {"start": _vertex_json(w.start), "steps": [list(p) for p in w.step_pairs()]}
     return {"edges": [_edge_json(e) for e in base.edges]}
 
 
@@ -393,16 +392,13 @@ def _parse_base(action: EdgeAction, obj, path: str) -> Subgraph:
         start = _vertex_index(graph, _get(obj, "start", path), f"{path}.start")
         raw = _get(obj, "steps", path)
         _expect(isinstance(raw, list) and raw, f"{path}.steps", "expected a non-empty list")
-        walk = None
-        if all(type(s) is list and len(s) == 2 and type(s[0]) is type(s[1]) is int for s in raw):
-            with suppress(ValueError):
-                walk = walk_from_array(action.vertices[start], raw, graph.n, graph.m)
-        if walk is None:  # the Step objects give the error for the first bad step
-            arr = [_parse_step(s, f"{path}.steps[{i}]") for i, s in enumerate(raw)]
-            try:
-                walk = walk_from_array(action.vertices[start], arr, graph.n, graph.m)
-            except ValueError as err:
-                raise SchemaError(f"{path}.steps", str(err)) from None
+        for i, s in enumerate(raw):  # a step other than a plain non-zero [int, int] pair
+            if not (type(s) is list and len(s) == 2 and type(s[0]) is type(s[1]) is int and any(s)):
+                _parse_step(s, f"{path}.steps[{i}]")
+        try:
+            walk = walk_from_array(action.vertices[start], raw, graph.n, graph.m)
+        except ValueError as err:
+            raise SchemaError(f"{path}.steps", str(err)) from None
         # consecutive walk vertices are distinct and share a line, so each pair is an edge
         return _subgraph(action, action.walk_keys(walk), f"{path}.steps", walk)
     if "edges" in obj:

@@ -8,18 +8,19 @@ to (1, 0).  For n an odd prime the resulting walk from (0, 0) is a path
 that meets every orbit of the cyclic row-shift group exactly once,
 which is what makes the construction useful downstream.
 
-A walk is stored as its vertex list.  The path check looks for the
-first repeated vertex in that list; a repeat is exactly a contiguous
-run of steps summing to (0, 0), whose sums partial_stretch_sum gives in
-closed form for one stretch.  The orbit check is a step-array
-criterion: a walk repeats a row-shift orbit iff some pair of steps
-violates the column-sum conditions implemented in one_edge_per_orbit.
+A walk is stored as its path of vertex indices row * m + col.  The path
+check looks for the first repeated index; a repeat is exactly a
+contiguous run of steps summing to (0, 0), whose sums
+partial_stretch_sum gives in closed form for one stretch.  The orbit
+check is a step-array criterion: a walk repeats a row-shift orbit iff
+some pair of steps violates the column-sum conditions implemented in
+one_edge_per_orbit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from typing import Iterable, Sequence
 
 from .grid import DimensionError, GridEdge, GridGraph, GridVertex, Step
@@ -85,36 +86,46 @@ def partial_stretch_sum(n: int, k: int, p: int, q: int) -> tuple[int, int]:
 
 @dataclass(frozen=True, slots=True)
 class Walk:
-    """A walk on K_n [box] K_m, stored as its vertex list; start and steps are derived."""
+    """A walk on K_n [box] K_m, stored as its vertex indices row * m + col; the rest is derived."""
 
     n: int
     m: int
-    vertices: tuple[GridVertex, ...]
+    path: tuple[int, ...]
+
+    @property
+    def vertices(self) -> tuple[GridVertex, ...]:
+        vertices = GridGraph(self.n, self.m).vertices()
+        return tuple([vertices[i] for i in self.path])
 
     @property
     def start(self) -> GridVertex:
-        return self.vertices[0]
+        return GridGraph(self.n, self.m).vertices()[self.path[0]]
 
     @property
     def length(self) -> int:
-        return len(self.vertices) - 1
+        return len(self.path) - 1
+
+    def step_pairs(self) -> list[tuple[int, int]]:
+        """Differences of consecutive vertices, reduced mod (n, m), as (drow, dcol) pairs."""
+        n, m, path = self.n, self.m, self.path
+        return [((b // m - a // m) % n, (b - a) % m) for a, b in pairwise(path)]
 
     @property
     def steps(self) -> tuple[Step, ...]:
-        """Differences of consecutive vertices, reduced mod (n, m)."""
-        vs = self.vertices
-        return tuple(
-            Step((b.row - a.row) % self.n, (b.col - a.col) % self.m) for a, b in zip(vs, vs[1:])
-        )
+        return tuple([Step(dr, dc) for dr, dc in self.step_pairs()])
 
     def edges(self) -> list[GridEdge]:
-        return [GridEdge(a, b) for a, b in zip(self.vertices, self.vertices[1:])]
+        return [GridEdge(a, b) for a, b in pairwise(self.vertices)]
 
     def segment(self, i: int, j: int) -> "Walk":
         """Sub-walk from vertex i to vertex j (0-based, inclusive endpoints)."""
         if not 0 <= i <= j <= self.length:
             raise ValueError(f"segment [{i}, {j}] out of range for length {self.length}")
-        return Walk(self.n, self.m, self.vertices[i : j + 1])
+        return Walk(self.n, self.m, self.path[i : j + 1])
+
+    def image(self, table: tuple) -> "Walk":
+        """The walk through the images of its vertices under one vertex table."""
+        return Walk(self.n, self.m, tuple(map(table.__getitem__, self.path)))
 
 
 def _normalize_steps(arr: Iterable, n: int, m: int) -> list[tuple[int, int]]:
@@ -130,14 +141,13 @@ def _normalize_steps(arr: Iterable, n: int, m: int) -> list[tuple[int, int]]:
     return steps
 
 
-def _index_walk(start: int, steps, n: int, m: int) -> tuple[list[int], Walk]:
-    """Indices (row * m + col) of the walk from ``start`` along reduced steps, and its Walk."""
+def _index_walk(start: int, steps, n: int, m: int) -> Walk:
+    """The walk from vertex index ``start`` along reduced steps."""
     path = [start]
     for dr, dc in steps:
         start = (start // m + dr) % n * m + (start % m + dc) % m
         path.append(start)
-    vertices = GridGraph(n, m).vertices()
-    return path, Walk(n, m, tuple([vertices[i] for i in path]))
+    return Walk(n, m, tuple(path))
 
 
 def walk_from_array(v0, arr: Sequence[Step], n: int, m: int) -> Walk:
@@ -145,13 +155,12 @@ def walk_from_array(v0, arr: Sequence[Step], n: int, m: int) -> Walk:
 
     Steps are reduced mod (n, m) and must each move along exactly one
     grid line after reduction; v0 may be a GridVertex or an (a, b) pair.
-    The vertices come from the grid's shared vertex tuple.
     """
     if n < 2 or m < 2:
         raise DimensionError(f"walks need n, m >= 2, got {n} x {m}")
     if not isinstance(v0, GridVertex):
         v0 = GridVertex(*v0)
-    return _index_walk(v0.row % n * m + v0.col % m, _normalize_steps(arr, n, m), n, m)[1]
+    return _index_walk(v0.row % n * m + v0.col % m, _normalize_steps(arr, n, m), n, m)
 
 
 def first_repeated_vertex(walk: Walk):
@@ -160,11 +169,11 @@ def first_repeated_vertex(walk: Walk):
     j is the first position whose vertex occurred before, and i is that
     vertex's first position.
     """
-    seen: dict[GridVertex, int] = {}
-    for j, v in enumerate(walk.vertices):
+    seen: dict[int, int] = {}
+    for j, v in enumerate(walk.path):
         i = seen.setdefault(v, j)
         if i != j:
-            return i, j, v
+            return i, j, GridGraph(walk.n, walk.m).vertices()[v]
     return None
 
 
@@ -222,8 +231,8 @@ def build_staircase_path(n: int) -> Walk:
     rejected with a ConstructionInvalid naming the repeated vertex.
     """
     steps = _staircase_pairs(n)
-    path, walk = _index_walk(0, steps, n, n)
-    if len(set(path)) < len(path):
+    walk = _index_walk(0, steps, n, n)
+    if len(set(walk.path)) < len(walk.path):
         i, j, v = rep = first_repeated_vertex(walk)
         raise ConstructionInvalid(
             "path", f"staircase walk revisits {v} at positions {i} and {j}", witness=rep

@@ -111,7 +111,7 @@ def test_build_orbit_decomposition_n3():
     dec = build_orbit_decomposition(g, group, base)
     assert len(dec.blocks) == 3
     assert all(b.edge_count == 6 for b in dec.blocks)
-    assert all(b.walk is not None for b in dec.blocks)
+    assert all(b.walk is None for b in dec.blocks)
     report = verify_decomposition(g, group, dec)
     assert report.all_ok
     assert report.flags() == {name: True for name in report.FLAGS}
@@ -388,19 +388,20 @@ def test_gallai_check():
 
 def test_haggkvist_split():
     dec, _ = staircase_decomposition(5)
-    segments = haggkvist_split(dec.blocks[0].walk, 4)
+    walk = dec.base.walk.image(dec.group.elements[0].table)
+    segments = haggkvist_split(walk, 4)
     assert len(segments) == 5
     assert all(s.edge_count == 4 for s in segments)
     assert all(is_path_subgraph(s) for s in segments)
     whole = sorted(e for s in segments for e in s.edges)
     assert whole == sorted(dec.blocks[0].edges)
     with pytest.raises(ValueError):
-        haggkvist_split(dec.blocks[0].walk, 3)
+        haggkvist_split(walk, 3)
 
 
 def test_haggkvist_split_whole_path():
     dec, _ = staircase_decomposition(3)
-    walk = dec.blocks[0].walk
+    walk = dec.base.walk.image(dec.group.elements[0].table)
     only = haggkvist_split(walk, walk.length)
     assert len(only) == 1
     assert sorted(only[0].edges) == sorted(dec.blocks[0].edges)

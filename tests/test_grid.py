@@ -96,16 +96,18 @@ def test_classify_edge():
 
 def test_edge_difference():
     # the step along an edge, read from either endpoint, reduced mod (n, m)
-    u, v, w = GridVertex(0, 0), GridVertex(2, 0), GridVertex(1, 1)
+    # a walk holds vertex indices row * m + col: u = (0,0), v = (2,0), w = (1,1), x = (1,4)
+    u, v, w, x = 0, 2 * 5, 1 * 5 + 1, 1 * 5 + 4
     assert Walk(5, 5, (u, v)).steps == (Step(2, 0),)
     assert Walk(5, 5, (v, u)).steps == (Step(3, 0),)
-    assert Walk(5, 5, (w, GridVertex(1, 4))).steps == (Step(0, 3),)
+    assert Walk(5, 5, (w, x)).steps == (Step(0, 3),)
 
 
 def test_edge_differences_cancel():
     for e in GridGraph(4, 7).edges():
-        (a,) = Walk(4, 7, (e.u, e.v)).steps
-        (b,) = Walk(4, 7, (e.v, e.u)).steps
+        u, v = e.u.row * 7 + e.u.col, e.v.row * 7 + e.v.col
+        (a,) = Walk(4, 7, (u, v)).steps
+        (b,) = Walk(4, 7, (v, u)).steps
         assert (a.drow + b.drow) % 4 == 0
         assert (a.dcol + b.dcol) % 7 == 0
 

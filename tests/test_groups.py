@@ -97,6 +97,16 @@ def test_group_cap():
         generate_group([row_shift(7, 7), diagonal_shift(7)], cap=10)
 
 
+def test_repeated_generators_keep_closure_and_generators():
+    r, d = row_shift(3, 3), diagonal_shift(3)
+    copy = Permutation({v: r(v) for v in r.vertices})  # equal to r, built apart from it
+    once = generate_group([r, d])
+    repeated = generate_group([r, d, copy, r, d])
+    # the same elements in the same breadth-first order; every generator is kept as given
+    assert [g.table for g in repeated.elements] == [g.table for g in once.elements]
+    assert repeated.generators == (r, d, copy, r, d)
+
+
 def test_generate_group_rejects_empty_and_mixed():
     with pytest.raises(ValueError):
         generate_group([])

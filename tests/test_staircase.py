@@ -156,8 +156,8 @@ def test_walk_segment_and_reverse():
     seg = w.segment(0, 4)
     assert seg.length == 4
     assert seg.vertices == w.vertices[:5]
-    # the reversed walk is its reversed vertex list; its steps are derived from it
-    rev = Walk(5, 5, w.vertices[::-1])
+    # the reversed walk is its reversed index path; its steps are derived from it
+    rev = Walk(5, 5, w.path[::-1])
     assert rev.steps == tuple(Step(-s.drow % 5, -s.dcol % 5) for s in reversed(w.steps))
     assert sorted(map(str, rev.edges())) == sorted(map(str, w.edges()))
 
@@ -169,9 +169,10 @@ def test_transported_walk_commutes_with_shift():
     dec = build_orbit_decomposition(graph, group, Subgraph.of_edges(graph, w.edges(), w))
     assert len(dec.blocks) == group.order
     for g, block in zip(group.elements, dec.blocks):
-        assert block.walk.vertices == tuple(g(v) for v in w.vertices)
-        assert block.walk.steps == w.steps
-        assert block.edges == Subgraph.of_edges(graph, block.walk.edges()).edges
+        image = w.image(g.table)
+        assert image.vertices == tuple(g(v) for v in w.vertices)
+        assert image.steps == w.steps
+        assert block.edges == Subgraph.of_edges(graph, image.edges()).edges
 
 
 def test_staircase_is_path_for_primes():

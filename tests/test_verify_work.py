@@ -1,4 +1,4 @@
-"""verify images at most |G| * |base| + |gens| * (sum of block sizes) edge keys, on hostile files too."""
+"""verify images at most |G| * |base| + |distinct gens| * (sum of block sizes) edge keys, on hostile files too."""
 
 import json
 
@@ -50,6 +50,20 @@ def two_cycles():
     }
 
 
+def repeated_generator():
+    """K_41 under 300 copies of the rotation i -> i + 1: a one-edge base and one block of every edge."""
+    n = 41
+    rotation = {"kind": "explicit", "map": [[v, v % n + 1] for v in range(1, n + 1)]}
+    edges = [[u, v] for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    return {
+        "graph": {"kind": "complete", "n": n},
+        "group": {"kind": "explicit", "order": n, "generators": [rotation] * 300},
+        "base": {"edges": edges[:1]},
+        "blocks": [{"edges": edges}],
+        "report": REPORT,
+    }
+
+
 # each file with the flags its report fails
 FILES = {
     "one-edge base": (
@@ -61,6 +75,10 @@ FILES = {
         ["blocks_isomorphic_to_base", "group_invariant", "group_transitive"],
     ),
     "two cycles": (two_cycles, ["is_partition", "group_transitive"]),
+    "repeated generator": (
+        repeated_generator,
+        ["blocks_isomorphic_to_base", "group_transitive"],
+    ),
 }
 
 
@@ -78,7 +96,8 @@ def test_verify_images_within_the_bound(monkeypatch, name):
 
     monkeypatch.setattr(EdgeAction, "image_keys", counted)
     report = verify_decomposition(graph, group, dec)
-    bound = group.order * dec.base.edge_count + len(group.generators) * sum(
+    distinct = len({gen.table for gen in group.generators})
+    bound = group.order * dec.base.edge_count + distinct * sum(
         block.edge_count for block in dec.blocks
     )
     assert 0 < sum(imaged) <= bound

@@ -20,12 +20,14 @@ SPLITS = {5: (1, 2, 4, 5, 10, 20), 7: (1, 2, 3, 6, 7, 14, 21, 42)}
 
 def block_lists():
     """(label, blocks): staircases, split segments, fixtures, and mixed or short lists."""
-    blocks = {n: staircase_decomposition(n)[0].blocks for n in (3, 5, 7, 11, 13)}
+    decs = {n: staircase_decomposition(n)[0] for n in (3, 5, 7, 11, 13)}
+    blocks = {n: dec.blocks for n, dec in decs.items()}
     for n, found in blocks.items():
         yield f"staircase n={n}", found
     for n, sizes in SPLITS.items():
+        walks = [decs[n].base.walk.image(g.table) for g in decs[n].group.elements]
         for b in sizes:
-            segments = [s for blk in blocks[n] for s in haggkvist_split(blk.walk, b)]
+            segments = [s for walk in walks for s in haggkvist_split(walk, b)]
             yield f"split n={n} b={b}", segments
     for name, fixture in (("k9", k9_fixture), ("diag4", diagonal_fixture_n4)):
         graph, group, base = fixture()
