@@ -14,10 +14,13 @@ reads the vertex tables and only the transversal witness needs orbits.
 
 Every Subgraph (base, block or split segment) is an ascending edge-key
 array on a groups.EdgeAction; the path and isomorphism checks read an
-adjacency of vertex indices.  Edge and vertex objects are built only for
-witnesses and the public Subgraph.edges and Subgraph.adjacency.  The
-verifier trusts nothing: it rebuilds the action from the vertex
-permutations and range-checks every key.  Blocks that partition E and
+adjacency of vertex indices.  Edge objects enter only through
+Subgraph.of_edges, and every check that is given a graph reads the keys
+of subgraphs of that graph and raises ValueError for a subgraph of
+another.  Edge and vertex objects are built only for witnesses and the
+public Subgraph.edges and Subgraph.adjacency.  The verifier trusts
+nothing: it rebuilds the action from the vertex permutations and
+range-checks every key.  Blocks that partition E and
 are exactly the |G| distinct images of the base pass all six flags by
 the same bijection (a non-identity h fixing an edge of g(H) would make
 hg(H) and g(H) distinct blocks sharing it); any other input gets each
@@ -165,7 +168,8 @@ class Subgraph:
     def __eq__(self, other):
         if not isinstance(other, Subgraph):
             return NotImplemented
-        return self.edges == other.edges and self.walk == other.walk
+        same_graph = self.action.graph == other.action.graph
+        return same_graph and self.keys == other.keys and self.walk == other.walk
 
     def adjacency(self) -> dict:
         """Each vertex of an edge of the subgraph, with the set of its neighbours."""
@@ -184,13 +188,11 @@ def _index_adjacency(sub: Subgraph) -> dict[int, set[int]]:
     return adj
 
 
-def _keys_on(action: EdgeAction, sub: Subgraph) -> tuple:
-    """``sub``'s ascending edge keys on ``action``'s graph, and its edges outside that graph."""
-    if sub.action.graph == action.graph:
-        return sub.keys, []
-    pairs = [(action.key(e), e) for e in sub.edges]
-    keys = array("q", sorted(k for k, _ in pairs if k is not None))
-    return keys, [e for k, e in pairs if k is None]
+def _keys_on(graph, sub: Subgraph) -> array:
+    """``sub``'s ascending edge keys; ValueError unless ``sub`` is a subgraph of ``graph``."""
+    if sub.action.graph != graph:
+        raise ValueError(f"a subgraph of {sub.action.graph} is not a subgraph of {graph}")
+    return sub.keys
 
 
 def _covers_once(action: EdgeAction, key_arrays) -> bool:
@@ -254,11 +256,11 @@ def orbit_transversal_check(sub: Subgraph, orbits: list[EdgeOrbit]) -> Transvers
     """
     if not orbits:
         return TransversalCheck(False, ())
-    keys, outside = _keys_on(orbits[0].action, sub)
+    keys = _keys_on(orbits[0].action.graph, sub)
     position = {k: pos for pos, orbit in enumerate(orbits) for k in orbit.keys}
     hits = Counter(position.get(k) for k in keys)  # None counts keys in no orbit
     counts = tuple(hits[pos] for pos in range(len(orbits)))
-    return TransversalCheck(not outside and None not in hits and set(counts) == {1}, counts)
+    return TransversalCheck(None not in hits and set(counts) == {1}, counts)
 
 
 def build_orbit_decomposition(graph, group: FiniteGroup, base: Subgraph) -> Decomposition:
@@ -271,9 +273,8 @@ def build_orbit_decomposition(graph, group: FiniteGroup, base: Subgraph) -> Deco
     checks the |G| blocks are |E| distinct keys, pairwise disjoint.
     """
     action = EdgeAction(graph, group)
-    keys, stray = _keys_on(action, base)
-    # a base edge outside the graph is named by the transversal check
-    blocks = [] if stray else [Subgraph(action, action.image_keys(t, keys)) for t in action.tables]
+    keys = _keys_on(graph, base)
+    blocks = [Subgraph(action, action.image_keys(t, keys)) for t in action.tables]
     if not _covers_once(action, [block.keys for block in blocks]):
         fixed = fixed_edge_witness(graph, group)
         if fixed is not None:
@@ -322,13 +323,13 @@ def is_path_subgraph(sub: Subgraph) -> bool:
 def subgraphs_isomorphic(a: Subgraph, b: Subgraph) -> bool:
     """Graph isomorphism of two edge-induced subgraphs.
 
-    Equal edge sets are isomorphic by the identity map.  Graphs of
-    maximum degree at most 2 are disjoint paths and cycles and are
-    compared by their component shapes; anything else goes through
+    Equal key sets on one graph are isomorphic by the identity map.
+    Graphs of maximum degree at most 2 are disjoint paths and cycles and
+    are compared by their component shapes; anything else goes through
     backtracking search, which raises IsomorphismCapExceeded above
     ISO_VERTEX_CAP vertices.
     """
-    if a.keys == b.keys if a.action.graph == b.action.graph else a.edges == b.edges:
+    if a.action.graph == b.action.graph and a.keys == b.keys:
         return True
     if a.edge_count != b.edge_count:
         return False
@@ -387,34 +388,28 @@ class PartitionCheck(NamedTuple):
     ok: bool
     duplicated: tuple
     missing: tuple
-    foreign: tuple
 
 
-def _partition_check(action: EdgeAction, block_keys: list, foreign: list) -> PartitionCheck:
-    """Partition witnesses from each block's edge keys and the edges outside the graph."""
+def _partition_check(action: EdgeAction, block_keys: list) -> PartitionCheck:
+    """Partition witnesses from each block's edge keys."""
     present: set = set()
     total = 0
     for keys in block_keys:
         present.update(keys)
         total += len(keys)
-    outside = Counter(foreign)
-    duplicated = [e for e, c in outside.items() if c > 1]
+    duplicated: tuple = ()
     if len(present) != total:
         repeated = Counter(k for keys in block_keys for k in keys)
-        duplicated += action.edges(k for k, c in repeated.items() if c > 1)
+        duplicated = action.edges(sorted(k for k, c in repeated.items() if c > 1))
     missing: tuple = ()
     if len(present) != action.graph.edge_count:
         missing = action.edges(k for k in action.all_keys() if k not in present)
-    ok = not duplicated and not missing and not outside
-    return PartitionCheck(ok, tuple(sorted(duplicated)), missing, tuple(sorted(outside)))
+    return PartitionCheck(not duplicated and not missing, duplicated, missing)
 
 
 def partition_witnesses(graph, blocks: Iterable[Subgraph]) -> PartitionCheck:
     """Do the blocks cover every edge exactly once?  Witnesses either way."""
-    action = EdgeAction(graph)
-    keyed = [_keys_on(action, block) for block in blocks]
-    foreign = [e for _, outside in keyed for e in outside]
-    return _partition_check(action, [keys for keys, _ in keyed], foreign)
+    return _partition_check(EdgeAction(graph), [_keys_on(graph, block) for block in blocks])
 
 
 def _signature(keys) -> bytes:
@@ -437,19 +432,12 @@ def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> Verif
     """
     action = EdgeAction(graph, group)
     witnesses: dict = {}
-
-    def keys_of(sub: Subgraph) -> array:
-        keys, outside = _keys_on(action, sub)
-        if outside:
-            raise ValueError(f"{outside[0]} is not an edge of {graph}")
-        return keys
-
-    block_keys = [keys_of(b) for b in dec.blocks]
+    block_keys = [_keys_on(graph, b) for b in dec.blocks]
     covered = _covers_once(action, block_keys)
     if not covered:
         for keys in block_keys:
             action.check_keys(keys)
-    base_keys = keys_of(dec.base)
+    base_keys = _keys_on(graph, dec.base)
     action.check_keys(base_keys)
     images = [_signature(action.image_keys(t, base_keys)) for t in action.tables]
     certified = set(images)
@@ -459,11 +447,11 @@ def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> Verif
         return VerificationReport(witnesses)
 
     if not covered:
-        partition = _partition_check(action, block_keys, [])
+        partition = _partition_check(action, block_keys)
         witnesses["is_partition"] = {
             "duplicated": list(partition.duplicated),
             "missing": list(partition.missing),
-            "foreign": list(partition.foreign),
+            "foreign": [],
         }
 
     for idx, block in enumerate(dec.blocks):

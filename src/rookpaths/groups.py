@@ -5,8 +5,8 @@ a generated group's elements share, so the closure composes tuples of
 ints.  EdgeAction carries the action to integer edge keys (vertex i is
 row * m + col on a grid, label - 1 on K_n; edge i < j is i * |V| + j),
 the one form every decompose.Subgraph is stored in (walk_keys keys a
-Walk's index path, keys() a list of edge objects); edge objects are
-built back only for witnesses, orbit listings and Subgraph.edges.
+Walk's index path, keys() the edges of Subgraph.of_edges); edge objects
+are built back only for witnesses, orbit listings and Subgraph.edges.
 EdgeAction.image_keys transports a key array through an element; |E|
 distinct images of a base certify semiregularity and the transversal
 at once (see decompose).  The other checks read the vertex tables

@@ -32,7 +32,7 @@ from .decompose import (
     Subgraph,
     VerificationReport,
 )
-from .grid import GridEdge, GridGraph, GridVertex, Step
+from .grid import GridEdge, GridGraph, GridVertex
 from .groups import (
     DEFAULT_GROUP_CAP,
     DIAGONAL_SHIFT,
@@ -311,14 +311,11 @@ def _subgraph(action: EdgeAction, keys: list[int], path: str, walk=None) -> Subg
         raise SchemaError(path, str(err)) from None
 
 
-def _parse_step(value, path: str) -> Step:
+def _parse_step(value, path: str) -> None:
     _expect(isinstance(value, list) and len(value) == 2, path, "expected a [drow, dcol] pair")
     dr = _int_at(value[0], f"{path}[0]")
     dc = _int_at(value[1], f"{path}[1]")
-    try:
-        return Step(dr, dc)
-    except ValueError as err:
-        raise SchemaError(path, str(err)) from None
+    _expect(dr or dc, path, "degenerate step (0,0)")
 
 
 def _parse_permutation(action: EdgeAction, obj, path: str) -> Permutation:
@@ -442,9 +439,13 @@ def parse_decomposition(data) -> tuple:
     raw_blocks = _get(data, "blocks", "$")
     _expect(isinstance(raw_blocks, list) and raw_blocks, "$.blocks", "expected a non-empty list")
     blocks = []
+    total = 0  # |E| in a valid file
     for i, entry in enumerate(raw_blocks):
         path = f"$.blocks[{i}].edges"
         keys = _edge_keys(action, _get(entry, "edges", f"$.blocks[{i}]"), path)
+        total += len(keys)
+        if total > MAX_EDGES:
+            raise SchemaError(path, f"{total} block edges in all, more than the cap of {MAX_EDGES}")
         blocks.append(_subgraph(action, keys, path))
     _parse_report_stub(_get(data, "report", "$"), "$.report")
     return graph, group, Decomposition(tuple(blocks), group, base)

@@ -8,13 +8,13 @@ to (1, 0).  For n an odd prime the resulting walk from (0, 0) is a path
 that meets every orbit of the cyclic row-shift group exactly once,
 which is what makes the construction useful downstream.
 
-A walk is stored as its path of vertex indices row * m + col.  The path
-check looks for the first repeated index; a repeat is exactly a
-contiguous run of steps summing to (0, 0), whose sums
-partial_stretch_sum gives in closed form for one stretch.  The orbit
-check is a step-array criterion: a walk repeats a row-shift orbit iff
-some pair of steps violates the column-sum conditions implemented in
-one_edge_per_orbit.
+A walk is stored as its path of vertex indices row * m + col.  It is a
+path when the indices are distinct; first_repeated_vertex names the
+first repeat, which is exactly a contiguous run of steps summing to
+(0, 0), whose sums partial_stretch_sum gives in closed form for one
+stretch.  The orbit check is a step-array criterion: a walk repeats a
+row-shift orbit iff some pair of steps violates the column-sum
+conditions implemented in one_edge_per_orbit.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ def first_repeated_vertex(walk: Walk):
 
 def is_path(walk: Walk) -> bool:
     """True iff no contiguous run of steps sums to (0, 0), i.e. no vertex repeats."""
-    return first_repeated_vertex(walk) is None
+    return len(set(walk.path)) == len(walk.path)
 
 
 def first_orbit_conflict(arr: Sequence[Step], n: int, m: int | None = None):
@@ -232,7 +232,7 @@ def build_staircase_path(n: int) -> Walk:
     """
     steps = _staircase_pairs(n)
     walk = _index_walk(0, steps, n, n)
-    if len(set(walk.path)) < len(walk.path):
+    if not is_path(walk):
         i, j, v = rep = first_repeated_vertex(walk)
         raise ConstructionInvalid(
             "path", f"staircase walk revisits {v} at positions {i} and {j}", witness=rep

@@ -133,11 +133,12 @@ def brute_partition_witnesses(graph, blocks: Iterable[Subgraph]) -> PartitionChe
     for b in blocks:
         counts.update(b.edges)
     graph_edges = set(graph.edges())
+    foreign = sorted(e for e in counts if e not in graph_edges)
+    if foreign:
+        raise ValueError(f"{foreign[0]} is not an edge of {graph}")
     duplicated = tuple(sorted(e for e, c in counts.items() if c > 1))
     missing = tuple(sorted(e for e in graph_edges if e not in counts))
-    foreign = tuple(sorted(e for e in counts if e not in graph_edges))
-    ok = not duplicated and not missing and not foreign
-    return PartitionCheck(ok, duplicated, missing, foreign)
+    return PartitionCheck(not duplicated and not missing, duplicated, missing)
 
 
 def brute_verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> VerificationReport:
@@ -156,7 +157,7 @@ def brute_verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) ->
         witnesses["is_partition"] = {
             "duplicated": list(partition.duplicated),
             "missing": list(partition.missing),
-            "foreign": list(partition.foreign),
+            "foreign": [],
         }
 
     ok_iso = True

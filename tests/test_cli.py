@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import rookpaths
+from rookpaths import serialize
 from rookpaths.cli import build_parser, main
 from rookpaths.decompose import VerificationReport
 from rookpaths.grid import GridGraph
@@ -323,6 +324,22 @@ def test_verify_caps_the_base_images(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err == "error: $.base: 11257350 base edge images, more than the cap of 2500000\n"
+
+
+def test_verify_caps_the_block_edges(tmp_path, capsys, monkeypatch):
+    # fig3 has 18 edges in 3 blocks: under a cap of 20 it parses, its blocks thrice do not
+    _, out, _ = run(capsys, "examples", "fig3")
+    monkeypatch.setattr(serialize, "MAX_EDGES", 20)
+    path = tmp_path / "fig3.json"
+    path.write_text(out, encoding="utf-8")
+    assert run(capsys, "verify", "--input", str(path))[0] == 0
+    data = json.loads(out)
+    data["blocks"] *= 3
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: $.blocks[3].edges: 24 block edges in all, more than the cap of 20\n"
 
 
 def test_verify_rejects_wrong_declared_order(tmp_path, capsys):

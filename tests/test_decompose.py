@@ -98,9 +98,13 @@ def test_orbit_transversal_staircase_n5():
 
 def test_orbit_transversal_check_rejects_stray_edges():
     g = GridGraph(3, 3)
-    orbits = edge_orbits(g, generate_group([row_shift(3, 3)]))
+    group = generate_group([row_shift(3, 3)])
     stray = grid_subgraph(GridGraph(5, 5), [((0, 0), (0, 4))])
-    assert not orbit_transversal_check(stray, orbits).ok
+    other = "a subgraph of K_5 box K_5 is not a subgraph of K_3 box K_3"
+    with pytest.raises(ValueError, match=other):
+        orbit_transversal_check(stray, edge_orbits(g, group))
+    with pytest.raises(ValueError, match=other):
+        build_orbit_decomposition(g, group, stray)
 
 
 def test_build_orbit_decomposition_n3():
@@ -257,7 +261,7 @@ def test_partition_witnesses():
     g = GridGraph(3, 3)
     dec, _ = staircase_decomposition(3)
     good = partition_witnesses(g, dec.blocks)
-    assert good.ok and not (good.duplicated or good.missing or good.foreign)
+    assert good.ok and not (good.duplicated or good.missing)
     # move one edge between blocks: one duplicate, one missing
     blocks = list(dec.blocks)
     edges0 = list(blocks[0].edges)
@@ -268,7 +272,6 @@ def test_partition_witnesses():
     assert not mutated.ok
     assert blocks[1].edges[0] in mutated.duplicated
     assert moved in mutated.missing
-    assert not mutated.foreign
     # a dropped block only loses edges
     short = partition_witnesses(g, dec.blocks[1:])
     assert not short.ok
@@ -280,9 +283,8 @@ def test_partition_foreign_edges():
     g = GridGraph(3, 3)
     other = GridGraph(5, 5)
     alien = grid_subgraph(other, [((0, 0), (0, 4))])
-    check = partition_witnesses(g, [alien])
-    assert not check.ok
-    assert len(check.foreign) == 1
+    with pytest.raises(ValueError, match="a subgraph of K_5 box K_5 is not a subgraph of K_3 box K_3"):
+        partition_witnesses(g, [alien])
 
 
 def test_verify_catches_moved_edge():

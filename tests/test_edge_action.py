@@ -144,7 +144,7 @@ def test_key_off_the_grid_lines_raises_like_an_outside_edge():
             verify_decomposition(graph, dec.group, replace_block(dec, 0, block))
         errors[label] = info.value
     assert {type(err) for err in errors.values()} == {ValueError}
-    assert str(errors["edge outside"]) == "(0,0)-(0,5) is not an edge of K_5 box K_5"
+    assert str(errors["edge outside"]) == "a subgraph of K_5 box K_6 is not a subgraph of K_5 box K_5"
     assert str(errors["key off every line"]) == "(0,0)-(1,1) is not an edge of K_5 box K_5"
     assert str(errors["key past the grid"]) == "key 625 is not an edge of K_5 box K_5"
 
