@@ -408,8 +408,11 @@ def _partition_check(action: EdgeAction, block_keys: list) -> PartitionCheck:
 
 
 def partition_witnesses(graph, blocks: Iterable[Subgraph]) -> PartitionCheck:
-    """Do the blocks cover every edge exactly once?  Witnesses either way."""
-    return _partition_check(EdgeAction(graph), [_keys_on(graph, block) for block in blocks])
+    """Do the blocks cover every edge exactly once?  Witnesses; ValueError for a key of no edge."""
+    action, block_keys = EdgeAction(graph), [_keys_on(graph, block) for block in blocks]
+    for keys in block_keys:
+        action.check_keys(keys)
+    return _partition_check(action, block_keys)
 
 
 def _signature(keys) -> bytes:

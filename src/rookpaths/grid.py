@@ -7,7 +7,9 @@ copy of K_m (its edges are "horizontal"), each column a copy of K_n
 
 Graphs are kept implicit: the two dimensions determine everything, a
 shape's vertices are one shared tuple, and edges are enumerated on
-demand.  All values here are immutable and all operations are pure.
+demand.  Inside the pipeline a vertex is its index row * m + col and a
+step a (drow, dcol) int pair; the objects here are for witnesses and
+output.  All values here are immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -33,24 +35,6 @@ class GridVertex:
 
     def __str__(self) -> str:
         return f"({self.row},{self.col})"
-
-
-@dataclass(frozen=True, slots=True)
-class Step:
-    """Difference between consecutive walk vertices.
-
-    A step moves along a single grid line, so exactly one component may
-    be nonzero once reduced modulo the grid dimensions.  Reduction needs
-    the dimensions and therefore happens where they are known (see
-    walk_from_array); only the always-degenerate (0, 0) is rejected here.
-    """
-
-    drow: int
-    dcol: int
-
-    def __post_init__(self) -> None:
-        if self.drow == 0 and self.dcol == 0:
-            raise ValueError("degenerate step (0,0)")
 
 
 @dataclass(frozen=True, order=True, slots=True)

@@ -109,7 +109,7 @@ def diagonal_shift(n: int) -> Permutation:
 
 
 def _lines(graph) -> list[range]:
-    """Index lines whose pairs, in order, give graph.edges(): rows, then columns; K_n is one line."""
+    """Rows, then columns, as index ranges (K_n is one); their pairs, in order, order the edges."""
     if not isinstance(graph, GridGraph):
         return [range(graph.vertex_count)]
     n, m = graph.n, graph.m
@@ -117,7 +117,7 @@ def _lines(graph) -> list[range]:
 
 
 def automorphism_violation(graph, perm: Permutation):
-    """First edge, in ``graph.edges()`` order, whose image under ``perm`` is not an edge, or None.
+    """First edge, in the pair order of ``_lines``, whose image under ``perm`` is no edge, or None.
 
     Every bijection of a complete graph is an automorphism.  On a grid,
     a line's images form a clique only if they all share a row or all a
@@ -371,9 +371,10 @@ def fixed_edge_witness(graph, group: FiniteGroup):
 
     Fixing is setwise: the element fixes both ends or swaps them.  The
     witness is the first such pair with the non-identity elements in
-    group order and, for each, the edges in ``graph.edges()`` order: the
-    pair an exhaustive scan finds, i.e. on the first line that has one,
-    the lesser of its first two fixed points and its first 2-cycle.
+    group order and, for each, the edges in the row-then-column pair
+    order of ``_lines``: the pair an exhaustive scan finds, i.e. on the
+    first line that has one, the lesser of its first two fixed points and
+    its first 2-cycle.
     Only the vertex tables are read, O(|G| * |V|) work.
     """
     action = EdgeAction(graph, group)

@@ -118,7 +118,7 @@ def _group_json(group: FiniteGroup) -> dict:
 def _base_json(base: Subgraph) -> dict:
     if base.walk is not None:
         w = base.walk
-        return {"start": _vertex_json(w.start), "steps": [list(p) for p in w.step_pairs()]}
+        return {"start": list(divmod(w.path[0], w.m)), "steps": [list(p) for p in w.step_pairs()]}
     return {"edges": [_edge_json(e) for e in base.edges]}
 
 
@@ -393,7 +393,7 @@ def _parse_base(action: EdgeAction, obj, path: str) -> Subgraph:
             if not (type(s) is list and len(s) == 2 and type(s[0]) is type(s[1]) is int and any(s)):
                 _parse_step(s, f"{path}.steps[{i}]")
         try:
-            walk = walk_from_array(action.vertices[start], raw, graph.n, graph.m)
+            walk = walk_from_array(divmod(start, graph.m), raw, graph.n, graph.m)
         except ValueError as err:
             raise SchemaError(f"{path}.steps", str(err)) from None
         # consecutive walk vertices are distinct and share a line, so each pair is an edge

@@ -1,20 +1,22 @@
 """Staircase step arrays and the walks they trace on square grids.
 
 A walk in K_n [box] K_m is determined by a start vertex and an array of
-steps, each moving along a single row or column.  The staircase array
-for odd n concatenates (n-1)/2 "stretches"; stretch k has 2n entries
-alternating (0, 2k-1) and (2k-1, 0) and ends with (2k, 0), so it sums
-to (1, 0).  For n an odd prime the resulting walk from (0, 0) is a path
-that meets every orbit of the cyclic row-shift group exactly once,
-which is what makes the construction useful downstream.
+steps, each a (drow, dcol) int pair moving along a single row or
+column.  The staircase array for odd n concatenates (n-1)/2 "stretches";
+stretch k has 2n entries alternating (0, 2k-1) and (2k-1, 0) and ends
+with (2k, 0), so it sums to (1, 0).  For n an odd prime the resulting
+walk from (0, 0) is a path that meets every orbit of the cyclic
+row-shift group exactly once, which is what makes the construction
+useful downstream.
 
-A walk is stored as its path of vertex indices row * m + col.  It is a
-path when the indices are distinct; first_repeated_vertex names the
-first repeat, which is exactly a contiguous run of steps summing to
-(0, 0), whose sums partial_stretch_sum gives in closed form for one
-stretch.  The orbit check is a step-array criterion: a walk repeats a
-row-shift orbit iff some pair of steps violates the column-sum
-conditions implemented in one_edge_per_orbit.
+A walk is (n, m, path), the path its vertex indices row * m + col; vertex
+objects are built only for witnesses.  It is a path when the indices are
+distinct; first_repeated_vertex names the first repeat, which is exactly
+a contiguous run of steps summing to (0, 0), whose sums
+partial_stretch_sum gives in closed form for one stretch.  The orbit
+check is a step-array criterion: a walk repeats a row-shift orbit iff
+some pair of steps violates the column-sum conditions implemented in
+one_edge_per_orbit.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from itertools import accumulate, pairwise
 from typing import Iterable, Sequence
 
-from .grid import DimensionError, GridEdge, GridGraph, GridVertex, Step
+from .grid import DimensionError, GridGraph
 
 
 class ConstructionInvalid(RuntimeError):
@@ -42,25 +44,17 @@ def _require_stretch(n: int, k: int = 1) -> None:
         raise ValueError(f"stretch index must satisfy 1 <= k <= {(n - 1) // 2}, got {k}")
 
 
-def _stretch_pairs(n: int, k: int) -> list[tuple[int, int]]:
-    c = 2 * k - 1
-    return [(0, c) if g % 2 else (c, 0) for g in range(1, 2 * n)] + [(2 * k, 0)]
-
-
-def stretch(n: int, k: int) -> tuple[Step, ...]:
+def stretch(n: int, k: int) -> tuple[tuple[int, int], ...]:
     """Stretch k for width n: 2n steps alternating (0, 2k-1), (2k-1, 0), ending (2k, 0)."""
     _require_stretch(n, k)
-    return tuple([Step(*p) for p in _stretch_pairs(n, k)])
+    c = 2 * k - 1
+    return tuple([(0, c) if g % 2 else (c, 0) for g in range(1, 2 * n)]) + ((2 * k, 0),)
 
 
-def _staircase_pairs(n: int) -> list[tuple[int, int]]:
+def staircase_array(n: int) -> tuple[tuple[int, int], ...]:
+    """Concatenation of stretches 1 .. (n-1)/2; n(n-1) (drow, dcol) steps in total."""
     _require_stretch(n)
-    return [p for k in range(1, (n - 1) // 2 + 1) for p in _stretch_pairs(n, k)]
-
-
-def staircase_array(n: int) -> tuple[Step, ...]:
-    """Concatenation of stretches 1 .. (n-1)/2; n(n-1) steps in total."""
-    return tuple([Step(*p) for p in _staircase_pairs(n)])
+    return tuple([p for k in range(1, (n - 1) // 2 + 1) for p in stretch(n, k)])
 
 
 def partial_stretch_sum(n: int, k: int, p: int, q: int) -> tuple[int, int]:
@@ -93,15 +87,6 @@ class Walk:
     path: tuple[int, ...]
 
     @property
-    def vertices(self) -> tuple[GridVertex, ...]:
-        vertices = GridGraph(self.n, self.m).vertices()
-        return tuple([vertices[i] for i in self.path])
-
-    @property
-    def start(self) -> GridVertex:
-        return GridGraph(self.n, self.m).vertices()[self.path[0]]
-
-    @property
     def length(self) -> int:
         return len(self.path) - 1
 
@@ -109,13 +94,6 @@ class Walk:
         """Differences of consecutive vertices, reduced mod (n, m), as (drow, dcol) pairs."""
         n, m, path = self.n, self.m, self.path
         return [((b // m - a // m) % n, (b - a) % m) for a, b in pairwise(path)]
-
-    @property
-    def steps(self) -> tuple[Step, ...]:
-        return tuple([Step(dr, dc) for dr, dc in self.step_pairs()])
-
-    def edges(self) -> list[GridEdge]:
-        return [GridEdge(a, b) for a, b in pairwise(self.vertices)]
 
     def segment(self, i: int, j: int) -> "Walk":
         """Sub-walk from vertex i to vertex j (0-based, inclusive endpoints)."""
@@ -130,8 +108,7 @@ class Walk:
 
 def _normalize_steps(arr: Iterable, n: int, m: int) -> list[tuple[int, int]]:
     steps = []
-    for i, s in enumerate(arr):
-        raw = (s.drow, s.dcol) if isinstance(s, Step) else tuple(s)
+    for i, raw in enumerate(map(tuple, arr)):
         dr, dc = raw[0] % n, raw[1] % m
         if (dr == 0) == (dc == 0):
             raise ValueError(
@@ -150,17 +127,16 @@ def _index_walk(start: int, steps, n: int, m: int) -> Walk:
     return Walk(n, m, tuple(path))
 
 
-def walk_from_array(v0, arr: Sequence[Step], n: int, m: int) -> Walk:
-    """The walk starting at v0 whose i-th vertex is v0 plus the first i steps.
+def walk_from_array(start, arr: Sequence[tuple[int, int]], n: int, m: int) -> Walk:
+    """The walk from the (row, col) pair ``start`` whose i-th vertex adds the first i steps.
 
-    Steps are reduced mod (n, m) and must each move along exactly one
-    grid line after reduction; v0 may be a GridVertex or an (a, b) pair.
+    Steps are (drow, dcol) int pairs, reduced mod (n, m); each must move
+    along exactly one grid line after reduction.
     """
     if n < 2 or m < 2:
         raise DimensionError(f"walks need n, m >= 2, got {n} x {m}")
-    if not isinstance(v0, GridVertex):
-        v0 = GridVertex(*v0)
-    return _index_walk(v0.row % n * m + v0.col % m, _normalize_steps(arr, n, m), n, m)
+    row, col = start
+    return _index_walk(row % n * m + col % m, _normalize_steps(arr, n, m), n, m)
 
 
 def first_repeated_vertex(walk: Walk):
@@ -182,7 +158,7 @@ def is_path(walk: Walk) -> bool:
     return len(set(walk.path)) == len(walk.path)
 
 
-def first_orbit_conflict(arr: Sequence[Step], n: int, m: int | None = None):
+def first_orbit_conflict(arr: Sequence[tuple[int, int]], n: int, m: int | None = None):
     """First pair of step indices (0-based) whose edges share a row-shift orbit, or None.
 
     For the walk edges e_i = {v_{i-1}, v_i}, edges i+1 and j+1 lie in one
@@ -217,7 +193,7 @@ def first_orbit_conflict(arr: Sequence[Step], n: int, m: int | None = None):
     return found
 
 
-def one_edge_per_orbit(arr: Sequence[Step], n: int, m: int | None = None) -> bool:
+def one_edge_per_orbit(arr: Sequence[tuple[int, int]], n: int, m: int | None = None) -> bool:
     """True iff the walk of ``arr`` uses at most one edge from each row-shift orbit."""
     return first_orbit_conflict(arr, n, m) is None
 
@@ -230,7 +206,7 @@ def build_staircase_path(n: int) -> Walk:
     odd prime; for odd composite n the path check fails and the walk is
     rejected with a ConstructionInvalid naming the repeated vertex.
     """
-    steps = _staircase_pairs(n)
+    steps = staircase_array(n)
     walk = _index_walk(0, steps, n, n)
     if not is_path(walk):
         i, j, v = rep = first_repeated_vertex(walk)

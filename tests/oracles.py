@@ -4,8 +4,12 @@ Everything here works with plain tuples, dicts, and sets, or with the
 library's edge objects, on purpose: the point is an independent route to
 the same answers, not a fast one.  The object-based verifier, parser and
 automorphism scan below are the library's own before they moved onto the
-integer edge action (the parser still reads walk bases through Step and
-GridVertex objects); the quadratic orbit-conflict scan is the library's
+integer edge action; the parser still reads walk bases through Step and
+GridVertex objects.  Step is the library's step type, and
+walk_vertex_objects and walk_edge_objects a walk's object views, as they
+were before steps became (drow, dcol) int pairs and a Walk its index
+path.  The quadratic
+orbit-conflict scan (on Step objects or pairs) is the library's
 before it became one pass, the pair scan on vertex tables is
 automorphism_violation's before it tested each grid line as a whole,
 the orbit-path precondition checks are the builder's before the
@@ -20,7 +24,8 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from rookpaths.decompose import (
     CompleteGraph,
@@ -32,7 +37,7 @@ from rookpaths.decompose import (
     VerificationReport,
     subgraphs_isomorphic,
 )
-from rookpaths.grid import GridGraph, GridVertex, Step
+from rookpaths.grid import GridEdge, GridGraph, GridVertex
 from rookpaths.groups import (
     DEFAULT_GROUP_CAP,
     DIAGONAL_SHIFT,
@@ -55,9 +60,51 @@ from rookpaths.serialize import (
     PALETTE,
     SchemaError,
 )
-from rookpaths.staircase import _normalize_steps, walk_from_array
+from rookpaths.staircase import walk_from_array
 
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
+
+
+@dataclass(frozen=True, slots=True)
+class Step:
+    """Difference between consecutive walk vertices.
+
+    A step moves along a single grid line, so exactly one component may
+    be nonzero once reduced modulo the grid dimensions.  Reduction needs
+    the dimensions and therefore happens where they are known (see
+    walk_from_array); only the always-degenerate (0, 0) is rejected here.
+    """
+
+    drow: int
+    dcol: int
+
+    def __post_init__(self) -> None:
+        if self.drow == 0 and self.dcol == 0:
+            raise ValueError("degenerate step (0,0)")
+
+
+def _normalize_steps(arr: Iterable, n: int, m: int) -> list[tuple[int, int]]:
+    steps = []
+    for i, s in enumerate(arr):
+        raw = (s.drow, s.dcol) if isinstance(s, Step) else tuple(s)
+        dr, dc = raw[0] % n, raw[1] % m
+        if (dr == 0) == (dc == 0):
+            raise ValueError(
+                f"step {i + 1} = {raw} does not move along one grid line mod ({n},{m})"
+            )
+        steps.append((dr, dc))
+    return steps
+
+
+def walk_vertex_objects(walk) -> tuple:
+    """A walk's vertex objects, read from its index path row * m + col."""
+    return tuple(GridVertex(*divmod(i, walk.m)) for i in walk.path)
+
+
+def walk_edge_objects(walk) -> list:
+    """A walk's edge objects in walk order, one per pair of consecutive vertices."""
+    vertices = walk_vertex_objects(walk)
+    return [GridEdge(a, b) for a, b in zip(vertices, vertices[1:])]
 
 
 def brute_grid_edges(n, m):
@@ -334,7 +381,7 @@ def walk_edge_set(walk) -> list:
     keyed: sort the walk's edge objects and name the least one that
     occurs twice, as ``duplicate edge (a,b)-(c,d)``.
     """
-    edges = sorted(walk.edges())
+    edges = sorted(walk_edge_objects(walk))
     for a, b in zip(edges, edges[1:]):
         if a == b:
             raise ValueError(f"duplicate edge {a}")
@@ -458,11 +505,12 @@ def brute_automorphism_violation(graph, perm: Permutation):
     return None
 
 
-def brute_first_orbit_conflict(arr: Sequence[Step], n: int, m: int | None = None):
+def brute_first_orbit_conflict(arr: Sequence, n: int, m: int | None = None):
     """First pair of step indices (0-based) whose edges share a row-shift orbit, or None.
 
-    For the walk edges e_i = {v_{i-1}, v_i}, edges i+1 and j+1 lie in one
-    orbit of the cyclic row-shift group exactly when either
+    ``arr`` holds Step objects or (drow, dcol) pairs.  For the walk edges
+    e_i = {v_{i-1}, v_i}, edges i+1 and j+1 lie in one orbit of the
+    cyclic row-shift group exactly when either
       (a) the column components of steps i+1 .. j sum to 0 and
           a_{i+1} == a_{j+1}, or
       (b) the column components of steps i+1 .. j+1 sum to 0 and
@@ -648,10 +696,12 @@ def _parse_base(graph, obj, path: str) -> Subgraph:
         _expect(isinstance(raw, list) and raw, f"{path}.steps", "expected a non-empty list")
         steps = [_parse_step(s, f"{path}.steps[{i}]") for i, s in enumerate(raw)]
         try:
-            walk = walk_from_array(start, steps, graph.n, graph.m)
+            walk = walk_from_array(
+                (start.row, start.col), _normalize_steps(steps, graph.n, graph.m), graph.n, graph.m
+            )
         except ValueError as err:
             raise SchemaError(f"{path}.steps", str(err)) from None
-        return Subgraph.of_edges(graph, walk.edges(), walk)
+        return Subgraph.of_edges(graph, walk_edge_objects(walk), walk)
     if "edges" in obj:
         return _parse_subgraph_edges(graph, obj["edges"], f"{path}.edges")
     raise SchemaError(path, "base needs either start+steps or edges")

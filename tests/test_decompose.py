@@ -32,7 +32,7 @@ from rookpaths.groups import (
 )
 from rookpaths.staircase import staircase_array, walk_from_array
 
-from oracles import orbit_path_preconditions, path_edge_set
+from oracles import orbit_path_preconditions, path_edge_set, walk_edge_objects
 
 
 def grid_subgraph(g, pairs):
@@ -111,7 +111,7 @@ def test_build_orbit_decomposition_n3():
     g = GridGraph(3, 3)
     group = generate_group([row_shift(3, 3)])
     walk = walk_from_array((0, 0), [(0, 1), (1, 0), (0, 1), (1, 0), (0, 1), (2, 0)], 3, 3)
-    base = Subgraph.of_edges(g, walk.edges(), walk)
+    base = Subgraph.of_edges(g, walk_edge_objects(walk), walk)
     dec = build_orbit_decomposition(g, group, base)
     assert len(dec.blocks) == 3
     assert all(b.edge_count == 6 for b in dec.blocks)
@@ -162,7 +162,7 @@ def precondition_cases():
     graph = GridGraph(5, 5)
     group = generate_group([row_shift(5, 5)])
     walk = walk_from_array((0, 0), staircase_array(5), 5, 5)
-    edges = walk.edges()
+    edges = walk_edge_objects(walk)
     shift = group.elements[1]
     yield "staircase 5", graph, group, Subgraph.of_edges(graph, edges, walk)
     yield "one edge", graph, group, Subgraph.of_edges(graph, edges[:1])
@@ -277,6 +277,23 @@ def test_partition_witnesses():
     assert not short.ok
     assert len(short.missing) == 6
     assert not short.duplicated
+
+
+def test_partition_witnesses_range_checks_keys():
+    # a key of no edge never counts towards a partition, even when the count comes out right
+    g = GridGraph(3, 3)
+    dec, _ = staircase_decomposition(3)
+    first = dec.blocks[0]
+    diagonal = 0 * 9 + 4  # (0,0)-(1,1): both indices in range, on no common line
+    for keys, name in [
+        (list(first.keys) + [81], "key 81"),
+        (list(first.keys)[1:] + [81], "key 81"),
+        (list(first.keys)[1:] + [diagonal], "(0,0)-(1,1)"),
+    ]:
+        blocks = [Subgraph(first.action, keys), *dec.blocks[1:]]
+        with pytest.raises(ValueError) as info:
+            partition_witnesses(g, blocks)
+        assert str(info.value) == f"{name} is not an edge of K_3 box K_3"
 
 
 def test_partition_foreign_edges():

@@ -28,7 +28,7 @@ from rookpaths.groups import (
 from rookpaths.serialize import report_to_json_dict
 from rookpaths.staircase import staircase_array, walk_from_array
 
-from oracles import brute_verify_decomposition, edge_image
+from oracles import brute_verify_decomposition, edge_image, walk_edge_objects
 
 
 def replace_block(dec, idx, block):
@@ -65,7 +65,7 @@ def corpus():
         if n > 3:
             # defect 3: a base that is no block, since (2,3) is not a row shift of (0,0)
             walk = walk_from_array((2, 3), staircase_array(n), n, n)
-            shifted = Subgraph.of_edges(graph, walk.edges(), walk)
+            shifted = Subgraph.of_edges(graph, walk_edge_objects(walk), walk)
             yield f"staircase {n} base at (2,3)", graph, dec.group, Decomposition(
                 dec.blocks, dec.group, shifted
             )

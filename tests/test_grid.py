@@ -7,12 +7,11 @@ from rookpaths.grid import (
     GridEdge,
     GridGraph,
     GridVertex,
-    Step,
 )
 from rookpaths.groups import edge_orbits, generate_group, row_shift
 from rookpaths.staircase import Walk, walk_from_array
 
-from oracles import brute_grid_edges
+from oracles import brute_grid_edges, walk_vertex_objects
 
 
 def test_vertex_and_edge_counts():
@@ -58,9 +57,10 @@ def test_vertices_row_major():
 
 
 def test_vertex_reduces_modulo():
-    # a walk's start is the one place a vertex is read modulo the dimensions
-    assert walk_from_array((4, 7), [], 3, 5).start == GridVertex(1, 2)
-    assert walk_from_array((-1, -1), [], 3, 5).start == GridVertex(2, 4)
+    # a walk's start is the one place a vertex is read modulo the dimensions:
+    # (4, 7) is (1, 2) and (-1, -1) is (2, 4), vertex indices row * 5 + col
+    assert walk_from_array((4, 7), [], 3, 5).path == (1 * 5 + 2,)
+    assert walk_from_array((-1, -1), [], 3, 5).path == (2 * 5 + 4,)
 
 
 def test_edge_canonical_order():
@@ -80,9 +80,11 @@ def test_edge_rejects_degenerate_and_diagonal():
 
 
 def test_step_rejects_zero():
-    with pytest.raises(ValueError):
-        Step(0, 0)
-    assert Step(0, 1).dcol == 1
+    # a step is a (drow, dcol) pair; (0, 0), as given or once reduced, moves along no line
+    for step in [(0, 0), (3, -5)]:
+        with pytest.raises(ValueError, match=r"step 1 = \(.*\) does not move along one grid line"):
+            walk_from_array((0, 0), [step], 3, 5)
+    assert walk_from_array((0, 0), [(0, 1)], 3, 5).step_pairs() == [(0, 1)]
 
 
 def test_classify_edge():
@@ -98,24 +100,25 @@ def test_edge_difference():
     # the step along an edge, read from either endpoint, reduced mod (n, m)
     # a walk holds vertex indices row * m + col: u = (0,0), v = (2,0), w = (1,1), x = (1,4)
     u, v, w, x = 0, 2 * 5, 1 * 5 + 1, 1 * 5 + 4
-    assert Walk(5, 5, (u, v)).steps == (Step(2, 0),)
-    assert Walk(5, 5, (v, u)).steps == (Step(3, 0),)
-    assert Walk(5, 5, (w, x)).steps == (Step(0, 3),)
+    assert Walk(5, 5, (u, v)).step_pairs() == [(2, 0)]
+    assert Walk(5, 5, (v, u)).step_pairs() == [(3, 0)]
+    assert Walk(5, 5, (w, x)).step_pairs() == [(0, 3)]
 
 
 def test_edge_differences_cancel():
     for e in GridGraph(4, 7).edges():
         u, v = e.u.row * 7 + e.u.col, e.v.row * 7 + e.v.col
-        (a,) = Walk(4, 7, (u, v)).steps
-        (b,) = Walk(4, 7, (v, u)).steps
-        assert (a.drow + b.drow) % 4 == 0
-        assert (a.dcol + b.dcol) % 7 == 0
+        ((ar, ac),) = Walk(4, 7, (u, v)).step_pairs()
+        ((br, bc),) = Walk(4, 7, (v, u)).step_pairs()
+        assert (ar + br) % 4 == 0
+        assert (ac + bc) % 7 == 0
 
 
 def test_shift_wraps():
     # a walk adds each step modulo the dimensions
     w = walk_from_array((2, 3), [(1, 0), (0, 1)], 3, 4)
-    assert w.vertices == (GridVertex(2, 3), GridVertex(0, 3), GridVertex(0, 0))
+    assert walk_vertex_objects(w) == (GridVertex(2, 3), GridVertex(0, 3), GridVertex(0, 0))
+    assert w.path == (2 * 4 + 3, 0 * 4 + 3, 0)
 
 
 def test_edge_requires_membership():

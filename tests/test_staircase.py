@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rookpaths.decompose import Subgraph, build_orbit_decomposition
-from rookpaths.grid import DimensionError, GridGraph, GridVertex, Step
+from rookpaths.grid import DimensionError, GridGraph, GridVertex
 from rookpaths.groups import generate_group, row_shift
 from rookpaths.staircase import (
     ConstructionInvalid,
@@ -25,14 +25,19 @@ from oracles import (
     ODD_PRIMES,
     brute_first_orbit_conflict,
     random_step_arrays,
+    Step,
     vertices_distinct,
     no_zero_run,
+    walk_edge_objects,
     walk_edge_orbits_distinct,
+    walk_vertex_objects,
 )
 
 
 def raw(steps):
-    return tuple((s.drow, s.dcol) for s in steps)
+    """The steps as (drow, dcol) pairs; each must be a pair of ints."""
+    assert all(type(dr) is type(dc) is int for dr, dc in steps)
+    return tuple((dr, dc) for dr, dc in steps)
 
 
 def test_stretch_values():
@@ -48,8 +53,8 @@ def test_stretch_sums_to_one_zero():
         for k in range(1, (n - 1) // 2 + 1):
             steps = stretch(n, k)
             total = (
-                sum(s.drow for s in steps) % n,
-                sum(s.dcol for s in steps) % n,
+                sum(dr for dr, _ in steps) % n,
+                sum(dc for _, dc in steps) % n,
             )
             assert total == (1, 0)
 
@@ -86,8 +91,8 @@ def test_partial_stretch_sum_matches_direct_summation():
             for p in range(1, 2 * n + 1):
                 for q in range(p, 2 * n + 1):
                     direct = (
-                        sum(s.drow for s in steps[p - 1:q]) % n,
-                        sum(s.dcol for s in steps[p - 1:q]) % n,
+                        sum(dr for dr, _ in steps[p - 1:q]) % n,
+                        sum(dc for _, dc in steps[p - 1:q]) % n,
                     )
                     assert partial_stretch_sum(n, k, p, q) == direct
 
@@ -118,18 +123,19 @@ def test_partial_stretch_sum_validation():
 
 def test_walk_from_array_basics():
     w = walk_from_array((0, 0), [(0, 1), (1, 0)], 3, 3)
-    assert [str(v) for v in w.vertices] == ["(0,0)", "(0,1)", "(1,1)"]
+    assert w.path == (0, 1, 1 * 3 + 1)
+    assert [str(v) for v in walk_vertex_objects(w)] == ["(0,0)", "(0,1)", "(1,1)"]
     assert w.length == 2
-    assert w.vertices[-1] == GridVertex(1, 1)
-    assert len(w.edges()) == 2
+    assert walk_vertex_objects(w)[-1] == GridVertex(1, 1)
+    assert w.step_pairs() == [(0, 1), (1, 0)]
 
 
 def test_walk_from_array_empty():
     w = walk_from_array((2, 1), [], 3, 3)
     assert w.length == 0
-    assert [str(v) for v in w.vertices] == ["(2,1)"]
+    assert w.path == (2 * 3 + 1,)
     assert is_path(w)
-    assert w.edges() == []
+    assert w.step_pairs() == []
 
 
 def test_single_step_walk_is_path():
@@ -138,8 +144,7 @@ def test_single_step_walk_is_path():
 
 def test_walk_from_array_reduces_modulo():
     w = walk_from_array((3, 4), [(0, 4)], 3, 3)
-    assert w.start == GridVertex(0, 1)
-    assert w.vertices[1] == GridVertex(0, 2)
+    assert walk_vertex_objects(w) == (GridVertex(0, 1), GridVertex(0, 2))
 
 
 def test_walk_from_array_rejects_bad_steps():
@@ -155,24 +160,24 @@ def test_walk_segment_and_reverse():
     w = walk_from_array((0, 0), staircase_array(5), 5, 5)
     seg = w.segment(0, 4)
     assert seg.length == 4
-    assert seg.vertices == w.vertices[:5]
+    assert seg.path == w.path[:5]
     # the reversed walk is its reversed index path; its steps are derived from it
     rev = Walk(5, 5, w.path[::-1])
-    assert rev.steps == tuple(Step(-s.drow % 5, -s.dcol % 5) for s in reversed(w.steps))
-    assert sorted(map(str, rev.edges())) == sorted(map(str, w.edges()))
+    assert rev.step_pairs() == [(-dr % 5, -dc % 5) for dr, dc in reversed(w.step_pairs())]
+    assert sorted(map(str, walk_edge_objects(rev))) == sorted(map(str, walk_edge_objects(w)))
 
 
 def test_transported_walk_commutes_with_shift():
     group = generate_group([row_shift(5, 5)])
     w = walk_from_array((2, 3), staircase_array(5), 5, 5)
     graph = GridGraph(5, 5)
-    dec = build_orbit_decomposition(graph, group, Subgraph.of_edges(graph, w.edges(), w))
+    dec = build_orbit_decomposition(graph, group, Subgraph.of_edges(graph, walk_edge_objects(w), w))
     assert len(dec.blocks) == group.order
     for g, block in zip(group.elements, dec.blocks):
         image = w.image(g.table)
-        assert image.vertices == tuple(g(v) for v in w.vertices)
-        assert image.steps == w.steps
-        assert block.edges == Subgraph.of_edges(graph, image.edges()).edges
+        assert walk_vertex_objects(image) == tuple(g(v) for v in walk_vertex_objects(w))
+        assert image.step_pairs() == w.step_pairs()
+        assert block.edges == Subgraph.of_edges(graph, walk_edge_objects(image)).edges
 
 
 def test_staircase_is_path_for_primes():
@@ -190,7 +195,7 @@ def test_staircase_repeats_for_nine():
     i, j, v = hit
     assert (i, j) == (18, 24)
     assert v == GridVertex(1, 0)
-    assert w.vertices[i] == w.vertices[j] == v
+    assert walk_vertex_objects(w)[i] == walk_vertex_objects(w)[j] == v
     assert not vertices_distinct((0, 0), raw(staircase_array(9)), 9, 9)
 
 
@@ -243,6 +248,10 @@ def test_orbit_conflict_matches_quadratic_scan():
     for n in (*ODD_PRIMES, 29, 31, 37, 41, 43, 47, 53, 9, 15, 21):
         arr = staircase_array(n)
         assert first_orbit_conflict(arr, n) == brute_first_orbit_conflict(arr, n)
+        # the int pairs give the answer the old Step objects gave
+        assert first_orbit_conflict(arr, n) == brute_first_orbit_conflict(
+            [Step(dr, dc) for dr, dc in arr], n
+        )
 
 def test_criteria_agree_on_random_arrays():
     for n, m, steps in random_step_arrays(200, seed=97):
@@ -279,7 +288,7 @@ def test_path_check_is_translation_invariant(a, b, moves):
 
 def test_build_staircase_path():
     walk = build_staircase_path(3)
-    assert [str(v) for v in walk.vertices] == [
+    assert [str(v) for v in walk_vertex_objects(walk)] == [
         "(0,0)", "(0,1)", "(1,1)", "(1,2)", "(2,2)", "(2,0)", "(1,0)",
     ]
     assert build_staircase_path(13).length == 13 * 12
@@ -298,6 +307,8 @@ def test_build_staircase_rejects_even():
         build_staircase_path(4)
 
 
-def test_steps_are_step_objects():
-    arr = staircase_array(5)
-    assert all(isinstance(s, Step) for s in arr)
+def test_steps_are_int_pairs():
+    for arr in (staircase_array(5), stretch(5, 2)):
+        assert type(arr) is tuple
+        assert all(type(s) is tuple and len(s) == 2 for s in arr)
+        assert all(type(dr) is type(dc) is int for dr, dc in arr)

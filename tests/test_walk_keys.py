@@ -5,11 +5,11 @@ import random
 import pytest
 
 from rookpaths.decompose import Subgraph, diagonal_fixture_n4
-from rookpaths.grid import GridEdge, GridGraph, GridVertex, Step
+from rookpaths.grid import GridEdge, GridGraph, GridVertex
 from rookpaths.groups import EdgeAction
 from rookpaths.staircase import build_staircase_path, walk_from_array
 
-from oracles import ODD_PRIMES, walk_edge_set
+from oracles import ODD_PRIMES, walk_edge_set, walk_edge_objects
 
 
 def random_walks(count: int, seed: int):
@@ -18,7 +18,7 @@ def random_walks(count: int, seed: int):
     for _ in range(count):
         n, m = rng.randint(2, 7), rng.randint(2, 7)
         steps = [
-            Step(0, rng.randrange(1, m)) if rng.random() < 0.5 else Step(rng.randrange(1, n), 0)
+            (0, rng.randrange(1, m)) if rng.random() < 0.5 else (rng.randrange(1, n), 0)
             for _ in range(rng.randint(1, 30))
         ]
         yield walk_from_array((rng.randrange(n), rng.randrange(m)), steps, n, m)
@@ -36,7 +36,7 @@ def keyed(walk):
 
 
 def of_edges(walk):
-    return Subgraph.of_edges(GridGraph(walk.n, walk.m), walk.edges(), walk)
+    return Subgraph.of_edges(GridGraph(walk.n, walk.m), walk_edge_objects(walk), walk)
 
 
 def outcome(build, walk):
@@ -57,7 +57,7 @@ def test_walk_keys_match_the_object_path():
             expected = ("error", str(err))
         assert outcome(keyed, walk) == outcome(of_edges, walk) == expected, walk
         if expected[0] == "ok":
-            assert expected[1] == sorted(set(walk.edges()))
+            assert expected[1] == sorted(set(walk_edge_objects(walk)))
         kinds.append(expected[0])
     # the staircase and diag4 walks are paths; some random walks repeat an edge
     assert kinds[: len(ODD_PRIMES) + 1] == ["ok"] * (len(ODD_PRIMES) + 1)
@@ -66,7 +66,7 @@ def test_walk_keys_match_the_object_path():
 
 def test_repeated_walk_edge_names_the_least_one():
     # (1,1) (1,2) (2,2) (1,2) (1,1): retraces (1,2)-(2,2) first, then the lesser (1,1)-(1,2)
-    walk = walk_from_array((1, 1), [Step(0, 1), Step(1, 0), Step(2, 0), Step(0, 2)], 3, 3)
+    walk = walk_from_array((1, 1), [(0, 1), (1, 0), (2, 0), (0, 2)], 3, 3)
     with pytest.raises(ValueError) as info:
         keyed(walk)
     assert str(info.value) == "duplicate edge (1,1)-(1,2)"

@@ -72,7 +72,7 @@ def walk_base(n: int, walk):
     doc = {
         "graph": {"kind": "grid", "n": n, "m": n},
         "group": {"kind": "row_shift", "order": n},
-        "base": {"start": [0, 0], "steps": [[s.drow, s.dcol] for s in walk.steps]},
+        "base": {"start": [0, 0], "steps": [list(p) for p in walk.step_pairs()]},
         "blocks": [{"edges": [[[0, 0], [0, 1]]]}],
         "report": dict.fromkeys(VerificationReport.FLAGS, True),
     }
