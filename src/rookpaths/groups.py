@@ -1,8 +1,9 @@
 """Vertex permutations, small finite groups, and their action on edges.
 
-A permutation is a table of indices into its sorted vertex list, which
-a generated group's elements share, so the closure composes tuples of
-ints.  EdgeAction carries the action to integer edge keys (vertex i is
+A permutation is a graph and a table of vertex indices on it (vertex i
+is graph.vertices()[i]), so the closure composes tuples of ints and
+permutation_from_cycles is the one entry point that reads vertex
+objects.  EdgeAction carries the action to integer edge keys (vertex i is
 row * m + col on a grid, label - 1 on K_n; edge i < j is i * |V| + j),
 the one form every decompose.Subgraph is stored in (walk_keys keys a
 Walk's index path, keys() the edges of Subgraph.of_edges); edge objects
@@ -38,74 +39,43 @@ class GroupTooLarge(RuntimeError):
 
 
 class Permutation:
-    """A bijection of a finite vertex set, stored as a table of indices.
+    """A bijection of a graph's vertices, stored as a table of vertex indices.
 
-    ``vertices`` is the sorted domain and the permutation maps
-    ``vertices[i]`` to ``vertices[table[i]]``; the elements of a
-    generated group share their generators' vertex list.  ``kind``
-    records how the permutation was built (row_shift, diagonal_shift or
-    explicit) and only matters for serialization; equality and hashing
-    depend on the mapping alone, so a composite that happens to equal a
-    named shift compares equal to it.
+    Vertex i is ``graph.vertices()[i]`` and goes to vertex ``table[i]``.
+    The constructor does not validate: each caller hands it a bijection.
+    ``kind`` records how the permutation was built (row_shift,
+    diagonal_shift or explicit) and only matters for serialization;
+    equality and hashing depend on the graph and the table alone, so a
+    composite that happens to equal a named shift compares equal to it.
     """
 
-    __slots__ = ("kind", "n", "m", "table", "vertices", "_index", "_hash")
+    __slots__ = ("graph", "table", "kind")
 
-    def __init__(self, mapping, kind: str = EXPLICIT, n: int | None = None, m: int | None = None):
-        images = dict(mapping)
-        vertices = tuple(sorted(images))
-        index = {v: i for i, v in enumerate(vertices)}
-        table = tuple(index.get(images[v], -1) for v in vertices)
-        if -1 in table or len(set(table)) != len(table):
-            raise ValueError("mapping is not a bijection on its domain")
-        self._fill(table, vertices, index, kind, n, m)
-
-    def _fill(self, table, vertices, index, kind=EXPLICIT, n=None, m=None) -> None:
-        self.table, self.vertices, self._index = table, vertices, index
-        self.kind, self.n, self.m = kind, n, m
-        self._hash = hash(table)
-
-    def _sibling(self, table: tuple) -> Permutation:
-        """The explicit permutation with ``table`` over this one's vertex list."""
-        perm = Permutation.__new__(Permutation)
-        perm._fill(table, self.vertices, self._index)
-        return perm
-
-    def __call__(self, v):
-        return self.vertices[self.table[self._index[v]]]
-
-    def _same_domain(self, other: Permutation) -> bool:
-        return self.vertices is other.vertices or self.vertices == other.vertices
+    def __init__(self, graph, table: tuple, kind: str = EXPLICIT):
+        self.graph, self.table, self.kind = graph, table, kind
 
     def __eq__(self, other):
         if not isinstance(other, Permutation):
             return NotImplemented
-        return self.table == other.table and self._same_domain(other)
+        return self.table == other.table and self.graph == other.graph
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.graph, self.table))
 
     def __repr__(self) -> str:
         return f"Permutation({self.kind}, domain={len(self.table)})"
 
 
-def _grid_shift(kind: str, n: int, m: int, table) -> Permutation:
-    """A named permutation of K_n [box] K_m from its table on indices row * m + col."""
-    vertices = GridGraph(n, m).vertices()
-    perm = Permutation.__new__(Permutation)
-    perm._fill(tuple(table), vertices, {v: i for i, v in enumerate(vertices)}, kind, n, m)
-    return perm
-
-
 def row_shift(n: int, m: int) -> Permutation:
     """The grid automorphism (a, b) -> (a+1, b).  Generates a cyclic group of order n."""
-    return _grid_shift(ROW_SHIFT, n, m, ((i + m) % (n * m) for i in range(n * m)))
+    table = tuple([(i + m) % (n * m) for i in range(n * m)])
+    return Permutation(GridGraph(n, m), table, ROW_SHIFT)
 
 
 def diagonal_shift(n: int) -> Permutation:
     """The square-grid automorphism (a, b) -> (a+1, b+1) on K_n [box] K_n."""
-    table = ((a + 1) % n * n + (b + 1) % n for a in range(n) for b in range(n))
-    return _grid_shift(DIAGONAL_SHIFT, n, n, table)
+    table = tuple([(a + 1) % n * n + (b + 1) % n for a in range(n) for b in range(n)])
+    return Permutation(GridGraph(n, n), table, DIAGONAL_SHIFT)
 
 
 def _lines(graph) -> list[range]:
@@ -123,7 +93,7 @@ def automorphism_violation(graph, perm: Permutation):
     a line's images form a clique only if they all share a row or all a
     column; the first line that fails has its pairs scanned for the witness.
     """
-    if perm.vertices != graph.vertices():
+    if perm.graph != graph:
         raise ValueError(f"the permutation does not act on the vertices of {graph}")
     if not isinstance(graph, GridGraph):
         return None
@@ -135,24 +105,26 @@ def automorphism_violation(graph, perm: Permutation):
             i, j = next(
                 (i, j) for i, j in combinations(line, 2) if rows[i] != rows[j] and cols[i] != cols[j]
             )
-            return GridEdge(perm.vertices[i], perm.vertices[j])
+            vertices = graph.vertices()
+            return GridEdge(vertices[i], vertices[j])
     return None
 
 
 def permutation_from_cycles(graph, cycles: Iterable[tuple]) -> Permutation:
     """An automorphism from disjoint cycles, e.g. [(1, 4, 7), (2, 5, 8), (3, 6, 9)]."""
-    mapping = {v: v for v in graph.vertices()}
+    index = {v: i for i, v in enumerate(graph.vertices())}
+    table = list(range(len(index)))
     seen: set = set()
     for cyc in cycles:
         for x in cyc:
-            if x not in mapping:
+            if x not in index:
                 raise ValueError(f"{x} is not a vertex")
             if x in seen:
                 raise ValueError(f"cycles are not disjoint at {x}")
             seen.add(x)
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            mapping[a] = b
-    perm = Permutation(mapping)
+            table[index[a]] = index[b]
+    perm = Permutation(graph, tuple(table))
     bad = automorphism_violation(graph, perm)
     if bad is not None:
         raise ValueError(f"not an automorphism: image of {bad} is not an edge")
@@ -204,12 +176,11 @@ def generate_group(generators: Iterable[Permutation], cap: int = DEFAULT_GROUP_C
     gens = tuple(generators)
     if not gens:
         raise ValueError("need at least one generator")
-    first = gens[0]
-    for g in gens[1:]:
-        if not first._same_domain(g):
-            raise ValueError("generators act on different vertex sets")
+    graph = gens[0].graph
+    if any(g.graph != graph for g in gens):
+        raise ValueError("generators act on different vertex sets")
     tables = [g.table for g in dict.fromkeys(gens)]
-    ident = tuple(range(len(first.table)))
+    ident = tuple(range(len(gens[0].table)))
     found = [ident]
     seen = {ident}
     queue = deque([ident])
@@ -224,7 +195,7 @@ def generate_group(generators: Iterable[Permutation], cap: int = DEFAULT_GROUP_C
             seen.add(nxt)
             found.append(nxt)
             queue.append(nxt)
-    return FiniteGroup(gens, tuple(map(first._sibling, found)))
+    return FiniteGroup(gens, tuple([Permutation(graph, t) for t in found]))
 
 
 class EdgeAction:
@@ -246,7 +217,7 @@ class EdgeAction:
         self.size = len(self.vertices)
         self.tables: tuple = ()
         if group is not None:
-            if group.identity.vertices != self.vertices:
+            if group.identity.graph != graph:
                 raise ValueError(f"the group does not act on the vertices of {graph}")
             self.tables = tuple(g.table for g in group.elements)
         self._grid = (graph.n, graph.m) if isinstance(graph, GridGraph) else None

@@ -91,9 +91,10 @@ def _edge_json(e):
 
 
 def permutation_to_json(perm: Permutation) -> dict:
+    graph = perm.graph
     if perm.kind in (ROW_SHIFT, DIAGONAL_SHIFT):
-        return {"kind": perm.kind, "n": perm.n, "m": perm.m}
-    vs = perm.vertices
+        return {"kind": perm.kind, "n": graph.n, "m": graph.m}
+    vs = graph.vertices()
     pairs = [[_vertex_json(v), _vertex_json(vs[j])] for v, j in zip(vs, perm.table)]
     return {"kind": EXPLICIT, "map": pairs}
 
@@ -331,25 +332,27 @@ def _parse_permutation(action: EdgeAction, obj, path: str) -> Permutation:
     if kind == EXPLICIT:
         entries = _get(obj, "map", path)
         _expect(isinstance(entries, list), f"{path}.map", "expected a list of pairs")
-        mapping = {}
+        table = [-1] * action.size
         for i, pair in enumerate(entries):
             ppath = f"{path}.map[{i}]"
             _expect(isinstance(pair, list) and len(pair) == 2, ppath, "expected a [vertex, image] pair")
-            v = action.vertices[_vertex_index(graph, pair[0], f"{ppath}[0]")]
-            w = action.vertices[_vertex_index(graph, pair[1], f"{ppath}[1]")]
-            if v in mapping:
-                raise SchemaError(ppath, f"vertex {v} mapped twice")
-            mapping[v] = w
-        # every key is a distinct vertex of the graph, so the count decides coverage
+            v = _vertex_index(graph, pair[0], f"{ppath}[0]")
+            w = _vertex_index(graph, pair[1], f"{ppath}[1]")
+            if table[v] != -1:
+                raise SchemaError(ppath, f"vertex {action.vertices[v]} mapped twice")
+            table[v] = w
+        # every entry maps a distinct vertex, so the count decides coverage
         _expect(
-            len(mapping) == action.size,
+            len(entries) == action.size,
             f"{path}.map",
             "map does not cover the vertex set exactly",
         )
-        try:
-            return Permutation(mapping)
-        except ValueError as err:
-            raise SchemaError(f"{path}.map", str(err)) from None
+        _expect(
+            len(set(table)) == action.size,
+            f"{path}.map",
+            "mapping is not a bijection on its domain",
+        )
+        return Permutation(graph, tuple(table))
     raise SchemaError(f"{path}.kind", f"unknown permutation kind {kind!r}")
 
 

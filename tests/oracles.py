@@ -16,7 +16,9 @@ the orbit-path precondition checks are the builder's before the
 bijection test decided the common case, walk_edge_set is how a walk
 became a base before walks were keyed, and blocks_to_text and
 dot_for_blocks are the edge text and DOT writers as they were on edge
-objects, before they read key arrays.
+objects, before they read key arrays.  permutation_of and apply are a
+Permutation's vertex-object constructor and call, as they were before a
+permutation became a graph and a table of vertex indices.
 """
 
 from __future__ import annotations
@@ -129,6 +131,32 @@ def brute_diagonal_shift(n):
     return {(a, b): ((a + 1) % n, (b + 1) % n) for a in range(n) for b in range(n)}
 
 
+def permutation_of(graph, mapping) -> Permutation:
+    """The permutation of ``graph`` given as a vertex-object mapping.
+
+    ValueError, as the library's constructor raised before a permutation
+    became a table of indices, unless ``mapping`` is a bijection of the
+    graph's vertices.
+    """
+    vertices = graph.vertices()
+    images = dict(mapping)
+    index = {v: i for i, v in enumerate(vertices)}
+    table = tuple(index.get(images.get(v), -1) for v in vertices)
+    if len(images) != len(vertices) or -1 in table or len(set(table)) != len(table):
+        raise ValueError("mapping is not a bijection on its domain")
+    return Permutation(graph, table)
+
+
+def apply(perm: Permutation, v):
+    """The image of vertex object ``v`` under ``perm``; KeyError for a vertex outside its graph."""
+    graph = perm.graph
+    vertices = graph.vertices()
+    i = v.row * graph.m + v.col if isinstance(graph, GridGraph) else v - 1
+    if not 0 <= i < len(vertices) or vertices[i] != v:
+        raise KeyError(v)
+    return vertices[perm.table[i]]
+
+
 def perm_edge(perm, edge):
     return frozenset(perm[v] for v in edge)
 
@@ -164,14 +192,14 @@ def brute_fixed_edge_witness(graph, group):
     """
     for g in group.non_identity():
         for e in graph.edges():
-            if graph.edge(g(e.u), g(e.v)) == e:
+            if graph.edge(apply(g, e.u), apply(g, e.v)) == e:
                 return g, e
     return None
 
 
 def edge_image(perm, graph, e):
     """Image of an edge under a vertex permutation, in canonical form."""
-    return graph.edge(perm(e.u), perm(e.v))
+    return graph.edge(apply(perm, e.u), apply(perm, e.v))
 
 
 def brute_partition_witnesses(graph, blocks: Iterable[Subgraph]) -> PartitionCheck:
@@ -476,7 +504,7 @@ def object_automorphism_violation(graph, perm: Permutation):
     """First edge whose image under ``perm`` is not an edge, or None."""
     for e in graph.edges():
         try:
-            graph.edge(perm(e.u), perm(e.v))
+            graph.edge(apply(perm, e.u), apply(perm, e.v))
         except ValueError:
             return e
     return None
@@ -489,11 +517,11 @@ def brute_automorphism_violation(graph, perm: Permutation):
     exactly when the two image indices share a row or a column.  This
     is the library's scan before it tested each line as a whole.
     """
-    if perm.vertices != graph.vertices():
+    if perm.graph != graph:
         raise ValueError(f"the permutation does not act on the vertices of {graph}")
     if not isinstance(graph, GridGraph):
         return None
-    n, m = graph.n, graph.m
+    n, m, vertices = graph.n, graph.m, graph.vertices()
     rows = [j // m for j in perm.table]
     cols = [j % m for j in perm.table]
     lines = [range(a * m, a * m + m) for a in range(n)] + [range(b, n * m, m) for b in range(m)]
@@ -501,7 +529,7 @@ def brute_automorphism_violation(graph, perm: Permutation):
         for p, i in enumerate(line):
             for j in line[p + 1 :]:
                 if rows[i] != rows[j] and cols[i] != cols[j]:
-                    return graph.edge(perm.vertices[i], perm.vertices[j])
+                    return graph.edge(vertices[i], vertices[j])
     return None
 
 
@@ -647,7 +675,7 @@ def _parse_permutation(graph, obj, path: str) -> Permutation:
             "map does not cover the vertex set exactly",
         )
         try:
-            return Permutation(mapping)
+            return permutation_of(graph, mapping)
         except ValueError as err:
             raise SchemaError(f"{path}.map", str(err)) from None
     raise SchemaError(f"{path}.kind", f"unknown permutation kind {kind!r}")

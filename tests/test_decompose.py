@@ -32,7 +32,7 @@ from rookpaths.groups import (
 )
 from rookpaths.staircase import staircase_array, walk_from_array
 
-from oracles import orbit_path_preconditions, path_edge_set, walk_edge_objects
+from oracles import apply, orbit_path_preconditions, path_edge_set, walk_edge_objects
 
 
 def grid_subgraph(g, pairs):
@@ -166,9 +166,9 @@ def precondition_cases():
     shift = group.elements[1]
     yield "staircase 5", graph, group, Subgraph.of_edges(graph, edges, walk)
     yield "one edge", graph, group, Subgraph.of_edges(graph, edges[:1])
-    yield "doubled", graph, group, Subgraph.of_edges(graph, edges + [graph.edge(shift(e.u), shift(e.v)) for e in edges])
+    yield "doubled", graph, group, Subgraph.of_edges(graph, edges + [graph.edge(apply(shift, e.u), apply(shift, e.v)) for e in edges])
     # |E|/|G| edges, but the last one is the row shift of the first: two edges in one orbit
-    collide = edges[:-1] + [graph.edge(shift(edges[0].u), shift(edges[0].v))]
+    collide = edges[:-1] + [graph.edge(apply(shift, edges[0].u), apply(shift, edges[0].v))]
     assert len(set(collide)) == graph.edge_count // group.order
     yield "colliding", graph, group, Subgraph.of_edges(graph, collide)
 

@@ -19,7 +19,6 @@ from rookpaths.decompose import (
 from rookpaths.grid import GridEdge, GridGraph, GridVertex
 from rookpaths.groups import (
     EdgeAction,
-    Permutation,
     diagonal_shift,
     generate_group,
     permutation_from_cycles,
@@ -28,7 +27,7 @@ from rookpaths.groups import (
 from rookpaths.serialize import report_to_json_dict
 from rookpaths.staircase import staircase_array, walk_from_array
 
-from oracles import brute_verify_decomposition, edge_image, walk_edge_objects
+from oracles import brute_verify_decomposition, edge_image, permutation_of, walk_edge_objects
 
 
 def replace_block(dec, idx, block):
@@ -83,14 +82,14 @@ def corpus():
         dec, 1, relabelled(dec.blocks[1], graph, lambda v: GridVertex(v.col, v.row))
     )
     grid3 = GridGraph(3, 3)
-    trivial = generate_group([Permutation({v: v for v in grid3.vertices()})])
+    trivial = generate_group([permutation_of(grid3, {v: v for v in grid3.vertices()})])
     whole = Subgraph.of_edges(grid3, grid3.edges())
     yield "trivial 3x3", grid3, trivial, Decomposition((whole,), trivial, whole)
     k20 = CompleteGraph(20)
     cycle = Subgraph.of_edges(k20, [LabelEdge(v, v % 20 + 1) for v in range(1, 21)])
     order = list(range(1, 20, 2)) + list(range(2, 21, 2))
     other = Subgraph.of_edges(k20, [LabelEdge(a, b) for a, b in zip(order, order[1:] + order[:1])])
-    trivial20 = generate_group([Permutation({v: v for v in k20.vertices()})])
+    trivial20 = generate_group([permutation_of(k20, {v: v for v in k20.vertices()})])
     yield "trivial K_20 two cycles", k20, trivial20, Decomposition((other,), trivial20, cycle)
     # the row shift of even order fixes vertical edges at distance 2
     grid4 = GridGraph(4, 4)

@@ -14,9 +14,9 @@ from rookpaths.decompose import (
 )
 from rookpaths.grid import GridGraph, GridVertex
 from rookpaths.groups import (
+    EdgeAction,
     EdgeOrbit,
     GroupTooLarge,
-    Permutation,
     automorphism_violation,
     diagonal_shift,
     edge_orbits,
@@ -29,6 +29,7 @@ from rookpaths.groups import (
 )
 
 from oracles import (
+    apply,
     brute_automorphism_violation,
     brute_diagonal_shift,
     brute_fixed_edge_witness,
@@ -37,11 +38,12 @@ from oracles import (
     brute_orbits,
     brute_row_shift,
     edge_image,
+    permutation_of,
 )
 
 
 def identity(graph):
-    return Permutation({v: v for v in graph.vertices()})
+    return permutation_of(graph, {v: v for v in graph.vertices()})
 
 
 def compose(a, b):
@@ -51,8 +53,8 @@ def compose(a, b):
 
 def test_row_shift_acts_and_cycles():
     c = row_shift(3, 3)
-    assert c(GridVertex(0, 1)) == GridVertex(1, 1)
-    assert c(GridVertex(2, 1)) == GridVertex(0, 1)
+    assert apply(c, GridVertex(0, 1)) == GridVertex(1, 1)
+    assert apply(c, GridVertex(2, 1)) == GridVertex(0, 1)
     group = generate_group([c])
     # c, c^2, c^3 = identity: the closure has order 3 and lists c right after the identity
     assert group.order == 3
@@ -62,8 +64,8 @@ def test_row_shift_acts_and_cycles():
 
 def test_diagonal_shift_moves_both_coordinates():
     d = diagonal_shift(4)
-    assert d(GridVertex(3, 3)) == GridVertex(0, 0)
-    assert d(GridVertex(3, 2)) == GridVertex(0, 3)
+    assert apply(d, GridVertex(3, 3)) == GridVertex(0, 0)
+    assert apply(d, GridVertex(3, 2)) == GridVertex(0, 3)
     assert generate_group([d]).order == 4
 
 
@@ -99,7 +101,9 @@ def test_group_cap():
 
 def test_repeated_generators_keep_closure_and_generators():
     r, d = row_shift(3, 3), diagonal_shift(3)
-    copy = Permutation({v: r(v) for v in r.vertices})  # equal to r, built apart from it
+    grid = GridGraph(3, 3)
+    # equal to r, built apart from it
+    copy = permutation_of(grid, {v: apply(r, v) for v in grid.vertices()})
     once = generate_group([r, d])
     repeated = generate_group([r, d, copy, r, d])
     # the same elements in the same breadth-first order; every generator is kept as given
@@ -112,6 +116,11 @@ def test_generate_group_rejects_empty_and_mixed():
         generate_group([])
     with pytest.raises(ValueError):
         generate_group([row_shift(3, 3), row_shift(4, 4)])
+    # domains with equal vertex counts: K_2 box K_3 and K_3 box K_2
+    with pytest.raises(ValueError, match="different vertex sets"):
+        generate_group([row_shift(2, 3), row_shift(3, 2)])
+    with pytest.raises(ValueError, match="does not act on the vertices of K_3 box K_2"):
+        EdgeAction(GridGraph(3, 2), generate_group([row_shift(2, 3)]))
 
 
 def test_automorphism_violation_witness():
@@ -124,7 +133,7 @@ def test_automorphism_violation_witness():
         GridVertex(1, 1): GridVertex(1, 0),
     }
     assert automorphism_violation(g, row_shift(2, 2)) is None
-    bad = Permutation(mapping)
+    bad = permutation_of(g, mapping)
     witness = automorphism_violation(g, bad)
     assert witness is not None
     with pytest.raises(ValueError, match="not an automorphism"):
@@ -134,7 +143,7 @@ def test_automorphism_violation_witness():
 def test_permutation_from_cycles_k9():
     k9 = CompleteGraph(9)
     p = permutation_from_cycles(k9, ((1, 4, 7), (2, 5, 8), (3, 6, 9)))
-    assert p(1) == 4 and p(7) == 1 and p(9) == 3
+    assert apply(p, 1) == 4 and apply(p, 7) == 1 and apply(p, 9) == 3
     assert generate_group([p]).order == 3
     with pytest.raises(ValueError):
         permutation_from_cycles(k9, ((1, 2), (2, 3)))
@@ -254,7 +263,7 @@ def permuted_grids(rng, cap=200):
                         image = lambda v: GridVertex(rows[v.col], cols[v.row])  # noqa: E731
                     else:
                         image = lambda v: GridVertex(rows[v.row], cols[v.col])  # noqa: E731
-                    gens = [Permutation({v: image(v) for v in graph.vertices()})]
+                    gens = [permutation_of(graph, {v: image(v) for v in graph.vertices()})]
                     if "row shift" in extra:
                         gens.append(row_shift(n, m))
                     try:
@@ -270,7 +279,7 @@ def relabelled_complete_graphs(rng):
         graph = CompleteGraph(n)
         for _ in range(6):
             labels = rng.sample(range(1, n + 1), n)
-            yield f"labels {labels}", graph, generate_group([Permutation(zip(range(1, n + 1), labels))])
+            yield f"labels {labels}", graph, generate_group([permutation_of(graph, zip(range(1, n + 1), labels))])
 
 
 def automorphism_corpus(rng):
@@ -294,7 +303,7 @@ def automorphism_corpus(rng):
                 i, j = rng.sample(range(n * m), 2)
                 swapped[i], swapped[j] = swapped[j], swapped[i]
                 for label, table in ((f"random {shuffled}", shuffled), (f"{i}, {j} swapped", swapped)):
-                    yield f"{n}x{m} {label}", graph, Permutation(zip(vs, (vs[k] for k in table)))
+                    yield f"{n}x{m} {label}", graph, permutation_of(graph, zip(vs, (vs[k] for k in table)))
 
 
 def test_automorphism_violation_matches_pair_scan():
@@ -316,7 +325,7 @@ def test_fixed_edge_witness_matches_exhaustive_scan():
             seen_free += 1
         else:
             g, e = expected
-            ends.add("fixed" if g(e.u) == e.u else "swapped")
+            ends.add("fixed" if apply(g, e.u) == e.u else "swapped")
     # the corpus exercises both outcomes, and fixed edges of both kinds
     assert seen_free and ends == {"fixed", "swapped"}
 

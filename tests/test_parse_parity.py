@@ -19,14 +19,13 @@ from rookpaths.decompose import (
 )
 from rookpaths.grid import GridGraph
 from rookpaths.groups import (
-    Permutation,
     automorphism_violation,
     diagonal_shift,
     row_shift,
 )
 from rookpaths.serialize import SchemaError, decomposition_to_json, parse_decomposition
 
-from oracles import object_automorphism_violation, object_parse_decomposition
+from oracles import object_automorphism_violation, object_parse_decomposition, permutation_of
 
 
 def documents():
@@ -237,7 +236,7 @@ def test_parse_builds_one_vertex_object_per_vertex():
 def permutations_of(graph, tables):
     vs = tuple(graph.vertices())
     for table in tables:
-        yield Permutation({v: vs[j] for v, j in zip(vs, table)})
+        yield permutation_of(graph, {v: vs[j] for v, j in zip(vs, table)})
 
 
 def automorphism_corpus():
@@ -278,3 +277,5 @@ def test_automorphism_violation_matches_object_scan():
 def test_automorphism_violation_rejects_another_domain():
     with pytest.raises(ValueError):
         automorphism_violation(GridGraph(3, 3), row_shift(3, 4))
+    with pytest.raises(ValueError, match="does not act on the vertices of K_6"):
+        automorphism_violation(CompleteGraph(6), row_shift(2, 3))

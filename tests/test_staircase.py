@@ -23,6 +23,7 @@ from rookpaths.staircase import (
 
 from oracles import (
     ODD_PRIMES,
+    apply,
     brute_first_orbit_conflict,
     random_step_arrays,
     Step,
@@ -175,7 +176,7 @@ def test_transported_walk_commutes_with_shift():
     assert len(dec.blocks) == group.order
     for g, block in zip(group.elements, dec.blocks):
         image = w.image(g.table)
-        assert walk_vertex_objects(image) == tuple(g(v) for v in walk_vertex_objects(w))
+        assert walk_vertex_objects(image) == tuple(apply(g, v) for v in walk_vertex_objects(w))
         assert image.step_pairs() == w.step_pairs()
         assert block.edges == Subgraph.of_edges(graph, walk_edge_objects(image)).edges
 

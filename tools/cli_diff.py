@@ -19,7 +19,12 @@ when any command differs.  The corpus:
     --n 5 and 7 and examples k9 and diag4: the valid file, one with an
     edge moved to another block and one with an edge dropped; for
     generate also one whose base walk starts one column over, so that
-    the base is no block.
+    the base is no block; for k9 also explicit maps with a vertex mapped
+    twice, with an image used twice and with an entry missing; for n5
+    also one explicit generator swapping two vertices, a bijection but
+    no automorphism; for diag4 also the row shift with a one-edge base
+    and its images as blocks, whose report prints the element that
+    fixes an edge as an explicit map.
 
 --limit N runs N commands spread evenly over the corpus, the first and
 the last included.  Standard library only.
@@ -47,11 +52,12 @@ USAGE = [
     ("examples", "k10"), ("examples",), ("split", "--n", "5", "--b", "generate"),
     *((name, "--help") for name in ("generate", "verify", "orbits", "examples", "split")),
 ]
+# name: (source command, the variants written besides valid, moved and dropped)
 VERIFY_SOURCES = {
-    "n5": ("generate", "--n", "5"),
-    "n7": ("generate", "--n", "7"),
-    "k9": ("examples", "k9"),
-    "diag4": ("examples", "diag4"),
+    "n5": (("generate", "--n", "5"), ("shifted-base", "swap")),
+    "n7": (("generate", "--n", "7"), ("shifted-base",)),
+    "k9": (("examples", "k9"), ("mapped-twice", "image-twice", "short-map")),
+    "diag4": (("examples", "diag4"), ("row-shift-edge",)),
 }
 
 
@@ -69,12 +75,51 @@ def shifted_base(doc: dict) -> None:
     start[1] = (start[1] + 1) % doc["graph"]["m"]
 
 
-TAMPERS = {"valid": lambda doc: None, "moved": moved, "dropped": dropped, "shifted-base": shifted_base}
+def first_map(doc: dict) -> list:
+    return doc["group"]["generators"][0]["map"]
 
 
-def tampers(source: tuple) -> list[str]:
-    """The variants written for a source command: a shifted base only for generate's walk."""
-    return [kind for kind in TAMPERS if kind != "shifted-base" or source[0] == "generate"]
+def mapped_twice(doc: dict) -> None:
+    entries = first_map(doc)
+    entries[1][0] = entries[0][0]
+
+
+def image_twice(doc: dict) -> None:
+    """The map still names every vertex once, but it is no bijection."""
+    entries = first_map(doc)
+    entries[0][1] = entries[1][1]
+
+
+def short_map(doc: dict) -> None:
+    first_map(doc).pop()
+
+
+def swap(doc: dict) -> None:
+    """One explicit generator of order 2 swapping (0,0) and (1,1): a bijection, no automorphism."""
+    n, m = doc["graph"]["n"], doc["graph"]["m"]
+    pairs = [[[a, b], [a, b]] for a in range(n) for b in range(m)]
+    pairs[0][1], pairs[m + 1][1] = [1, 1], [0, 0]
+    doc["group"] = {"kind": "explicit", "order": 2, "generators": [{"kind": "explicit", "map": pairs}]}
+
+
+def row_shift_edge(doc: dict) -> None:
+    """The row shift, base (0,0)-(0,1) and its n images: on even n a shift fixes an edge."""
+    n = doc["graph"]["n"]
+    doc["group"] = {"kind": "row_shift", "order": n}
+    doc["base"] = {"edges": [[[0, 0], [0, 1]]]}
+    doc["blocks"] = [{"edges": [[[k, 0], [k, 1]]]} for k in range(n)]
+
+
+TAMPERS = {
+    "valid": lambda doc: None, "moved": moved, "dropped": dropped, "shifted-base": shifted_base,
+    "mapped-twice": mapped_twice, "image-twice": image_twice, "short-map": short_map,
+    "swap": swap, "row-shift-edge": row_shift_edge,
+}
+
+
+def tampers(name: str) -> list[str]:
+    """The variants written for a verify source: valid, moved, dropped and its own."""
+    return ["valid", "moved", "dropped", *VERIFY_SOURCES[name][1]]
 
 
 def corpus() -> list[tuple[str, ...]]:
@@ -89,8 +134,8 @@ def corpus() -> list[tuple[str, ...]]:
     for group in ("row_shift", "diagonal_shift"):
         commands += [("orbits", "--n", str(n), "--group", group, "--edges") for n in (2, 3, 4, 5)]
     commands += USAGE
-    for name, source in VERIFY_SOURCES.items():
-        commands += [("verify", "--input", f"{name}-{kind}.json") for kind in tampers(source)]
+    for name in VERIFY_SOURCES:
+        commands += [("verify", "--input", f"{name}-{kind}.json") for kind in tampers(name)]
     return list(dict.fromkeys(commands))
 
 
@@ -104,11 +149,11 @@ def run(src: Path, args: tuple[str, ...], cwd: Path) -> tuple[int, bytes, bytes]
 
 def write_verify_files(src: Path, work: Path) -> None:
     """The verify inputs, from ``src``'s JSON output of each source command."""
-    for name, args in VERIFY_SOURCES.items():
+    for name, (args, _) in VERIFY_SOURCES.items():
         code, out, err = run(src, args, work)
         if code != 0:
             raise SystemExit(f"error: {' '.join(args)} exited {code}: {err.decode()}")
-        for kind in tampers(args):
+        for kind in tampers(name):
             doc = json.loads(out)
             TAMPERS[kind](doc)
             (work / f"{name}-{kind}.json").write_text(json.dumps(doc), encoding="utf-8")
