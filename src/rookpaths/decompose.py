@@ -410,6 +410,8 @@ def _partition_check(action: EdgeAction, block_keys: list) -> PartitionCheck:
 def partition_witnesses(graph, blocks: Iterable[Subgraph]) -> PartitionCheck:
     """Do the blocks cover every edge exactly once?  Witnesses; ValueError for a key of no edge."""
     action, block_keys = EdgeAction(graph), [_keys_on(graph, block) for block in blocks]
+    if _covers_once(action, block_keys):
+        return PartitionCheck(True, (), ())
     for keys in block_keys:
         action.check_keys(keys)
     return _partition_check(action, block_keys)

@@ -254,8 +254,8 @@ class EdgeAction:
         """Keys of the images of ``keys`` under one vertex table (in no particular order)."""
         size = self.size
         return [
-            a * size + b if a < b else b * size + a
-            for a, b in ((table[k // size], table[k % size]) for k in keys)
+            a * size + b if (a := table[k // size]) < (b := table[k % size]) else b * size + a
+            for k in keys
         ]
 
     def walk_keys(self, walk) -> list[int]:

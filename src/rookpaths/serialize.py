@@ -17,12 +17,21 @@ complete graph) and an edge its key, adjacency is checked on the
 indices, and each block's keys, or the base walk's, become a Subgraph,
 which rejects a repeated edge.  Error text is formatted only for an
 element that fails a check.
+
+Text in the writer's layout has its blocks read straight from the text:
+split on the writer's separators, each endpoint token looked up in the
+vertex-text table, without json.loads building three lists per edge.
+The rest of such a document is small and is decoded as usual.  Every
+other layout (whitespace, escapes, a repeated "blocks" key, leading
+zeros, reversed pairs, any malformed edge) is decoded whole by
+json.loads, so it gives the same result and the same error.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
+from itertools import chain, islice
 from typing import Sequence
 
 from .decompose import (
@@ -55,6 +64,12 @@ MAX_VERTICES = 20_000
 MAX_EDGES = 2_500_000
 # |G| * |V|: the entries of all group elements' vertex tables together
 MAX_ACTION_ENTRIES = 4_000_000
+# distinct explicit generator tables: floor(log2 DEFAULT_GROUP_CAP).  Each generator
+# of an irredundant list at least doubles the group, so no group within the
+# closure cap needs more.
+MAX_GENERATORS = DEFAULT_GROUP_CAP.bit_length() - 1
+# characters of a block's text split at a time by the canonical-layout reader
+CHUNK_CHARS = 1 << 20
 # per-vertex text tables kept for the writers: (graph, form) pairs
 VERTEX_TEXT_TABLES = 8
 
@@ -365,9 +380,15 @@ def _parse_group(action: EdgeAction, obj, path: str) -> FiniteGroup:
     elif kind == EXPLICIT:
         raw = _get(obj, "generators", path)
         _expect(isinstance(raw, list) and raw, f"{path}.generators", "expected a non-empty list")
-        gens = [
-            _parse_permutation(action, g, f"{path}.generators[{i}]") for i, g in enumerate(raw)
-        ]
+        gens, tables = [], set()
+        for i, g in enumerate(raw):
+            gpath = f"{path}.generators[{i}]"
+            gens.append(_parse_permutation(action, g, gpath))
+            tables.add(gens[-1].table)
+            if len(tables) > MAX_GENERATORS:
+                raise SchemaError(
+                    gpath, f"{len(tables)} distinct generators, more than the cap of {MAX_GENERATORS}"
+                )
     else:
         raise SchemaError(f"{path}.kind", f"unknown group kind {kind!r}")
     cap = min(DEFAULT_GROUP_CAP, MAX_ACTION_ENTRIES // action.size)
@@ -415,6 +436,115 @@ def _parse_report_stub(obj, path: str) -> None:
         _expect(isinstance(value, bool), f"{path}.{flag}", "expected a boolean")
 
 
+def _loads(text: str):
+    try:
+        return json.loads(text)
+    except ValueError as err:  # a JSONDecodeError, or an integer past the digit limit
+        raise SchemaError("$", f"invalid JSON: {err}") from None
+    except RecursionError:
+        raise SchemaError("$", "invalid JSON: nested too deeply") from None
+
+
+def _split_blocks(text: str):
+    """(the document with its blocks member read as null, the blocks text), or None.
+
+    The blocks text runs from the first ``"blocks":[{"edges":[`` to the
+    next ``}]``.  Text with a backslash, or naming "blocks" other than
+    once, is left to json.loads, so no other key, escaped or not, can be
+    a blocks member.  The document decoded with null in the blocks
+    text's place must hold that null as its top-level blocks member.
+    Then the value json.loads reads there starts with every block
+    _canonical_block_keys proves to be in the writer's layout, and once
+    all of them are, the whole text decodes to this document with those
+    blocks.
+    """
+    if "\\" in text or text.count('"blocks"') != 1:
+        return None
+    start = text.find('"blocks":[{"edges":[') + len('"blocks":')
+    end = text.find("}]", start) + len("}]")
+    if start < len('"blocks":') or end < start:
+        return None
+    try:
+        doc = json.loads(text[:start] + "null" + text[end:])
+    except (ValueError, RecursionError):
+        return None
+    if type(doc) is not dict or "blocks" not in doc or doc["blocks"] is not None:
+        return None
+    return doc, text[start:end]
+
+
+def _canonical_block_keys(action: EdgeAction, text: str) -> tuple[list, bool]:
+    """(the keys of the leading blocks in the writer's layout, whether those are all the blocks).
+
+    ``text`` is cut by _split_blocks: ``[{"edges":[`` up to ``}]``.
+    A block ``[[a,b],[c,d],...]`` (``[[[r,c],[r,c]],...]`` on a grid)
+    splits on the writer's separators into endpoint tokens that must be
+    exactly the vertex texts _vertex_texts gives, opened or closed, so
+    the text is the canonical rendering of the pairs it yields.  Every
+    pair must be ascending and, on a grid, on one line.  Reading stops at
+    the first block that is not in the layout, and after the block that
+    takes the total past MAX_EDGES.  A long block is split a chunk of
+    pairs at a time, in place.
+    """
+    graph, size = action.graph, action.size
+    grid = isinstance(graph, GridGraph)
+    texts = _vertex_texts(graph, "%d,%d")
+    firsts = {"[" + t: i for i, t in enumerate(texts)}
+    seconds = {t + "]": i for i, t in enumerate(texts)}
+    # each vertex's line numbers: its row and column on a grid, the one line of K_n
+    rows = [i // graph.m for i in range(size)] if grid else [0] * size
+    cols = [i % graph.m for i in range(size)] if grid else rows
+    opening, closing, sep = ("[[", "]]", "],[") if grid else ("[", "]", ",")
+    between = "]" + sep + "["  # from the end of one pair to the start of the next
+
+    def block_keys(pos: int, end: int):
+        """The keys of the block text[pos:end], or None."""
+        start, body_end, keys, pairs = pos + len(opening), end - len(closing), [], 0
+        framed = text.startswith(opening, pos) and text.endswith(closing, pos, end)
+        if not (start < body_end and framed):
+            return None
+        while start < body_end:
+            cut = text.find(between, start + CHUNK_CHARS, body_end) + 1 or body_end
+            tokens = text[start:cut].split(sep)
+            start = cut + len(sep)
+            pairs += len(tokens) // 2
+            try:
+                keys += [
+                    i * size + j
+                    for i, j in zip(
+                        map(firsts.__getitem__, islice(tokens, 0, None, 2)),
+                        map(seconds.__getitem__, islice(tokens, 1, None, 2)),
+                    )
+                    if i < j and (rows[i] == rows[j] or cols[i] == cols[j])
+                ]
+            except KeyError:
+                return None
+            if len(tokens) % 2 or len(keys) != pairs:
+                return None
+        return keys
+
+    key_lists, total, pos, stop = [], 0, len('[{"edges":'), len(text) - len("}]")
+    while True:
+        end = text.find('},{"edges":', pos, stop)
+        keys = block_keys(pos, stop if end < 0 else end)
+        if keys is None:
+            return key_lists, False
+        key_lists.append(keys)
+        total += len(keys)
+        if total > MAX_EDGES or end < 0:
+            break
+        pos = end + len('},{"edges":')
+    return key_lists, True
+
+
+def _decoded_block_keys(action: EdgeAction, raw_blocks, first: int):
+    """The keys of each decoded block from index ``first`` on, read one block at a time."""
+    _expect(isinstance(raw_blocks, list) and raw_blocks, "$.blocks", "expected a non-empty list")
+    for i in range(first, len(raw_blocks)):
+        path = f"$.blocks[{i}]"
+        yield _edge_keys(action, _get(raw_blocks[i], "edges", path), f"{path}.edges")
+
+
 def parse_decomposition(data) -> tuple:
     """Rebuild (graph, group, decomposition) from serialized form.
 
@@ -422,30 +552,43 @@ def parse_decomposition(data) -> tuple:
     embedded report is type-checked but otherwise ignored; callers are
     expected to re-verify.  Explicit generators are checked to be
     bijections here; whether they are automorphisms is a mathematical
-    question left to the caller.
+    question left to the caller.  Text whose blocks are in the writer's
+    layout has them read without the decoder.  Any other text goes
+    through json.loads whole, and so does text with a block the reader
+    doubts, from that block on; either way the result or error is the
+    same.
     """
+    text = blocks_text = None
     if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except ValueError as err:  # a JSONDecodeError, or an integer past the digit limit
-            raise SchemaError("$", f"invalid JSON: {err}") from None
-        except RecursionError:
-            raise SchemaError("$", "invalid JSON: nested too deeply") from None
-    _expect(isinstance(data, dict), "$", "expected a top-level object")
-    graph = _parse_graph(_get(data, "graph", "$"), "$.graph")
-    action = EdgeAction(graph)
-    group = _parse_group(action, _get(data, "group", "$"), "$.group")
-    base = _parse_base(action, _get(data, "base", "$"), "$.base")
-    images = group.order * base.edge_count  # the verifier's first work; |E| in a valid file
-    if images > MAX_EDGES:
-        raise SchemaError("$.base", f"{images} base edge images, more than the cap of {MAX_EDGES}")
-    raw_blocks = _get(data, "blocks", "$")
-    _expect(isinstance(raw_blocks, list) and raw_blocks, "$.blocks", "expected a non-empty list")
+        text = data
+        data, blocks_text = _split_blocks(text) or (_loads(text), None)
+    try:
+        _expect(isinstance(data, dict), "$", "expected a top-level object")
+        graph = _parse_graph(_get(data, "graph", "$"), "$.graph")
+        action = EdgeAction(graph)
+        group = _parse_group(action, _get(data, "group", "$"), "$.group")
+        base = _parse_base(action, _get(data, "base", "$"), "$.base")
+        images = group.order * base.edge_count  # the verifier's first work; |E| in a valid file
+        if images > MAX_EDGES:
+            message = f"{images} base edge images, more than the cap of {MAX_EDGES}"
+            raise SchemaError("$.base", message)
+    except SchemaError:
+        if blocks_text is not None:
+            _loads(text)  # text that is no JSON fails as such first
+        raise
+    key_lists, whole = [], False
+    if blocks_text is not None:
+        key_lists, whole = _canonical_block_keys(action, blocks_text)
+        if not whole:
+            # the blocks read so far are the decoder's too: "blocks" is named once
+            data = _loads(text)
+    if not whole:
+        raw_blocks = _get(data, "blocks", "$")
+        key_lists = chain(key_lists, _decoded_block_keys(action, raw_blocks, len(key_lists)))
     blocks = []
     total = 0  # |E| in a valid file
-    for i, entry in enumerate(raw_blocks):
+    for i, keys in enumerate(key_lists):
         path = f"$.blocks[{i}].edges"
-        keys = _edge_keys(action, _get(entry, "edges", f"$.blocks[{i}]"), path)
         total += len(keys)
         if total > MAX_EDGES:
             raise SchemaError(path, f"{total} block edges in all, more than the cap of {MAX_EDGES}")

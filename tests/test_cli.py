@@ -342,6 +342,46 @@ def test_verify_caps_the_block_edges(tmp_path, capsys, monkeypatch):
     assert err == "error: $.blocks[3].edges: 24 block edges in all, more than the cap of 20\n"
 
 
+def rotations_of_k17(shifts):
+    """K_17 under the rotations i -> i + s, s in ``shifts``, with its 17 difference-class blocks."""
+    n = 17
+
+    def rotate(v, s):
+        return (v - 1 + s) % n + 1
+
+    base = [[1, 1 + d] for d in range(1, 9)]
+    return {
+        "graph": {"kind": "complete", "n": n},
+        "group": {
+            "kind": "explicit",
+            "order": n,
+            "generators": [
+                {"kind": "explicit", "map": [[v, rotate(v, s)] for v in range(1, n + 1)]}
+                for s in shifts
+            ],
+        },
+        "base": {"edges": base},
+        "blocks": [
+            {"edges": sorted(sorted(rotate(v, s) for v in e) for e in base)} for s in range(n)
+        ],
+        "report": report_flags(),
+    }
+
+
+def test_verify_caps_the_distinct_generators(tmp_path, capsys):
+    path = tmp_path / "k17.json"
+    # 16 distinct rotations generate the order-17 group; repeated copies count once
+    for shifts in (range(1, 17), [*range(1, 17), 1, 16, 5]):
+        path.write_text(serialize.dumps(rotations_of_k17(shifts)), encoding="utf-8")
+        assert run(capsys, "verify", "--input", str(path))[0] == 0
+    # all 17 elements: the 17th distinct table is past the cap, even after repeated ones
+    path.write_text(serialize.dumps(rotations_of_k17([1, 1, *range(17)])), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: $.group.generators[18]: 17 distinct generators, more than the cap of 16\n"
+
+
 def test_verify_rejects_wrong_declared_order(tmp_path, capsys):
     _, out, _ = run(capsys, "generate", "--n", "5")
     data = json.loads(out)

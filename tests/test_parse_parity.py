@@ -4,8 +4,11 @@ import copy
 import itertools
 import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rookpaths.cli import main
 from rookpaths.decompose import (
@@ -23,7 +26,8 @@ from rookpaths.groups import (
     diagonal_shift,
     row_shift,
 )
-from rookpaths.serialize import SchemaError, decomposition_to_json, parse_decomposition
+from rookpaths import serialize
+from rookpaths.serialize import SchemaError, decomposition_to_json, dumps, parse_decomposition
 
 from oracles import object_automorphism_violation, object_parse_decomposition, permutation_of
 
@@ -279,3 +283,166 @@ def test_automorphism_violation_rejects_another_domain():
         automorphism_violation(GridGraph(3, 3), row_shift(3, 4))
     with pytest.raises(ValueError, match="does not act on the vertices of K_6"):
         automorphism_violation(CompleteGraph(6), row_shift(2, 3))
+
+
+# ---------------------------------------------------------------- text against decoded input
+
+
+def entry_result(data):
+    """Everything parse_decomposition rebuilt from ``data``, or its error text."""
+    try:
+        graph, group, dec = parse_decomposition(data)
+    except SchemaError as err:
+        return ("error", str(err))
+    kinds = [g.kind for g in group.generators]
+    return ("ok", graph, kinds, group.elements, dec.base, [b.keys for b in dec.blocks])
+
+
+def decoded_result(text):
+    """What the decoded entry point gives for ``text``, or the decoder's error."""
+    try:
+        data = json.loads(text)
+    except ValueError as err:
+        return ("error", f"$: invalid JSON: {err}")
+    return entry_result(data)
+
+
+def assert_entry_points_agree(text):
+    expected = decoded_result(text)
+    assert entry_result(text) == expected
+    return expected
+
+
+CANONICAL = {name: dumps(doc) for name, doc in documents().items()}
+
+
+@pytest.mark.parametrize("label, doc", CORPUS, ids=[label for label, _ in CORPUS])
+def test_text_and_decoded_entry_points_agree(label, doc):
+    assert_entry_points_agree(dumps(doc))
+
+
+def test_writer_layout_skips_the_decoder(monkeypatch):
+    """Every valid corpus document in the writer's layout has its blocks read from the text."""
+
+    def refuse(*args):
+        raise AssertionError("blocks decoded")
+
+    monkeypatch.setattr(serialize, "_decoded_block_keys", refuse)
+    for name, text in CANONICAL.items():
+        assert entry_result(text)[0] == "ok", name
+
+
+@pytest.mark.parametrize("chunk", [1, 6, 50])
+def test_blocks_read_in_small_chunks(monkeypatch, chunk):
+    """Blocks split a few pairs at a time give the same parse, or fall back the same way."""
+    monkeypatch.setattr(serialize, "CHUNK_CHARS", chunk)
+    for name, text in CANONICAL.items():
+        assert assert_entry_points_agree(text)[0] == "ok", name
+    for _, doc in CORPUS:
+        assert_entry_points_agree(dumps(doc))
+
+
+def splice(text, old, new, count=1):
+    assert old in text
+    return text.replace(old, new, count)
+
+
+def layouts(text):
+    """(label, text) pairs: the document of ``text`` in other layouts, and edits of its bytes."""
+    doc = json.loads(text)
+    edge = doc["blocks"][0]["edges"][0]
+    first = dumps(edge)
+    assert f'"blocks":[{{"edges":[{first},' in text
+    grid = doc["graph"]["kind"] == "grid"
+    other = '[{"edges":[[[0,0],[0,1]]]}]' if grid else '[{"edges":[[1,2]]}]'
+    yield "pretty", json.dumps(doc, indent=1)
+    yield "spaced", json.dumps(doc)
+    yield "keys reversed", dumps(dict(reversed(doc.items())))
+    order = ("graph", "group", "base", "report", "blocks")
+    yield "report before blocks", dumps({k: doc[k] for k in order})
+    for value in ("[]", other):
+        yield f"blocks {value} before", splice(text, '"blocks":', f'"blocks":{value},"blocks":')
+        yield f"blocks {value} after", text[:-1] + f',"blocks":{value}}}'
+        yield f"escaped blocks {value} after", text[:-1] + f',"\\u0062locks":{value}}}'
+    # an array closed without "}]" hides a second key from the placeholder decode
+    decoy = f'"blocks":[{{"edges":{dumps(doc["blocks"][1]["edges"])}}},{{"edges":1}},2],'
+    yield "hidden second blocks key", splice(text, '"blocks":', decoy + '"blocks":')
+    yield "hidden escaped blocks key", splice(text, '"blocks":', decoy + '"\\u0062locks":')
+    yield "blocks in a string", splice(text, '"report":', '"note":"blocks","report":')
+    yield "blocks text in a string", splice(
+        text, '"report":', '"note":"\\"blocks\\":[{\\"edges\\":[]}]","report":'
+    )
+    yield "blocks key in report", splice(text, '"report":{', '"report":{"blocks":[],')
+    yield "no blocks", splice(text, '"blocks":', '"blokcs":')
+    yield "empty first block", splice(text, '"blocks":[{"edges":[', '"blocks":[{"edges":[]},{"edges":[')
+
+    def first_edge_as(variant):
+        return splice(text, f'"blocks":[{{"edges":[{first}', f'"blocks":[{{"edges":[{variant}')
+
+    yield "reversed pair", first_edge_as(dumps(edge[::-1]))
+    yield "duplicate edge", first_edge_as(f"{first},{first}")
+    bare = [*doc["blocks"][0]["edges"], edge[0]]
+    yield "bare vertex after the last pair", dumps(edited(doc, ("blocks", 0, "edges"), bare))
+    yield "second block opened by a space", splice(text, '},{"edges":[', '},{"edges": ')
+    block = dumps(doc["blocks"][0]["edges"])
+    yield "unclosed last pair", splice(text, block, f"{block[:-1]},[{dumps(edge[0])}]")
+    yield "blocks only inside report", dumps(
+        {k: v for k, v in edited(doc, ("report", "blocks"), doc["blocks"]).items() if k != "blocks"}
+    )
+    yield "bad graph.n and no JSON", first_edge_as(f"{first},,").replace('"n":', '"n":"x","z":', 1)
+    yield "trailing garbage", text + "x"
+    yield "trailing bracket", text + "]"
+    yield "trailing whitespace", text + " \n"
+    head = edge[0][0] if isinstance(edge[0], list) else edge[0]
+    start = first[: first.index(str(head))]
+    rest = first[len(start) + len(str(head)) :]
+    for token in (f"0{head}", "-0", f"{head}.0", "true", f"{head}e0", f" {head}", f"{head} ", "99", "-1"):
+        yield f"coordinate {token}", first_edge_as(start + token + rest)
+    yield "coordinate in quotes", first_edge_as(f'{start}"{head}"{rest}')
+
+
+LAYOUTS = [
+    (f"{name}: {label}", edited_text)
+    for name, text in CANONICAL.items()
+    for label, edited_text in layouts(text)
+]
+
+
+@pytest.mark.parametrize("label, text", LAYOUTS, ids=[label for label, _ in LAYOUTS])
+def test_entry_points_agree_on_other_layouts(label, text):
+    assert_entry_points_agree(text)
+
+
+def test_other_layouts_cover_each_outcome():
+    results = [decoded_result(text) for _, text in LAYOUTS]
+    assert sum(r[0] == "ok" for r in results) >= 30
+    errors = {r[1].split(":")[0] for r in results if r[0] == "error"}
+    assert {"$", "$.blocks", "$.blocks[0].edges", "$.blocks[0].edges[0][0]"} <= errors
+
+
+TOKEN = re.compile(r'-?\d+|"[^"]*"|[a-z]+|.', re.S)
+CHARS = '0123456789[]{},:"\\ -.e'
+TOKENS = (
+    "0", "1", "00", "-0", "1.0", "true", "null", '"blocks"', "[]", "{}", "99", "-1", "[0,1]", ',"blocks":[]'
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CANONICAL)),
+    where=st.integers(0, 10**6),
+    action=st.sampled_from(("replace", "insert", "delete", "token")),
+    char=st.sampled_from(CHARS),
+    token=st.sampled_from(TOKENS),
+)
+def test_entry_points_agree_on_mutated_text(name, where, action, char, token):
+    """One byte or one token of a file in the writer's layout changed: the same parse or error."""
+    text = CANONICAL[name]
+    if action == "token":
+        spans = [m.span() for m in TOKEN.finditer(text)]
+        a, b = spans[where % len(spans)]
+        text = text[:a] + token + text[b:]
+    else:
+        p = where % len(text)
+        text = text[:p] + ("" if action == "delete" else char) + text[p + (action != "insert") :]
+    assert_entry_points_agree(text)

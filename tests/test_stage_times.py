@@ -1,4 +1,4 @@
-"""tools/stage_times.py runs end to end on a small width."""
+"""tools/stage_times.py runs end to end on a small width and one hostile input."""
 
 import json
 import subprocess
@@ -11,7 +11,8 @@ STAGES = ["walk", "group", "build", "verify", "json_out", "parse", "verify_again
 
 def test_stage_times_smoke(tmp_path):
     cmd = [sys.executable, str(TOOL), "--label", "smoke", "--n", "5", "--cli", "5",
-           "--repeat", "1", "--first-call", "1", "--out", str(tmp_path)]
+           "--repeat", "1", "--first-call", "1", "--hostile", "k400-repeated-generator",
+           "--out", str(tmp_path)]
     subprocess.run(cmd, check=True, capture_output=True, timeout=60)
     record = json.loads((tmp_path / "BENCH_smoke.json").read_text(encoding="utf-8"))
     assert {"python", "platform", "cpu_count"} <= set(record)
@@ -25,3 +26,6 @@ def test_stage_times_smoke(tmp_path):
     first = {row["argv"]: row for row in tree["first_call"]}
     assert first["generate --n 5"]["exit_code"] == 0 and len(first) == 6
     assert all(row["first_ms"] > 0 and row["again_ms"] > 0 for row in first.values())
+    (hostile,) = tree["hostile"]
+    assert (hostile["name"], hostile["exit_code"]) == ("k400-repeated-generator", 2)
+    assert hostile["bytes"] > 2_000_000 and hostile["verify_s"] > 0

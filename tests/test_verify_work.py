@@ -1,4 +1,9 @@
-"""verify images at most |G| * |base| + |distinct gens| * (sum of block sizes) edge keys, on hostile files too."""
+"""verify images at most |G| * |base| + |distinct gens| * (sum of block sizes) edge keys, on hostile files too.
+
+The parser caps each term: |G| * |base| and the sum of block sizes at
+MAX_EDGES, and the distinct generators at MAX_GENERATORS, so no file
+makes verify image more than (1 + MAX_GENERATORS) * MAX_EDGES keys.
+"""
 
 import json
 
@@ -7,7 +12,12 @@ import pytest
 from rookpaths.decompose import VerificationReport, staircase_decomposition, verify_decomposition
 from rookpaths.grid import GridGraph
 from rookpaths.groups import EdgeAction
-from rookpaths.serialize import decomposition_to_json, parse_decomposition
+from rookpaths.serialize import (
+    MAX_EDGES,
+    MAX_GENERATORS,
+    decomposition_to_json,
+    parse_decomposition,
+)
 
 REPORT = dict.fromkeys(VerificationReport.FLAGS, True)
 
@@ -64,6 +74,23 @@ def repeated_generator():
     }
 
 
+def all_elements():
+    """K_16 under all 16 rotations i -> i + s as generators: a one-edge base, one block of every edge."""
+    n = 16
+    rotations = [
+        {"kind": "explicit", "map": [[v, (v - 1 + s) % n + 1] for v in range(1, n + 1)]}
+        for s in range(n)
+    ]
+    edges = [[u, v] for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    return {
+        "graph": {"kind": "complete", "n": n},
+        "group": {"kind": "explicit", "order": n, "generators": rotations},
+        "base": {"edges": edges[:1]},
+        "blocks": [{"edges": edges}],
+        "report": REPORT,
+    }
+
+
 # each file with the flags its report fails
 FILES = {
     "one-edge base": (
@@ -78,6 +105,10 @@ FILES = {
     "repeated generator": (
         repeated_generator,
         ["blocks_isomorphic_to_base", "group_transitive"],
+    ),
+    "all elements": (
+        all_elements,
+        ["blocks_isomorphic_to_base", "group_transitive", "semiregular"],
     ),
 }
 
@@ -100,5 +131,5 @@ def test_verify_images_within_the_bound(monkeypatch, name):
     bound = group.order * dec.base.edge_count + distinct * sum(
         block.edge_count for block in dec.blocks
     )
-    assert 0 < sum(imaged) <= bound
+    assert 0 < sum(imaged) <= bound <= (1 + MAX_GENERATORS) * MAX_EDGES
     assert report.failed() == failed

@@ -24,7 +24,11 @@ when any command differs.  The corpus:
     also one explicit generator swapping two vertices, a bijection but
     no automorphism; for diag4 also the row shift with a one-edge base
     and its images as blocks, whose report prints the element that
-    fixes an edge as an explicit map.
+    fixes an edge as an explicit map.  These files are in the writer's
+    compact layout.  Each valid document is also written in four other
+    layouts, which verify reads through json.loads: pretty-printed, with
+    a second, escaped "blocks" key holding other blocks, with a leading
+    zero in a block coordinate, and with report before blocks.
 
 --limit N runs N commands spread evenly over the corpus, the first and
 the last included.  Standard library only.
@@ -110,6 +114,39 @@ def row_shift_edge(doc: dict) -> None:
     doc["blocks"] = [{"edges": [[[k, 0], [k, 1]]]} for k in range(n)]
 
 
+def compact(doc: dict) -> str:
+    """The writer's layout: no whitespace, keys in document order."""
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def escaped_key(doc: dict) -> str:
+    """A second, escaped "blocks" key after the real one, holding the blocks with an edge moved."""
+    other = json.loads(json.dumps(doc))
+    moved(other)
+    return compact(doc)[:-1] + ',"\\u0062locks":' + compact(other["blocks"]) + "}"
+
+
+def leading_zeros(doc: dict) -> str:
+    """The first coordinate of the first block edge written with a leading zero: no JSON."""
+    text = compact(doc)
+    start = text.index('"blocks":[{"edges":[') + len('"blocks":[{"edges":[')
+    digit = start + len(text[start:]) - len(text[start:].lstrip("["))
+    return text[:digit] + "0" + text[digit:]
+
+
+def report_first(doc: dict) -> str:
+    return compact({key: doc[key] for key in ("graph", "group", "base", "report", "blocks")})
+
+
+# the valid document in other layouts than the writer's
+LAYOUTS = {
+    "pretty": lambda doc: json.dumps(doc, indent=1),
+    "escaped-key": escaped_key,
+    "leading-zeros": leading_zeros,
+    "report-first": report_first,
+}
+
+
 TAMPERS = {
     "valid": lambda doc: None, "moved": moved, "dropped": dropped, "shifted-base": shifted_base,
     "mapped-twice": mapped_twice, "image-twice": image_twice, "short-map": short_map,
@@ -120,6 +157,11 @@ TAMPERS = {
 def tampers(name: str) -> list[str]:
     """The variants written for a verify source: valid, moved, dropped and its own."""
     return ["valid", "moved", "dropped", *VERIFY_SOURCES[name][1]]
+
+
+def variants(name: str) -> list[str]:
+    """Every file written for a verify source: its tampers, then the valid document's layouts."""
+    return tampers(name) + list(LAYOUTS)
 
 
 def corpus() -> list[tuple[str, ...]]:
@@ -135,7 +177,7 @@ def corpus() -> list[tuple[str, ...]]:
         commands += [("orbits", "--n", str(n), "--group", group, "--edges") for n in (2, 3, 4, 5)]
     commands += USAGE
     for name in VERIFY_SOURCES:
-        commands += [("verify", "--input", f"{name}-{kind}.json") for kind in tampers(name)]
+        commands += [("verify", "--input", f"{name}-{kind}.json") for kind in variants(name)]
     return list(dict.fromkeys(commands))
 
 
@@ -156,7 +198,9 @@ def write_verify_files(src: Path, work: Path) -> None:
         for kind in tampers(name):
             doc = json.loads(out)
             TAMPERS[kind](doc)
-            (work / f"{name}-{kind}.json").write_text(json.dumps(doc), encoding="utf-8")
+            (work / f"{name}-{kind}.json").write_text(compact(doc), encoding="utf-8")
+        for kind, layout in LAYOUTS.items():
+            (work / f"{name}-{kind}.json").write_text(layout(json.loads(out)), encoding="utf-8")
 
 
 def differences(a: tuple, b: tuple) -> list[str]:

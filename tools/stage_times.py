@@ -15,7 +15,13 @@ and reports its peak RSS.  Every row runs --repeat times, the trees
 alternating, and the record keeps the medians.  The command line is timed
 too (--cli widths): ``python -m rookpaths generate --n N`` into a file,
 then ``verify --input`` of that file, each as its own process, with wall
-time, peak RSS and the sha256 of the generated file.
+time, peak RSS and the sha256 of the generated file.  So is ``verify`` of
+each hostile input (--hostile names, default all of HOSTILE), files at
+the parser's caps written here in the writer's layout: K_135 box K_135
+under the row shift with a one-edge base and one block of all 2,442,150
+edges, with and without its report; K_400 with one block of every edge
+under 400 copies of the 400-cycle; and K_1024 under all 16 elements of
+the group generated by i -> i + 64 as its generators.
 
 Short commands cost less than interpreter start-up, so --first-call
 times them inside the process instead: each of SMALL_COMMANDS runs in
@@ -37,6 +43,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import resource
@@ -58,6 +65,61 @@ SMALL_COMMANDS = (
     ("examples", "k9"),
 )
 AGAIN_CALLS = 20
+FLAGS = ("is_partition", "blocks_isomorphic_to_base", "group_invariant",
+         "group_transitive", "stabilizer_trivial", "semiregular")
+
+
+def _write_doc(path: Path, graph: str, group: str, base: str, block_edges, report=True) -> None:
+    """A compact JSON document whose one block holds ``block_edges`` (texts of edges), in pieces."""
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(f'{{"graph":{graph},"group":{group},"base":{{"edges":[{base}]}},')
+        fh.write('"blocks":[{"edges":[')
+        first = True
+        for chunk in block_edges:
+            fh.write(chunk if first else "," + chunk)
+            first = False
+        fh.write("]}]")
+        if report:
+            fh.write(',"report":{%s}' % ",".join(f'"{flag}":true' for flag in FLAGS))
+        fh.write("}")
+
+
+def grid_one_block(path: Path, n: int, report: bool) -> None:
+    """K_n box K_n under the row shift: a one-edge base and one block holding every edge."""
+    def rows():
+        for i in range(n * n):
+            r, c = divmod(i, n)
+            ends = [(r, d) for d in range(c + 1, n)] + [(q, c) for q in range(r + 1, n)]
+            if ends:
+                yield ",".join(f"[[{r},{c}],[{a},{b}]]" for a, b in ends)
+
+    graph, group = f'{{"kind":"grid","n":{n},"m":{n}}}', f'{{"kind":"row_shift","order":{n}}}'
+    _write_doc(path, graph, group, "[[0,0],[0,1]]", rows(), report)
+
+
+def complete_one_block(path: Path, n: int, shifts, step: int = 1) -> None:
+    """K_n under the rotations i -> i + s * step, s in ``shifts``: a one-edge base, one block."""
+    def rows():
+        for u in range(1, n):
+            yield ",".join(f"[{u},{v}]" for v in range(u + 1, n + 1))
+
+    order = n // math.gcd(n, step)
+    maps = (
+        '{"kind":"explicit","map":[%s]}'
+        % ",".join(f"[{v},{(v - 1 + s * step) % n + 1}]" for v in range(1, n + 1))
+        for s in shifts
+    )
+    group = f'{{"kind":"explicit","order":{order},"generators":[{",".join(maps)}]}}'
+    _write_doc(path, f'{{"kind":"complete","n":{n}}}', group, "[1,2]", rows())
+
+
+# hostile verify inputs at the parser's caps: name -> writer of the file
+HOSTILE = {
+    "k135-one-block": lambda path: grid_one_block(path, 135, report=True),
+    "k135-one-block-no-report": lambda path: grid_one_block(path, 135, report=False),
+    "k400-repeated-generator": lambda path: complete_one_block(path, 400, [1] * 400),
+    "k1024-all-elements": lambda path: complete_one_block(path, 1024, range(16), step=64),
+}
 
 
 def walk_base(n: int, walk):
@@ -176,6 +238,21 @@ def run_cli(src: Path, n: int, workdir: Path) -> dict:
     }
 
 
+def run_hostile(src: Path, path: Path) -> dict:
+    code, wall, rss = run_command(src, ["verify", "--input", str(path)], subprocess.DEVNULL)
+    return {"exit_code": code, "verify_s": wall, "verify_rss_mb": rss}
+
+
+def median_hostile(name: str, path: Path, runs: list[dict]) -> dict:
+    return {
+        "name": name,
+        "bytes": path.stat().st_size,
+        "exit_code": runs[0]["exit_code"],
+        "verify_s": round(statistics.median(r["verify_s"] for r in runs), 4),
+        "verify_rss_mb": round(statistics.median(r["verify_rss_mb"] for r in runs), 1),
+    }
+
+
 def describe(src: Path) -> str | None:
     try:
         out = subprocess.run(
@@ -213,6 +290,8 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, nargs="+", default=[23, 53, 101])
     parser.add_argument("--cli", type=int, nargs="*", default=[101],
                         help="widths for the generate+verify command-line timing")
+    parser.add_argument("--hostile", nargs="*", default=list(HOSTILE), choices=list(HOSTILE),
+                        metavar="NAME", help="hostile verify inputs to time (default all)")
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--first-call", type=int, default=20, metavar="PROCESSES",
                         help="fresh processes per short command (0 skips them)")
@@ -233,7 +312,11 @@ def main(argv=None) -> int:
 
     rows = {name: {n: [] for n in args.n} for name in trees}
     cli = {name: {n: [] for n in args.cli} for name in trees}
+    hostile = {name: {h: [] for h in args.hostile} for name in trees}
     with tempfile.TemporaryDirectory() as tmp:
+        paths = {h: Path(tmp) / f"{h}.json" for h in args.hostile}
+        for h, path in paths.items():
+            HOSTILE[h](path)
         for rep in range(args.repeat):
             # alternate which tree runs first
             order = list(trees.items())[:: -1 if rep % 2 else 1]
@@ -245,6 +328,14 @@ def main(argv=None) -> int:
                 for name, src in order:
                     cli[name][n].append(run_cli(src, n, Path(tmp)))
                     print(f"[{rep + 1}/{args.repeat}] {name} cli n={n}", file=sys.stderr)
+            for h, path in paths.items():
+                for name, src in order:
+                    hostile[name][h].append(run_hostile(src, path))
+                    print(f"[{rep + 1}/{args.repeat}] {name} {h}", file=sys.stderr)
+        hostile_rows = {
+            name: [median_hostile(h, paths[h], runs) for h, runs in hostile[name].items()]
+            for name in trees
+        }
     small = {name: {argv: [] for argv in SMALL_COMMANDS} for name in trees}
     for run in range(args.first_call):
         order = list(trees.items())[:: -1 if run % 2 else 1]
@@ -266,6 +357,7 @@ def main(argv=None) -> int:
                 "describe": describe(src),
                 "rows": [median_row(n, runs) for n, runs in rows[name].items()],
                 "cli": [median_cli(n, runs) for n, runs in cli[name].items()],
+                "hostile": hostile_rows[name],
                 "first_call": [
                     median_first_call(argv, runs) for argv, runs in small[name].items() if runs
                 ],
