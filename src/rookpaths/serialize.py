@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import islice
 from typing import Sequence
 
 from .decompose import (
@@ -68,7 +68,8 @@ MAX_ACTION_ENTRIES = 4_000_000
 # of an irredundant list at least doubles the group, so no group within the
 # closure cap needs more.
 MAX_GENERATORS = DEFAULT_GROUP_CAP.bit_length() - 1
-# characters of a block's text split at a time by the canonical-layout reader
+# characters of a block's text split at a time by the canonical-layout reader.  For
+# K_135 box K_135 in one 46 MB block, verify peaks at 288 MB, and at 579 MB unsplit.
 CHUNK_CHARS = 1 << 20
 # per-vertex text tables kept for the writers: (graph, form) pairs
 VERTEX_TEXT_TABLES = 8
@@ -453,10 +454,9 @@ def _split_blocks(text: str):
     once, is left to json.loads, so no other key, escaped or not, can be
     a blocks member.  The document decoded with null in the blocks
     text's place must hold that null as its top-level blocks member.
-    Then the value json.loads reads there starts with every block
-    _canonical_block_keys proves to be in the writer's layout, and once
-    all of them are, the whole text decodes to this document with those
-    blocks.
+    Once _canonical_block_keys has read the whole blocks text in the
+    writer's layout, that text is one JSON array, and the whole text
+    decodes to this document with those blocks in the null's place.
     """
     if "\\" in text or text.count('"blocks"') != 1:
         return None
@@ -481,10 +481,10 @@ def _canonical_block_keys(action: EdgeAction, text: str) -> tuple[list, bool]:
     splits on the writer's separators into endpoint tokens that must be
     exactly the vertex texts _vertex_texts gives, opened or closed, so
     the text is the canonical rendering of the pairs it yields.  Every
-    pair must be ascending and, on a grid, on one line.  Reading stops at
-    the first block that is not in the layout, and after the block that
-    takes the total past MAX_EDGES.  A long block is split a chunk of
-    pairs at a time, in place.
+    pair must be ascending and, on a grid, on one line.  Reading stops
+    before the first block that is not in the layout, or that takes the
+    total past MAX_EDGES.  A long block is split a chunk of pairs at a
+    time, in place.
     """
     graph, size = action.graph, action.size
     grid = isinstance(graph, GridGraph)
@@ -529,20 +529,80 @@ def _canonical_block_keys(action: EdgeAction, text: str) -> tuple[list, bool]:
         keys = block_keys(pos, stop if end < 0 else end)
         if keys is None:
             return key_lists, False
-        key_lists.append(keys)
         total += len(keys)
-        if total > MAX_EDGES or end < 0:
-            break
+        if total > MAX_EDGES:
+            return key_lists, False
+        key_lists.append(keys)
+        if end < 0:
+            return key_lists, True
         pos = end + len('},{"edges":')
-    return key_lists, True
 
 
-def _decoded_block_keys(action: EdgeAction, raw_blocks, first: int):
-    """The keys of each decoded block from index ``first`` on, read one block at a time."""
+def _parse_head(data) -> tuple:
+    """(graph, its EdgeAction, group, base) of a decoded document."""
+    _expect(isinstance(data, dict), "$", "expected a top-level object")
+    graph = _parse_graph(_get(data, "graph", "$"), "$.graph")
+    action = EdgeAction(graph)
+    group = _parse_group(action, _get(data, "group", "$"), "$.group")
+    base = _parse_base(action, _get(data, "base", "$"), "$.base")
+    images = group.order * base.edge_count  # the verifier's first work; |E| in a valid file
+    if images > MAX_EDGES:
+        raise SchemaError("$.base", f"{images} base edge images, more than the cap of {MAX_EDGES}")
+    return graph, action, group, base
+
+
+def _parse_text(text: str) -> tuple:
+    """parse_decomposition of a JSON string.
+
+    Text in the writer's layout has its head decoded with the blocks
+    read as null (_split_blocks) and its blocks read from the text
+    (_canonical_block_keys).  At the first block the reader doubts, the
+    text is decoded whole, and the blocks read so far are kept if the
+    decoder's document has the same members besides blocks: a second
+    member inside the blocks text would override the head.  Any other
+    text, and any error in the head, goes to the decoder.
+    """
+    split = _split_blocks(text)
+    if split is None:
+        return parse_decomposition(_loads(text))
+    doc, blocks_text = split
+    try:
+        head = _parse_head(doc)
+    except SchemaError:
+        return parse_decomposition(_loads(text))
+    key_lists, whole = _canonical_block_keys(head[1], blocks_text)
+    if whole:
+        doc["blocks"] = key_lists  # read already: _parse_blocks takes no entry of them
+        return _parse_blocks(doc, head, key_lists)
+    data = _loads(text)
+    doc["blocks"] = data.get("blocks") if type(data) is dict else None
+    if data != doc:
+        return parse_decomposition(data)
+    return _parse_blocks(data, head, key_lists)
+
+
+def _parse_blocks(data, head: tuple, leading: list) -> tuple:
+    """(graph, group, decomposition) of ``data``, whose head parsed to ``head``.
+
+    ``leading`` holds the keys of the first blocks, read from the text.
+    """
+    graph, action, group, base = head
+    raw_blocks = _get(data, "blocks", "$")
     _expect(isinstance(raw_blocks, list) and raw_blocks, "$.blocks", "expected a non-empty list")
-    for i in range(first, len(raw_blocks)):
-        path = f"$.blocks[{i}]"
-        yield _edge_keys(action, _get(raw_blocks[i], "edges", path), f"{path}.edges")
+    blocks = []
+    total = 0  # |E| in a valid file
+    for i, entry in enumerate(raw_blocks):
+        path = f"$.blocks[{i}].edges"
+        if i < len(leading):
+            keys = leading[i]
+        else:
+            keys = _edge_keys(action, _get(entry, "edges", f"$.blocks[{i}]"), path)
+        total += len(keys)
+        if total > MAX_EDGES:
+            raise SchemaError(path, f"{total} block edges in all, more than the cap of {MAX_EDGES}")
+        blocks.append(_subgraph(action, keys, path))
+    _parse_report_stub(_get(data, "report", "$"), "$.report")
+    return graph, group, Decomposition(tuple(blocks), group, base)
 
 
 def parse_decomposition(data) -> tuple:
@@ -553,48 +613,12 @@ def parse_decomposition(data) -> tuple:
     expected to re-verify.  Explicit generators are checked to be
     bijections here; whether they are automorphisms is a mathematical
     question left to the caller.  Text whose blocks are in the writer's
-    layout has them read without the decoder.  Any other text goes
-    through json.loads whole, and so does text with a block the reader
-    doubts, from that block on; either way the result or error is the
-    same.
+    layout has them read without the decoder (_parse_text); any other
+    text gives the same result or error as its decoded object.
     """
-    text = blocks_text = None
     if isinstance(data, str):
-        text = data
-        data, blocks_text = _split_blocks(text) or (_loads(text), None)
-    try:
-        _expect(isinstance(data, dict), "$", "expected a top-level object")
-        graph = _parse_graph(_get(data, "graph", "$"), "$.graph")
-        action = EdgeAction(graph)
-        group = _parse_group(action, _get(data, "group", "$"), "$.group")
-        base = _parse_base(action, _get(data, "base", "$"), "$.base")
-        images = group.order * base.edge_count  # the verifier's first work; |E| in a valid file
-        if images > MAX_EDGES:
-            message = f"{images} base edge images, more than the cap of {MAX_EDGES}"
-            raise SchemaError("$.base", message)
-    except SchemaError:
-        if blocks_text is not None:
-            _loads(text)  # text that is no JSON fails as such first
-        raise
-    key_lists, whole = [], False
-    if blocks_text is not None:
-        key_lists, whole = _canonical_block_keys(action, blocks_text)
-        if not whole:
-            # the blocks read so far are the decoder's too: "blocks" is named once
-            data = _loads(text)
-    if not whole:
-        raw_blocks = _get(data, "blocks", "$")
-        key_lists = chain(key_lists, _decoded_block_keys(action, raw_blocks, len(key_lists)))
-    blocks = []
-    total = 0  # |E| in a valid file
-    for i, keys in enumerate(key_lists):
-        path = f"$.blocks[{i}].edges"
-        total += len(keys)
-        if total > MAX_EDGES:
-            raise SchemaError(path, f"{total} block edges in all, more than the cap of {MAX_EDGES}")
-        blocks.append(_subgraph(action, keys, path))
-    _parse_report_stub(_get(data, "report", "$"), "$.report")
-    return graph, group, Decomposition(tuple(blocks), group, base)
+        return _parse_text(data)
+    return _parse_blocks(data, _parse_head(data), [])
 
 
 # ---------------------------------------------------------------- text formats

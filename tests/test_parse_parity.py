@@ -22,6 +22,7 @@ from rookpaths.decompose import (
 )
 from rookpaths.grid import GridGraph
 from rookpaths.groups import (
+    EdgeAction,
     automorphism_violation,
     diagonal_shift,
     row_shift,
@@ -325,11 +326,27 @@ def test_writer_layout_skips_the_decoder(monkeypatch):
     """Every valid corpus document in the writer's layout has its blocks read from the text."""
 
     def refuse(*args):
-        raise AssertionError("blocks decoded")
+        raise AssertionError("text decoded whole")
 
-    monkeypatch.setattr(serialize, "_decoded_block_keys", refuse)
+    monkeypatch.setattr(serialize, "_loads", refuse)
     for name, text in CANONICAL.items():
         assert entry_result(text)[0] == "ok", name
+
+
+def test_blocks_past_the_cap_leave_the_rest_to_the_decoder(monkeypatch):
+    """Past MAX_EDGES the reader stops; text after that point still fails as no JSON first."""
+    doc = json.loads(CANONICAL["n5"])
+    monkeypatch.setattr(serialize, "MAX_EDGES", sum(len(b["edges"]) for b in doc["blocks"]))
+    over = dumps(edited(doc, ("blocks",), doc["blocks"] * 2))
+    assert entry_result(over)[1].startswith("$.blocks[5].edges: ")
+    # the reader keeps no more than MAX_EDGES keys: the decoder reads the rest
+    blocks_text = serialize._split_blocks(over)[1]
+    key_lists, whole = serialize._canonical_block_keys(EdgeAction(GridGraph(5, 5)), blocks_text)
+    assert (len(key_lists), whole) == (5, False)
+    garbage = splice(over, '}],"report":', '},{"edges":[,]}],"report":')
+    assert assert_entry_points_agree(garbage)[1].startswith("$: invalid JSON: ")
+    hidden = splice(over, '}],"report":', '} ],"graph":[{}],"report":')
+    assert assert_entry_points_agree(hidden)[1].startswith("$.graph: ")
 
 
 @pytest.mark.parametrize("chunk", [1, 6, 50])
@@ -368,6 +385,17 @@ def layouts(text):
     decoy = f'"blocks":[{{"edges":{dumps(doc["blocks"][1]["edges"])}}},{{"edges":1}},2],'
     yield "hidden second blocks key", splice(text, '"blocks":', decoy + '"blocks":')
     yield "hidden escaped blocks key", splice(text, '"blocks":', decoy + '"\\u0062locks":')
+    # a blocks array closed by " ]" or ",0]" leaves its "}]" to a later member, inside the cut
+    edge_base = '{"edges":[[[0,0],[0,1]]]}' if grid else '{"edges":[[1,2]]}'
+    members = {
+        "graph": '"graph":{"kind":"grid"}',
+        "group": '"group":{"kind":"explicit","order":1,"generators":[]}',
+        "base": f'"base":{edge_base}',
+    }
+    for close in (" ]", ",0]"):
+        for key, member in members.items():
+            hidden = splice(text, '}],"report":', f'}}{close},{member},"pad":[{{}}],"report":')
+            yield f"blocks closed by {close!r}, then a second {key}", hidden
     yield "blocks in a string", splice(text, '"report":', '"note":"blocks","report":')
     yield "blocks text in a string", splice(
         text, '"report":', '"note":"\\"blocks\\":[{\\"edges\\":[]}]","report":'
