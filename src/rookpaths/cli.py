@@ -253,57 +253,72 @@ def cmd_split(args) -> int:
     return EXIT_OK
 
 
-def build_parser(argv) -> argparse.ArgumentParser:
-    """The parser, with arguments only for the subcommands in ``argv``: argparse runs one of them."""
-    named = argv.__contains__
+FORMAT = ("--format", {"choices": ["json", "dot", "edges"], "default": "json"})
+FORCE = ("--force", {"action": "store_true", "help": "run odd non-prime widths through the checks"})
+N = ("--n", {"type": int, "required": True})
+# name: (handler, help line, arguments in the order help lists them)
+SUBCOMMANDS = {
+    "generate": (cmd_generate, "build and verify a staircase decomposition", [
+        ("--n", {"type": int, "required": True, "help": "grid width; odd prime unless --force"}),
+        FORMAT, FORCE]),
+    "verify": (cmd_verify, "re-verify a serialized decomposition from scratch", [
+        ("--input", {"required": True, "help": "path to a decomposition JSON file"})]),
+    "orbits": (cmd_orbits, "list edge orbits of a cyclic shift action", [
+        N, ("--m", {"type": int, "help": "defaults to n"}),
+        ("--group", {"choices": ["row_shift", "diagonal_shift"], "default": "row_shift"}),
+        ("--edges", {"action": "store_true", "help": "also list the member edges"})]),
+    "examples": (cmd_examples, "build and verify a named example", [
+        ("name", {"choices": ["k9", "fig3", "diag4"]}), FORMAT]),
+    "split": (cmd_split, "refine staircase blocks into short path segments", [
+        N, ("--b", {"type": int, "help": "edges per segment; defaults to n-1"}), FORCE, FORMAT]),
+}
+
+
+def _with_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``parser`` with subcommand ``name``'s arguments and handler added."""
+    func, _, arguments = SUBCOMMANDS[name]
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+    parser.set_defaults(func=func)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser with every subcommand's; parse_command needs it only off its fast path."""
     parser = argparse.ArgumentParser(
         prog="rookpaths",
         description="Group-transitive path decompositions of K_n box K_m, verified.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("generate", help="build and verify a staircase decomposition")
-    if named("generate"):
-        g.add_argument("--n", type=int, required=True, help="grid width; odd prime unless --force")
-        g.add_argument("--format", choices=["json", "dot", "edges"], default="json")
-        g.add_argument("--force", action="store_true", help="run odd non-prime widths through the checks")
-        g.set_defaults(func=cmd_generate)
-
-    v = sub.add_parser("verify", help="re-verify a serialized decomposition from scratch")
-    if named("verify"):
-        v.add_argument("--input", required=True, help="path to a decomposition JSON file")
-        v.set_defaults(func=cmd_verify)
-
-    o = sub.add_parser("orbits", help="list edge orbits of a cyclic shift action")
-    if named("orbits"):
-        o.add_argument("--n", type=int, required=True)
-        o.add_argument("--m", type=int, default=None, help="defaults to n")
-        o.add_argument("--group", choices=["row_shift", "diagonal_shift"], default="row_shift")
-        o.add_argument("--edges", action="store_true", help="also list the member edges")
-        o.set_defaults(func=cmd_orbits)
-
-    e = sub.add_parser("examples", help="build and verify a named example")
-    if named("examples"):
-        e.add_argument("name", choices=["k9", "fig3", "diag4"])
-        e.add_argument("--format", choices=["json", "dot", "edges"], default="json")
-        e.set_defaults(func=cmd_examples)
-
-    s = sub.add_parser("split", help="refine staircase blocks into short path segments")
-    if named("split"):
-        s.add_argument("--n", type=int, required=True)
-        s.add_argument("--b", type=int, default=None, help="edges per segment; defaults to n-1")
-        s.add_argument("--force", action="store_true", help="run odd non-prime widths through the checks")
-        s.add_argument("--format", choices=["json", "dot", "edges"], default="json")
-        s.set_defaults(func=cmd_split)
-
+    for name, (_, help_line, _) in SUBCOMMANDS.items():
+        _with_arguments(sub.add_parser(name, help=help_line), name)
     return parser
 
 
+def parse_command(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with only the named subcommand's parser when it can.
+
+    The top-level parser's one option is -h, and its subparsers action
+    passes everything after the subcommand name, whole, to that
+    subcommand's parse_known_args, so that parser alone, with the prog
+    add_parser gives it, prints the same help and errors.  Other argv,
+    and argv it leaves arguments over from, go through the full parser.
+    """
+    name = argv[0] if argv else None
+    if name in SUBCOMMANDS:
+        parser = _with_arguments(argparse.ArgumentParser(prog=f"rookpaths {name}"), name)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = name
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
+    """Parse ``argv`` and run its command; the exit code.  No parser outlives the call."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parse_command(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     return args.func(args)

@@ -196,7 +196,11 @@ def _keys_on(graph, sub: Subgraph) -> array:
 
 
 def _covers_once(action: EdgeAction, key_arrays) -> bool:
-    """True when the arrays together hold every edge key of the graph exactly once."""
+    """True when the ascending arrays together hold every edge key of the graph exactly once."""
+    if sum(map(len, key_arrays)) != action.graph.edge_count:
+        return False
+    if len(key_arrays) == 1:
+        return key_arrays[0] == array("q", action.all_keys())
     return sorted(chain.from_iterable(key_arrays)) == list(action.all_keys())
 
 

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: exit codes, payloads, and streams."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,10 +10,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rookpaths
 from rookpaths import serialize
-from rookpaths.cli import build_parser, main
+from rookpaths.cli import build_parser, main, parse_command
 from rookpaths.decompose import VerificationReport
 from rookpaths.grid import GridGraph
 from rookpaths.serialize import MAX_EDGES
@@ -593,6 +597,9 @@ def test_commands_in_one_process_match_fresh_processes(tmp_path, capsys, monkeyp
         ["generate", "--n", "5"],
         ["frobnicate"],
         ["verify", "--input", str(tampered)],
+        ["generate", "--n", "5", "verify"],
+        ["generate", "--", "--n", "5"],
+        ["generate", "--n", "5", "-h"],
         ["generate", "--n", "5"],
     ]
     env = {**os.environ, "PYTHONPATH": str(Path(rookpaths.__file__).parents[1])}
@@ -605,7 +612,7 @@ def test_commands_in_one_process_match_fresh_processes(tmp_path, capsys, monkeyp
         )
         assert in_process == (alone.returncode, alone.stdout, alone.stderr), argv
         codes.append(in_process[0])
-    assert codes == [1, 0, 0, 1, 2, 0]
+    assert codes == [1, 0, 0, 1, 2, 1, 1, 0, 0]
 
 
 COMMANDS = ["generate", "verify", "orbits", "examples", "split"]
@@ -621,15 +628,43 @@ PARSER_CASES = [
 ]
 
 
-@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
-def test_parser_for_named_subcommands_parses_as_the_full_parser(argv, capsys, monkeypatch):
-    """Arguments only for the subcommands in argv: the namespace, exit code and text of all of them."""
-    monkeypatch.setenv("COLUMNS", "80")
-    outcomes = []
-    for parser in (build_parser(argv), build_parser(COMMANDS)):
+def parse_outcome(parse, argv):
+    """The namespace parse(argv) returns, or its exit code, with what it printed to each stream."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = vars(parser.parse_args(argv))
+            result = vars(parse(argv))
         except SystemExit as exc:
             result = exc.code
-        outcomes.append((result, *capsys.readouterr()))
-    assert outcomes[0] == outcomes[1]
+    return result, out.getvalue(), err.getvalue()
+
+
+def assert_parses_as_the_full_parser(argv):
+    expected = parse_outcome(lambda a: build_parser().parse_args(a), argv)
+    assert parse_outcome(parse_command, argv) == expected, argv
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_parse_command_parses_as_the_full_parser(argv):
+    """The subcommand's parser alone, or the full one: the namespace, exit code and text of the full one."""
+    assert_parses_as_the_full_parser(argv)
+
+
+# subcommand names and abbreviations, every option whole, abbreviated and as --opt=value,
+# "--", help, and values: negative, non-int, choices and stray positionals
+HEADS = [*COMMANDS, "gen", "ver", "orb", "ex", "spl", "--", "-h", "--he", "--n", "5"]
+TOKENS = [
+    *COMMANDS, "gen", "--", "-h", "--h", "--he", "--help",
+    "--n", "--n=5", "--n=", "--format", "--fo", "--form=dot", "--format=edges", "--f",
+    "--force", "--forc", "--input", "--in", "--input=", "--input=x.json", "--i",
+    "--m", "--m=4", "--group", "--gr", "--group=diagonal_shift", "--edges", "--ed", "--e",
+    "--b", "--b=2", "--bogus", "-n", "-x",
+    "5", "3", "-3", "0", "x", "1.5", "", "json", "dot", "edges", "k9", "fig3", "diag4", "k10",
+    "row_shift", "diagonal_shift", "x.json", "stray",
+]
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(head=st.sampled_from(HEADS), tail=st.lists(st.sampled_from(TOKENS), max_size=7))
+def test_parse_command_parses_drawn_argv_as_the_full_parser(head, tail):
+    assert_parses_as_the_full_parser([head, *tail])

@@ -14,7 +14,10 @@ when any command differs.  The corpus:
   - orbits --edges under both groups;
   - help and usage errors (USAGE): no arguments, --help before and
     after each subcommand, unknown or abbreviated subcommands, "--",
-    missing, extra and malformed arguments;
+    missing, extra and malformed arguments, and the edges of parsing
+    with the subcommand's parser alone: help or "--" after a
+    subcommand, abbreviated, repeated or --opt=value options, a negative
+    width and a stray positional;
   - verify of files written from the first tree's output of generate
     --n 5 and 7 and examples k9 and diag4: the valid file, one with an
     edge moved to another block and one with an edge dropped; for
@@ -55,6 +58,10 @@ USAGE = [
     ("verify", "--input"), ("orbits", "--n", "3", "--m"), ("orbits", "--n", "3", "--group", "split"),
     ("examples", "k10"), ("examples",), ("split", "--n", "5", "--b", "generate"),
     *((name, "--help") for name in ("generate", "verify", "orbits", "examples", "split")),
+    ("generate", "--n", "5", "-h"), ("generate", "--he"), ("generate", "--", "--n", "5"),
+    ("generate", "--fo", "dot", "--n", "3"), ("generate", "--n", "3", "--n", "5"),
+    ("orbits", "--n", "-3"), ("verify", "--input="), ("split", "--n", "5", "--b"),
+    ("examples", "k9", "fig3"),
 ]
 # name: (source command, the variants written besides valid, moved and dropped)
 VERIFY_SOURCES = {
