@@ -329,61 +329,61 @@ def subgraphs_isomorphic(a: Subgraph, b: Subgraph) -> bool:
 
     Equal key sets on one graph are isomorphic by the identity map.
     Graphs of maximum degree at most 2 are disjoint paths and cycles and
-    are compared by their component shapes; anything else goes through
-    backtracking search, which raises IsomorphismCapExceeded above
-    ISO_VERTEX_CAP vertices.
+    are compared by their component shapes.  Anything else goes through
+    a backtracking search, which raises IsomorphismCapExceeded above
+    ISO_VERTEX_CAP vertices.  The search places a's vertices in turn,
+    each next to an already placed one when possible, onto b's vertices
+    held as bits.  A candidate x for vertex v must be unused and of v's
+    degree, and x's neighbours among the used vertices must be exactly
+    the images of v's placed neighbours, so a placed non-neighbour
+    rejects x as surely as a missing neighbour does.
     """
     if a.action.graph == b.action.graph and a.keys == b.keys:
         return True
     if a.edge_count != b.edge_count:
         return False
     adj_a, adj_b = _index_adjacency(a), _index_adjacency(b)
-    deg_a = {v: len(ws) for v, ws in adj_a.items()}
-    deg_b = {v: len(ws) for v, ws in adj_b.items()}
-    if len(deg_a) != len(deg_b):
+    degrees = sorted(map(len, adj_a.values()))
+    if degrees != sorted(map(len, adj_b.values())):
         return False
-    if sorted(deg_a.values()) != sorted(deg_b.values()):
-        return False
-    if max(deg_a.values()) <= 2:
+    if degrees[-1] <= 2:
         return _component_shapes(adj_a) == _component_shapes(adj_b)
-    if len(deg_a) > ISO_VERTEX_CAP:
+    if len(degrees) > ISO_VERTEX_CAP:
         raise IsomorphismCapExceeded(f"isomorphism search capped at {ISO_VERTEX_CAP} vertices")
-    verts_b = sorted(deg_b)
 
-    # visit a's vertices so each one touches an already-placed vertex when possible
-    order: list = []
-    placed: set = set()
-    remaining = set(deg_a)
-    while remaining:
-        frontier = [v for v in remaining if any(w in placed for w in adj_a[v])]
-        pool = frontier or list(remaining)
-        nxt = max(pool, key=lambda v: (deg_a[v], v))
-        order.append(nxt)
-        placed.add(nxt)
-        remaining.discard(nxt)
+    bit = {v: 1 << i for i, v in enumerate(adj_b)}
+    neighbours = {bit[v]: sum(map(bit.__getitem__, ws)) for v, ws in adj_b.items()}
+    of_degree: dict = defaultdict(int)
+    for v, ws in adj_b.items():
+        of_degree[len(ws)] |= bit[v]
 
-    assign: dict = {}
-    used: set = set()
+    rank = {v: (len(ws), v) for v, ws in adj_a.items()}
+    # a's vertices in visiting order, each with its neighbours placed before it
+    order, image, rest, frontier = [], {}, set(adj_a), set()
+    while rest:
+        v = max(frontier or rest, key=rank.__getitem__)
+        rest.discard(v)
+        order.append((v, adj_a[v] - rest))
+        frontier = (frontier | adj_a[v]) & rest
 
-    def extend(idx: int) -> bool:
-        if idx == len(order):
+    def extend(i: int, used: int) -> bool:
+        if i == len(order):
             return True
-        v = order[idx]
-        anchors = [w for w in adj_a[v] if w in assign]
-        for x in verts_b:
-            if x in used or deg_b[x] != deg_a[v]:
-                continue
-            if any(x not in adj_b[assign[w]] for w in anchors):
-                continue
-            assign[v] = x
-            used.add(x)
-            if extend(idx + 1):
-                return True
-            del assign[v]
-            used.discard(x)
+        v, placed = order[i]
+        want, free = 0, of_degree[len(adj_a[v])] & ~used
+        for w in placed:
+            want |= image[w]
+            free &= neighbours[image[w]]
+        while free:
+            x = free & -free
+            free ^= x
+            if neighbours[x] & used == want:
+                image[v] = x
+                if extend(i + 1, used | x):
+                    return True
         return False
 
-    return extend(0)
+    return extend(0, 0)
 
 
 class PartitionCheck(NamedTuple):
@@ -394,31 +394,23 @@ class PartitionCheck(NamedTuple):
     missing: tuple
 
 
-def _partition_check(action: EdgeAction, block_keys: list) -> PartitionCheck:
-    """Partition witnesses from each block's edge keys."""
-    present: set = set()
-    total = 0
-    for keys in block_keys:
-        present.update(keys)
-        total += len(keys)
-    duplicated: tuple = ()
-    if len(present) != total:
-        repeated = Counter(k for keys in block_keys for k in keys)
-        duplicated = action.edges(sorted(k for k, c in repeated.items() if c > 1))
-    missing: tuple = ()
-    if len(present) != action.graph.edge_count:
-        missing = action.edges(k for k in action.all_keys() if k not in present)
-    return PartitionCheck(not duplicated and not missing, duplicated, missing)
-
-
 def partition_witnesses(graph, blocks: Iterable[Subgraph]) -> PartitionCheck:
     """Do the blocks cover every edge exactly once?  Witnesses; ValueError for a key of no edge."""
     action, block_keys = EdgeAction(graph), [_keys_on(graph, block) for block in blocks]
     if _covers_once(action, block_keys):
         return PartitionCheck(True, (), ())
+    present: set = set()
     for keys in block_keys:
         action.check_keys(keys)
-    return _partition_check(action, block_keys)
+        present.update(keys)
+    duplicated: tuple = ()
+    if len(present) != sum(map(len, block_keys)):
+        repeated = Counter(chain.from_iterable(block_keys))
+        duplicated = action.edges(sorted(k for k, c in repeated.items() if c > 1))
+    missing: tuple = ()
+    if len(present) != graph.edge_count:
+        missing = action.edges(k for k in action.all_keys() if k not in present)
+    return PartitionCheck(not duplicated and not missing, duplicated, missing)
 
 
 def _signature(keys) -> bytes:
@@ -440,23 +432,19 @@ def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> Verif
     a concrete witness.
     """
     action = EdgeAction(graph, group)
+    partition = partition_witnesses(graph, dec.blocks)
     witnesses: dict = {}
-    block_keys = [_keys_on(graph, b) for b in dec.blocks]
-    covered = _covers_once(action, block_keys)
-    if not covered:
-        for keys in block_keys:
-            action.check_keys(keys)
+    block_keys = [b.keys for b in dec.blocks]
     base_keys = _keys_on(graph, dec.base)
     action.check_keys(base_keys)
     images = [_signature(action.image_keys(t, base_keys)) for t in action.tables]
     certified = set(images)
     signatures = [keys.tobytes() for keys in block_keys]
     exact = len(signatures) == len(certified) == group.order and certified.issuperset(signatures)
-    if covered and exact:
+    if partition.ok and exact:
         return VerificationReport(witnesses)
 
-    if not covered:
-        partition = _partition_check(action, block_keys)
+    if not partition.ok:
         witnesses["is_partition"] = {
             "duplicated": list(partition.duplicated),
             "missing": list(partition.missing),

@@ -19,6 +19,8 @@ dot_for_blocks are the edge text and DOT writers as they were on edge
 objects, before they read key arrays.  permutation_of and apply are a
 Permutation's vertex-object constructor and call, as they were before a
 permutation became a graph and a table of vertex indices.
+brute_isomorphic tries every vertex bijection, the reference for the
+backtracking search in subgraphs_isomorphic.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Iterable, Sequence
 
 from rookpaths.decompose import (
@@ -214,6 +217,23 @@ def brute_partition_witnesses(graph, blocks: Iterable[Subgraph]) -> PartitionChe
     duplicated = tuple(sorted(e for e, c in counts.items() if c > 1))
     missing = tuple(sorted(e for e in graph_edges if e not in counts))
     return PartitionCheck(not duplicated and not missing, duplicated, missing)
+
+
+def brute_isomorphic(a: Subgraph, b: Subgraph) -> bool:
+    """Is some bijection of the vertices an isomorphism?  Tries every one, up to 8 vertices."""
+    pairs_a = [(e.u, e.v) for e in a.edges]
+    edges_b = {frozenset((e.u, e.v)) for e in b.edges}
+    verts_a = list({v for pair in pairs_a for v in pair})
+    verts_b = list({v for pair in edges_b for v in pair})
+    if len(verts_a) > 8:
+        raise ValueError(f"{len(verts_a)} vertices, more than the oracle's 8")
+    if len(verts_a) != len(verts_b) or len(pairs_a) != len(edges_b):
+        return False
+    for images in permutations(verts_b):
+        image = dict(zip(verts_a, images))
+        if all(frozenset((image[u], image[v])) in edges_b for u, v in pairs_a):
+            return True
+    return False
 
 
 def brute_verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> VerificationReport:

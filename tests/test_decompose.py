@@ -1,6 +1,11 @@
 """Decomposition construction and the six-flag verifier."""
 
+import random
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rookpaths.decompose import (
     CompleteGraph,
@@ -32,7 +37,13 @@ from rookpaths.groups import (
 )
 from rookpaths.staircase import staircase_array, walk_from_array
 
-from oracles import apply, orbit_path_preconditions, path_edge_set, walk_edge_objects
+from oracles import (
+    apply,
+    brute_isomorphic,
+    orbit_path_preconditions,
+    path_edge_set,
+    walk_edge_objects,
+)
 
 
 def grid_subgraph(g, pairs):
@@ -255,6 +266,48 @@ def test_subgraphs_isomorphic_cap():
     # six disjoint triangles have maximum degree 2: decided exactly, whatever the size
     loose = Subgraph.of_edges(k18, triangles)
     assert subgraphs_isomorphic(loose, Subgraph.of_edges(k18, [k18.edge(e.u % 18 + 1, e.v % 18 + 1) for e in triangles]))
+
+
+K8_PAIRS = list(combinations(range(1, 9), 2))
+
+
+def label_subgraph(n, pairs):
+    graph = CompleteGraph(n)
+    return Subgraph.of_edges(graph, [graph.edge(u, v) for u, v in pairs])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_subgraphs_isomorphic_matches_brute_force(data):
+    edges = data.draw(st.lists(st.sampled_from(K8_PAIRS), min_size=1, unique=True))
+    if data.draw(st.booleans()):
+        label = data.draw(st.permutations(range(1, 9)))
+        other = [(label[u - 1], label[v - 1]) for u, v in edges]
+    else:
+        size = len(edges)
+        other = data.draw(st.lists(st.sampled_from(K8_PAIRS), min_size=size, max_size=size, unique=True))
+    a, b = label_subgraph(8, edges), label_subgraph(8, other)
+    assert subgraphs_isomorphic(a, b) == brute_isomorphic(a, b)
+
+
+# the Shrikhande graph on labels 1..16: (r, c) ~ (r, c) + (0, 1), (1, 0) or (1, 1) mod 4
+SHRIKHANDE = {
+    tuple(sorted((4 * r + c + 1, 4 * ((r + dr) % 4) + (c + dc) % 4 + 1)))
+    for r in range(4) for c in range(4) for dr, dc in ((0, 1), (1, 0), (1, 1))
+}
+
+
+def test_subgraphs_isomorphic_rook_and_shrikhande():
+    # both 6-regular on 16 vertices with 48 edges; only the search tells them apart
+    grid = GridGraph(4, 4)
+    rook = Subgraph.of_edges(grid, grid.edges())
+    label = random.Random(7).sample(range(1, 17), 16)
+    relabelled = [(label[e.u.row * 4 + e.u.col], label[e.v.row * 4 + e.v.col]) for e in rook.edges]
+    assert subgraphs_isomorphic(label_subgraph(16, relabelled), rook)
+    shrikhande = label_subgraph(16, SHRIKHANDE)
+    assert shrikhande.edge_count == 48
+    assert not subgraphs_isomorphic(shrikhande, rook)
+    assert not subgraphs_isomorphic(rook, shrikhande)
 
 
 def test_partition_witnesses():

@@ -1,11 +1,14 @@
 """tools/stage_times.py runs end to end on a small width and one hostile input."""
 
+import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "stage_times.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "stage_times.py"
 STAGES = ["walk", "group", "build", "verify", "json_out", "parse", "verify_again"]
 
 
@@ -29,3 +32,23 @@ def test_stage_times_smoke(tmp_path):
     (hostile,) = tree["hostile"]
     assert (hostile["name"], hostile["exit_code"]) == ("k400-repeated-generator", 2)
     assert hostile["bytes"] > 2_000_000 and hostile["verify_s"] > 0
+    assert hostile["verify_s_runs"] == [hostile["verify_s"]]
+
+
+def test_relabelled_blocks_reach_the_search(tmp_path):
+    # the k16-relabelled writer at 40 blocks: distinct relabellings of the base, none of them the base
+    spec = importlib.util.spec_from_file_location("stage_times", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    path = tmp_path / "k16.json"
+    tool.complete_relabelled(path, 40)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    blocks = {tuple(map(tuple, block["edges"])) for block in doc["blocks"]}
+    assert len(doc["blocks"]) == len(blocks) == 40
+    assert tuple(map(tuple, doc["base"]["edges"])) not in blocks
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    cmd = [sys.executable, "-m", "rookpaths", "verify", "--input", str(path)]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    flags = json.loads(done.stdout)
+    assert done.returncode == 2
+    assert flags["blocks_isomorphic_to_base"] and not flags["group_transitive"]

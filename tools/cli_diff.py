@@ -31,7 +31,14 @@ when any command differs.  The corpus:
     compact layout.  Each valid document is also written in four other
     layouts, which verify reads through json.loads: pretty-printed, with
     a second, escaped "blocks" key holding other blocks, with a leading
-    zero in a block coordinate, and with report before blocks.
+    zero in a block coordinate, and with report before blocks;
+  - verify of three fixed files (SEARCH) whose blocks reach the
+    isomorphism search, each K_n under a trivial explicit group: on K_16
+    the base K_4 box K_4 with three relabelled copies of it as blocks
+    (exit 2, group_transitive), and with the Shrikhande graph as its one
+    block (exit 2, blocks_isomorphic_to_base); on K_17 a path with a
+    chord and a relabelled copy of it, a degree-3 block past the
+    search's 16 vertices (exit 1 at $.blocks[1]).
 
 --limit N runs N commands spread evenly over the corpus, the first and
 the last included.  Standard library only.
@@ -42,6 +49,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -63,6 +71,8 @@ USAGE = [
     ("orbits", "--n", "-3"), ("verify", "--input="), ("split", "--n", "5", "--b"),
     ("examples", "k9", "fig3"),
 ]
+FLAGS = ("is_partition", "blocks_isomorphic_to_base", "group_invariant",
+         "group_transitive", "stabilizer_trivial", "semiregular")
 # name: (source command, the variants written besides valid, moved and dropped)
 VERIFY_SOURCES = {
     "n5": (("generate", "--n", "5"), ("shifted-base", "swap")),
@@ -161,6 +171,41 @@ TAMPERS = {
 }
 
 
+ROOK = [(u + 1, v + 1) for u in range(16) for v in range(u + 1, 16) if u // 4 == v // 4 or u % 4 == v % 4]
+SHRIKHANDE = sorted(
+    tuple(sorted((4 * r + c + 1, 4 * ((r + dr) % 4) + (c + dc) % 4 + 1)))
+    for r in range(4) for c in range(4) for dr, dc in ((0, 1), (1, 0), (1, 1))
+)
+CHORDED_PATH = [(v, v + 1) for v in range(1, 17)] + [(2, 4)]
+
+
+def relabelled(pairs: list, label: list) -> list:
+    return sorted(tuple(sorted((label[u - 1], label[v - 1]))) for u, v in pairs)
+
+
+def trivial_group_doc(n: int, base: list, blocks: list) -> dict:
+    """K_n under a trivial explicit group, with the base and the blocks given as label pairs."""
+    identity = {"kind": "explicit", "map": [[v, v] for v in range(1, n + 1)]}
+    return {
+        "graph": {"kind": "complete", "n": n},
+        "group": {"kind": "explicit", "order": 1, "generators": [identity]},
+        "base": {"edges": [list(p) for p in base]},
+        "blocks": [{"edges": [list(p) for p in block]} for block in blocks],
+        "report": dict.fromkeys(FLAGS, True),
+    }
+
+
+SEARCH = {
+    "k16-relabelled": trivial_group_doc(
+        16, ROOK, [relabelled(ROOK, random.Random(seed).sample(range(1, 17), 16)) for seed in (1, 2, 3)]
+    ),
+    "k16-shrikhande": trivial_group_doc(16, ROOK, [SHRIKHANDE]),
+    "k17-degree3": trivial_group_doc(
+        17, CHORDED_PATH, [CHORDED_PATH, relabelled(CHORDED_PATH, [*range(2, 18), 1])]
+    ),
+}
+
+
 def tampers(name: str) -> list[str]:
     """The variants written for a verify source: valid, moved, dropped and its own."""
     return ["valid", "moved", "dropped", *VERIFY_SOURCES[name][1]]
@@ -185,6 +230,7 @@ def corpus() -> list[tuple[str, ...]]:
     commands += USAGE
     for name in VERIFY_SOURCES:
         commands += [("verify", "--input", f"{name}-{kind}.json") for kind in variants(name)]
+    commands += [("verify", "--input", f"{name}.json") for name in SEARCH]
     return list(dict.fromkeys(commands))
 
 
@@ -208,6 +254,8 @@ def write_verify_files(src: Path, work: Path) -> None:
             (work / f"{name}-{kind}.json").write_text(compact(doc), encoding="utf-8")
         for kind, layout in LAYOUTS.items():
             (work / f"{name}-{kind}.json").write_text(layout(json.loads(out)), encoding="utf-8")
+    for name, doc in SEARCH.items():
+        (work / f"{name}.json").write_text(compact(doc), encoding="utf-8")
 
 
 def differences(a: tuple, b: tuple) -> list[str]:

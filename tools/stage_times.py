@@ -20,8 +20,12 @@ each hostile input (--hostile names, default all of HOSTILE), files at
 the parser's caps written here in the writer's layout: K_135 box K_135
 under the row shift with a one-edge base and one block of all 2,442,150
 edges, with and without its report; K_400 with one block of every edge
-under 400 copies of the 400-cycle; and K_1024 under all 16 elements of
-the group generated by i -> i + 64 as its generators.
+under 400 copies of the 400-cycle; K_1024 under all 16 elements of
+the group generated by i -> i + 64 as its generators; and K_16 under a
+trivial explicit group with base K_4 box K_4 and 52,083 distinct seeded
+relabellings of it as blocks, each of which goes through the
+isomorphism search.  Hostile rows keep every run's verify_s next to
+the median.
 
 Short commands cost less than interpreter start-up, so --first-call
 times them inside the process instead: each of SMALL_COMMANDS runs in
@@ -46,6 +50,7 @@ import json
 import math
 import os
 import platform
+import random
 import resource
 import statistics
 import subprocess
@@ -69,16 +74,16 @@ FLAGS = ("is_partition", "blocks_isomorphic_to_base", "group_invariant",
          "group_transitive", "stabilizer_trivial", "semiregular")
 
 
-def _write_doc(path: Path, graph: str, group: str, base: str, block_edges, report=True) -> None:
-    """A compact JSON document whose one block holds ``block_edges`` (texts of edges), in pieces."""
+def _write_doc(path: Path, graph: str, group: str, base: str, blocks, report=True) -> None:
+    """A compact JSON document; ``blocks`` yields each block's edges as pieces of edge text."""
     with path.open("w", encoding="utf-8") as fh:
-        fh.write(f'{{"graph":{graph},"group":{group},"base":{{"edges":[{base}]}},')
-        fh.write('"blocks":[{"edges":[')
-        first = True
-        for chunk in block_edges:
-            fh.write(chunk if first else "," + chunk)
-            first = False
-        fh.write("]}]")
+        fh.write(f'{{"graph":{graph},"group":{group},"base":{{"edges":[{base}]}},"blocks":[')
+        for b, pieces in enumerate(blocks):
+            fh.write('{"edges":[' if b == 0 else ',{"edges":[')
+            for p, piece in enumerate(pieces):
+                fh.write(piece if p == 0 else "," + piece)
+            fh.write("]}")
+        fh.write("]")
         if report:
             fh.write(',"report":{%s}' % ",".join(f'"{flag}":true' for flag in FLAGS))
         fh.write("}")
@@ -94,7 +99,7 @@ def grid_one_block(path: Path, n: int, report: bool) -> None:
                 yield ",".join(f"[[{r},{c}],[{a},{b}]]" for a, b in ends)
 
     graph, group = f'{{"kind":"grid","n":{n},"m":{n}}}', f'{{"kind":"row_shift","order":{n}}}'
-    _write_doc(path, graph, group, "[[0,0],[0,1]]", rows(), report)
+    _write_doc(path, graph, group, "[[0,0],[0,1]]", [rows()], report)
 
 
 def complete_one_block(path: Path, n: int, shifts, step: int = 1) -> None:
@@ -110,7 +115,30 @@ def complete_one_block(path: Path, n: int, shifts, step: int = 1) -> None:
         for s in shifts
     )
     group = f'{{"kind":"explicit","order":{order},"generators":[{",".join(maps)}]}}'
-    _write_doc(path, f'{{"kind":"complete","n":{n}}}', group, "[1,2]", rows())
+    _write_doc(path, f'{{"kind":"complete","n":{n}}}', group, "[1,2]", [rows()])
+
+
+def complete_relabelled(path: Path, count: int, seed: int = 1) -> None:
+    """K_16 under a trivial explicit group: base K_4 box K_4 on labels 1..16, and ``count``
+    distinct seeded relabellings of it as blocks, none of them the base itself."""
+    rook = [(u, v) for u in range(16) for v in range(u + 1, 16) if u // 4 == v // 4 or u % 4 == v % 4]
+    rng = random.Random(seed)
+    # hashes, not edge sets, keep this process small: a process it starts reports at least
+    # its peak RSS.  A collision only skips a relabelling, so the blocks stay distinct.
+    seen = {hash(tuple((u + 1, v + 1) for u, v in rook))}
+
+    def blocks():
+        while len(seen) <= count:
+            label = rng.sample(range(1, 17), 16)
+            edges = tuple(sorted(tuple(sorted((label[u], label[v]))) for u, v in rook))
+            if hash(edges) not in seen:
+                seen.add(hash(edges))
+                yield [",".join(f"[{u},{v}]" for u, v in edges)]
+
+    identity = '{"kind":"explicit","map":[%s]}' % ",".join(f"[{v},{v}]" for v in range(1, 17))
+    group = f'{{"kind":"explicit","order":1,"generators":[{identity}]}}'
+    base = ",".join(f"[{u + 1},{v + 1}]" for u, v in rook)
+    _write_doc(path, '{"kind":"complete","n":16}', group, base, blocks())
 
 
 # hostile verify inputs at the parser's caps: name -> writer of the file
@@ -119,6 +147,7 @@ HOSTILE = {
     "k135-one-block-no-report": lambda path: grid_one_block(path, 135, report=False),
     "k400-repeated-generator": lambda path: complete_one_block(path, 400, [1] * 400),
     "k1024-all-elements": lambda path: complete_one_block(path, 1024, range(16), step=64),
+    "k16-relabelled": lambda path: complete_relabelled(path, 52_083),
 }
 
 
@@ -249,6 +278,7 @@ def median_hostile(name: str, path: Path, runs: list[dict]) -> dict:
         "bytes": path.stat().st_size,
         "exit_code": runs[0]["exit_code"],
         "verify_s": round(statistics.median(r["verify_s"] for r in runs), 4),
+        "verify_s_runs": [round(r["verify_s"], 4) for r in runs],
         "verify_rss_mb": round(statistics.median(r["verify_rss_mb"] for r in runs), 1),
     }
 
