@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -290,15 +291,10 @@ def test_subgraphs_isomorphic_matches_brute_force(data):
     assert subgraphs_isomorphic(a, b) == brute_isomorphic(a, b)
 
 
-# the Shrikhande graph on labels 1..16: (r, c) ~ (r, c) + (0, 1), (1, 0) or (1, 1) mod 4
-SHRIKHANDE = {
-    tuple(sorted((4 * r + c + 1, 4 * ((r + dr) % 4) + (c + dc) % 4 + 1)))
-    for r in range(4) for c in range(4) for dr, dc in ((0, 1), (1, 0), (1, 1))
-}
-
-
-def test_subgraphs_isomorphic_rook_and_shrikhande():
+def test_subgraphs_isomorphic_rook_and_shrikhande(monkeypatch):
     # both 6-regular on 16 vertices with 48 edges; only the search tells them apart
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    from cli_diff import SHRIKHANDE
     grid = GridGraph(4, 4)
     rook = Subgraph.of_edges(grid, grid.edges())
     label = random.Random(7).sample(range(1, 17), 16)

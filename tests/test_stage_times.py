@@ -1,6 +1,6 @@
 """tools/stage_times.py runs end to end on a small width and one hostile input."""
 
-import importlib.util
+import importlib
 import json
 import os
 import subprocess
@@ -35,11 +35,10 @@ def test_stage_times_smoke(tmp_path):
     assert hostile["verify_s_runs"] == [hostile["verify_s"]]
 
 
-def test_relabelled_blocks_reach_the_search(tmp_path):
+def test_relabelled_blocks_reach_the_search(tmp_path, monkeypatch):
     # the k16-relabelled writer at 40 blocks: distinct relabellings of the base, none of them the base
-    spec = importlib.util.spec_from_file_location("stage_times", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    monkeypatch.syspath_prepend(str(TOOL.parent))
+    tool = importlib.import_module("stage_times")
     path = tmp_path / "k16.json"
     tool.complete_relabelled(path, 40)
     doc = json.loads(path.read_text(encoding="utf-8"))

@@ -39,7 +39,8 @@ median: the cost of a command that follows others in one process).
 
 writes BENCH_<label>.json (to --out, default the repository root) with
 the Python version, platform, os.cpu_count() and one table per tree.
-Standard library only.
+Standard library only; the report flags and the K_16 fixtures come from
+tools/cli_diff.py.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
+from cli_diff import FLAGS, ROOK, compact, relabelled, trivial_group_doc
+
 ROOT = Path(__file__).resolve().parents[1]
 STAGES = ("walk", "group", "build", "verify", "json_out", "parse", "verify_again")
 SMALL_COMMANDS = (
@@ -70,8 +73,6 @@ SMALL_COMMANDS = (
     ("examples", "k9"),
 )
 AGAIN_CALLS = 20
-FLAGS = ("is_partition", "blocks_isomorphic_to_base", "group_invariant",
-         "group_transitive", "stabilizer_trivial", "semiregular")
 
 
 def _write_doc(path: Path, graph: str, group: str, base: str, blocks, report=True) -> None:
@@ -118,27 +119,24 @@ def complete_one_block(path: Path, n: int, shifts, step: int = 1) -> None:
     _write_doc(path, f'{{"kind":"complete","n":{n}}}', group, "[1,2]", [rows()])
 
 
-def complete_relabelled(path: Path, count: int, seed: int = 1) -> None:
-    """K_16 under a trivial explicit group: base K_4 box K_4 on labels 1..16, and ``count``
-    distinct seeded relabellings of it as blocks, none of them the base itself."""
-    rook = [(u, v) for u in range(16) for v in range(u + 1, 16) if u // 4 == v // 4 or u % 4 == v % 4]
-    rng = random.Random(seed)
+def complete_relabelled(path: Path, count: int) -> None:
+    """cli_diff's K_16 search document at scale: base K_4 box K_4 under a trivial explicit
+    group, and ``count`` distinct seeded relabellings of it as blocks, none of them the base."""
+    head = trivial_group_doc(16, ROOK, [])
+    rng = random.Random(1)
     # hashes, not edge sets, keep this process small: a process it starts reports at least
     # its peak RSS.  A collision only skips a relabelling, so the blocks stay distinct.
-    seen = {hash(tuple((u + 1, v + 1) for u, v in rook))}
+    seen = {hash(tuple(ROOK))}
 
     def blocks():
         while len(seen) <= count:
-            label = rng.sample(range(1, 17), 16)
-            edges = tuple(sorted(tuple(sorted((label[u], label[v]))) for u, v in rook))
+            edges = tuple(relabelled(ROOK, rng.sample(range(1, 17), 16)))
             if hash(edges) not in seen:
                 seen.add(hash(edges))
-                yield [",".join(f"[{u},{v}]" for u, v in edges)]
+                yield [compact(edges)[1:-1]]
 
-    identity = '{"kind":"explicit","map":[%s]}' % ",".join(f"[{v},{v}]" for v in range(1, 17))
-    group = f'{{"kind":"explicit","order":1,"generators":[{identity}]}}'
-    base = ",".join(f"[{u + 1},{v + 1}]" for u, v in rook)
-    _write_doc(path, '{"kind":"complete","n":16}', group, base, blocks())
+    graph, group = compact(head["graph"]), compact(head["group"])
+    _write_doc(path, graph, group, compact(head["base"]["edges"])[1:-1], blocks())
 
 
 # hostile verify inputs at the parser's caps: name -> writer of the file
