@@ -25,9 +25,14 @@ are exactly the |G| distinct images of the base pass all six flags by
 the same bijection (a non-identity h fixing an edge of g(H) would make
 hg(H) and g(H) distinct blocks sharing it); any other input gets each
 flag checked on its own, with a concrete witness for each failure.
-The blocks are one orbit exactly when they are the base's images, so
-the verifier images |G| * |base| keys, and off the common case one
-more per block edge and distinct generator.
+Builder and verifier certify that the images partition E without
+sorting its keys: |G| * |H| = |E|, H's keys are edges, every distinct
+generator is an automorphism, and H misses every non-identity image, so
+the images are pairwise disjoint as g(H) & h(H) = g(H & g^-1 h(H)).
+Only when that fails are the keys sorted.  The verifier images |G| *
+|base| keys, and off the common case one more per block edge and
+distinct generator (none for a block of all |E| edges, which every
+automorphism fixes).
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from .groups import (
     EdgeAction,
     EdgeOrbit,
     FiniteGroup,
+    automorphism_violation,
     diagonal_shift,
     edge_orbits,
     fixed_edge_witness,
@@ -267,19 +273,47 @@ def orbit_transversal_check(sub: Subgraph, orbits: list[EdgeOrbit]) -> Transvers
     return TransversalCheck(None not in hits and set(counts) == {1}, counts)
 
 
+def _edge_keys(action: EdgeAction, keys) -> bool:
+    """True when every one of ``keys`` is the key of an edge of the graph."""
+    try:
+        action.check_keys(keys)
+    except ValueError:
+        return False
+    return True
+
+
+def _partitioned(action: EdgeAction, group: FiniteGroup, keys, others) -> bool:
+    """Whether the base ``keys`` (edge keys) and ``others``, its images under the
+    non-identity elements, partition E: the module docstring's certificate."""
+    graph, base = action.graph, set(keys)
+    return (
+        (1 + len(others)) * len(keys) == graph.edge_count
+        and _automorphic(graph, group)
+        and all(map(base.isdisjoint, others))
+    )
+
+
+def _automorphic(graph, group: FiniteGroup) -> bool:
+    """True when every distinct generator maps edges to edges."""
+    return all(automorphism_violation(graph, g) is None for g in dict.fromkeys(group.generators))
+
+
 def build_orbit_decomposition(graph, group: FiniteGroup, base: Subgraph) -> Decomposition:
     """Images of ``base`` under every group element, after checking the hypotheses.
 
-    Images that are |E| distinct edge keys certify both hypotheses (see
-    the module docstring).  Otherwise PreconditionFailed is raised when
-    an element fixes an edge or when ``base`` is not an exact orbit
-    transversal, the one check that computes edge_orbits.  Past those
-    checks the |G| blocks are |E| distinct keys, pairwise disjoint.
+    Images certified to partition E (see the module docstring) meet both
+    hypotheses.  Otherwise, unless the images happen to cover E once,
+    PreconditionFailed is raised when an element fixes an edge or when
+    ``base`` is not an exact orbit transversal, the one check that
+    computes edge_orbits.  Past those checks the |G| blocks are |E|
+    distinct keys, pairwise disjoint.
     """
     action = EdgeAction(graph, group)
     keys = _keys_on(graph, base)
     blocks = [Subgraph(action, action.image_keys(t, keys)) for t in action.tables]
-    if not _covers_once(action, [block.keys for block in blocks]):
+    images = [block.keys for block in blocks]  # images[0], under the identity, is the base
+    partitioned = _edge_keys(action, keys) and _partitioned(action, group, keys, images[1:])
+    if not partitioned and not _covers_once(action, images):
         fixed = fixed_edge_witness(graph, group)
         if fixed is not None:
             raise PreconditionFailed(
@@ -422,28 +456,33 @@ def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> Verif
     """Recheck every structural claim of a decomposition from the vertex permutations.
 
     Nothing about ``dec`` is trusted: every key a block carries is
-    range-checked (ValueError, as for an edge outside the graph), and the
-    flags are recomputed on an edge action built here from ``group``.
-    Blocks that partition the edges and are exactly the |G| distinct
-    images of the base pass all six (see the module docstring).
-    Otherwise each flag is checked on its own: a block equal to an image
-    of the base is certified isomorphic by that element, only other
-    blocks go through subgraphs_isomorphic, and every failed flag carries
-    a concrete witness.
+    range-checked (ValueError, as for an edge outside the graph; blocks
+    before the base), and the flags are recomputed on an edge action
+    built here from ``group``.  Blocks that are exactly the |G| distinct
+    images of the base, with those images certified to partition the
+    edges (see the module docstring), pass all six.  Otherwise
+    partition_witnesses sorts the keys and each flag is checked on its
+    own: a block equal to an image of the base is certified isomorphic by
+    that element, only other blocks go through subgraphs_isomorphic, and
+    every failed flag carries a concrete witness.
     """
     action = EdgeAction(graph, group)
-    partition = partition_witnesses(graph, dec.blocks)
-    witnesses: dict = {}
-    block_keys = [b.keys for b in dec.blocks]
-    base_keys = _keys_on(graph, dec.base)
-    action.check_keys(base_keys)
-    images = [_signature(action.image_keys(t, base_keys)) for t in action.tables]
-    certified = set(images)
+    block_keys = [_keys_on(graph, block) for block in dec.blocks]
     signatures = [keys.tobytes() for keys in block_keys]
-    exact = len(signatures) == len(certified) == group.order and certified.issuperset(signatures)
-    if partition.ok and exact:
-        return VerificationReport(witnesses)
+    block_set = set(signatures)
+    base_keys, images = dec.base.keys, []
+    if dec.base.action.graph == graph and _edge_keys(action, base_keys):
+        images = [_signature(action.image_keys(t, base_keys)) for t in action.tables]
+    certified = set(images)
+    if len(signatures) == len(certified) == group.order and block_set == certified:
+        others = [keys for keys, sig in zip(block_keys, signatures) if sig != images[0]]
+        if _partitioned(action, group, base_keys, others):
+            return VerificationReport({})
 
+    partition = partition_witnesses(graph, dec.blocks)
+    if not images:  # raises: the base is on another graph or has a key of no edge
+        action.check_keys(_keys_on(graph, dec.base))
+    witnesses: dict = {}
     if not partition.ok:
         witnesses["is_partition"] = {
             "duplicated": list(partition.duplicated),
@@ -463,9 +502,12 @@ def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> Verif
             witnesses["blocks_isomorphic_to_base"] = {"block_index": idx}
             break
 
-    block_set = set(signatures)
     generators = dict.fromkeys(group.generators)  # a repeated one fails where its first copy does
+    # a block of |E| range-checked keys is E, which every automorphism maps to itself
+    whole = graph.edge_count in map(len, block_keys) and _automorphic(graph, group)
     for idx, keys in enumerate(block_keys):
+        if whole and len(keys) == graph.edge_count:
+            continue
         for gen in generators:
             if _signature(action.image_keys(gen.table, keys)) not in block_set:
                 gdx = group.generators.index(gen)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from itertools import islice
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .decompose import (
     CompleteGraph,
@@ -169,12 +169,22 @@ def _vertex_texts(graph, grid_form: str) -> tuple[str, ...]:
     return tuple(map(str, graph.vertices()))
 
 
+def _with_halves(subs, grid_form: str, open_: str, sep: str, close: str) -> Iterator[tuple]:
+    """Each subgraph with per-vertex texts made once per graph: edge i < j is heads[i] + tails[j]."""
+    made: dict = {}
+    for sub in subs:
+        if (graph := sub.action.graph) not in made:
+            texts = _vertex_texts(graph, grid_form)
+            made[graph] = [open_ + t + sep for t in texts], [t + close for t in texts]
+        yield sub, *made[graph]
+
+
 def dumps_with_edges(fields: dict, name: str) -> str:
     """dumps(fields), member ``name`` (subgraphs) written from the keys, large texts copied once."""
     lists = []
-    for sub in fields[name]:
-        texts, size = _vertex_texts(sub.action.graph, "[%d,%d]"), sub.action.size
-        edges = ",".join([f"[{texts[k // size]},{texts[k % size]}]" for k in sub.keys])
+    for sub, heads, tails in _with_halves(fields[name], "[%d,%d]", "[", ",", "]"):
+        size = sub.action.size
+        edges = ",".join([heads[k // size] + tails[k % size] for k in sub.keys])
         lists.append(f'{{"edges":[{edges}]}}')
     edge_lists = "[%s]" % ",".join(lists)
     members = (
@@ -630,10 +640,10 @@ def blocks_to_text(blocks: Sequence[Subgraph]) -> str:
     One edge per line, canonical endpoint first: (a,b)-(c,d) or u-v.
     """
     chunks = []
-    for i, block in enumerate(blocks):
-        texts, size = _vertex_texts(block.action.graph, "(%d,%d)"), block.action.size
+    for i, (block, heads, tails) in enumerate(_with_halves(blocks, "(%d,%d)", "", "-", "\n")):
+        size = block.action.size
         chunks.append(f"# block {i}\n")
-        chunks.extend([f"{texts[k // size]}-{texts[k % size]}\n" for k in block.keys])
+        chunks.extend([heads[k // size] + tails[k % size] for k in block.keys])
     return "".join(chunks)
 
 

@@ -17,15 +17,16 @@ too (--cli widths): ``python -m rookpaths generate --n N`` into a file,
 then ``verify --input`` of that file, each as its own process, with wall
 time, peak RSS and the sha256 of the generated file.  So is ``verify`` of
 each hostile input (--hostile names, default all of HOSTILE), files at
-the parser's caps written here in the writer's layout: K_135 box K_135
-under the row shift with a one-edge base and one block of all 2,442,150
-edges, with and without its report; K_400 with one block of every edge
-under 400 copies of the 400-cycle; K_1024 under all 16 elements of
-the group generated by i -> i + 64 as its generators; and K_16 under a
-trivial explicit group with base K_4 box K_4 and 52,083 distinct seeded
+the parser's caps in the writer's layout: K_135 box K_135 under the row
+shift with a one-edge base and one block of all 2,442,150 edges, with
+and without its report; K_400 with one block of every edge under 400
+copies of the 400-cycle; K_1024 under all 16 elements of the group
+generated by i -> i + 64 as its generators; and K_16 under a trivial
+explicit group with base K_4 box K_4 and 52,083 distinct seeded
 relabellings of it as blocks, each of which goes through the
-isomorphism search.  Hostile rows keep every run's verify_s next to
-the median.
+isomorphism search.  Each file is written by a process of its own, so
+that no timed child's peak RSS includes the writer's.  Hostile rows
+keep every run's verify_s next to the median.
 
 Short commands cost less than interpreter start-up, so --first-call
 times them inside the process instead: each of SMALL_COMMANDS runs in
@@ -124,8 +125,8 @@ def complete_relabelled(path: Path, count: int) -> None:
     group, and ``count`` distinct seeded relabellings of it as blocks, none of them the base."""
     head = trivial_group_doc(16, ROOK, [])
     rng = random.Random(1)
-    # hashes, not edge sets, keep this process small: a process it starts reports at least
-    # its peak RSS.  A collision only skips a relabelling, so the blocks stay distinct.
+    # hashes, not edge sets, keep the writer small.  A collision only skips a relabelling,
+    # so the blocks stay distinct.
     seen = {hash(tuple(ROOK))}
 
     def blocks():
@@ -326,7 +327,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=ROOT)
     parser.add_argument("--child", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--first-call-child", help=argparse.SUPPRESS)
+    parser.add_argument("--write-hostile", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.write_hostile is not None:
+        name, path = args.write_hostile
+        HOSTILE[name](Path(path))
+        return 0
     if args.child is not None:
         child(args.child)
         return 0
@@ -344,7 +350,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         paths = {h: Path(tmp) / f"{h}.json" for h in args.hostile}
         for h, path in paths.items():
-            HOSTILE[h](path)
+            # a child's ru_maxrss from os.wait4 is at least this process's peak, so write elsewhere
+            cmd = [sys.executable, __file__, "--write-hostile", h, str(path)]
+            subprocess.run(cmd, check=True)
         for rep in range(args.repeat):
             # alternate which tree runs first
             order = list(trees.items())[:: -1 if rep % 2 else 1]
