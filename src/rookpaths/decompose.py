@@ -25,14 +25,15 @@ are exactly the |G| distinct images of the base pass all six flags by
 the same bijection (a non-identity h fixing an edge of g(H) would make
 hg(H) and g(H) distinct blocks sharing it); any other input gets each
 flag checked on its own, with a concrete witness for each failure.
-Builder and verifier certify that the images partition E without
-sorting its keys: |G| * |H| = |E|, H's keys are edges, every distinct
-generator is an automorphism, and H misses every non-identity image, so
-the images are pairwise disjoint as g(H) & h(H) = g(H & g^-1 h(H)).
-Only when that fails are the keys sorted.  The verifier images |G| *
-|base| keys, and off the common case one more per block edge and
-distinct generator (none for a block of all |E| edges, which every
-automorphism fixes).
+Builder and verifier check the premises once, where they start: every
+distinct generator is an automorphism and H's keys are edges.  Then the
+images partition E exactly when |G| * |H| = |E| and H misses every
+non-identity image: the images are edges, pairwise disjoint as
+g(H) & h(H) = g(H & g^-1 h(H)), and images that cover E once pass both
+tests.  So no edge key is sorted unless the verifier's certificate
+fails.  The verifier images |G| * |base| keys, and off the common case
+one more per block edge and distinct generator (none for a block of all
+|E| edges, which every automorphism fixes).
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ class Subgraph:
 
     ``keys`` is an ascending array('q') of keys on ``action`` (an
     EdgeAction): the constructor sorts the keys it is given and rejects
-    an empty or repeated set, and range checks are the verifier's.
+    an empty or repeated set, and range checks are build's and verify's.
     ``edges`` builds the edge objects when read.  ``walk`` records how a
     walk base or a split segment was traced; blocks carry none, and the
     walk of block g(base) is ``base.walk.image(g.table)``.
@@ -273,47 +274,47 @@ def orbit_transversal_check(sub: Subgraph, orbits: list[EdgeOrbit]) -> Transvers
     return TransversalCheck(None not in hits and set(counts) == {1}, counts)
 
 
-def _edge_keys(action: EdgeAction, keys) -> bool:
-    """True when every one of ``keys`` is the key of an edge of the graph."""
-    try:
-        action.check_keys(keys)
-    except ValueError:
-        return False
-    return True
+def _premises(graph, group: FiniteGroup, base: Subgraph) -> tuple[EdgeAction, array]:
+    """The edge action and the base's keys, checked once for build and verify.
+
+    PreconditionFailed names the first generator that is no automorphism
+    (a repeated one by its first copy) and the first edge it maps to a
+    non-edge; ValueError, a base off the graph or with a key of no edge.
+    """
+    action = EdgeAction(graph, group)
+    for gen in dict.fromkeys(group.generators):
+        bad = automorphism_violation(graph, gen)
+        if bad is not None:
+            i = group.generators.index(gen)
+            reason = f"generator {i} is not an automorphism: image of {bad} is not an edge"
+            raise PreconditionFailed(reason, witness=(i, bad))
+    keys = _keys_on(graph, base)
+    action.check_keys(keys)
+    return action, keys
 
 
-def _partitioned(action: EdgeAction, group: FiniteGroup, keys, others) -> bool:
-    """Whether the base ``keys`` (edge keys) and ``others``, its images under the
-    non-identity elements, partition E: the module docstring's certificate."""
-    graph, base = action.graph, set(keys)
-    return (
-        (1 + len(others)) * len(keys) == graph.edge_count
-        and _automorphic(graph, group)
-        and all(map(base.isdisjoint, others))
-    )
-
-
-def _automorphic(graph, group: FiniteGroup) -> bool:
-    """True when every distinct generator maps edges to edges."""
-    return all(automorphism_violation(graph, g) is None for g in dict.fromkeys(group.generators))
+def _partitioned(action: EdgeAction, keys, others) -> bool:
+    """Whether the base ``keys`` and ``others``, its images under the non-identity
+    elements, partition E: the module docstring's certificate."""
+    size = (1 + len(others)) * len(keys)
+    return size == action.graph.edge_count and all(map(set(keys).isdisjoint, others))
 
 
 def build_orbit_decomposition(graph, group: FiniteGroup, base: Subgraph) -> Decomposition:
     """Images of ``base`` under every group element, after checking the hypotheses.
 
-    Images certified to partition E (see the module docstring) meet both
-    hypotheses.  Otherwise, unless the images happen to cover E once,
-    PreconditionFailed is raised when an element fixes an edge or when
-    ``base`` is not an exact orbit transversal, the one check that
-    computes edge_orbits.  Past those checks the |G| blocks are |E|
-    distinct keys, pairwise disjoint.
+    The premises are checked first: PreconditionFailed for a generator
+    that is no automorphism, ValueError for a base off the graph or with
+    a key of no edge.  The images partition E exactly when they are
+    certified to (see the module docstring), and then meet both
+    hypotheses.  Otherwise PreconditionFailed is raised when an element
+    fixes an edge or when ``base`` is not an exact orbit transversal,
+    the one check that computes edge_orbits.  Past those checks the |G|
+    blocks are |E| distinct keys, pairwise disjoint.
     """
-    action = EdgeAction(graph, group)
-    keys = _keys_on(graph, base)
+    action, keys = _premises(graph, group, base)
     blocks = [Subgraph(action, action.image_keys(t, keys)) for t in action.tables]
-    images = [block.keys for block in blocks]  # images[0], under the identity, is the base
-    partitioned = _edge_keys(action, keys) and _partitioned(action, group, keys, images[1:])
-    if not partitioned and not _covers_once(action, images):
+    if not _partitioned(action, keys, [block.keys for block in blocks[1:]]):
         fixed = fixed_edge_witness(graph, group)
         if fixed is not None:
             raise PreconditionFailed(
@@ -455,33 +456,29 @@ def _signature(keys) -> bytes:
 def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> VerificationReport:
     """Recheck every structural claim of a decomposition from the vertex permutations.
 
-    Nothing about ``dec`` is trusted: every key a block carries is
-    range-checked (ValueError, as for an edge outside the graph; blocks
-    before the base), and the flags are recomputed on an edge action
-    built here from ``group``.  Blocks that are exactly the |G| distinct
-    images of the base, with those images certified to partition the
-    edges (see the module docstring), pass all six.  Otherwise
+    The premises are checked first, with build_orbit_decomposition's
+    exceptions.  Nothing about ``dec`` is trusted: every key a block carries is range-checked
+    (the base's ValueError), and the flags are recomputed on an edge
+    action built here from ``group``.  Blocks that are exactly the |G|
+    distinct images of the base, with those images certified to partition
+    the edges (see the module docstring), pass all six.  Otherwise
     partition_witnesses sorts the keys and each flag is checked on its
     own: a block equal to an image of the base is certified isomorphic by
     that element, only other blocks go through subgraphs_isomorphic, and
     every failed flag carries a concrete witness.
     """
-    action = EdgeAction(graph, group)
+    action, base_keys = _premises(graph, group, dec.base)
     block_keys = [_keys_on(graph, block) for block in dec.blocks]
     signatures = [keys.tobytes() for keys in block_keys]
     block_set = set(signatures)
-    base_keys, images = dec.base.keys, []
-    if dec.base.action.graph == graph and _edge_keys(action, base_keys):
-        images = [_signature(action.image_keys(t, base_keys)) for t in action.tables]
+    images = [_signature(action.image_keys(t, base_keys)) for t in action.tables]
     certified = set(images)
     if len(signatures) == len(certified) == group.order and block_set == certified:
         others = [keys for keys, sig in zip(block_keys, signatures) if sig != images[0]]
-        if _partitioned(action, group, base_keys, others):
+        if _partitioned(action, base_keys, others):
             return VerificationReport({})
 
     partition = partition_witnesses(graph, dec.blocks)
-    if not images:  # raises: the base is on another graph or has a key of no edge
-        action.check_keys(_keys_on(graph, dec.base))
     witnesses: dict = {}
     if not partition.ok:
         witnesses["is_partition"] = {
@@ -503,10 +500,8 @@ def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> Verif
             break
 
     generators = dict.fromkeys(group.generators)  # a repeated one fails where its first copy does
-    # a block of |E| range-checked keys is E, which every automorphism maps to itself
-    whole = graph.edge_count in map(len, block_keys) and _automorphic(graph, group)
     for idx, keys in enumerate(block_keys):
-        if whole and len(keys) == graph.edge_count:
+        if len(keys) == graph.edge_count:  # |E| range-checked keys are E, which automorphisms fix
             continue
         for gen in generators:
             if _signature(action.image_keys(gen.table, keys)) not in block_set:

@@ -1,11 +1,11 @@
 """The partition certificate of the base's images, against sorting all edge keys.
 
-``decompose._partitioned`` certifies that the |G| images of the base
-partition E from |G| * |B| = |E|, automorphic generators and a base of
-edge keys disjoint from every non-identity image.  The certificate implies
-``_covers_once``, and the builder and verifier fall back to it (and to the
-per-flag checks) whenever the certificate fails, so every outcome is the
-one the sort gives.
+Build and verify first check the premises: every distinct generator is
+an automorphism (else PreconditionFailed) and the base's keys are edges
+(else ValueError).  Under them ``decompose._partitioned`` certifies that
+the |G| images of the base partition E from |G| * |B| = |E| and a base
+disjoint from every non-identity image, which holds exactly when the
+images cover E once, so every outcome is the one the sort gives.
 """
 
 import random
@@ -17,7 +17,6 @@ from rookpaths.decompose import (
     PreconditionFailed,
     Subgraph,
     _covers_once,
-    _edge_keys,
     _partitioned,
     build_orbit_decomposition,
     diagonal_fixture_n4,
@@ -36,8 +35,7 @@ def certificate(graph, group, base) -> tuple[bool, bool]:
     """(the certificate, whether the images cover every edge once by sorting)."""
     action = EdgeAction(graph, group)
     images = [Subgraph(action, action.image_keys(t, base.keys)).keys for t in action.tables]
-    partitioned = _edge_keys(action, base.keys) and _partitioned(action, group, base.keys, images[1:])
-    return partitioned, _covers_once(action, images)
+    return _partitioned(action, base.keys, images[1:]), _covers_once(action, images)
 
 
 def outcome(check, graph, group, base):
@@ -115,28 +113,46 @@ def c4_swap():
     return graph, generate_group([Permutation(graph, (0, 3, 2, 1))])
 
 
-def test_non_automorphism_generator_is_never_certified():
+def raised(check, *args):
+    with pytest.raises(PreconditionFailed) as info:
+        check(*args)
+    return info.value.reason, info.value.witness
+
+
+def test_non_automorphism_generator_fails_build_and_verify():
     # swapping (0,0) and (1,1) sends (0,0)-(0,2) to the non-edge (1,1)-(0,2)
     graph = GridGraph(3, 3)
     table = list(range(9))
     table[0], table[4] = 4, 0
-    cases = [(graph, generate_group([Permutation(graph, tuple(table))]), base)
-             for base in random_bases(graph, 9, 25, seed=3)]
+    group = generate_group([Permutation(graph, tuple(table))])
+    cases = [(graph, group, base) for base in random_bases(graph, 9, 25, seed=3)]
     # the two rows of the 4-cycle: 2 * 2 = |E| and the base misses its image, two diagonals
-    c4, group = c4_swap()
-    cases += [(c4, group, base) for base in random_bases(c4, 2, 6, seed=2)]
+    c4, swap = c4_swap()
     rows = Subgraph(EdgeAction(c4), [1, 2 * 4 + 3])
-    cases.append((c4, group, rows))
+    cases += [(c4, swap, base) for base in random_bases(c4, 2, 6, seed=2)] + [(c4, swap, rows)]
     for graph, group, base in cases:
-        partitioned, covered = certificate(graph, group, base)
-        assert not partitioned
-        built = outcome(build_orbit_decomposition, graph, group, base)
-        assert (built is None) == covered
-    # the images as blocks: the verifier range-checks them instead of certifying them
-    action = EdgeAction(c4, group)
+        bad = "(0,0)-(0,2)" if graph.n == 3 else "(0,0)-(0,1)"
+        expected = (f"generator 0 is not an automorphism: image of {bad} is not an edge", (0, bad))
+        reason, (index, edge) = raised(build_orbit_decomposition, graph, group, base)
+        assert (reason, (index, str(edge))) == expected
+        dec = Decomposition((base,), group, base)
+        assert raised(verify_decomposition, graph, group, dec) == (reason, (index, edge))
+    # the images as blocks: the generators are checked before any block key
+    action = EdgeAction(c4, swap)
     images = tuple(Subgraph(action, action.image_keys(t, rows.keys)) for t in action.tables)
-    with pytest.raises(ValueError, match=r"^\(0,0\)-\(1,1\) is not an edge of K_2 box K_2$"):
-        verify_decomposition(c4, group, Decomposition(images, group, rows))
+    assert raised(verify_decomposition, c4, swap, Decomposition(images, swap, rows))[1][0] == 0
+
+
+def test_repeated_failing_generator_is_named_by_its_first_copy():
+    c4, swap = c4_swap()
+    identity = Permutation(c4, (0, 1, 2, 3))
+    group = generate_group([identity, swap.generators[0], swap.generators[0]])
+    assert group.order == 2
+    base = Subgraph(EdgeAction(c4), [1])
+    message = "generator 1 is not an automorphism: image of (0,0)-(0,1) is not an edge"
+    for check, arg in ((build_orbit_decomposition, base), (verify_decomposition, every_edge(c4, group))):
+        reason, (index, edge) = raised(check, c4, group, arg)
+        assert (reason, index, str(edge)) == (message, 1, "(0,0)-(0,1)")
 
 
 def every_edge(graph, group):
@@ -153,8 +169,7 @@ def test_block_of_every_edge_is_invariant_only_under_automorphisms():
     assert "group_invariant" not in report.witnesses
     assert report.witnesses == brute_verify_decomposition(graph, group, dec).witnesses
     c4, swap = c4_swap()
-    report = verify_decomposition(c4, swap, every_edge(c4, swap))
-    assert report.witnesses["group_invariant"] == {"block_index": 0, "generator_index": 0}
+    assert raised(verify_decomposition, c4, swap, every_edge(c4, swap))[1][0] == 0
 
 
 @pytest.mark.parametrize(
@@ -164,10 +179,11 @@ def test_block_of_every_edge_is_invariant_only_under_automorphisms():
         ("negative", None, "key -7 is not an edge of K_5 box K_5"),
         ("diagonal", None, r"\(0,0\)-\(1,1\) is not an edge of K_5 box K_5"),
         ("loop", None, r"\(1,1\)-\(1,1\) is not an edge of K_5 box K_5"),
-        # blocks are range-checked before the base
-        ("out of range", "diagonal", r"\(0,0\)-\(1,1\) is not an edge of K_5 box K_5"),
-        ("diagonal", "out of range", "key 628 is not an edge of K_5 box K_5"),
-        ("loop", "negative", "key -7 is not an edge of K_5 box K_5"),
+        # the base is range-checked before the blocks
+        ("out of range", "diagonal", "key 628 is not an edge of K_5 box K_5"),
+        ("diagonal", "out of range", r"\(0,0\)-\(1,1\) is not an edge of K_5 box K_5"),
+        ("loop", "negative", r"\(1,1\)-\(1,1\) is not an edge of K_5 box K_5"),
+        (None, "negative", "key -7 is not an edge of K_5 box K_5"),
     ],
 )
 def test_bad_keys_raise_the_same_value_error(base_key, block_key, message):
@@ -177,11 +193,31 @@ def test_bad_keys_raise_the_same_value_error(base_key, block_key, message):
     bad = {"out of range": size * size + 3, "negative": -7, "diagonal": 6, "loop": 6 * size + 6}
 
     def with_key(sub, name):
-        return Subgraph(action, list(sub.keys[:-1]) + [bad[name]])
+        return sub if name is None else Subgraph(action, list(sub.keys[:-1]) + [bad[name]])
 
-    blocks = dec.blocks
-    if block_key is not None:
-        blocks = (with_key(blocks[0], block_key),) + blocks[1:]
-    tampered = Decomposition(blocks, dec.group, with_key(dec.base, base_key))
+    blocks = (with_key(dec.blocks[0], block_key),) + dec.blocks[1:]
+    base = with_key(dec.base, base_key)
     with pytest.raises(ValueError, match=f"^{message}$"):
-        verify_decomposition(action.graph, dec.group, tampered)
+        verify_decomposition(action.graph, dec.group, Decomposition(blocks, dec.group, base))
+    if base_key is not None:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_orbit_decomposition(action.graph, dec.group, base)
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        (86, "key 86 is not an edge of K_3 box K_3"),
+        (-7, "key -7 is not an edge of K_3 box K_3"),
+        (4, r"\(0,0\)-\(1,1\) is not an edge of K_3 box K_3"),
+    ],
+)
+def test_base_key_of_no_edge_raises_before_it_is_imaged(key, message):
+    # 86 is past the vertex tables and -7 would read them from the end
+    graph, group, base = staircase_base(3)
+    blocks = build_orbit_decomposition(graph, group, base).blocks
+    bad = Subgraph(base.action, list(base.keys[1:]) + [key])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_orbit_decomposition(graph, group, bad)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify_decomposition(graph, group, Decomposition(blocks, group, bad))

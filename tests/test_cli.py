@@ -149,24 +149,11 @@ def test_verify_missing_file(capsys):
     assert "cannot read" in err
 
 
-def test_verify_non_automorphism_generator(tmp_path, capsys):
-    payload = {
+def swap_generator_doc(generators: list) -> dict:
+    """K_2 box K_2 with explicit generators, one edge as base and as the only block."""
+    return {
         "graph": {"kind": "grid", "n": 2, "m": 2},
-        "group": {
-            "kind": "explicit",
-            "order": 2,
-            "generators": [
-                {
-                    "kind": "explicit",
-                    "map": [
-                        [[0, 0], [0, 0]],
-                        [[0, 1], [0, 1]],
-                        [[1, 0], [1, 1]],
-                        [[1, 1], [1, 0]],
-                    ],
-                }
-            ],
-        },
+        "group": {"kind": "explicit", "order": 2, "generators": generators},
         "base": {"edges": [[[0, 0], [0, 1]]]},
         "blocks": [{"edges": [[[0, 0], [0, 1]]]}],
         "report": {
@@ -178,11 +165,31 @@ def test_verify_non_automorphism_generator(tmp_path, capsys):
             "semiregular": True,
         },
     }
+
+
+def explicit_map(*images) -> dict:
+    """An explicit generator sending (0,0), (0,1), (1,0), (1,1) to ``images``, in that order."""
+    sources = [[0, 0], [0, 1], [1, 0], [1, 1]]
+    return {"kind": "explicit", "map": [[u, list(v)] for u, v in zip(sources, images)]}
+
+
+SWAP = explicit_map((0, 0), (0, 1), (1, 1), (1, 0))  # swaps (1,0) and (1,1): no automorphism
+IDENTITY = explicit_map((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+@pytest.mark.parametrize(
+    "generators, index",
+    [([SWAP], 0), ([IDENTITY, SWAP, SWAP], 1)],
+    ids=["swap", "identity-swap-swap"],
+)
+def test_verify_non_automorphism_generator(tmp_path, capsys, generators, index):
+    # a repeated failing generator is named by its first copy
     path = tmp_path / "bad_gen.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    code, _, err = run(capsys, "verify", "--input", str(path))
+    path.write_text(json.dumps(swap_generator_doc(generators)), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--input", str(path))
     assert code == 2
-    assert "not an automorphism" in err
+    assert out == ""
+    assert err == f"generator {index} is not an automorphism: image of (0,0)-(1,0) is not an edge\n"
 
 
 def report_flags(*false):

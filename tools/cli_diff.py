@@ -25,9 +25,10 @@ when any command differs.  The corpus:
     the base is no block; for k9 also explicit maps with a vertex mapped
     twice, with an image used twice and with an entry missing; for n5
     also one explicit generator swapping two vertices, a bijection but
-    no automorphism; for diag4 also the row shift with a one-edge base
-    and its images as blocks, whose report prints the element that
-    fixes an edge as an explicit map.  These files are in the writer's
+    no automorphism, and the identity followed by that swap twice; for
+    diag4 also the row shift with a one-edge base and its images as
+    blocks, whose report prints the element that fixes an edge as an
+    explicit map.  These files are in the writer's
     compact layout.  Each valid document is also written in four other
     layouts, which verify reads through json.loads: pretty-printed, with
     a second, escaped "blocks" key holding other blocks, with a leading
@@ -75,7 +76,7 @@ FLAGS = ("is_partition", "blocks_isomorphic_to_base", "group_invariant",
          "group_transitive", "stabilizer_trivial", "semiregular")
 # name: (source command, the variants written besides valid, moved and dropped)
 VERIFY_SOURCES = {
-    "n5": (("generate", "--n", "5"), ("shifted-base", "swap")),
+    "n5": (("generate", "--n", "5"), ("shifted-base", "swap", "late-swap")),
     "n7": (("generate", "--n", "7"), ("shifted-base",)),
     "k9": (("examples", "k9"), ("mapped-twice", "image-twice", "short-map")),
     "diag4": (("examples", "diag4"), ("row-shift-edge",)),
@@ -123,6 +124,14 @@ def swap(doc: dict) -> None:
     doc["group"] = {"kind": "explicit", "order": 2, "generators": [{"kind": "explicit", "map": pairs}]}
 
 
+def late_swap(doc: dict) -> None:
+    """Generators identity, swap, swap: the failing one is repeated and not first."""
+    swap(doc)
+    generators = doc["group"]["generators"]
+    identity = [[v, v] for v, _ in generators[0]["map"]]
+    generators[:] = [{"kind": "explicit", "map": identity}, generators[0], generators[0]]
+
+
 def row_shift_edge(doc: dict) -> None:
     """The row shift, base (0,0)-(0,1) and its n images: on even n a shift fixes an edge."""
     n = doc["graph"]["n"]
@@ -167,7 +176,7 @@ LAYOUTS = {
 TAMPERS = {
     "valid": lambda doc: None, "moved": moved, "dropped": dropped, "shifted-base": shifted_base,
     "mapped-twice": mapped_twice, "image-twice": image_twice, "short-map": short_map,
-    "swap": swap, "row-shift-edge": row_shift_edge,
+    "swap": swap, "late-swap": late_swap, "row-shift-edge": row_shift_edge,
 }
 
 
