@@ -313,7 +313,7 @@ def build_orbit_decomposition(graph, group: FiniteGroup, base: Subgraph) -> Deco
     blocks are |E| distinct keys, pairwise disjoint.
     """
     action, keys = _premises(graph, group, base)
-    blocks = [Subgraph(action, action.image_keys(t, keys)) for t in action.tables]
+    blocks = [Subgraph(action, image) for image in action.images(keys)]
     if not _partitioned(action, keys, [block.keys for block in blocks[1:]]):
         fixed = fixed_edge_witness(graph, group)
         if fixed is not None:
@@ -471,7 +471,7 @@ def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> Verif
     block_keys = [_keys_on(graph, block) for block in dec.blocks]
     signatures = [keys.tobytes() for keys in block_keys]
     block_set = set(signatures)
-    images = [_signature(action.image_keys(t, base_keys)) for t in action.tables]
+    images = [_signature(image) for image in action.images(base_keys)]
     certified = set(images)
     if len(signatures) == len(certified) == group.order and block_set == certified:
         others = [keys for keys, sig in zip(block_keys, signatures) if sig != images[0]]

@@ -1,20 +1,24 @@
 """Vertex permutations, small finite groups, and their action on edges.
 
 A permutation is a graph and a table of vertex indices on it (vertex i
-is graph.vertices()[i]), so the closure composes tuples of ints and
-permutation_from_cycles is the one entry point that reads vertex
-objects.  EdgeAction carries the action to integer edge keys (vertex i is
-row * m + col on a grid, label - 1 on K_n; edge i < j is i * |V| + j),
-the one form every decompose.Subgraph is stored in (walk_keys keys a
-Walk's index path, keys() the edges of Subgraph.of_edges); edge objects
-are built back only for witnesses, orbit listings and Subgraph.edges.
-EdgeAction.image_keys transports a key array through an element; |E|
-distinct images of a base certify semiregularity and the transversal
-at once (see decompose).  The other checks read the vertex tables
-directly: both ends of an edge lie on one grid line (one line of all
-vertices on K_n), so automorphism_violation and fixed_edge_witness walk
-the lines, and an element fixes an edge setwise exactly when it fixes
-both ends or swaps them.  Only edge_orbits images whole orbits.
+is graph.vertices()[i]), and permutation_from_cycles is the one entry
+point that reads vertex objects.  gather composes a table with an index
+sequence in one C-level itemgetter call, for the closure, edge_orbits
+and Walk.image.  EdgeAction carries the action to integer edge keys
+(vertex i is row * m + col on a grid, label - 1 on K_n; edge i < j is
+i * |V| + j), the one form every decompose.Subgraph is stored in
+(walk_keys keys a Walk's index path, keys() the edges of
+Subgraph.of_edges); edge objects are built back only for witnesses,
+orbit listings and Subgraph.edges.  EdgeAction.images transports the
+base through every element, splitting its keys into their ends once;
+image_keys transports through one table, which is faster where that
+split would serve one table only (the invariance loop).  |E| distinct
+images of a base certify semiregularity and the transversal at once
+(see decompose).  The other checks read the vertex tables directly:
+both ends of an edge lie on one grid line (one line of all vertices on
+K_n), so automorphism_violation and fixed_edge_witness walk the lines,
+and an element fixes an edge setwise exactly when it fixes both ends or
+swaps them.  Only edge_orbits images whole orbits.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .grid import DimensionError, GridEdge, GridGraph, GridVertex
@@ -36,6 +41,16 @@ EXPLICIT = "explicit"
 
 class GroupTooLarge(RuntimeError):
     """The generated closure exceeded the configured element cap."""
+
+
+def gather(indices):
+    """A function taking a table t to the tuple of t[i] for i in ``indices``, in C.
+
+    operator.itemgetter of one index returns the bare item, so that case
+    is wrapped back into a 1-tuple.  ``indices`` must not be empty.
+    """
+    get = itemgetter(*indices)
+    return get if len(indices) > 1 else lambda t: (get(t),)
 
 
 class Permutation:
@@ -185,9 +200,9 @@ def generate_group(generators: Iterable[Permutation], cap: int = DEFAULT_GROUP_C
     seen = {ident}
     queue = deque([ident])
     while queue:
-        cur = queue.popleft()
+        compose = gather(queue.popleft())
         for t in tables:
-            nxt = tuple(map(t.__getitem__, cur))
+            nxt = compose(t)
             if nxt in seen:
                 continue
             if len(found) + 1 > cap:
@@ -258,6 +273,13 @@ class EdgeAction:
             for k in keys
         ]
 
+    def images(self, keys) -> Iterator[list[int]]:
+        """image_keys of ``keys`` under each element's table, in group order."""
+        size = self.size
+        first, second = gather([k // size for k in keys]), gather([k % size for k in keys])
+        for t in self.tables:
+            yield [a * size + b if a < b else b * size + a for a, b in zip(first(t), second(t))]
+
     def walk_keys(self, walk) -> list[int]:
         """Keys of a walk's edges, in walk order; an edge walked twice appears twice."""
         path, size = walk.path, self.size
@@ -325,8 +347,8 @@ def edge_orbits(graph, group: FiniteGroup) -> list[EdgeOrbit]:
     members = []  # each orbit as an ascending key tuple, in order of least member
     for k in action.all_keys():
         if k not in seen:
-            i, j = divmod(k, size)
-            orbit = {a * size + b if a < b else b * size + a for a, b in ((t[i], t[j]) for t in tables)}
+            ends = gather(divmod(k, size))
+            orbit = {a * size + b if a < b else b * size + a for a, b in map(ends, tables)}
             seen.update(orbit)
             members.append(tuple(sorted(orbit)))
     if isinstance(graph, GridGraph) and group.generator_kind == ROW_SHIFT:

@@ -26,6 +26,7 @@ from itertools import accumulate, pairwise
 from typing import Iterable, Sequence
 
 from .grid import DimensionError, GridGraph
+from .groups import gather
 
 
 class ConstructionInvalid(RuntimeError):
@@ -103,7 +104,7 @@ class Walk:
 
     def image(self, table: tuple) -> "Walk":
         """The walk through the images of its vertices under one vertex table."""
-        return Walk(self.n, self.m, tuple(map(table.__getitem__, self.path)))
+        return Walk(self.n, self.m, gather(self.path)(table))
 
 
 def _normalize_steps(arr: Iterable, n: int, m: int) -> list[tuple[int, int]]:

@@ -20,14 +20,16 @@ objects, before they read key arrays.  permutation_of and apply are a
 Permutation's vertex-object constructor and call, as they were before a
 permutation became a graph and a table of vertex indices.
 brute_isomorphic tries every vertex bijection, the reference for the
-backtracking search in subgraphs_isomorphic.
+backtracking search in subgraphs_isomorphic.  tuple_closure is
+generate_group as it was before it gathered with itemgetter, composing
+one ``tuple(map(t.__getitem__, cur))`` at a time.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Sequence
@@ -367,6 +369,25 @@ def brute_group_elements(n, m, gens):
                 elements.append(composed)
                 frontier.append(composed)
     return elements
+
+
+def tuple_closure(generators, cap: int) -> list[tuple]:
+    """generate_group's element tables, in its breadth-first order; GroupTooLarge past ``cap``."""
+    tables = [g.table for g in dict.fromkeys(generators)]
+    ident = tuple(range(len(tables[0])))
+    found, seen, queue = [ident], {ident}, deque([ident])
+    while queue:
+        cur = queue.popleft()
+        for t in tables:
+            nxt = tuple(map(t.__getitem__, cur))
+            if nxt in seen:
+                continue
+            if len(found) + 1 > cap:
+                raise GroupTooLarge(f"group closure exceeds cap of {cap} elements")
+            seen.add(nxt)
+            found.append(nxt)
+            queue.append(nxt)
+    return found
 
 
 def walk_vertices(start, steps, n, m):

@@ -1,6 +1,7 @@
 """The integer edge action against the object-based oracles."""
 
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -168,6 +169,15 @@ def test_int_images_match_edge_image():
         for g, table in zip(group.elements, action.tables):
             images = [action.edge(k) for k in action.image_keys(table, keys)]
             assert images == [edge_image(g, graph, e) for e in edges], (graph, g)
+
+
+def test_images_match_image_keys_per_table():
+    for graph, group in action_corpus():
+        action = EdgeAction(graph, group)
+        every = array("q", action.all_keys())
+        for keys in [every, *(every[i : i + 1] for i in range(len(every)))]:
+            expected = [action.image_keys(t, keys) for t in action.tables]
+            assert list(action.images(keys)) == expected, (graph, keys)
 
 
 def traced_peak(fn, *args) -> int:

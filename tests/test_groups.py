@@ -17,6 +17,7 @@ from rookpaths.groups import (
     EdgeAction,
     EdgeOrbit,
     GroupTooLarge,
+    Permutation,
     automorphism_violation,
     diagonal_shift,
     edge_orbits,
@@ -39,6 +40,7 @@ from oracles import (
     brute_row_shift,
     edge_image,
     permutation_of,
+    tuple_closure,
 )
 
 
@@ -109,6 +111,63 @@ def test_repeated_generators_keep_closure_and_generators():
     # the same elements in the same breadth-first order; every generator is kept as given
     assert [g.table for g in repeated.elements] == [g.table for g in once.elements]
     assert repeated.generators == (r, d, copy, r, d)
+
+
+def closure_corpus(rng):
+    """(label, generators): K_1, K_2, shifts, k9, and seeded explicit lists on K_5..K_9.
+
+    Each explicit generator cycles a random subset of the vertices, so
+    the groups range from order 2 to far past the test's cap; each list
+    repeats some generators and holds the identity somewhere.
+    """
+    k1, k2, k9 = CompleteGraph(1), CompleteGraph(2), CompleteGraph(9)
+    swap = permutation_of(k2, {1: 2, 2: 1})
+    yield "K_1", [identity(k1)]
+    yield "K_2 swap", [swap]
+    yield "K_2 identity, swap, swap", [identity(k2), swap, swap]
+    for n in range(2, 8):
+        yield f"row {n}x3", [row_shift(n, 3)]
+        yield f"diagonal {n}", [diagonal_shift(n)]
+    yield "row and diagonal 5", [row_shift(5, 5), diagonal_shift(5)]
+    yield "k9", [permutation_from_cycles(k9, K9_GENERATOR_CYCLES)]
+    for n in range(5, 10):
+        graph = CompleteGraph(n)
+        for _ in range(12):
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                cycle = rng.sample(range(n), rng.randint(2, n))
+                table = list(range(n))
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    table[a] = b
+                gens.append(Permutation(graph, tuple(table)))
+            gens += rng.choices(gens, k=rng.randint(1, 2))
+            gens.insert(rng.randint(0, len(gens)), identity(graph))
+            yield f"K_{n} {[g.table for g in gens]}", gens
+
+
+def test_closure_matches_tuple_closure():
+    cap = 2000
+    outcomes = Counter()
+    for label, gens in closure_corpus(random.Random(2024)):
+        try:
+            expected = tuple_closure(gens, cap)
+        except GroupTooLarge:
+            with pytest.raises(GroupTooLarge):
+                generate_group(gens, cap=cap)
+            outcomes["over cap"] += 1
+            continue
+        group = generate_group(gens, cap=cap)
+        assert [g.table for g in group.elements] == expected, label
+        assert group.generators == tuple(gens)
+        # both stop at exactly the group order
+        assert generate_group(gens, cap=len(expected)).order == len(expected)
+        if len(expected) > 1:
+            with pytest.raises(GroupTooLarge):
+                tuple_closure(gens, len(expected) - 1)
+            with pytest.raises(GroupTooLarge):
+                generate_group(gens, cap=len(expected) - 1)
+        outcomes["closed"] += 1
+    assert outcomes["over cap"] >= 5 and outcomes["closed"] >= 40, outcomes
 
 
 def test_generate_group_rejects_empty_and_mixed():

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from rookpaths.serialize import parse_decomposition
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "stage_times.py"
 STAGES = ["walk", "group", "build", "verify", "json_out", "parse", "verify_again"]
@@ -51,3 +53,19 @@ def test_relabelled_blocks_reach_the_search(tmp_path, monkeypatch):
     flags = json.loads(done.stdout)
     assert done.returncode == 2
     assert flags["blocks_isomorphic_to_base"] and not flags["group_transitive"]
+
+
+def test_transpositions_writer_at_small_scale(tmp_path, monkeypatch):
+    # the k61-transpositions writer on K_9 with 3 transpositions: |G| = 8, and the one edge is fixed
+    monkeypatch.syspath_prepend(str(TOOL.parent))
+    tool = importlib.import_module("stage_times")
+    path = tmp_path / "k9.json"
+    tool.complete_transpositions(path, 9, 3)
+    group = parse_decomposition(path.read_text(encoding="utf-8"))[1]
+    assert group.order == 8
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    cmd = [sys.executable, "-m", "rookpaths", "verify", "--input", str(path)]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    flags = json.loads(done.stdout)
+    assert done.returncode == 2
+    assert not flags["semiregular"] and flags["witnesses"]["stabilizer_trivial"] == {"stabilizer_order": 8}

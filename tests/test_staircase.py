@@ -178,6 +178,8 @@ def test_transported_walk_commutes_with_shift():
         image = w.image(g.table)
         assert walk_vertex_objects(image) == tuple(apply(g, v) for v in walk_vertex_objects(w))
         assert image.step_pairs() == w.step_pairs()
+        # a one-vertex walk images to a one-vertex walk
+        assert w.segment(3, 3).image(g.table) == image.segment(3, 3)
         assert block.edges == Subgraph.of_edges(graph, walk_edge_objects(image)).edges
 
 

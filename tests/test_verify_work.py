@@ -118,14 +118,20 @@ def test_verify_images_within_the_bound(monkeypatch, name):
     make, failed = FILES[name]
     graph, group, dec = parse_decomposition(json.dumps(make()))
     imaged = []
-    image_keys = EdgeAction.image_keys
+    image_keys, images = EdgeAction.image_keys, EdgeAction.images
 
-    def counted(self, table, keys):
+    def counted_keys(self, table, keys):
         out = image_keys(self, table, keys)
         imaged.append(len(out))
         return out
 
-    monkeypatch.setattr(EdgeAction, "image_keys", counted)
+    def counted_images(self, keys):
+        for out in images(self, keys):
+            imaged.append(len(out))
+            yield out
+
+    monkeypatch.setattr(EdgeAction, "image_keys", counted_keys)
+    monkeypatch.setattr(EdgeAction, "images", counted_images)
     report = verify_decomposition(graph, group, dec)
     distinct = len({gen.table for gen in group.generators})
     bound = group.order * dec.base.edge_count + distinct * sum(

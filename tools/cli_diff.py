@@ -39,7 +39,12 @@ when any command differs.  The corpus:
     (exit 2, group_transitive), and with the Shrikhande graph as its one
     block (exit 2, blocks_isomorphic_to_base); on K_17 a path with a
     chord and a relabelled copy of it, a degree-3 block past the
-    search's 16 vertices (exit 1 at $.blocks[1]).
+    search's 16 vertices (exit 1 at $.blocks[1]);
+  - verify of two fixed files (TINY) at one vertex and one edge, where
+    gathering a single index yields a bare item: K_1 under a trivial
+    explicit group, whose group is closed before its base fails to
+    parse (exit 1), and K_2 under a trivial explicit group with its one
+    edge as base and block (exit 0).
 
 --limit N runs N commands spread evenly over the corpus, the first and
 the last included.  Standard library only.
@@ -214,6 +219,11 @@ SEARCH = {
     ),
 }
 
+TINY = {
+    "k1-explicit": trivial_group_doc(1, [(1, 1)], [[(1, 1)]]),
+    "k2-one-edge": trivial_group_doc(2, [(1, 2)], [[(1, 2)]]),
+}
+
 
 def tampers(name: str) -> list[str]:
     """The variants written for a verify source: valid, moved, dropped and its own."""
@@ -239,7 +249,7 @@ def corpus() -> list[tuple[str, ...]]:
     commands += USAGE
     for name in VERIFY_SOURCES:
         commands += [("verify", "--input", f"{name}-{kind}.json") for kind in variants(name)]
-    commands += [("verify", "--input", f"{name}.json") for name in SEARCH]
+    commands += [("verify", "--input", f"{name}.json") for name in [*SEARCH, *TINY]]
     return list(dict.fromkeys(commands))
 
 
@@ -263,7 +273,7 @@ def write_verify_files(src: Path, work: Path) -> None:
             (work / f"{name}-{kind}.json").write_text(compact(doc), encoding="utf-8")
         for kind, layout in LAYOUTS.items():
             (work / f"{name}-{kind}.json").write_text(layout(json.loads(out)), encoding="utf-8")
-    for name, doc in SEARCH.items():
+    for name, doc in {**SEARCH, **TINY}.items():
         (work / f"{name}.json").write_text(compact(doc), encoding="utf-8")
 
 

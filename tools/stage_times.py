@@ -21,7 +21,9 @@ the parser's caps in the writer's layout: K_135 box K_135 under the row
 shift with a one-edge base and one block of all 2,442,150 edges, with
 and without its report; K_400 with one block of every edge under 400
 copies of the 400-cycle; K_1024 under all 16 elements of the group
-generated by i -> i + 64 as its generators; and K_16 under a trivial
+generated by i -> i + 64 as its generators; K_61 under 16 disjoint
+transpositions, a group of 65,536 elements, with a one-edge base and
+block; and K_16 under a trivial
 explicit group with base K_4 box K_4 and 52,083 distinct seeded
 relabellings of it as blocks, each of which goes through the
 isomorphism search.  Each file is written by a process of its own, so
@@ -120,6 +122,20 @@ def complete_one_block(path: Path, n: int, shifts, step: int = 1) -> None:
     _write_doc(path, f'{{"kind":"complete","n":{n}}}', group, "[1,2]", [rows()])
 
 
+def complete_transpositions(path: Path, n: int, count: int) -> None:
+    """K_n under the disjoint transpositions (2s+1 2s+2), s < ``count``, as explicit
+    generators, so |G| = 2 ** count: a one-edge base, and one block holding that edge."""
+    def image(v, s):
+        return {2 * s + 1: 2 * s + 2, 2 * s + 2: 2 * s + 1}.get(v, v)
+
+    maps = (
+        '{"kind":"explicit","map":[%s]}' % ",".join(f"[{v},{image(v, s)}]" for v in range(1, n + 1))
+        for s in range(count)
+    )
+    group = f'{{"kind":"explicit","order":{2 ** count},"generators":[{",".join(maps)}]}}'
+    _write_doc(path, f'{{"kind":"complete","n":{n}}}', group, "[1,2]", [["[1,2]"]])
+
+
 def complete_relabelled(path: Path, count: int) -> None:
     """cli_diff's K_16 search document at scale: base K_4 box K_4 under a trivial explicit
     group, and ``count`` distinct seeded relabellings of it as blocks, none of them the base."""
@@ -146,6 +162,7 @@ HOSTILE = {
     "k135-one-block-no-report": lambda path: grid_one_block(path, 135, report=False),
     "k400-repeated-generator": lambda path: complete_one_block(path, 400, [1] * 400),
     "k1024-all-elements": lambda path: complete_one_block(path, 1024, range(16), step=64),
+    "k61-transpositions": lambda path: complete_transpositions(path, 61, 16),
     "k16-relabelled": lambda path: complete_relabelled(path, 52_083),
 }
 
