@@ -11,6 +11,7 @@ from .decompose import (
     build_orbit_decomposition,
     gallai_check,
     haggkvist_split,
+    is_path_subgraph,
     k9_fixture,
     staircase_decomposition,
     verify_decomposition,

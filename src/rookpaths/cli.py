@@ -22,7 +22,6 @@ from .decompose import (
     build_orbit_decomposition,
     diagonal_fixture_n4,
     haggkvist_split,
-    is_path_subgraph,
     k9_fixture,
     partition_witnesses,
     staircase_decomposition,
@@ -50,7 +49,7 @@ from .serialize import (
     parse_decomposition,
     report_to_json_dict,
 )
-from .staircase import ConstructionInvalid
+from .staircase import ConstructionInvalid, is_path
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -223,7 +222,7 @@ def cmd_split(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     partition = partition_witnesses(dec.base.action.graph, segments)
-    paths_ok = all(is_path_subgraph(s) and s.edge_count == b for s in segments)
+    paths_ok = all(is_path(s.walk) and s.edge_count == b for s in segments)
     if args.format == "json":
         summary = {
             "graph": {"kind": "grid", "n": args.n, "m": args.n},

@@ -13,14 +13,14 @@ distinct edge keys, computes no orbits; otherwise the fixed-edge test
 reads the vertex tables and only the transversal witness needs orbits.
 
 Every Subgraph (base, block or split segment) is an ascending edge-key
-array on a groups.EdgeAction; the path and isomorphism checks read an
-adjacency of vertex indices.  Edge objects enter only through
-Subgraph.of_edges, and every check that is given a graph reads the keys
-of subgraphs of that graph and raises ValueError for a subgraph of
-another.  Edge and vertex objects are built only for witnesses and the
-public Subgraph.edges and Subgraph.adjacency.  The verifier trusts
-nothing: it rebuilds the action from the vertex permutations and
-range-checks every key.  Blocks that partition E and
+array on a groups.EdgeAction; is_path_subgraph and the isomorphism check
+read an adjacency of vertex indices; a split segment's walk needs none.
+Edge objects enter only through Subgraph.of_edges, and every check that
+is given a graph reads the keys of subgraphs of that graph and raises
+ValueError for a subgraph of another.  Edge and vertex objects are built
+only for witnesses and the public Subgraph.edges and Subgraph.adjacency.
+The verifier trusts nothing: it rebuilds the action from the vertex
+permutations and range-checks every key.  Blocks that partition E and
 are exactly the |G| distinct images of the base pass all six flags by
 the same bijection (a non-identity h fixing an edge of g(H) would make
 hg(H) and g(H) distinct blocks sharing it); any other input gets each
@@ -563,7 +563,7 @@ def gallai_check(graph, dec: Decomposition) -> bool:
 
     A connected graph on N vertices should decompose into at most
     (N + 1) / 2 paths; callers are expected to have verified that the
-    blocks really are paths.
+    blocks really are paths, with is_path_subgraph.
     """
     return 2 * len(dec.blocks) <= graph.vertex_count + 1
 
@@ -573,7 +573,9 @@ def haggkvist_split(path: Walk, b: int) -> list[Subgraph]:
 
     Splitting every block of a 2b-regular graph's path decomposition
     this way refines it into a decomposition by b-edge paths.  ``b``
-    must divide the walk length.
+    must divide the walk length.  A segment's keys are its walk's edges,
+    so it is a b-edge path exactly when is_path(segment.walk): each step
+    lies on one grid line, and a repeated edge raises ValueError.
     """
     if b < 1:
         raise ValueError(f"segment size must be positive, got {b}")

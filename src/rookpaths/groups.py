@@ -370,8 +370,9 @@ def fixed_edge_witness(graph, group: FiniteGroup):
     its first 2-cycle.
     Only the vertex tables are read, O(|G| * |V|) work.
     """
-    action = EdgeAction(graph, group)
-    lines = _lines(graph)
+    if group.identity.graph != graph:
+        raise ValueError(f"the group does not act on the vertices of {graph}")
+    action, lines = EdgeAction(graph), _lines(graph)
     for g in group.non_identity():
         t = g.table
         if sum(t[t[i]] == i for i in range(action.size)) < 2:

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, payloads, and streams."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -14,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rookpaths
-from rookpaths import serialize
+from rookpaths import decompose, serialize
 from rookpaths.cli import build_parser, main, parse_command
 from rookpaths.decompose import VerificationReport
 from rookpaths.grid import GridGraph
 from rookpaths.serialize import MAX_EDGES
+
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
 
 def run(capsys, *argv):
@@ -562,6 +565,19 @@ def test_split_indivisible(capsys):
     code, _, err = run(capsys, "split", "--n", "5", "--b", "3")
     assert code == 1
     assert "divide" in err
+
+
+def test_split_builds_no_adjacency(capsys, monkeypatch):
+    # segments are checked on their walk indices; the stdout is the one digests.json pins
+    calls = []
+    index_adjacency = decompose._index_adjacency
+    monkeypatch.setattr(decompose, "_index_adjacency", lambda sub: calls.append(sub) or index_adjacency(sub))
+    digests = json.loads(DIGESTS.read_text(encoding="utf-8"))["commands"]
+    for command in ("split --n 7", "split --n 7 --b 1", "split --n 7 --format dot"):
+        code, out, err = run(capsys, *command.split())
+        assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (0, digests[command])
+        assert "segments of" in err
+    assert calls == []
 
 
 def test_split_rejects_nine(capsys):

@@ -1,6 +1,7 @@
 """Decomposition construction and the six-flag verifier."""
 
 import random
+from array import array
 from itertools import combinations
 from pathlib import Path
 
@@ -31,12 +32,13 @@ from rookpaths.decompose import (
 )
 from rookpaths.grid import GridGraph, GridVertex
 from rookpaths.groups import (
+    EdgeAction,
     edge_orbits,
     generate_group,
     permutation_from_cycles,
     row_shift,
 )
-from rookpaths.staircase import staircase_array, walk_from_array
+from rookpaths.staircase import is_path, staircase_array, walk_from_array
 
 from oracles import (
     apply,
@@ -465,6 +467,49 @@ def test_haggkvist_split():
     assert whole == sorted(dec.blocks[0].edges)
     with pytest.raises(ValueError):
         haggkvist_split(walk, 3)
+
+
+@st.composite
+def grid_walks(draw):
+    """A walk of at most 30 steps on K_n box K_m, 3 <= n <= 6 and 2 <= m <= 6.
+
+    Random steps revisit vertices and edges on these small grids; on top
+    of them the walk may step straight back (a repeated edge) or go round
+    a rectangle (a 4-cycle of distinct edges).
+    """
+    n, m = draw(st.integers(3, 6)), draw(st.integers(2, 6))
+    rows, cols = st.integers(1, n - 1), st.integers(1, m - 1)
+    steps = draw(st.lists(st.one_of(st.tuples(rows, st.just(0)), st.tuples(st.just(0), cols)),
+                          min_size=1, max_size=18))
+    for i, kind in draw(st.lists(st.tuples(st.integers(0, len(steps)), st.booleans()), max_size=3)):
+        if kind:
+            dr, dc = draw(rows), draw(cols)
+            steps[i:i] = [(dr, 0), (0, dc), (-dr, 0), (0, -dc)]
+        elif i:
+            steps.insert(i, tuple(-d for d in steps[i - 1]))
+    return walk_from_array((draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))), steps, n, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_walks())
+def test_split_segments_are_paths_exactly_when_their_indices_are_distinct(walk):
+    # the split command's index criterion against is_path_subgraph, for every b dividing the length
+    for b in (b for b in range(1, walk.length + 1) if walk.length % b == 0):
+        starts = range(0, walk.length, b)
+        try:
+            segments = haggkvist_split(walk, b)
+        except ValueError as err:
+            assert "duplicate edge" in str(err)
+            keys = EdgeAction(GridGraph(walk.n, walk.m)).walk_keys(walk)
+            offending = [i for i in starts if len(set(keys[i : i + b])) < b]
+            assert offending
+            assert not any(is_path(walk.segment(i, i + b)) for i in offending)
+            continue
+        assert [s.walk for s in segments] == [walk.segment(i, i + b) for i in starts]
+        for s in segments:
+            assert s.keys == array("q", sorted(s.action.walk_keys(s.walk)))
+            assert s.edge_count == b
+            assert is_path(s.walk) == is_path_subgraph(s)
 
 
 def test_haggkvist_split_whole_path():

@@ -288,6 +288,14 @@ def test_semiregular_witnesses():
     assert fixed_edge_witness(GridGraph(4, 4), generate_group([diagonal_shift(4)])) is None
 
 
+def test_fixed_edge_witness_rejects_a_group_on_another_graph():
+    # equal vertex counts (K_2 box K_3 and K_3 box K_2) and unequal ones
+    with pytest.raises(ValueError, match="does not act on the vertices of K_3 box K_2"):
+        fixed_edge_witness(GridGraph(3, 2), generate_group([row_shift(2, 3)]))
+    with pytest.raises(ValueError, match="does not act on the vertices of K_4 box K_4"):
+        fixed_edge_witness(GridGraph(4, 4), generate_group([row_shift(3, 3)]))
+
+
 def witness_corpus():
     """(label, graph, group) pairs: semiregular actions and actions with fixed edges."""
     for n in range(2, 8):

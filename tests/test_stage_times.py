@@ -15,7 +15,7 @@ STAGES = ["walk", "group", "build", "verify", "json_out", "parse", "verify_again
 
 
 def test_stage_times_smoke(tmp_path):
-    cmd = [sys.executable, str(TOOL), "--label", "smoke", "--n", "5", "--cli", "5",
+    cmd = [sys.executable, str(TOOL), "--label", "smoke", "--n", "5", "--cli", "5", "--split", "5",
            "--repeat", "1", "--first-call", "1", "--hostile", "k400-repeated-generator",
            "--out", str(tmp_path)]
     subprocess.run(cmd, check=True, capture_output=True, timeout=60)
@@ -28,6 +28,9 @@ def test_stage_times_smoke(tmp_path):
     assert all(row[stage] > 0 for stage in STAGES) and row["peak_rss_mb"] > 0
     (cli,) = tree["cli"]
     assert cli["exit_codes"] == [0, 0] and len(cli["output_sha256"]) == 64
+    (split,) = tree["split"]
+    assert (split["n"], split["exit_code"], len(split["output_sha256"])) == (5, 0, 64)
+    assert split["split_s"] > 0 and split["split_rss_mb"] > 0
     first = {row["argv"]: row for row in tree["first_call"]}
     assert first["generate --n 5"]["exit_code"] == 0 and len(first) == 6
     assert all(row["first_ms"] > 0 and row["again_ms"] > 0 for row in first.values())

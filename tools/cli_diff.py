@@ -10,7 +10,8 @@ when any command differs.  The corpus:
 
   - every command in perfbench/digests.json (read, never written);
   - generate for the odd primes up to 13, in all three formats;
-  - split --n 5 and --n 7 with several --b, in all three formats;
+  - split --n 5, 7 and 13 with several --b, in all three formats (at
+    n=13, --b 1 gives 2,028 one-edge segments and --b 5 exits 1);
   - orbits --edges under both groups;
   - help and usage errors (USAGE): no arguments, --help before and
     after each subcommand, unknown or abbreviated subcommands, "--",
@@ -64,7 +65,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = ROOT / "perfbench" / "digests.json"
 FORMATS = ("json", "dot", "edges")
-SPLITS = {5: (None, 1, 2, 3, 4, 5, 10, 20), 7: (None, 1, 2, 3, 4, 6, 7, 14, 21, 42)}
+SPLITS = {
+    5: (None, 1, 2, 3, 4, 5, 10, 20),
+    7: (None, 1, 2, 3, 4, 6, 7, 14, 21, 42),
+    13: (None, 1, 5, 12, 156),
+}
 USAGE = [
     (), ("--help",), ("-h", "generate"), ("--", "generate", "--n", "5"), ("frobnicate",),
     ("gen", "--n", "5"), ("--n", "5", "generate"), ("generate",), ("generate", "--n", "x"),

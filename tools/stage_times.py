@@ -15,7 +15,9 @@ and reports its peak RSS.  Every row runs --repeat times, the trees
 alternating, and the record keeps the medians.  The command line is timed
 too (--cli widths): ``python -m rookpaths generate --n N`` into a file,
 then ``verify --input`` of that file, each as its own process, with wall
-time, peak RSS and the sha256 of the generated file.  So is ``verify`` of
+time, peak RSS and the sha256 of the generated file, and so is
+``python -m rookpaths split --n N`` (--split widths), with its exit code,
+wall time, peak RSS and the sha256 of its stdout.  So is ``verify`` of
 each hostile input (--hostile names, default all of HOSTILE), files at
 the parser's caps in the writer's layout: K_135 box K_135 under the row
 shift with a one-edge base and one block of all 2,442,150 edges, with
@@ -283,6 +285,24 @@ def run_cli(src: Path, n: int, workdir: Path) -> dict:
     }
 
 
+def run_split(src: Path, n: int, workdir: Path) -> dict:
+    path = workdir / f"split{n}.out"
+    with path.open("wb") as fh:
+        code, wall, rss = run_command(src, ["split", "--n", str(n)], fh)
+    sha = hashlib.sha256(path.read_bytes()).hexdigest()
+    return {"exit_code": code, "split_s": wall, "split_rss_mb": rss, "output_sha256": sha}
+
+
+def median_split(n: int, runs: list[dict]) -> dict:
+    out = {"n": n, "exit_code": runs[0]["exit_code"], "output_sha256": runs[0]["output_sha256"]}
+    if any(r["output_sha256"] != out["output_sha256"] for r in runs):
+        raise SystemExit(f"n={n}: split output differs between runs")
+    out["split_s"] = round(statistics.median(r["split_s"] for r in runs), 4)
+    out["split_s_runs"] = [round(r["split_s"], 4) for r in runs]
+    out["split_rss_mb"] = round(statistics.median(r["split_rss_mb"] for r in runs), 1)
+    return out
+
+
 def run_hostile(src: Path, path: Path) -> dict:
     code, wall, rss = run_command(src, ["verify", "--input", str(path)], subprocess.DEVNULL)
     return {"exit_code": code, "verify_s": wall, "verify_rss_mb": rss}
@@ -336,6 +356,8 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, nargs="+", default=[23, 53, 101])
     parser.add_argument("--cli", type=int, nargs="*", default=[101],
                         help="widths for the generate+verify command-line timing")
+    parser.add_argument("--split", type=int, nargs="*", default=[],
+                        help="widths for the split command-line timing")
     parser.add_argument("--hostile", nargs="*", default=list(HOSTILE), choices=list(HOSTILE),
                         metavar="NAME", help="hostile verify inputs to time (default all)")
     parser.add_argument("--repeat", type=int, default=3)
@@ -363,6 +385,7 @@ def main(argv=None) -> int:
 
     rows = {name: {n: [] for n in args.n} for name in trees}
     cli = {name: {n: [] for n in args.cli} for name in trees}
+    split = {name: {n: [] for n in args.split} for name in trees}
     hostile = {name: {h: [] for h in args.hostile} for name in trees}
     with tempfile.TemporaryDirectory() as tmp:
         paths = {h: Path(tmp) / f"{h}.json" for h in args.hostile}
@@ -381,6 +404,10 @@ def main(argv=None) -> int:
                 for name, src in order:
                     cli[name][n].append(run_cli(src, n, Path(tmp)))
                     print(f"[{rep + 1}/{args.repeat}] {name} cli n={n}", file=sys.stderr)
+            for n in args.split:
+                for name, src in order:
+                    split[name][n].append(run_split(src, n, Path(tmp)))
+                    print(f"[{rep + 1}/{args.repeat}] {name} split n={n}", file=sys.stderr)
             for h, path in paths.items():
                 for name, src in order:
                     hostile[name][h].append(run_hostile(src, path))
@@ -410,6 +437,7 @@ def main(argv=None) -> int:
                 "describe": describe(src),
                 "rows": [median_row(n, runs) for n, runs in rows[name].items()],
                 "cli": [median_cli(n, runs) for n, runs in cli[name].items()],
+                "split": [median_split(n, runs) for n, runs in split[name].items()],
                 "hostile": hostile_rows[name],
                 "first_call": [
                     median_first_call(argv, runs) for argv, runs in small[name].items() if runs
