@@ -26,11 +26,13 @@ the same bijection (a non-identity h fixing an edge of g(H) would make
 hg(H) and g(H) distinct blocks sharing it); any other input gets each
 flag checked on its own, with a concrete witness for each failure.
 Builder and verifier check the premises once, where they start: every
-distinct generator is an automorphism and H's keys are edges.  Then the
-images partition E exactly when |G| * |H| = |E| and H misses every
-non-identity image: the images are edges, pairwise disjoint as
-g(H) & h(H) = g(H & g^-1 h(H)), and images that cover E once pass both
-tests.  So no edge key is sorted unless the verifier's certificate
+distinct generator is a bijection and an automorphism, and H's keys are
+edges.  Then the images partition E exactly when |G| * |H| = |E| and H
+misses every non-identity image: the images are edges, none repeats a
+key, pairwise disjoint as g(H) & h(H) = g(H & g^-1 h(H)), and images that
+cover E once pass both tests.  _transport tests each image as it is made
+and sorts it into the array its block keeps, so no image is scanned for
+repeats and no edge key is sorted unless the verifier's certificate
 fails.  The verifier images |G| * |base| keys, and off the common case
 one more per block edge and distinct generator (none for a block of all
 |E| edges, which every automorphism fixes).
@@ -140,8 +142,10 @@ class Subgraph:
     """An edge-induced subgraph of ``action.graph``, stored as its edge keys.
 
     ``keys`` is an ascending array('q') of keys on ``action`` (an
-    EdgeAction): the constructor sorts the keys it is given and rejects
-    an empty or repeated set, and range checks are build's and verify's.
+    EdgeAction).  An array('q') is taken as a checked, strictly ascending
+    key array and kept as is; any other input is sorted and rejected when
+    it repeats a key.  An empty set is rejected either way, and range
+    checks are build's and verify's.
     ``edges`` builds the edge objects when read.  ``walk`` records how a
     walk base or a split segment was traced; blocks carry none, and the
     walk of block g(base) is ``base.walk.image(g.table)``.
@@ -150,13 +154,15 @@ class Subgraph:
     __slots__ = ("action", "keys", "walk")
 
     def __init__(self, action: EdgeAction, keys, walk: Walk | None = None):
-        ordered = sorted(keys)
-        if not ordered:
+        if not isinstance(keys, array):
+            keys = sorted(keys)
+            for a, b in zip(keys, keys[1:]):
+                if a == b:
+                    raise ValueError(f"duplicate edge {action.edge(a)}")
+            keys = array("q", keys)
+        if not keys:
             raise ValueError("a subgraph needs at least one edge")
-        for a, b in zip(ordered, ordered[1:]):
-            if a == b:
-                raise ValueError(f"duplicate edge {action.edge(a)}")
-        self.action, self.keys, self.walk = action, array("q", ordered), walk
+        self.action, self.keys, self.walk = action, keys, walk
 
     @classmethod
     def of_edges(cls, graph, edges, walk: Walk | None = None) -> Subgraph:
@@ -277,15 +283,20 @@ def orbit_transversal_check(sub: Subgraph, orbits: list[EdgeOrbit]) -> Transvers
 def _premises(graph, group: FiniteGroup, base: Subgraph) -> tuple[EdgeAction, array]:
     """The edge action and the base's keys, checked once for build and verify.
 
-    PreconditionFailed names the first generator that is no automorphism
-    (a repeated one by its first copy) and the first edge it maps to a
-    non-edge; ValueError, a base off the graph or with a key of no edge.
+    PreconditionFailed names the first generator that is no bijection,
+    with the first vertex it misses, or no automorphism, with the first
+    edge it maps to a non-edge (a repeated generator by its first copy);
+    ValueError, a base off the graph or with a key of no edge.
     """
     action = EdgeAction(graph, group)
     for gen in dict.fromkeys(group.generators):
+        i, missed = group.generators.index(gen), set(range(action.size)).difference(gen.table)
+        if missed:
+            v = action.vertices[min(missed)]
+            reason = f"generator {i} is not a bijection: no vertex maps to {v}"
+            raise PreconditionFailed(reason, witness=(i, v))
         bad = automorphism_violation(graph, gen)
         if bad is not None:
-            i = group.generators.index(gen)
             reason = f"generator {i} is not an automorphism: image of {bad} is not an edge"
             raise PreconditionFailed(reason, witness=(i, bad))
     keys = _keys_on(graph, base)
@@ -293,11 +304,18 @@ def _premises(graph, group: FiniteGroup, base: Subgraph) -> tuple[EdgeAction, ar
     return action, keys
 
 
-def _partitioned(action: EdgeAction, keys, others) -> bool:
-    """Whether the base ``keys`` and ``others``, its images under the non-identity
-    elements, partition E: the module docstring's certificate."""
-    size = (1 + len(others)) * len(keys)
-    return size == action.graph.edge_count and all(map(set(keys).isdisjoint, others))
+def _transport(action: EdgeAction, keys, make) -> tuple[list, bool]:
+    """``make`` of each element's image of the base ``keys``, an ascending array('q'), in
+    group order, and whether the images partition E: the module docstring's certificate,
+    tested on each non-identity image while it is a fresh list."""
+    out, partitioned = [], len(action.tables) * len(keys) == action.graph.edge_count
+    base = set(keys) if partitioned else None
+    for image in action.images(keys):
+        if out and partitioned:
+            partitioned = base.isdisjoint(image)
+        image.sort()
+        out.append(make(array("q", image)))
+    return out, partitioned
 
 
 def build_orbit_decomposition(graph, group: FiniteGroup, base: Subgraph) -> Decomposition:
@@ -313,8 +331,8 @@ def build_orbit_decomposition(graph, group: FiniteGroup, base: Subgraph) -> Deco
     blocks are |E| distinct keys, pairwise disjoint.
     """
     action, keys = _premises(graph, group, base)
-    blocks = [Subgraph(action, image) for image in action.images(keys)]
-    if not _partitioned(action, keys, [block.keys for block in blocks[1:]]):
+    blocks, partitioned = _transport(action, keys, lambda image: Subgraph(action, image))
+    if not partitioned:
         fixed = fixed_edge_witness(graph, group)
         if fixed is not None:
             raise PreconditionFailed(
@@ -448,11 +466,6 @@ def partition_witnesses(graph, blocks: Iterable[Subgraph]) -> PartitionCheck:
     return PartitionCheck(not duplicated and not missing, duplicated, missing)
 
 
-def _signature(keys) -> bytes:
-    """A compact, comparable form of an edge set given by its keys."""
-    return array("q", sorted(keys)).tobytes()
-
-
 def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> VerificationReport:
     """Recheck every structural claim of a decomposition from the vertex permutations.
 
@@ -471,12 +484,10 @@ def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> Verif
     block_keys = [_keys_on(graph, block) for block in dec.blocks]
     signatures = [keys.tobytes() for keys in block_keys]
     block_set = set(signatures)
-    images = [_signature(image) for image in action.images(base_keys)]
+    images, partitioned = _transport(action, base_keys, array.tobytes)
     certified = set(images)
-    if len(signatures) == len(certified) == group.order and block_set == certified:
-        others = [keys for keys, sig in zip(block_keys, signatures) if sig != images[0]]
-        if _partitioned(action, base_keys, others):
-            return VerificationReport({})
+    if partitioned and len(signatures) == group.order and block_set == certified:
+        return VerificationReport({})
 
     partition = partition_witnesses(graph, dec.blocks)
     witnesses: dict = {}
@@ -504,7 +515,7 @@ def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> Verif
         if len(keys) == graph.edge_count:  # |E| range-checked keys are E, which automorphisms fix
             continue
         for gen in generators:
-            if _signature(action.image_keys(gen.table, keys)) not in block_set:
+            if array("q", sorted(action.image_keys(gen.table, keys))).tobytes() not in block_set:
                 gdx = group.generators.index(gen)
                 witnesses["group_invariant"] = {"block_index": idx, "generator_index": gdx}
                 break

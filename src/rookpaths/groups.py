@@ -116,7 +116,8 @@ def automorphism_violation(graph, perm: Permutation):
     rows = [j // m for j in perm.table]
     cols = [j % m for j in perm.table]
     for line in _lines(graph):
-        if len({rows[i] for i in line}) > 1 and len({cols[i] for i in line}) > 1:
+        at = slice(line.start, line.stop, line.step)
+        if len(set(rows[at])) > 1 and len(set(cols[at])) > 1:
             i, j = next(
                 (i, j) for i, j in combinations(line, 2) if rows[i] != rows[j] and cols[i] != cols[j]
             )

@@ -22,7 +22,7 @@ one_edge_per_orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, pairwise
+from itertools import pairwise
 from typing import Iterable, Sequence
 
 from .grid import DimensionError, GridGraph
@@ -174,23 +174,23 @@ def first_orbit_conflict(arr: Sequence[tuple[int, int]], n: int, m: int | None =
     if m is None:
         m = n
     steps = _normalize_steps(arr, n, m)
-    cols = list(accumulate((dc for _, dc in steps), lambda c, dc: (c + dc) % m, initial=0))
-    # Condition (a) holds for (i, j) iff (cols[j], step j) == (cols[i], step i),
-    # and (b) iff (cols[j+1], -step j) == (cols[i], step i).  Scanning i
-    # downwards with the least such j > i seen so far keeps the last pair
-    # found, which is the first in (i, j) order.
-    ell = len(steps)
-    same: dict = {}
-    reverse: dict = {}
+    # With c_i the column sum of steps 0 .. i-1 mod m, key a triple (c, dr, dc)
+    # as the integer (c * n + dr) * m + dc, injective since c < m, dr < n, dc < m.
+    # Then (a) holds for (i, j) iff key(c_j, step j) == key(c_i, step i), and (b)
+    # iff key(c_{j+1}, -step j) == key(c_i, step i).  Scanning i downwards, ``least``
+    # maps a key to the least j > i giving it either way, so the last pair found
+    # is the first in (i, j) order.
+    least: dict = {}
     found = None
-    for i in range(ell - 1, -1, -1):
+    col = sum(dc for _, dc in steps) % m  # c_{i+1}
+    for i in range(len(steps) - 1, -1, -1):
         dr, dc = steps[i]
-        here = (cols[i], dr, dc)
-        j = min(same.get(here, ell), reverse.get(here, ell))
-        if j < ell:
-            found = (i, j)
-        same[here] = i
-        reverse[(cols[i + 1], -dr % n, -dc % m)] = i
+        back = (col * n + -dr % n) * m + -dc % m
+        col = (col - dc) % m
+        here = (col * n + dr) * m + dc
+        if here in least:
+            found = (i, least[here])
+        least[here] = least[back] = i
     return found
 
 

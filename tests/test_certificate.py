@@ -1,14 +1,16 @@
 """The partition certificate of the base's images, against sorting all edge keys.
 
 Build and verify first check the premises: every distinct generator is
-an automorphism (else PreconditionFailed) and the base's keys are edges
-(else ValueError).  Under them ``decompose._partitioned`` certifies that
-the |G| images of the base partition E from |G| * |B| = |E| and a base
-disjoint from every non-identity image, which holds exactly when the
-images cover E once, so every outcome is the one the sort gives.
+a bijection and an automorphism (else PreconditionFailed) and the base's
+keys are edges (else ValueError).  Under them ``decompose._transport``
+certifies that the |G| images of the base partition E from
+|G| * |B| = |E| and a base disjoint from every non-identity image, which
+holds exactly when the images cover E once, so every outcome is the one
+the sort gives.
 """
 
 import random
+from array import array
 
 import pytest
 
@@ -17,7 +19,7 @@ from rookpaths.decompose import (
     PreconditionFailed,
     Subgraph,
     _covers_once,
-    _partitioned,
+    _transport,
     build_orbit_decomposition,
     diagonal_fixture_n4,
     k9_fixture,
@@ -25,7 +27,14 @@ from rookpaths.decompose import (
     verify_decomposition,
 )
 from rookpaths.grid import GridGraph
-from rookpaths.groups import EdgeAction, Permutation, edge_orbits, generate_group, row_shift
+from rookpaths.groups import (
+    EdgeAction,
+    Permutation,
+    automorphism_violation,
+    edge_orbits,
+    generate_group,
+    row_shift,
+)
 from rookpaths.staircase import build_staircase_path
 
 from oracles import brute_verify_decomposition, orbit_path_preconditions
@@ -35,7 +44,9 @@ def certificate(graph, group, base) -> tuple[bool, bool]:
     """(the certificate, whether the images cover every edge once by sorting)."""
     action = EdgeAction(graph, group)
     images = [Subgraph(action, action.image_keys(t, base.keys)).keys for t in action.tables]
-    return _partitioned(action, base.keys, images[1:]), _covers_once(action, images)
+    transported, partitioned = _transport(action, base.keys, lambda keys: keys)
+    assert transported == images
+    return partitioned, _covers_once(action, images)
 
 
 def outcome(check, graph, group, base):
@@ -221,3 +232,26 @@ def test_base_key_of_no_edge_raises_before_it_is_imaged(key, message):
         build_orbit_decomposition(graph, group, bad)
     with pytest.raises(ValueError, match=f"^{message}$"):
         verify_decomposition(graph, group, Decomposition(blocks, group, bad))
+
+
+def test_non_bijective_generator_fails_build_and_verify():
+    # the all-zero table on K_3 box K_3 passes automorphism_violation, as every line's images share
+    # row 0 and column 0, and closes to order 2: with the nine row edges as base, 2 * 9 = |E| and
+    # the base misses its one image key 0, which is no edge, so only the bijection check stops it
+    graph = GridGraph(3, 3)
+    action = EdgeAction(graph)
+    zero = Permutation(graph, (0,) * 9)
+    assert automorphism_violation(graph, zero) is None
+    rows = Subgraph(action, [k for k in action.all_keys() if k // 27 == k % 9 // 3])
+    alone = generate_group([zero])
+    assert alone.order * rows.edge_count == graph.edge_count
+    assert 0 not in rows.keys and set(action.image_keys(zero.table, rows.keys)) == {0}
+    # as blocks, the base and that image as build would make it; after the row shift, two copies
+    # of the table, the first copy is named
+    image = Subgraph(action, array("q", [0] * 9))
+    for i, group in ((0, alone), (1, generate_group([row_shift(3, 3), zero, zero]))):
+        expected = (f"generator {i} is not a bijection: no vertex maps to (0,1)", (i, "(0,1)"))
+        dec = Decomposition((rows, image), group, rows)
+        for check, arg in ((build_orbit_decomposition, rows), (verify_decomposition, dec)):
+            reason, (index, vertex) = raised(check, graph, group, arg)
+            assert (reason, (index, str(vertex))) == expected

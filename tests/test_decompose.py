@@ -83,6 +83,19 @@ def test_subgraph_validation():
     assert len(sub.adjacency()[2]) == 2
 
 
+def test_subgraph_keeps_an_array_and_sorts_anything_else():
+    action = EdgeAction(CompleteGraph(4))
+    keys = array("q", [1, 2, 7])
+    assert Subgraph(action, keys).keys is keys
+    assert Subgraph(action, [7, 1, 2]).keys == keys
+    assert Subgraph(action, (k for k in (7, 2, 1))).keys == keys
+    with pytest.raises(ValueError, match="^duplicate edge 1-3$"):
+        Subgraph(action, [7, 2, 1, 2])
+    for empty in ([], (), array("q")):
+        with pytest.raises(ValueError, match="^a subgraph needs at least one edge$"):
+            Subgraph(action, empty)
+
+
 def test_is_odd_prime():
     assert [n for n in range(30) if is_odd_prime(n)] == [3, 5, 7, 11, 13, 17, 19, 23, 29]
 

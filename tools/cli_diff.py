@@ -9,7 +9,8 @@ per command that differs, naming what differs, then a count, and exits 1
 when any command differs.  The corpus:
 
   - every command in perfbench/digests.json (read, never written);
-  - generate for the odd primes up to 13, in all three formats;
+  - generate for the odd primes up to 23, every width the digests
+    claim, in all three formats;
   - split --n 5, 7 and 13 with several --b, in all three formats (at
     n=13, --b 1 gives 2,028 one-edge segments and --b 5 exits 1);
   - orbits --edges under both groups;
@@ -243,7 +244,7 @@ def variants(name: str) -> list[str]:
 def corpus() -> list[tuple[str, ...]]:
     """Every command once, as argument tuples, in a fixed order."""
     commands = [tuple(c.split()) for c in json.loads(DIGESTS.read_text("utf-8"))["commands"]]
-    for n in (3, 5, 7, 11, 13):
+    for n in (3, 5, 7, 11, 13, 17, 19, 23):
         commands += [("generate", "--n", str(n), "--format", fmt) for fmt in FORMATS]
     for n, sizes in SPLITS.items():
         for b in sizes:
