@@ -27,15 +27,14 @@ hg(H) and g(H) distinct blocks sharing it); any other input gets each
 flag checked on its own, with a concrete witness for each failure.
 Builder and verifier check the premises once, where they start: every
 distinct generator is a bijection and an automorphism, and H's keys are
-edges.  Then the images partition E exactly when |G| * |H| = |E| and H
-misses every non-identity image: the images are edges, none repeats a
-key, pairwise disjoint as g(H) & h(H) = g(H & g^-1 h(H)), and images that
-cover E once pass both tests.  _transport tests each image as it is made
-and sorts it into the array its block keeps, so no image is scanned for
-repeats and no edge key is sorted unless the verifier's certificate
-fails.  The verifier images |G| * |base| keys, and off the common case
-one more per block edge and distinct generator (none for a block of all
-|E| edges, which every automorphism fixes).
+edges.  Then the images partition E exactly when H repeats no key,
+|G| * |H| = |E| and H misses every non-identity image (the images are
+then distinct edges, pairwise disjoint as g(H) & h(H) = g(H & g^-1 h(H)),
+and a cover of E passes all three).  _transport tests each image as it
+is made and sorts it into its block's array, unscanned; no other key is
+sorted unless the verifier's certificate fails.  The verifier images
+|G| * |base| keys, and off the common case one more per block edge and
+distinct generator (none for a block of all |E| edges).
 """
 
 from __future__ import annotations
@@ -142,10 +141,9 @@ class Subgraph:
     """An edge-induced subgraph of ``action.graph``, stored as its edge keys.
 
     ``keys`` is an ascending array('q') of keys on ``action`` (an
-    EdgeAction).  An array('q') is taken as a checked, strictly ascending
-    key array and kept as is; any other input is sorted and rejected when
-    it repeats a key.  An empty set is rejected either way, and range
-    checks are build's and verify's.
+    EdgeAction): the constructor sorts any keys and rejects an empty or
+    repeated set (_ascending keeps an array its caller proved strictly
+    ascending), and range checks are build's and verify's.
     ``edges`` builds the edge objects when read.  ``walk`` records how a
     walk base or a split segment was traced; blocks carry none, and the
     walk of block g(base) is ``base.walk.image(g.table)``.
@@ -154,15 +152,20 @@ class Subgraph:
     __slots__ = ("action", "keys", "walk")
 
     def __init__(self, action: EdgeAction, keys, walk: Walk | None = None):
-        if not isinstance(keys, array):
-            keys = sorted(keys)
-            for a, b in zip(keys, keys[1:]):
-                if a == b:
-                    raise ValueError(f"duplicate edge {action.edge(a)}")
-            keys = array("q", keys)
-        if not keys:
+        ordered = sorted(keys)
+        if not ordered:
             raise ValueError("a subgraph needs at least one edge")
-        self.action, self.keys, self.walk = action, keys, walk
+        for a, b in zip(ordered, ordered[1:]):
+            if a == b:
+                raise ValueError(f"duplicate edge {action.edge(a)}")
+        self.action, self.keys, self.walk = action, array("q", ordered), walk
+
+    @classmethod
+    def _ascending(cls, action: EdgeAction, keys: array) -> Subgraph:
+        """The subgraph on ``keys``, a non-empty array('q') its caller proved strictly ascending."""
+        sub = object.__new__(cls)
+        sub.action, sub.keys, sub.walk = action, keys, None
+        return sub
 
     @classmethod
     def of_edges(cls, graph, edges, walk: Walk | None = None) -> Subgraph:
@@ -308,8 +311,8 @@ def _transport(action: EdgeAction, keys, make) -> tuple[list, bool]:
     """``make`` of each element's image of the base ``keys``, an ascending array('q'), in
     group order, and whether the images partition E: the module docstring's certificate,
     tested on each non-identity image while it is a fresh list."""
-    out, partitioned = [], len(action.tables) * len(keys) == action.graph.edge_count
-    base = set(keys) if partitioned else None
+    out, base, size = [], set(keys), len(keys)
+    partitioned = len(base) == size and len(action.tables) * size == action.graph.edge_count
     for image in action.images(keys):
         if out and partitioned:
             partitioned = base.isdisjoint(image)
@@ -331,7 +334,7 @@ def build_orbit_decomposition(graph, group: FiniteGroup, base: Subgraph) -> Deco
     blocks are |E| distinct keys, pairwise disjoint.
     """
     action, keys = _premises(graph, group, base)
-    blocks, partitioned = _transport(action, keys, lambda image: Subgraph(action, image))
+    blocks, partitioned = _transport(action, keys, lambda image: Subgraph._ascending(action, image))
     if not partitioned:
         fixed = fixed_edge_witness(graph, group)
         if fixed is not None:

@@ -182,11 +182,10 @@ def _with_halves(subs, grid_form: str, open_: str, sep: str, close: str) -> Iter
 def dumps_with_edges(fields: dict, name: str) -> str:
     """dumps(fields), member ``name`` (subgraphs) written from the keys, large texts copied once."""
     lists = []
-    for sub, heads, tails in _with_halves(fields[name], "[%d,%d]", "[", ",", "],"):
+    for sub, heads, tails in _with_halves(fields[name], "[%d,%d]", "[", ",", "]"):
         size = sub.action.size
-        edges = [heads[k // size] + tails[k % size] for k in sub.keys]
-        edges[-1] = edges[-1][:-1]  # each edge ends in a comma but the last
-        lists.append(f'{{"edges":[{"".join(edges)}]}}')
+        edges = ",".join([heads[k // size] + tails[k % size] for k in sub.keys])
+        lists.append(f'{{"edges":[{edges}]}}')
     edge_lists = "[%s]" % ",".join(lists)
     members = (
         f'"{key}":{edge_lists if key == name else dumps(value)}' for key, value in fields.items()

@@ -3,10 +3,10 @@
 Build and verify first check the premises: every distinct generator is
 a bijection and an automorphism (else PreconditionFailed) and the base's
 keys are edges (else ValueError).  Under them ``decompose._transport``
-certifies that the |G| images of the base partition E from
-|G| * |B| = |E| and a base disjoint from every non-identity image, which
-holds exactly when the images cover E once, so every outcome is the one
-the sort gives.
+certifies that the |G| images of the base partition E from a base that
+repeats no key, |G| * |B| = |E| and a base disjoint from every
+non-identity image, which holds exactly when the images cover E once,
+so every outcome is the one the sort gives.
 """
 
 import random
@@ -248,10 +248,35 @@ def test_non_bijective_generator_fails_build_and_verify():
     assert 0 not in rows.keys and set(action.image_keys(zero.table, rows.keys)) == {0}
     # as blocks, the base and that image as build would make it; after the row shift, two copies
     # of the table, the first copy is named
-    image = Subgraph(action, array("q", [0] * 9))
+    image = Subgraph._ascending(action, array("q", [0] * 9))
     for i, group in ((0, alone), (1, generate_group([row_shift(3, 3), zero, zero]))):
         expected = (f"generator {i} is not a bijection: no vertex maps to (0,1)", (i, "(0,1)"))
         dec = Decomposition((rows, image), group, rows)
         for check, arg in ((build_orbit_decomposition, rows), (verify_decomposition, dec)):
             reason, (index, vertex) = raised(check, graph, group, arg)
             assert (reason, (index, str(vertex))) == expected
+
+
+def test_base_repeating_a_key_fails_build_and_verify():
+    # K_3 box K_3 under the row shift: 3 * 6 = |E| for a base repeating an edge of each of three
+    # orbits, yet its images cover 9 of the 18 edges.  The constructor rejects the array; a base
+    # whose keys were changed after it was made must fail the certificate, not pass it.
+    graph, group, _ = staircase_base(3)
+    action = EdgeAction(graph, group)
+    a, b, c = sorted(orbit.keys[0] for orbit in edge_orbits(graph, group)[:3])
+    doubled = array("q", [a, a, b, b, c, c])
+    with pytest.raises(ValueError, match="^duplicate edge "):
+        Subgraph(action, doubled)
+    base = Subgraph(action, [a, b, c])
+    base.keys[:] = doubled
+    assert group.order * base.edge_count == graph.edge_count
+    assert _transport(action, base.keys, len) == ([6, 6, 6], False)
+    expected = outcome(orbit_path_preconditions, graph, group, base)
+    assert expected is not None
+    assert outcome(build_orbit_decomposition, graph, group, base) == expected
+    # the images as blocks, each repeating its keys as build would have made them
+    images = (array("q", sorted(action.image_keys(t, doubled))) for t in action.tables)
+    dec = Decomposition(tuple(Subgraph._ascending(action, keys) for keys in images), group, base)
+    report = verify_decomposition(graph, group, dec)
+    assert "is_partition" in report.failed()
+    assert report.witnesses == brute_verify_decomposition(graph, group, dec).witnesses

@@ -83,14 +83,18 @@ def test_subgraph_validation():
     assert len(sub.adjacency()[2]) == 2
 
 
-def test_subgraph_keeps_an_array_and_sorts_anything_else():
+def test_subgraph_sorts_and_scans_every_input():
+    # arrays too, of any typecode and order: only _ascending keeps an array unchecked
     action = EdgeAction(CompleteGraph(4))
     keys = array("q", [1, 2, 7])
-    assert Subgraph(action, keys).keys is keys
-    assert Subgraph(action, [7, 1, 2]).keys == keys
-    assert Subgraph(action, (k for k in (7, 2, 1))).keys == keys
-    with pytest.raises(ValueError, match="^duplicate edge 1-3$"):
-        Subgraph(action, [7, 2, 1, 2])
+    for given in ([7, 1, 2], (k for k in (7, 2, 1)), array("q", [7, 1, 2]), array("l", [2, 7, 1])):
+        made = Subgraph(action, given).keys
+        assert (made, made.typecode) == (keys, "q")
+    assert Subgraph(action, keys).keys is not keys
+    assert Subgraph._ascending(action, keys).keys is keys
+    for repeated in ([7, 2, 1, 2], array("q", [1, 2, 2, 7]), array("q", [7, 2, 7])):
+        with pytest.raises(ValueError, match="^duplicate edge (1-3|2-4)$"):
+            Subgraph(action, repeated)
     for empty in ([], (), array("q")):
         with pytest.raises(ValueError, match="^a subgraph needs at least one edge$"):
             Subgraph(action, empty)
