@@ -250,7 +250,8 @@ def cmd_split(args) -> int:
 FORMAT = ("--format", {"choices": ["json", "dot", "edges"], "default": "json"})
 FORCE = ("--force", {"action": "store_true", "help": "run odd non-prime widths through the checks"})
 N = ("--n", {"type": int, "required": True})
-# name: (handler, help line, arguments in the order help lists them)
+# name: (handler, help line, arguments in the order help lists them); the one positional,
+# examples' "name", is the only argument not written "--"
 SUBCOMMANDS = {
     "generate": (cmd_generate, "build and verify a staircase decomposition", [
         ("--n", {"type": int, "required": True, "help": "grid width; odd prime unless --force"}),
@@ -268,48 +269,78 @@ SUBCOMMANDS = {
 }
 
 
-def _with_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """``parser`` with subcommand ``name``'s arguments and handler added."""
-    func, _, arguments = SUBCOMMANDS[name]
-    for flag, options in arguments:
-        parser.add_argument(flag, **options)
-    parser.set_defaults(func=func)
-    return parser
-
-
 def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser with every subcommand's; parse_command needs it only off its fast path."""
+    """The top-level parser with every subcommand's; parse_command builds it only off the plain form."""
     parser = argparse.ArgumentParser(
         prog="rookpaths",
         description="Group-transitive path decompositions of K_n box K_m, verified.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_line, _) in SUBCOMMANDS.items():
-        _with_arguments(sub.add_parser(name, help=help_line), name)
+    for name, (func, help_line, arguments) in SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, help=help_line)
+        for flag, options in arguments:
+            subparser.add_argument(flag, **options)
+        subparser.set_defaults(func=func)
     return parser
 
 
-def parse_command(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, with only the named subcommand's parser when it can.
+def _read_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace the full parser gives a plain ``argv``, read from SUBCOMMANDS; else None.
 
-    The top-level parser's one option is -h, and its subparsers action
-    passes everything after the subcommand name, whole, to that
-    subcommand's parse_known_args, so that parser alone, with the prog
-    add_parser gives it, prints the same help and errors.  Other argv,
-    and argv it leaves arguments over from, go through the full parser.
+    Plain: a subcommand's name, then its options, each written whole and
+    at most once, a store_true option alone and any other followed by a
+    value that does not start with "-", and examples' name anywhere.  A
+    value goes through the option's type and choices as argparse sends
+    it; any failure, a missing required option or a leftover token
+    gives None.
     """
-    name = argv[0] if argv else None
-    if name in SUBCOMMANDS:
-        parser = _with_arguments(argparse.ArgumentParser(prog=f"rookpaths {name}"), name)
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            args.command = name
-            return args
-    return build_parser().parse_args(argv)
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    func, _, arguments = SUBCOMMANDS[argv[0]]
+    table = dict(arguments)
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag = token if token.startswith("-") else "name"
+        options = table.get(flag)
+        if options is None or flag in given:
+            return None
+        if options.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = token if flag == "name" else next(tokens, "-")  # no value fails as "-" does
+        if value.startswith("-"):
+            return None
+        try:
+            given[flag] = options.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in options and given[flag] not in options["choices"]:
+            return None
+    values = {"command": argv[0]}
+    for flag, options in arguments:
+        if flag not in given and options.get("required", flag == "name"):
+            return None
+        default = False if options.get("action") == "store_true" else None
+        values[flag.lstrip("-")] = given.get(flag, options.get("default", default))
+    return argparse.Namespace(**values, func=func)
+
+
+def parse_command(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``; a plain argv is read from the table with no parser.
+
+    The full parser hands everything after the subcommand name to that
+    subcommand's parser, so for a plain argv (``_read_plain``) the table
+    alone gives its namespace.  Help, usage errors and every other argv
+    build the full parser, so their text and exit codes are argparse's.
+    """
+    args = _read_plain(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:
-    """Parse ``argv`` and run its command; the exit code.  No parser outlives the call."""
+    """Parse ``argv`` and run its command; the exit code.  A plain argv builds no parser, and
+    no parser outlives the call."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parse_command(argv)

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rookpaths
-from rookpaths import decompose, serialize
-from rookpaths.cli import build_parser, main, parse_command
+from rookpaths import cli, decompose, serialize
+from rookpaths.cli import SUBCOMMANDS, build_parser, main, parse_command
 from rookpaths.decompose import VerificationReport
 from rookpaths.grid import GridGraph
 from rookpaths.serialize import MAX_EDGES
@@ -691,3 +691,68 @@ TOKENS = [
 @given(head=st.sampled_from(HEADS), tail=st.lists(st.sampled_from(TOKENS), max_size=7))
 def test_parse_command_parses_drawn_argv_as_the_full_parser(head, tail):
     assert_parses_as_the_full_parser([head, *tail])
+
+
+# values for a subcommand's own options: ints that int() reads, for an option of type int;
+# every choice and one non-choice, for an option with choices; a path, for --input; and for
+# any of them tokens that no option reads or that start with "-", and a subcommand name
+INTS = ["5", "7", " 5", "+5", "5_0", "١٢", "07"]
+ANY_VALUE = ["", "-3", "x", "1.5", "x.json", "generate"]
+
+
+def values(options: dict):
+    if "choices" in options:
+        own = [*options["choices"], "other"]
+    else:
+        own = INTS if "type" in options else ["x.json"]
+    return st.sampled_from(own) | st.sampled_from(own + ANY_VALUE)
+
+
+@st.composite
+def own_option_argv(draw):
+    """A subcommand, some of its own option strings in any order, repeats included, each
+    followed by a drawn value (a store_true one about a quarter of the time), and examples'
+    name drawn at any position."""
+    name = draw(st.sampled_from(COMMANDS))
+    _, _, arguments = SUBCOMMANDS[name]
+    options = [a for a in arguments if a[0].startswith("-")]
+    chosen = draw(st.permutations(options))[:draw(st.integers(0, len(options)))]
+    argv = []
+    repeats = int(draw(st.integers(0, 3)) == 3)  # about a quarter repeat the first option
+    for flag, opts in chosen + chosen[:repeats]:
+        argv.append(flag)
+        if opts.get("action") != "store_true" or draw(st.integers(0, 3)) == 3:
+            argv.append(draw(values(opts)))
+    for flag, opts in arguments:
+        if not flag.startswith("-"):
+            argv.insert(draw(st.integers(0, len(argv))), draw(values(opts)))
+    return [name, *argv]
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(argv=own_option_argv())
+def test_parse_command_parses_own_option_argv_as_the_full_parser(argv):
+    assert_parses_as_the_full_parser(argv)
+
+
+def no_parser():
+    raise AssertionError("build_parser called")
+
+
+def test_plain_argv_are_read_without_a_parser(tmp_path, monkeypatch):
+    """Every argv the benchmark runs is read from the table; the full parser gives the same namespace."""
+    commands = json.loads(DIGESTS.read_text(encoding="utf-8"))["commands"]
+    argvs = [command.split() for command in commands] + [["verify", "--input", str(tmp_path / "x.json")]]
+    expected = [vars(build_parser().parse_args(argv)) for argv in argvs]
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    assert [vars(parse_command(argv)) for argv in argvs] == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--n", "5", "-h"], ["generate", "--n=5"], ["gen", "--n", "5"],
+    ["generate", "--n", "5", "--n", "7"],
+], ids=" ".join)
+def test_other_argv_go_to_the_full_parser(argv, monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    with pytest.raises(AssertionError, match="build_parser called"):
+        parse_command(argv)

@@ -32,7 +32,7 @@ def test_stage_times_smoke(tmp_path):
     assert (split["n"], split["exit_code"], len(split["output_sha256"])) == (5, 0, 64)
     assert split["split_s"] > 0 and split["split_rss_mb"] > 0
     first = {row["argv"]: row for row in tree["first_call"]}
-    assert first["generate --n 5"]["exit_code"] == 0 and len(first) == 6
+    assert first["generate --n 5"]["exit_code"] == 0 and len(first) == 7
     assert all(row["first_ms"] > 0 and row["again_ms"] > 0 for row in first.values())
     (hostile,) = tree["hostile"]
     assert (hostile["name"], hostile["exit_code"]) == ("k400-repeated-generator", 2)

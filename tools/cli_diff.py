@@ -16,10 +16,14 @@ when any command differs.  The corpus:
   - orbits --edges under both groups;
   - help and usage errors (USAGE): no arguments, --help before and
     after each subcommand, unknown or abbreviated subcommands, "--",
-    missing, extra and malformed arguments, and the edges of parsing
-    with the subcommand's parser alone: help or "--" after a
+    missing, extra and malformed arguments, and argv just past the
+    plain form that is read without a parser: help or "--" after a
     subcommand, abbreviated, repeated or --opt=value options, a negative
     width and a stray positional;
+  - plain argv at the edges of reading them from the subcommand table
+    (PLAIN): widths written " 5", "+5" and "07", options in another
+    order than help lists them, examples' name after its option, and
+    verify of an empty path;
   - verify of files written from the first tree's output of generate
     --n 5 and 7 and examples k9 and diag4: the valid file, one with an
     edge moved to another block and one with an edge dropped; for
@@ -82,6 +86,11 @@ USAGE = [
     ("generate", "--fo", "dot", "--n", "3"), ("generate", "--n", "3", "--n", "5"),
     ("orbits", "--n", "-3"), ("verify", "--input="), ("split", "--n", "5", "--b"),
     ("examples", "k9", "fig3"),
+]
+PLAIN = [
+    ("generate", "--n", " 5"), ("generate", "--n", "+5"), ("generate", "--n", "07"),
+    ("examples", "--format", "dot", "k9"), ("orbits", "--edges", "--m", "4", "--n", "3"),
+    ("split", "--force", "--n", "7", "--b", "3"), ("verify", "--input", ""),
 ]
 FLAGS = ("is_partition", "blocks_isomorphic_to_base", "group_invariant",
          "group_transitive", "stabilizer_trivial", "semiregular")
@@ -252,7 +261,7 @@ def corpus() -> list[tuple[str, ...]]:
             commands += [("split", "--n", str(n), *size, "--format", fmt) for fmt in FORMATS]
     for group in ("row_shift", "diagonal_shift"):
         commands += [("orbits", "--n", str(n), "--group", group, "--edges") for n in (2, 3, 4, 5)]
-    commands += USAGE
+    commands += USAGE + PLAIN
     for name in VERIFY_SOURCES:
         commands += [("verify", "--input", f"{name}-{kind}.json") for kind in variants(name)]
     commands += [("verify", "--input", f"{name}.json") for name in [*SEARCH, *TINY]]

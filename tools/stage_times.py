@@ -76,6 +76,7 @@ SMALL_COMMANDS = (
     ("orbits", "--n", "7"),
     ("split", "--n", "7", "--format", "edges"),
     ("examples", "k9"),
+    ("generate", "--n", "x"),
 )
 AGAIN_CALLS = 20
 
