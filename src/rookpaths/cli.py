@@ -216,8 +216,8 @@ def cmd_split(args) -> int:
     b = args.b if args.b is not None else args.n - 1
     try:
         segments = []
-        for g in dec.group.elements:
-            segments.extend(haggkvist_split(dec.base.walk.image(g.table), b))
+        for t in dec.group.tables:
+            segments.extend(haggkvist_split(dec.base.walk.image(t), b))
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

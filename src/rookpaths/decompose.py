@@ -19,8 +19,8 @@ Edge objects enter only through Subgraph.of_edges, and every check that
 is given a graph reads the keys of subgraphs of that graph and raises
 ValueError for a subgraph of another.  Edge and vertex objects are built
 only for witnesses and the public Subgraph.edges and Subgraph.adjacency.
-The verifier trusts nothing: it rebuilds the action from the vertex
-permutations and range-checks every key.  Blocks that partition E and
+The verifier trusts nothing: it images through the group's vertex
+tables and range-checks every key.  Blocks that partition E and
 are exactly the |G| distinct images of the base pass all six flags by
 the same bijection (a non-identity h fixing an edge of g(H) would make
 hg(H) and g(H) distinct blocks sharing it); any other input gets each
@@ -42,6 +42,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from math import comb, isqrt
 from typing import Iterable, Iterator, NamedTuple
@@ -146,7 +147,7 @@ class Subgraph:
     ascending), and range checks are build's and verify's.
     ``edges`` builds the edge objects when read.  ``walk`` records how a
     walk base or a split segment was traced; blocks carry none, and the
-    walk of block g(base) is ``base.walk.image(g.table)``.
+    walk of the block of an element's table t is ``base.walk.image(t)``.
     """
 
     __slots__ = ("action", "keys", "walk")
@@ -283,15 +284,15 @@ def orbit_transversal_check(sub: Subgraph, orbits: list[EdgeOrbit]) -> Transvers
     return TransversalCheck(None not in hits and set(counts) == {1}, counts)
 
 
-def _premises(graph, group: FiniteGroup, base: Subgraph) -> tuple[EdgeAction, array]:
-    """The edge action and the base's keys, checked once for build and verify.
+def _premises(graph, group: FiniteGroup, base: Subgraph) -> tuple[EdgeAction, tuple, array]:
+    """The edge action, the group's tables and the base's keys, checked once for build and verify.
 
     PreconditionFailed names the first generator that is no bijection,
     with the first vertex it misses, or no automorphism, with the first
     edge it maps to a non-edge (a repeated generator by its first copy);
     ValueError, a base off the graph or with a key of no edge.
     """
-    action = EdgeAction(graph, group)
+    action, tables = EdgeAction(graph), group.tables_on(graph)
     for gen in dict.fromkeys(group.generators):
         i, missed = group.generators.index(gen), set(range(action.size)).difference(gen.table)
         if missed:
@@ -304,16 +305,16 @@ def _premises(graph, group: FiniteGroup, base: Subgraph) -> tuple[EdgeAction, ar
             raise PreconditionFailed(reason, witness=(i, bad))
     keys = _keys_on(graph, base)
     action.check_keys(keys)
-    return action, keys
+    return action, tables, keys
 
 
-def _transport(action: EdgeAction, keys, make) -> tuple[list, bool]:
-    """``make`` of each element's image of the base ``keys``, an ascending array('q'), in
-    group order, and whether the images partition E: the module docstring's certificate,
+def _transport(action: EdgeAction, tables, keys, make) -> tuple[list, bool]:
+    """``make`` of the base ``keys``' image under each of ``tables``, an ascending array('q'),
+    in order, and whether the images partition E: the module docstring's certificate,
     tested on each non-identity image while it is a fresh list."""
     out, base, size = [], set(keys), len(keys)
-    partitioned = len(base) == size and len(action.tables) * size == action.graph.edge_count
-    for image in action.images(keys):
+    partitioned = len(base) == size and len(tables) * size == action.graph.edge_count
+    for image in action.images(tables, keys):
         if out and partitioned:
             partitioned = base.isdisjoint(image)
         image.sort()
@@ -333,8 +334,8 @@ def build_orbit_decomposition(graph, group: FiniteGroup, base: Subgraph) -> Deco
     the one check that computes edge_orbits.  Past those checks the |G|
     blocks are |E| distinct keys, pairwise disjoint.
     """
-    action, keys = _premises(graph, group, base)
-    blocks, partitioned = _transport(action, keys, lambda image: Subgraph._ascending(action, image))
+    action, tables, keys = _premises(graph, group, base)
+    blocks, partitioned = _transport(action, tables, keys, partial(Subgraph._ascending, action))
     if not partitioned:
         fixed = fixed_edge_witness(graph, group)
         if fixed is not None:
@@ -474,8 +475,8 @@ def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> Verif
 
     The premises are checked first, with build_orbit_decomposition's
     exceptions.  Nothing about ``dec`` is trusted: every key a block carries is range-checked
-    (the base's ValueError), and the flags are recomputed on an edge
-    action built here from ``group``.  Blocks that are exactly the |G|
+    (the base's ValueError), and the flags are recomputed from the
+    vertex tables of ``group``.  Blocks that are exactly the |G|
     distinct images of the base, with those images certified to partition
     the edges (see the module docstring), pass all six.  Otherwise
     partition_witnesses sorts the keys and each flag is checked on its
@@ -483,11 +484,11 @@ def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> Verif
     that element, only other blocks go through subgraphs_isomorphic, and
     every failed flag carries a concrete witness.
     """
-    action, base_keys = _premises(graph, group, dec.base)
+    action, tables, base_keys = _premises(graph, group, dec.base)
     block_keys = [_keys_on(graph, block) for block in dec.blocks]
     signatures = [keys.tobytes() for keys in block_keys]
     block_set = set(signatures)
-    images, partitioned = _transport(action, base_keys, array.tobytes)
+    images, partitioned = _transport(action, tables, base_keys, array.tobytes)
     certified = set(images)
     if partitioned and len(signatures) == group.order and block_set == certified:
         return VerificationReport({})

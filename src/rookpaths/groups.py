@@ -2,23 +2,24 @@
 
 A permutation is a graph and a table of vertex indices on it (vertex i
 is graph.vertices()[i]), and permutation_from_cycles is the one entry
-point that reads vertex objects.  gather composes a table with an index
-sequence in one C-level itemgetter call, for the closure, edge_orbits
-and Walk.image.  EdgeAction carries the action to integer edge keys
-(vertex i is row * m + col on a grid, label - 1 on K_n; edge i < j is
-i * |V| + j), the one form every decompose.Subgraph is stored in
-(walk_keys keys a Walk's index path, keys() the edges of
-Subgraph.of_edges); edge objects are built back only for witnesses,
-orbit listings and Subgraph.edges.  EdgeAction.images transports the
-base through every element, splitting its keys into their ends once;
-image_keys transports through one table, which is faster where that
-split would serve one table only (the invariance loop).  |E| distinct
-images of a base certify semiregularity and the transversal at once
-(see decompose).  The other checks read the vertex tables directly:
-both ends of an edge lie on one grid line (one line of all vertices on
-K_n), so automorphism_violation and fixed_edge_witness walk the lines,
-and an element fixes an edge setwise exactly when it fixes both ends or
-swaps them.  Only edge_orbits images whole orbits.
+point that reads vertex objects.  A FiniteGroup holds one vertex table
+per element, and builds a Permutation from one only for a witness.
+gather composes a table with an index sequence in one C-level itemgetter
+call, for the closure, edge_orbits and Walk.image.  EdgeAction is a
+graph's integer edge keys (vertex i is row * m + col on a grid,
+label - 1 on K_n; edge i < j is i * |V| + j), the one form every
+decompose.Subgraph is stored in (walk_keys keys a Walk's index path,
+keys() the edges of Subgraph.of_edges); edge objects are built back only
+for witnesses, orbit listings and Subgraph.edges.  EdgeAction.images
+transports the base through a group's tables, splitting its keys into
+their ends once; image_keys transports through one table, which is
+faster where that split would serve one table only (the invariance
+loop).  |E| distinct images of a base certify semiregularity and the
+transversal at once (see decompose).  The other checks read the vertex
+tables directly: both ends of an edge lie on one grid line (one line of
+all vertices on K_n), so automorphism_violation and fixed_edge_witness
+walk the lines, and an element fixes an edge setwise exactly when it
+fixes both ends or swaps them.  Only edge_orbits images whole orbits.
 """
 
 from __future__ import annotations
@@ -148,29 +149,32 @@ def permutation_from_cycles(graph, cycles: Iterable[tuple]) -> Permutation:
 
 
 class FiniteGroup:
-    """All elements of a generated permutation group.
+    """A generated permutation group on ``graph``, held as its elements' vertex tables.
 
-    ``elements`` lists the identity first and then follows breadth-first
+    ``tables`` lists the identity first and then follows breadth-first
     discovery order over the generators, so iteration order is
     deterministic for a fixed generator sequence.
     """
 
-    __slots__ = ("generators", "elements")
+    __slots__ = ("generators", "graph", "tables")
 
-    def __init__(self, generators: tuple[Permutation, ...], elements: tuple[Permutation, ...]):
-        self.generators = tuple(generators)
-        self.elements = tuple(elements)
+    def __init__(self, generators: tuple[Permutation, ...], tables: tuple[tuple, ...]):
+        self.generators, self.tables = tuple(generators), tuple(tables)
+        self.graph = self.generators[0].graph
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.tables)
 
-    @property
-    def identity(self) -> Permutation:
-        return self.elements[0]
+    def tables_on(self, graph) -> tuple[tuple, ...]:
+        """``tables``; ValueError unless the group acts on the vertices of ``graph``."""
+        if self.graph != graph:
+            raise ValueError(f"the group does not act on the vertices of {graph}")
+        return self.tables
 
     def non_identity(self) -> tuple[Permutation, ...]:
-        return self.elements[1:]
+        """The non-identity elements in group order, built as Permutations when called."""
+        return tuple([Permutation(self.graph, t) for t in self.tables[1:]])
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
@@ -184,10 +188,12 @@ class FiniteGroup:
 def generate_group(generators: Iterable[Permutation], cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
     """Close a generator list under composition.
 
-    Raises GroupTooLarge as soon as the closure would exceed ``cap``
-    elements, so runaway generators fail fast instead of exhausting
-    memory.  A generator equal to an earlier one adds no element and is
-    not applied again; the group keeps every generator as given.
+    ValueError for a generator whose table does not hold one entry per
+    vertex.  Raises GroupTooLarge as soon as the closure would exceed
+    ``cap`` elements, so runaway generators fail fast instead of
+    exhausting memory.  A generator equal to an earlier one adds no
+    element and is not applied again; the group keeps every generator as
+    given.
     """
     gens = tuple(generators)
     if not gens:
@@ -195,8 +201,11 @@ def generate_group(generators: Iterable[Permutation], cap: int = DEFAULT_GROUP_C
     graph = gens[0].graph
     if any(g.graph != graph for g in gens):
         raise ValueError("generators act on different vertex sets")
+    ident = tuple(range(graph.vertex_count))
+    for i, g in enumerate(gens):
+        if len(g.table) != len(ident):
+            raise ValueError(f"generator {i} has {len(g.table)} entries, not one per vertex of {graph}")
     tables = [g.table for g in dict.fromkeys(gens)]
-    ident = tuple(range(len(gens[0].table)))
     found = [ident]
     seen = {ident}
     queue = deque([ident])
@@ -211,31 +220,26 @@ def generate_group(generators: Iterable[Permutation], cap: int = DEFAULT_GROUP_C
             seen.add(nxt)
             found.append(nxt)
             queue.append(nxt)
-    return FiniteGroup(gens, tuple([Permutation(graph, t) for t in found]))
+    return FiniteGroup(gens, found)
 
 
 class EdgeAction:
-    """A group's action on the edges of a graph, on integer edge keys.
+    """A graph's edges as integer keys, for any group's action on them.
 
     Vertex i is ``vertices[i]``, the graph's own vertex tuple (row * m +
     col on a grid, label - 1 on a complete graph), and the edge on i < j
     has key i * |V| + j, so keys sort like GridEdge/LabelEdge objects.
-    ``tables`` lists the elements' vertex tables in group order; edge
-    images are computed, never stored.  edge() and edges() build
-    validated edge objects, for witnesses, orbit listings and
+    The group enters only as vertex tables handed to image_keys and
+    images; edge images are computed, never stored.  edge() and edges()
+    build validated edge objects, for witnesses, orbit listings and
     Subgraph.edges only.
     """
 
-    __slots__ = ("graph", "vertices", "size", "tables", "_grid")
+    __slots__ = ("graph", "vertices", "size", "_grid")
 
-    def __init__(self, graph, group: FiniteGroup | None = None):
+    def __init__(self, graph):
         self.graph, self.vertices = graph, graph.vertices()
         self.size = len(self.vertices)
-        self.tables: tuple = ()
-        if group is not None:
-            if group.identity.graph != graph:
-                raise ValueError(f"the group does not act on the vertices of {graph}")
-            self.tables = tuple(g.table for g in group.elements)
         self._grid = (graph.n, graph.m) if isinstance(graph, GridGraph) else None
 
     def key(self, e) -> int | None:
@@ -274,11 +278,11 @@ class EdgeAction:
             for k in keys
         ]
 
-    def images(self, keys) -> Iterator[list[int]]:
-        """image_keys of ``keys`` under each element's table, in group order."""
+    def images(self, tables, keys) -> Iterator[list[int]]:
+        """image_keys of ``keys`` under each of ``tables``, in order."""
         size = self.size
         first, second = gather([k // size for k in keys]), gather([k % size for k in keys])
-        for t in self.tables:
+        for t in tables:
             yield [a * size + b if a < b else b * size + a for a, b in zip(first(t), second(t))]
 
     def walk_keys(self, walk) -> list[int]:
@@ -342,8 +346,8 @@ def edge_orbits(graph, group: FiniteGroup) -> list[EdgeOrbit]:
     its folded row offset min(t, n-t) and column.  Any other action gets
     opaque ids ("O", least member edge).  Orbits partition the edge set.
     """
-    action = EdgeAction(graph, group)
-    size, tables = action.size, action.tables
+    tables, action = group.tables_on(graph), EdgeAction(graph)
+    size = action.size
     seen: set = set()
     members = []  # each orbit as an ascending key tuple, in order of least member
     for k in action.all_keys():
@@ -371,12 +375,9 @@ def fixed_edge_witness(graph, group: FiniteGroup):
     its first 2-cycle.
     Only the vertex tables are read, O(|G| * |V|) work.
     """
-    if group.identity.graph != graph:
-        raise ValueError(f"the group does not act on the vertices of {graph}")
-    action, lines = EdgeAction(graph), _lines(graph)
-    for g in group.non_identity():
-        t = g.table
-        if sum(t[t[i]] == i for i in range(action.size)) < 2:
+    tables, lines = group.tables_on(graph), _lines(graph)
+    for t in tables[1:]:
+        if sum(t[t[i]] == i for i in range(len(t))) < 2:
             continue  # a fixed edge needs two fixed points or a 2-cycle
         for line in lines:
             fixed = [i for i in line if t[i] == i][:2]
@@ -385,7 +386,8 @@ def fixed_edge_witness(graph, group: FiniteGroup):
                 pairs.append(tuple(fixed))
             if pairs:
                 i, j = min(pairs)
-                return g, action.edge(i * action.size + j)
+                vertices = graph.vertices()
+                return Permutation(graph, t), graph.edge(vertices[i], vertices[j])
     return None
 
 

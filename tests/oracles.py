@@ -189,6 +189,11 @@ def brute_orbits(edges, perms):
     return orbits
 
 
+def group_elements(group: FiniteGroup) -> list[Permutation]:
+    """Every element of ``group`` as a Permutation on its graph, in group order."""
+    return [Permutation(group.graph, t) for t in group.tables]
+
+
 def brute_fixed_edge_witness(graph, group):
     """The first (element, edge) with the non-identity element fixing the edge, or None.
 
@@ -282,14 +287,14 @@ def brute_verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) ->
 
     ok_transitive = True
     if dec.blocks:
-        reached = {image_key(dec.base.edges, g) for g in group.elements}
+        reached = {image_key(dec.base.edges, g) for g in group_elements(group)}
         if reached != block_set:
             ok_transitive = False
             unreached = sorted(i for i, key in enumerate(block_keys) if key not in reached)
             witnesses["group_transitive"] = {"unreached_blocks": unreached}
 
     base_key = frozenset(dec.base.edges)
-    stabilizer = sum(1 for g in group.elements if image_key(dec.base.edges, g) == base_key)
+    stabilizer = sum(1 for g in group_elements(group) if image_key(dec.base.edges, g) == base_key)
     ok_stabilizer = stabilizer == 1
     if not ok_stabilizer:
         witnesses["stabilizer_trivial"] = {"stabilizer_order": stabilizer}

@@ -225,8 +225,8 @@ def test_criterion_9_refinement():
             graph = GridGraph(n, n)
             assert gallai_check(graph, dec)
             segments = []
-            for g in dec.group.elements:
-                segments.extend(haggkvist_split(dec.base.walk.image(g.table), n - 1))
+            for t in dec.group.tables:
+                segments.extend(haggkvist_split(dec.base.walk.image(t), n - 1))
             assert len(segments) == n * n
             assert all(s.edge_count == n - 1 for s in segments)
             assert all(is_path_subgraph(s) for s in segments)

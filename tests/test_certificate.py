@@ -42,9 +42,9 @@ from oracles import brute_verify_decomposition, orbit_path_preconditions
 
 def certificate(graph, group, base) -> tuple[bool, bool]:
     """(the certificate, whether the images cover every edge once by sorting)."""
-    action = EdgeAction(graph, group)
-    images = [Subgraph(action, action.image_keys(t, base.keys)).keys for t in action.tables]
-    transported, partitioned = _transport(action, base.keys, lambda keys: keys)
+    action = EdgeAction(graph)
+    images = [Subgraph(action, action.image_keys(t, base.keys)).keys for t in group.tables]
+    transported, partitioned = _transport(action, group.tables, base.keys, lambda keys: keys)
     assert transported == images
     return partitioned, _covers_once(action, images)
 
@@ -149,8 +149,8 @@ def test_non_automorphism_generator_fails_build_and_verify():
         dec = Decomposition((base,), group, base)
         assert raised(verify_decomposition, graph, group, dec) == (reason, (index, edge))
     # the images as blocks: the generators are checked before any block key
-    action = EdgeAction(c4, swap)
-    images = tuple(Subgraph(action, action.image_keys(t, rows.keys)) for t in action.tables)
+    action = EdgeAction(c4)
+    images = tuple(Subgraph(action, action.image_keys(t, rows.keys)) for t in swap.tables)
     assert raised(verify_decomposition, c4, swap, Decomposition(images, swap, rows))[1][0] == 0
 
 
@@ -262,7 +262,7 @@ def test_base_repeating_a_key_fails_build_and_verify():
     # orbits, yet its images cover 9 of the 18 edges.  The constructor rejects the array; a base
     # whose keys were changed after it was made must fail the certificate, not pass it.
     graph, group, _ = staircase_base(3)
-    action = EdgeAction(graph, group)
+    action = EdgeAction(graph)
     a, b, c = sorted(orbit.keys[0] for orbit in edge_orbits(graph, group)[:3])
     doubled = array("q", [a, a, b, b, c, c])
     with pytest.raises(ValueError, match="^duplicate edge "):
@@ -270,12 +270,12 @@ def test_base_repeating_a_key_fails_build_and_verify():
     base = Subgraph(action, [a, b, c])
     base.keys[:] = doubled
     assert group.order * base.edge_count == graph.edge_count
-    assert _transport(action, base.keys, len) == ([6, 6, 6], False)
+    assert _transport(action, group.tables, base.keys, len) == ([6, 6, 6], False)
     expected = outcome(orbit_path_preconditions, graph, group, base)
     assert expected is not None
     assert outcome(build_orbit_decomposition, graph, group, base) == expected
     # the images as blocks, each repeating its keys as build would have made them
-    images = (array("q", sorted(action.image_keys(t, doubled))) for t in action.tables)
+    images = (array("q", sorted(action.image_keys(t, doubled))) for t in group.tables)
     dec = Decomposition(tuple(Subgraph._ascending(action, keys) for keys in images), group, base)
     report = verify_decomposition(graph, group, dec)
     assert "is_partition" in report.failed()

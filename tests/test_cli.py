@@ -266,6 +266,33 @@ def test_verify_two_different_cycles(tmp_path, capsys):
     assert "is_partition" in err
 
 
+def test_verify_row_shift_witness_is_an_explicit_map(tmp_path, capsys):
+    # K_2 box K_3 under the row shift, whose one non-identity element swaps the rows: it fixes the
+    # base edge, and the witness names it as an explicit map, though it equals the row shift
+    edge = [[0, 0], [1, 0]]
+    payload = {
+        "graph": {"kind": "grid", "n": 2, "m": 3},
+        "group": {"kind": "row_shift", "order": 2},
+        "base": {"edges": [edge]},
+        "blocks": [{"edges": [edge]}],
+        "report": report_flags(),
+    }
+    path = tmp_path / "k2k3.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 2
+    assert out == (
+        '{"is_partition":false,"blocks_isomorphic_to_base":true,"group_invariant":true,'
+        '"group_transitive":true,"stabilizer_trivial":false,"semiregular":false,"witnesses":'
+        '{"is_partition":{"duplicated":[],"missing":[[[0,0],[0,1]],[[0,0],[0,2]],[[0,1],[0,2]],'
+        '[[0,1],[1,1]],[[0,2],[1,2]],[[1,0],[1,1]],[[1,0],[1,2]],[[1,1],[1,2]]],"foreign":[]},'
+        '"stabilizer_trivial":{"stabilizer_order":2},"semiregular":{"element":{"kind":"explicit",'
+        '"map":[[[0,0],[1,0]],[[0,1],[1,1]],[[0,2],[1,2]],[[1,0],[0,0]],[[1,1],[0,1]],'
+        '[[1,2],[0,2]]]},"edge":[[0,0],[1,0]]}}}\n'
+    )
+    assert err == "verification failed: is_partition, stabilizer_trivial, semiregular\n"
+
+
 def test_verify_degree_three_block_beyond_cap(tmp_path, capsys):
     # 19 vertices and a degree-3 vertex: only the capped search could decide
     path_edges = [[v, v + 1] for v in range(1, 18)]

@@ -33,6 +33,7 @@ from rookpaths.decompose import (
 from rookpaths.grid import GridGraph, GridVertex
 from rookpaths.groups import (
     EdgeAction,
+    Permutation,
     edge_orbits,
     generate_group,
     permutation_from_cycles,
@@ -184,6 +185,14 @@ def precondition_outcome(check, graph, group, base):
     return None
 
 
+def test_generator_table_of_the_wrong_length_is_refused_before_any_build():
+    # (1, 1, 2, 0) covers every vertex of K_3, so the bijection premise alone let it through: it
+    # closed to order 3, and build of the one-edge base [2] gave blocks [2], [5], [5], which verify
+    # passed, though they hold edge 2-3 twice and miss 1-2
+    with pytest.raises(ValueError, match="^generator 0 has 4 entries, not one per vertex of K_3$"):
+        generate_group([Permutation(CompleteGraph(3), (1, 1, 2, 0))])
+
+
 def precondition_cases():
     """(label, graph, group, base) triples on both sides of the bijection test."""
     for n, m in ((2, 3), (4, 4)):
@@ -194,7 +203,7 @@ def precondition_cases():
     group = generate_group([row_shift(5, 5)])
     walk = walk_from_array((0, 0), staircase_array(5), 5, 5)
     edges = walk_edge_objects(walk)
-    shift = group.elements[1]
+    shift = Permutation(graph, group.tables[1])
     yield "staircase 5", graph, group, Subgraph.of_edges(graph, edges, walk)
     yield "one edge", graph, group, Subgraph.of_edges(graph, edges[:1])
     yield "doubled", graph, group, Subgraph.of_edges(graph, edges + [graph.edge(apply(shift, e.u), apply(shift, e.v)) for e in edges])
@@ -475,7 +484,7 @@ def test_gallai_check():
 
 def test_haggkvist_split():
     dec, _ = staircase_decomposition(5)
-    walk = dec.base.walk.image(dec.group.elements[0].table)
+    walk = dec.base.walk.image(dec.group.tables[0])
     segments = haggkvist_split(walk, 4)
     assert len(segments) == 5
     assert all(s.edge_count == 4 for s in segments)
@@ -531,7 +540,7 @@ def test_split_segments_are_paths_exactly_when_their_indices_are_distinct(walk):
 
 def test_haggkvist_split_whole_path():
     dec, _ = staircase_decomposition(3)
-    walk = dec.base.walk.image(dec.group.elements[0].table)
+    walk = dec.base.walk.image(dec.group.tables[0])
     only = haggkvist_split(walk, walk.length)
     assert len(only) == 1
     assert sorted(only[0].edges) == sorted(dec.blocks[0].edges)

@@ -28,7 +28,13 @@ from rookpaths.groups import (
 from rookpaths.serialize import report_to_json_dict
 from rookpaths.staircase import staircase_array, walk_from_array
 
-from oracles import brute_verify_decomposition, edge_image, permutation_of, walk_edge_objects
+from oracles import (
+    brute_verify_decomposition,
+    edge_image,
+    group_elements,
+    permutation_of,
+    walk_edge_objects,
+)
 
 
 def replace_block(dec, idx, block):
@@ -99,7 +105,7 @@ def corpus():
     base = Subgraph.of_edges(
         grid4, (grid4.edge(corner, GridVertex(0, 1)), grid4.edge(corner, GridVertex(2, 0)))
     )
-    images = {tuple(sorted(edge_image(g, grid4, e) for e in base.edges)) for g in shifts.elements}
+    images = {tuple(sorted(edge_image(g, grid4, e) for e in base.edges)) for g in group_elements(shifts)}
     blocks = tuple(Subgraph.of_edges(grid4, edges) for edges in sorted(images))
     yield "row shift 4x4", grid4, shifts, Decomposition(blocks, shifts, base)
     # a column triangle is its own image under every row shift
@@ -161,23 +167,23 @@ def action_corpus():
 
 def test_int_images_match_edge_image():
     for graph, group in action_corpus():
-        action = EdgeAction(graph, group)
+        action = EdgeAction(graph)
         edges = list(graph.edges())
         keys = action.keys(edges)
         assert sorted(keys) == list(action.all_keys())
         assert [action.edge(k) for k in keys] == edges
-        for g, table in zip(group.elements, action.tables):
-            images = [action.edge(k) for k in action.image_keys(table, keys)]
+        for g in group_elements(group):
+            images = [action.edge(k) for k in action.image_keys(g.table, keys)]
             assert images == [edge_image(g, graph, e) for e in edges], (graph, g)
 
 
 def test_images_match_image_keys_per_table():
     for graph, group in action_corpus():
-        action = EdgeAction(graph, group)
+        action = EdgeAction(graph)
         every = array("q", action.all_keys())
         for keys in [every, *(every[i : i + 1] for i in range(len(every)))]:
-            expected = [action.image_keys(t, keys) for t in action.tables]
-            assert list(action.images(keys)) == expected, (graph, keys)
+            expected = [action.image_keys(t, keys) for t in group.tables]
+            assert list(action.images(group.tables, keys)) == expected, (graph, keys)
 
 
 def traced_peak(fn, *args) -> int:

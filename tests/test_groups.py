@@ -14,7 +14,6 @@ from rookpaths.decompose import (
 )
 from rookpaths.grid import GridGraph, GridVertex
 from rookpaths.groups import (
-    EdgeAction,
     EdgeOrbit,
     GroupTooLarge,
     Permutation,
@@ -38,6 +37,7 @@ from oracles import (
     brute_group_elements,
     brute_orbits,
     brute_row_shift,
+    group_elements,
     edge_image,
     permutation_of,
     tuple_closure,
@@ -60,8 +60,9 @@ def test_row_shift_acts_and_cycles():
     group = generate_group([c])
     # c, c^2, c^3 = identity: the closure has order 3 and lists c right after the identity
     assert group.order == 3
-    assert group.elements[1] == c != group.identity
-    assert compose(c, group.elements[2]) == group.identity.table
+    elements = group_elements(group)
+    assert elements[1] == c != elements[0]
+    assert compose(c, elements[2]) == group.tables[0]
 
 
 def test_diagonal_shift_moves_both_coordinates():
@@ -74,13 +75,14 @@ def test_diagonal_shift_moves_both_coordinates():
 def test_inverse_and_identity():
     g = GridGraph(5, 5)
     group = generate_group([row_shift(5, 5)])
-    assert group.identity == identity(g)
-    assert group.identity.table == tuple(range(25))
+    elements = group_elements(group)
+    assert elements[0] == identity(g)
+    assert group.tables[0] == tuple(range(25))
     # every element has its inverse in the group
-    tables = {h.table for h in group.elements}
-    for h in group.elements:
-        assert any(compose(h, k) == group.identity.table for k in group.elements)
-        assert all(compose(h, k) in tables for k in group.elements)
+    tables = set(group.tables)
+    for h in elements:
+        assert any(compose(h, k) == group.tables[0] for k in elements)
+        assert all(compose(h, k) in tables for k in elements)
     assert generate_group([identity(g)]).order == 1
 
 
@@ -109,7 +111,7 @@ def test_repeated_generators_keep_closure_and_generators():
     once = generate_group([r, d])
     repeated = generate_group([r, d, copy, r, d])
     # the same elements in the same breadth-first order; every generator is kept as given
-    assert [g.table for g in repeated.elements] == [g.table for g in once.elements]
+    assert repeated.tables == once.tables
     assert repeated.generators == (r, d, copy, r, d)
 
 
@@ -157,7 +159,7 @@ def test_closure_matches_tuple_closure():
             outcomes["over cap"] += 1
             continue
         group = generate_group(gens, cap=cap)
-        assert [g.table for g in group.elements] == expected, label
+        assert list(group.tables) == expected, label
         assert group.generators == tuple(gens)
         # both stop at exactly the group order
         assert generate_group(gens, cap=len(expected)).order == len(expected)
@@ -178,8 +180,18 @@ def test_generate_group_rejects_empty_and_mixed():
     # domains with equal vertex counts: K_2 box K_3 and K_3 box K_2
     with pytest.raises(ValueError, match="different vertex sets"):
         generate_group([row_shift(2, 3), row_shift(3, 2)])
-    with pytest.raises(ValueError, match="does not act on the vertices of K_3 box K_2"):
-        EdgeAction(GridGraph(3, 2), generate_group([row_shift(2, 3)]))
+    # a table of the wrong length, covering every vertex, and mixed lengths
+    k3 = CompleteGraph(3)
+    with pytest.raises(ValueError, match="generator 0 has 4 entries, not one per vertex of K_3"):
+        generate_group([Permutation(k3, (1, 1, 2, 0))])
+    with pytest.raises(ValueError, match="generator 1 has 2 entries, not one per vertex of K_3"):
+        generate_group([Permutation(k3, (1, 2, 0)), Permutation(k3, (1, 0))])
+    # a group on K_2 box K_3 does not act on K_3 box K_2
+    group, other = generate_group([row_shift(2, 3)]), GridGraph(3, 2)
+    base = Subgraph.of_edges(other, [next(other.edges())])
+    for call in (lambda: edge_orbits(other, group), lambda: build_orbit_decomposition(other, group, base)):
+        with pytest.raises(ValueError, match="does not act on the vertices of K_3 box K_2"):
+            call()
 
 
 def test_automorphism_violation_witness():
@@ -358,7 +370,7 @@ def automorphism_corpus(rng):
     are not, and their first broken line falls anywhere.
     """
     for label, graph, group in witness_corpus():
-        for g in group.elements:
+        for g in group_elements(group):
             yield label, graph, g
     for n in range(2, 7):
         for m in range(2, 7):
@@ -395,6 +407,17 @@ def test_fixed_edge_witness_matches_exhaustive_scan():
             ends.add("fixed" if apply(g, e.u) == e.u else "swapped")
     # the corpus exercises both outcomes, and fixed edges of both kinds
     assert seen_free and ends == {"fixed", "swapped"}
+
+
+def test_non_identity_lists_the_witness_where_tables_hold_its_table():
+    with_witness = 0
+    for label, graph, group in witness_corpus():
+        witness = fixed_edge_witness(graph, group)
+        if witness is not None:
+            g = witness[0]
+            assert list(group.non_identity()).index(g) + 1 == group.tables.index(g.table), label
+            with_witness += 1
+    assert with_witness
 
 
 def test_build_rejects_non_semiregular_with_scan_witness():

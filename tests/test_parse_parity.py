@@ -54,7 +54,7 @@ def outcome(parse, doc):
     except SchemaError as err:
         return ("error", err.path, err.reason)
     kinds = [g.kind for g in group.generators]
-    return ("ok", graph, kinds, group.elements, dec.base, dec.blocks)
+    return ("ok", graph, kinds, group.graph, group.tables, dec.base, dec.blocks)
 
 
 def edited(doc, path, value):
@@ -296,7 +296,7 @@ def entry_result(data):
     except SchemaError as err:
         return ("error", str(err))
     kinds = [g.kind for g in group.generators]
-    return ("ok", graph, kinds, group.elements, dec.base, [b.keys for b in dec.blocks])
+    return ("ok", graph, kinds, group.graph, group.tables, dec.base, [b.keys for b in dec.blocks])
 
 
 def decoded_result(text):

@@ -25,6 +25,7 @@ from oracles import (
     ODD_PRIMES,
     apply,
     brute_first_orbit_conflict,
+    group_elements,
     random_step_arrays,
     Step,
     vertices_distinct,
@@ -174,7 +175,7 @@ def test_transported_walk_commutes_with_shift():
     graph = GridGraph(5, 5)
     dec = build_orbit_decomposition(graph, group, Subgraph.of_edges(graph, walk_edge_objects(w), w))
     assert len(dec.blocks) == group.order
-    for g, block in zip(group.elements, dec.blocks):
+    for g, block in zip(group_elements(group), dec.blocks):
         image = w.image(g.table)
         assert walk_vertex_objects(image) == tuple(apply(g, v) for v in walk_vertex_objects(w))
         assert image.step_pairs() == w.step_pairs()

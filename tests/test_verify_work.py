@@ -125,8 +125,8 @@ def test_verify_images_within_the_bound(monkeypatch, name):
         imaged.append(len(out))
         return out
 
-    def counted_images(self, keys):
-        for out in images(self, keys):
+    def counted_images(self, tables, keys):
+        for out in images(self, tables, keys):
             imaged.append(len(out))
             yield out
 
