@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from array import array
+from itertools import chain
 from pathlib import Path
 
 from .decompose import (
@@ -23,7 +25,6 @@ from .decompose import (
     diagonal_fixture_n4,
     haggkvist_split,
     k9_fixture,
-    partition_witnesses,
     staircase_decomposition,
     verify_decomposition,
 )
@@ -39,6 +40,7 @@ from .groups import (
 from .serialize import (
     MAX_EDGES,
     SchemaError,
+    _vertex_texts,
     blocks_to_text,
     decomposition_to_json,
     dot_for_blocks,
@@ -152,15 +154,14 @@ def cmd_orbits(args) -> int:
     group = generate_group([perm])
     orbits = edge_orbits(graph, group)
     sizes = sorted({o.size for o in orbits})
-    print(f"graph: {graph}")
-    print(f"group: {args.group}, order {group.order}")
-    print(f"orbits: {len(orbits)}")
-    print("sizes: " + ",".join(map(str, sizes)))
+    lines = [f"graph: {graph}", f"group: {args.group}, order {group.order}"]
+    lines += [f"orbits: {len(orbits)}", "sizes: " + ",".join(map(str, sizes))]
+    texts, size = _vertex_texts(graph, "(%d,%d)"), graph.vertex_count
     for orbit in orbits:
-        print(f"{orbit_id_str(orbit.id)} size={orbit.size}")
-        if args.edges:
-            for e in orbit.edges:
-                print(f"  {e}")
+        lines.append(f"{orbit_id_str(orbit.id)} size={orbit.size}")
+        if args.edges:  # the key i * |V| + j, i < j, is the edge texts[i] + "-" + texts[j]
+            lines += ["  " + texts[k // size] + "-" + texts[k % size] for k in orbit.keys]
+    print("\n".join(lines))
     status = EXIT_OK
     if args.group == "row_shift" and n % 2 == 1:
         census = orbit_census(n, m)
@@ -214,21 +215,26 @@ def cmd_split(args) -> int:
     if not _verified(report):
         return EXIT_MATH
     b = args.b if args.b is not None else args.n - 1
+    action, walk = dec.base.action, dec.base.walk
     try:
-        segments = []
-        for t in dec.group.tables:
-            segments.extend(haggkvist_split(dec.base.walk.image(t), b))
+        parts = [haggkvist_split(walk.image(t), b, action) for t in dec.group.tables]
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    partition = partition_witnesses(dec.base.action.graph, segments)
+    # block i, the image under tables[i], is verified and the blocks partition E, so the
+    # segments do exactly when each block's segments hold its keys once
+    partition_ok = all(
+        array("q", sorted(chain.from_iterable([s.keys for s in part]))) == block.keys
+        for part, block in zip(parts, dec.blocks)
+    )
+    segments = [s for part in parts for s in part]
     paths_ok = all(is_path(s.walk) and s.edge_count == b for s in segments)
     if args.format == "json":
         summary = {
             "graph": {"kind": "grid", "n": args.n, "m": args.n},
             "edges_per_segment": b,
             "segment_count": len(segments),
-            "is_partition": partition.ok,
+            "is_partition": partition_ok,
             "segments_are_paths": paths_ok,
             "segments": segments,
         }
@@ -237,7 +243,7 @@ def cmd_split(args) -> int:
         sys.stdout.write(dot_for_blocks(segments))
     else:
         sys.stdout.write(blocks_to_text(segments))
-    if not (partition.ok and paths_ok):
+    if not (partition_ok and paths_ok):
         print("refinement failed verification", file=sys.stderr)
         return EXIT_MATH
     print(

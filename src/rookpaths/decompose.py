@@ -60,7 +60,7 @@ from .groups import (
     permutation_from_cycles,
     row_shift,
 )
-from .staircase import Walk, build_staircase_path, walk_from_array
+from .staircase import Walk, build_staircase_path, is_path, walk_from_array
 
 ISO_VERTEX_CAP = 16
 
@@ -162,10 +162,10 @@ class Subgraph:
         self.action, self.keys, self.walk = action, array("q", ordered), walk
 
     @classmethod
-    def _ascending(cls, action: EdgeAction, keys: array) -> Subgraph:
+    def _ascending(cls, action: EdgeAction, keys: array, walk: Walk | None = None) -> Subgraph:
         """The subgraph on ``keys``, a non-empty array('q') its caller proved strictly ascending."""
         sub = object.__new__(cls)
-        sub.action, sub.keys, sub.walk = action, keys, None
+        sub.action, sub.keys, sub.walk = action, keys, walk
         return sub
 
     @classmethod
@@ -583,22 +583,28 @@ def gallai_check(graph, dec: Decomposition) -> bool:
     return 2 * len(dec.blocks) <= graph.vertex_count + 1
 
 
-def haggkvist_split(path: Walk, b: int) -> list[Subgraph]:
-    """Cut a path walk into consecutive segments of b edges each.
+def haggkvist_split(path: Walk, b: int, action: EdgeAction | None = None) -> list[Subgraph]:
+    """Cut a path walk into consecutive segments of b edges each, keyed on ``action``.
 
     Splitting every block of a 2b-regular graph's path decomposition
     this way refines it into a decomposition by b-edge paths.  ``b``
-    must divide the walk length.  A segment's keys are its walk's edges,
-    so it is a b-edge path exactly when is_path(segment.walk): each step
-    lies on one grid line, and a repeated edge raises ValueError.
+    must divide the walk length; ``action``, by default a new one, must
+    be on the walk's grid.  A segment's keys are its slice of the walk's,
+    so it is a b-edge path exactly when is_path(segment.walk).  A path's
+    slices are only sorted; elsewhere a repeated edge raises ValueError.
     """
     if b < 1:
         raise ValueError(f"segment size must be positive, got {b}")
     if path.length % b != 0:
         raise ValueError(f"segment size {b} does not divide path length {path.length}")
-    action = EdgeAction(GridGraph(path.n, path.m))
+    action = action or EdgeAction(GridGraph(path.n, path.m))
+    if action._grid != (path.n, path.m):
+        raise ValueError(f"a walk on K_{path.n} box K_{path.m} is not a walk on {action.graph}")
     keys, starts = action.walk_keys(path), range(0, path.length, b)
-    return [Subgraph(action, keys[i : i + b], path.segment(i, i + b)) for i in starts]
+    if not is_path(path):
+        return [Subgraph(action, keys[i : i + b], path.segment(i, i + b)) for i in starts]
+    ascending = partial(Subgraph._ascending, action)
+    return [ascending(array("q", sorted(keys[i : i + b])), path.segment(i, i + b)) for i in starts]
 
 
 K9_TRIANGLES = ((1, 4, 5), (2, 6, 8), (3, 7, 9), (5, 6, 7))

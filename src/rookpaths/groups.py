@@ -5,12 +5,12 @@ is graph.vertices()[i]), and permutation_from_cycles is the one entry
 point that reads vertex objects.  A FiniteGroup holds one vertex table
 per element, and builds a Permutation from one only for a witness.
 gather composes a table with an index sequence in one C-level itemgetter
-call, for the closure, edge_orbits and Walk.image.  EdgeAction is a
+call, for the closure, the fixed-edge test and Walk.image.  EdgeAction is a
 graph's integer edge keys (vertex i is row * m + col on a grid,
 label - 1 on K_n; edge i < j is i * |V| + j), the one form every
 decompose.Subgraph is stored in (walk_keys keys a Walk's index path,
-keys() the edges of Subgraph.of_edges); edge objects are built back only
-for witnesses, orbit listings and Subgraph.edges.  EdgeAction.images
+keys() the edges of Subgraph.of_edges); edge and vertex objects are built
+back only for witnesses, orbit ids and Subgraph.edges.  EdgeAction.images
 transports the base through a group's tables, splitting its keys into
 their ends once; image_keys transports through one table, which is
 faster where that split would serve one table only (the invariance
@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from math import comb
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .grid import DimensionError, GridEdge, GridGraph, GridVertex
@@ -226,21 +226,25 @@ def generate_group(generators: Iterable[Permutation], cap: int = DEFAULT_GROUP_C
 class EdgeAction:
     """A graph's edges as integer keys, for any group's action on them.
 
-    Vertex i is ``vertices[i]``, the graph's own vertex tuple (row * m +
-    col on a grid, label - 1 on a complete graph), and the edge on i < j
-    has key i * |V| + j, so keys sort like GridEdge/LabelEdge objects.
-    The group enters only as vertex tables handed to image_keys and
-    images; edge images are computed, never stored.  edge() and edges()
-    build validated edge objects, for witnesses, orbit listings and
-    Subgraph.edges only.
+    Vertex i is row * m + col on a grid and label - 1 on a complete
+    graph, and the edge on i < j has key i * |V| + j, so keys sort like
+    GridEdge/LabelEdge objects.  The group enters only as vertex tables
+    handed to image_keys and images; edge images are computed, never
+    stored.  edge() and edges() build validated edge objects, for
+    witnesses, orbit ids and Subgraph.edges only: nothing else reads
+    ``vertices``, the graph's vertex tuple.
     """
 
-    __slots__ = ("graph", "vertices", "size", "_grid")
+    __slots__ = ("graph", "size", "_grid")
 
     def __init__(self, graph):
-        self.graph, self.vertices = graph, graph.vertices()
-        self.size = len(self.vertices)
+        self.graph, self.size = graph, graph.vertex_count
         self._grid = (graph.n, graph.m) if isinstance(graph, GridGraph) else None
+
+    @property
+    def vertices(self) -> tuple:
+        """The graph's vertex objects, vertex i at index i."""
+        return self.graph.vertices()
 
     def key(self, e) -> int | None:
         """The key of an edge of the graph, or None for an edge outside it."""
@@ -352,8 +356,8 @@ def edge_orbits(graph, group: FiniteGroup) -> list[EdgeOrbit]:
     members = []  # each orbit as an ascending key tuple, in order of least member
     for k in action.all_keys():
         if k not in seen:
-            ends = gather(divmod(k, size))
-            orbit = {a * size + b if a < b else b * size + a for a, b in map(ends, tables)}
+            i, j = divmod(k, size)
+            orbit = {a * size + b if (a := t[i]) < (b := t[j]) else b * size + a for t in tables}
             seen.update(orbit)
             members.append(tuple(sorted(orbit)))
     if isinstance(graph, GridGraph) and group.generator_kind == ROW_SHIFT:
@@ -361,7 +365,8 @@ def edge_orbits(graph, group: FiniteGroup) -> list[EdgeOrbit]:
         orbits.sort(key=lambda o: o.id)
         return orbits
     # orbits arrive in order of least member, which is the order of these ids
-    return [EdgeOrbit(("O", action.edge(o[0])), o, action) for o in members]
+    least = action.edges([o[0] for o in members])
+    return [EdgeOrbit(("O", e), o, action) for e, o in zip(least, members)]
 
 
 def fixed_edge_witness(graph, group: FiniteGroup):
@@ -377,7 +382,7 @@ def fixed_edge_witness(graph, group: FiniteGroup):
     """
     tables, lines = group.tables_on(graph), _lines(graph)
     for t in tables[1:]:
-        if sum(t[t[i]] == i for i in range(len(t))) < 2:
+        if sum(map(eq, gather(t)(t), range(len(t)))) < 2:
             continue  # a fixed edge needs two fixed points or a 2-cycle
         for line in lines:
             fixed = [i for i in line if t[i] == i][:2]

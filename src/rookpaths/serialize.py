@@ -165,18 +165,23 @@ def report_to_json_dict(report: VerificationReport) -> dict:
 def _vertex_texts(graph, grid_form: str) -> tuple[str, ...]:
     """Each vertex's text by index: ``grid_form % (row, col)`` on a grid, the label on K_n."""
     if isinstance(graph, GridGraph):
-        return tuple([grid_form % (v.row, v.col) for v in graph.vertices()])
+        return tuple([grid_form % divmod(i, graph.m) for i in range(graph.vertex_count)])
     return tuple(map(str, graph.vertices()))
 
 
 def _with_halves(subs, grid_form: str, open_: str, sep: str, close: str) -> Iterator[tuple]:
-    """Each subgraph with per-vertex texts made once per graph: edge i < j is heads[i] + tails[j]."""
+    """Each subgraph with per-vertex texts made once per graph and fetched once per run of
+    subgraphs on one action: edge i < j is heads[i] + tails[j]."""
     made: dict = {}
+    action = halves = None
     for sub in subs:
-        if (graph := sub.action.graph) not in made:
-            texts = _vertex_texts(graph, grid_form)
-            made[graph] = [open_ + t + sep for t in texts], [t + close for t in texts]
-        yield sub, *made[graph]
+        if sub.action is not action:
+            action, graph = sub.action, sub.action.graph
+            if graph not in made:
+                texts = _vertex_texts(graph, grid_form)
+                made[graph] = [open_ + t + sep for t in texts], [t + close for t in texts]
+            halves = made[graph]
+        yield sub, *halves
 
 
 def dumps_with_edges(fields: dict, name: str) -> str:
@@ -650,12 +655,14 @@ def blocks_to_text(blocks: Sequence[Subgraph]) -> str:
 def dot_for_blocks(blocks: Sequence[Subgraph]) -> str:
     """GraphViz text: the blocks' vertices in order, then their edges, colored by block."""
     nodes: dict = {}  # vertex object -> its text, for the sort across graphs
-    edge_lines = []
+    edge_lines, action = [], None
     for i, block in enumerate(blocks):
-        action, color = block.action, PALETTE[i % len(PALETTE)]
-        texts, vertices = _vertex_texts(action.graph, "%d,%d"), action.vertices
+        if block.action is not action:
+            action, size = block.action, block.action.size
+            texts, vertices = _vertex_texts(action.graph, "%d,%d"), action.vertices
+        color = PALETTE[i % len(PALETTE)]
         for k in block.keys:
-            a, b = divmod(k, action.size)
+            a, b = divmod(k, size)
             nodes[vertices[a]], nodes[vertices[b]] = texts[a], texts[b]
             edge_lines.append(f'  "{texts[a]}" -- "{texts[b]}" [color="{color}"];')
     lines = ["graph decomposition {", "  node [shape=circle fontsize=10];"]

@@ -173,7 +173,11 @@ def first_orbit_conflict(arr: Sequence[tuple[int, int]], n: int, m: int | None =
     """
     if m is None:
         m = n
-    steps = _normalize_steps(arr, n, m)
+    return _orbit_conflict(_normalize_steps(arr, n, m), n, m)
+
+
+def _orbit_conflict(steps: Sequence[tuple[int, int]], n: int, m: int):
+    """first_orbit_conflict of steps already reduced mod (n, m)."""
     # With c_i the column sum of steps 0 .. i-1 mod m, key a triple (c, dr, dc)
     # as the integer (c * n + dr) * m + dc, injective since c < m, dr < n, dc < m.
     # Then (a) holds for (i, j) iff key(c_j, step j) == key(c_i, step i), and (b)
@@ -214,7 +218,7 @@ def build_staircase_path(n: int) -> Walk:
         raise ConstructionInvalid(
             "path", f"staircase walk revisits {v} at positions {i} and {j}", witness=rep
         )
-    conflict = first_orbit_conflict(steps, n)
+    conflict = _orbit_conflict(steps, n, n)
     if conflict is not None:
         i, j = conflict
         raise ConstructionInvalid(

@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 import rookpaths
 from rookpaths import cli, decompose, serialize
 from rookpaths.cli import SUBCOMMANDS, build_parser, main, parse_command
-from rookpaths.decompose import VerificationReport
+from rookpaths.decompose import Subgraph, VerificationReport
 from rookpaths.grid import GridGraph
-from rookpaths.serialize import MAX_EDGES
+from rookpaths.groups import diagonal_shift, edge_orbits, generate_group, row_shift
+from rookpaths.serialize import MAX_EDGES, orbit_id_str
+from rookpaths.staircase import Walk
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
@@ -39,13 +41,14 @@ def test_generate_n5(capsys):
     assert "verified" in err
 
 
-def test_generate_builds_one_vertex_tuple(capsys):
-    # the base's, builder's, verifier's actions and the writer share it; the row shift reads none
-    GridGraph.vertices.cache_clear()
-    code, _, _ = run(capsys, "generate", "--n", "23")
-    assert code == 0
-    info = GridGraph.vertices.cache_info()
-    assert (info.misses, info.currsize) == (1, 1) and info.hits >= 3
+def test_generate_builds_no_vertex_tuple(capsys):
+    # the actions, the checks and the writers read vertex indices; only witnesses read objects
+    for command in ("generate --n 23", "split --n 7", "orbits --n 7 --edges"):
+        GridGraph.vertices.cache_clear()
+        code, _, _ = run(capsys, *command.split())
+        assert code == 0
+        info = GridGraph.vertices.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0), command
 
 
 def test_generate_rejects_nine_without_force(capsys):
@@ -522,6 +525,23 @@ def test_orbits_edges_flag(capsys):
     assert "  (0,0)-(0,1)" in out
 
 
+ORBIT_LISTINGS = [("row_shift", n, m) for n in range(2, 8) for m in range(2, 8)]
+ORBIT_LISTINGS += [("diagonal_shift", n, n) for n in range(3, 7)]
+
+
+@pytest.mark.parametrize("group, n, m", ORBIT_LISTINGS)
+def test_orbits_edges_lists_each_member_edge_as_its_str(capsys, group, n, m):
+    _, out, _ = run(capsys, "orbits", "--n", str(n), "--m", str(m), "--group", group, "--edges")
+    perm = row_shift(n, m) if group == "row_shift" else diagonal_shift(n)
+    expected = []
+    for orbit in edge_orbits(GridGraph(n, m), generate_group([perm])):
+        expected.append(f"{orbit_id_str(orbit.id)} size={orbit.size}")
+        expected += ["  " + str(e) for e in orbit.edges]
+    lines = out.splitlines()
+    assert lines[4 : 4 + len(expected)] == expected
+    assert [line[:7] for line in lines[4 + len(expected) :]] in ([], ["census:"])
+
+
 def test_orbits_bad_dimensions(capsys):
     code, _, err = run(capsys, "orbits", "--n", "1", "--m", "3")
     assert code == 1
@@ -605,6 +625,27 @@ def test_split_builds_no_adjacency(capsys, monkeypatch):
         assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (0, digests[command])
         assert "segments of" in err
     assert calls == []
+
+
+def test_split_reports_a_refinement_that_fails_both_checks(capsys, monkeypatch):
+    # block 0's segments lose one edge and hold another twice, and one of them walks no path
+    split, walks = cli.haggkvist_split, []
+
+    def tampered(walk, b, *action):
+        segments = split(walk, b, *action)
+        walks.append(walk)
+        if len(walks) == 1:
+            first, second = segments[0], segments[1]
+            revisit = Walk(walk.n, walk.m, first.walk.path[:-1] + first.walk.path[:1])
+            segments[0] = Subgraph(first.action, [*first.keys[:-1], second.keys[0]], revisit)
+        return segments
+
+    monkeypatch.setattr(cli, "haggkvist_split", tampered)
+    code, out, err = run(capsys, "split", "--n", "5")
+    assert (code, err) == (2, "refinement failed verification\n")
+    data = json.loads(out)
+    assert (data["is_partition"], data["segments_are_paths"]) == (False, False)
+    assert (data["segment_count"], len(walks)) == (25, 5)
 
 
 def test_split_rejects_nine(capsys):

@@ -35,3 +35,19 @@ def test_cli_diff_lists_each_differing_command(tmp_path):
     lines = done.stdout.splitlines()
     assert len(lines) == 4 and all(line.endswith(": stderr") for line in lines[:3])
     assert lines[3] == "3 commands, 3 differ between same and changed"
+
+
+def test_corpus_covers_the_listed_split_and_orbit_commands(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOL.parent))
+    from cli_diff import corpus
+
+    commands = set(corpus())
+    for b in (None, 1, 2, 3, 4, 6, 7, 14, 21):  # cli-small's widths at n=7
+        size = () if b is None else ("--b", str(b))
+        for fmt in ("json", "dot", "edges"):
+            assert ("split", "--n", "7", *size, "--format", fmt) in commands
+        assert ("split", "--n", "7", *size) in commands
+    rectangles = [(n, m) for n in range(2, 6) for m in range(2, 6) if n != m]
+    assert len(rectangles) == 12
+    for n, m in rectangles:
+        assert ("orbits", "--n", str(n), "--m", str(m), "--edges") in commands

@@ -37,6 +37,17 @@ from oracles import (
 )
 
 
+def test_edge_action_reads_vertex_objects_only_to_build_objects():
+    GridGraph.vertices.cache_clear()
+    action = EdgeAction(GridGraph(4, 3))
+    keys = list(action.all_keys())
+    action.check_keys(keys)
+    assert (action.size, len(keys), GridGraph.vertices.cache_info().currsize) == (12, 30, 0)
+    assert str(action.edge(keys[0])) == "(0,0)-(0,1)"
+    assert action.vertices is GridGraph(4, 3).vertices()
+    assert EdgeAction(CompleteGraph(5)).vertices == (1, 2, 3, 4, 5)
+
+
 def replace_block(dec, idx, block):
     blocks = list(dec.blocks)
     blocks[idx] = block

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rookpaths import staircase
 from rookpaths.decompose import Subgraph, build_orbit_decomposition
 from rookpaths.grid import DimensionError, GridGraph, GridVertex
 from rookpaths.groups import generate_group, row_shift
@@ -240,6 +241,18 @@ def test_staircase_orbit_conflict_composites():
     assert first_orbit_conflict(staircase_array(9), 9) == (18, 24)
     assert not walk_edge_orbits_distinct((0, 0), raw(staircase_array(9)), 9, 9)
     assert not one_edge_per_orbit(staircase_array(15), 15)
+
+
+def test_build_reduces_the_staircase_steps_once(monkeypatch):
+    # staircase_array is reduced already; the public criterion still reduces and checks its input
+    calls = []
+    normalize = staircase._normalize_steps
+    monkeypatch.setattr(staircase, "_normalize_steps", lambda *a: calls.append(a) or normalize(*a))
+    assert build_staircase_path(23).length == 23 * 22
+    assert calls == []
+    assert first_orbit_conflict([(4, 0), (-1, 0)], 3) == (0, 1) and len(calls) == 1
+    with pytest.raises(ValueError, match="does not move along one grid line"):
+        first_orbit_conflict([(0, 1), (1, 1)], 3)
 
 
 def test_orbit_conflict_matches_quadratic_scan():

@@ -12,8 +12,10 @@ when any command differs.  The corpus:
   - generate for the odd primes up to 23, every width the digests
     claim, in all three formats;
   - split --n 5, 7 and 13 with several --b, in all three formats (at
-    n=13, --b 1 gives 2,028 one-edge segments and --b 5 exits 1);
-  - orbits --edges under both groups;
+    n=13, --b 1 gives 2,028 one-edge segments and --b 5 exits 1); at
+    n=7 these are every --b the cli-small workload runs, and 42;
+  - orbits --edges under both groups on square grids, and under the
+    row shift on every rectangular grid with 2 <= n != m <= 5;
   - help and usage errors (USAGE): no arguments, --help before and
     after each subcommand, unknown or abbreviated subcommands, "--",
     missing, extra and malformed arguments, and argv just past the
@@ -261,6 +263,8 @@ def corpus() -> list[tuple[str, ...]]:
             commands += [("split", "--n", str(n), *size, "--format", fmt) for fmt in FORMATS]
     for group in ("row_shift", "diagonal_shift"):
         commands += [("orbits", "--n", str(n), "--group", group, "--edges") for n in (2, 3, 4, 5)]
+    for n in range(2, 6):
+        commands += [("orbits", "--n", str(n), "--m", str(m), "--edges") for m in range(2, 6) if m != n]
     commands += USAGE + PLAIN
     for name in VERIFY_SOURCES:
         commands += [("verify", "--input", f"{name}-{kind}.json") for kind in variants(name)]
