@@ -40,14 +40,13 @@ from .groups import (
 from .serialize import (
     MAX_EDGES,
     SchemaError,
-    _vertex_texts,
     blocks_to_text,
     decomposition_to_json,
     dot_for_blocks,
     dumps,
     dumps_with_edges,
     export_dot,
-    orbit_id_str,
+    orbit_lines,
     parse_decomposition,
     report_to_json_dict,
 )
@@ -156,11 +155,7 @@ def cmd_orbits(args) -> int:
     sizes = sorted({o.size for o in orbits})
     lines = [f"graph: {graph}", f"group: {args.group}, order {group.order}"]
     lines += [f"orbits: {len(orbits)}", "sizes: " + ",".join(map(str, sizes))]
-    texts, size = _vertex_texts(graph, "(%d,%d)"), graph.vertex_count
-    for orbit in orbits:
-        lines.append(f"{orbit_id_str(orbit.id)} size={orbit.size}")
-        if args.edges:  # the key i * |V| + j, i < j, is the edge texts[i] + "-" + texts[j]
-            lines += ["  " + texts[k // size] + "-" + texts[k % size] for k in orbit.keys]
+    lines += orbit_lines(orbits, args.edges)
     print("\n".join(lines))
     status = EXIT_OK
     if args.group == "row_shift" and n % 2 == 1:
@@ -215,9 +210,9 @@ def cmd_split(args) -> int:
     if not _verified(report):
         return EXIT_MATH
     b = args.b if args.b is not None else args.n - 1
-    action, walk = dec.base.action, dec.base.walk
+    walk = dec.base.walk
     try:
-        parts = [haggkvist_split(walk.image(t), b, action) for t in dec.group.tables]
+        parts = [haggkvist_split(walk.image(t), b) for t in dec.group.tables]
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

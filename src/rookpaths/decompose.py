@@ -583,23 +583,21 @@ def gallai_check(graph, dec: Decomposition) -> bool:
     return 2 * len(dec.blocks) <= graph.vertex_count + 1
 
 
-def haggkvist_split(path: Walk, b: int, action: EdgeAction | None = None) -> list[Subgraph]:
-    """Cut a path walk into consecutive segments of b edges each, keyed on ``action``.
+def haggkvist_split(path: Walk, b: int) -> list[Subgraph]:
+    """Cut a path walk into consecutive segments of b edges each.
 
     Splitting every block of a 2b-regular graph's path decomposition
     this way refines it into a decomposition by b-edge paths.  ``b``
-    must divide the walk length; ``action``, by default a new one, must
-    be on the walk's grid.  A segment's keys are its slice of the walk's,
-    so it is a b-edge path exactly when is_path(segment.walk).  A path's
-    slices are only sorted; elsewhere a repeated edge raises ValueError.
+    must divide the walk length.  A segment's keys are its slice of the
+    walk's, so it is a b-edge path exactly when is_path(segment.walk).
+    A path's slices are only sorted; elsewhere a repeated edge raises
+    ValueError.
     """
     if b < 1:
         raise ValueError(f"segment size must be positive, got {b}")
     if path.length % b != 0:
         raise ValueError(f"segment size {b} does not divide path length {path.length}")
-    action = action or EdgeAction(GridGraph(path.n, path.m))
-    if action._grid != (path.n, path.m):
-        raise ValueError(f"a walk on K_{path.n} box K_{path.m} is not a walk on {action.graph}")
+    action = EdgeAction(GridGraph(path.n, path.m))
     keys, starts = action.walk_keys(path), range(0, path.length, b)
     if not is_path(path):
         return [Subgraph(action, keys[i : i + b], path.segment(i, i + b)) for i in starts]

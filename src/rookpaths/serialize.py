@@ -48,6 +48,7 @@ from .groups import (
     EXPLICIT,
     ROW_SHIFT,
     EdgeAction,
+    EdgeOrbit,
     FiniteGroup,
     GroupTooLarge,
     Permutation,
@@ -212,6 +213,17 @@ def decomposition_to_json(graph, dec: Decomposition, report: VerificationReport)
 
 def orbit_id_str(oid: tuple) -> str:
     return f"{oid[0]}({oid[1]},{oid[2]})" if oid[0] in ("H", "V") else f"O({oid[1]})"
+
+
+def orbit_lines(orbits: Sequence[EdgeOrbit], edges: bool) -> list[str]:
+    """Each orbit's id and size, then with ``edges`` its member edges as "  (a,b)-(c,d)"."""
+    lines = []
+    for orbit, heads, tails in _with_halves(orbits, "(%d,%d)", "  ", "-", ""):
+        lines.append(f"{orbit_id_str(orbit.id)} size={orbit.size}")
+        if edges:
+            size = orbit.action.size
+            lines += [heads[k // size] + tails[k % size] for k in orbit.keys]
+    return lines
 
 
 # ---------------------------------------------------------------- parsing

@@ -631,8 +631,8 @@ def test_split_reports_a_refinement_that_fails_both_checks(capsys, monkeypatch):
     # block 0's segments lose one edge and hold another twice, and one of them walks no path
     split, walks = cli.haggkvist_split, []
 
-    def tampered(walk, b, *action):
-        segments = split(walk, b, *action)
+    def tampered(walk, b):
+        segments = split(walk, b)
         walks.append(walk)
         if len(walks) == 1:
             first, second = segments[0], segments[1]

@@ -15,6 +15,7 @@ from rookpaths.decompose import (
     verify_decomposition,
 )
 from rookpaths.grid import GridGraph
+from rookpaths.groups import edge_orbits
 from rookpaths.serialize import (
     SchemaError,
     blocks_to_text,
@@ -23,6 +24,7 @@ from rookpaths.serialize import (
     dumps,
     export_dot,
     orbit_id_str,
+    orbit_lines,
     parse_decomposition,
     report_to_json_dict,
 )
@@ -307,6 +309,18 @@ def test_dot_deterministic():
 def test_orbit_id_str():
     assert orbit_id_str(("H", 0, 2)) == "H(0,2)"
     assert orbit_id_str(("V", 1, 0)) == "V(1,0)"
+
+
+def test_orbit_lines_write_each_member_edge_as_its_str():
+    graph, group, _ = k9_fixture()
+    orbits = edge_orbits(graph, group)
+    expected = []
+    for orbit in orbits:
+        expected.append(f"{orbit_id_str(orbit.id)} size={orbit.size}")
+        expected += ["  " + str(e) for e in orbit.edges]
+    assert orbit_lines(orbits, True) == expected
+    assert orbit_lines(orbits, False) == [line for line in expected if line[0] != " "]
+    assert expected[1] == "  1-2"
 
 
 def test_dumps_is_compact():
