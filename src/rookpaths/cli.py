@@ -45,7 +45,6 @@ from .serialize import (
     dot_for_blocks,
     dumps,
     dumps_with_edges,
-    export_dot,
     orbit_lines,
     parse_decomposition,
     report_to_json_dict,
@@ -57,13 +56,12 @@ EXIT_USAGE = 1
 EXIT_MATH = 2
 
 
-def _emit_decomposition(fmt: str, dec, report) -> None:
+def _emit(fmt: str, subgraphs, json_text) -> None:
+    """Write ``subgraphs`` as DOT or edge text, or for json the text ``json_text()``."""
     if fmt == "json":
-        print(decomposition_to_json(dec.base.action.graph, dec, report))
-    elif fmt == "dot":
-        sys.stdout.write(export_dot(dec))
+        print(json_text())
     else:
-        sys.stdout.write(blocks_to_text(dec.blocks))
+        sys.stdout.write((dot_for_blocks if fmt == "dot" else blocks_to_text)(subgraphs))
 
 
 def _verified(report) -> bool:
@@ -101,7 +99,7 @@ def cmd_generate(args) -> int:
     if isinstance(result, int):
         return result
     dec, report = result
-    _emit_decomposition(args.format, dec, report)
+    _emit(args.format, dec.blocks, lambda: decomposition_to_json(dec.base.action.graph, dec, report))
     if not _verified(report):
         return EXIT_MATH
     print(f"n={args.n}: {len(dec.blocks)} blocks verified", file=sys.stderr)
@@ -193,7 +191,7 @@ def cmd_examples(args) -> int:
         graph, group, base = k9_fixture() if args.name == "k9" else diagonal_fixture_n4()
         dec = build_orbit_decomposition(graph, group, base)
         report = verify_decomposition(graph, group, dec)
-    _emit_decomposition(args.format, dec, report)
+    _emit(args.format, dec.blocks, lambda: decomposition_to_json(dec.base.action.graph, dec, report))
     covered = sum(b.edge_count for b in dec.blocks)
     print(
         f"{args.name}: blocks={len(dec.blocks)} edges={covered} verified={report.all_ok}",
@@ -224,20 +222,15 @@ def cmd_split(args) -> int:
     )
     segments = [s for part in parts for s in part]
     paths_ok = all(is_path(s.walk) and s.edge_count == b for s in segments)
-    if args.format == "json":
-        summary = {
-            "graph": {"kind": "grid", "n": args.n, "m": args.n},
-            "edges_per_segment": b,
-            "segment_count": len(segments),
-            "is_partition": partition_ok,
-            "segments_are_paths": paths_ok,
-            "segments": segments,
-        }
-        print(dumps_with_edges(summary, "segments"))
-    elif args.format == "dot":
-        sys.stdout.write(dot_for_blocks(segments))
-    else:
-        sys.stdout.write(blocks_to_text(segments))
+    summary = {
+        "graph": {"kind": "grid", "n": args.n, "m": args.n},
+        "edges_per_segment": b,
+        "segment_count": len(segments),
+        "is_partition": partition_ok,
+        "segments_are_paths": paths_ok,
+        "segments": segments,
+    }
+    _emit(args.format, segments, lambda: dumps_with_edges(summary, "segments"))
     if not (partition_ok and paths_ok):
         print("refinement failed verification", file=sys.stderr)
         return EXIT_MATH

@@ -18,7 +18,7 @@ read an adjacency of vertex indices; a split segment's walk needs none.
 Edge objects enter only through Subgraph.of_edges, and every check that
 is given a graph reads the keys of subgraphs of that graph and raises
 ValueError for a subgraph of another.  Edge and vertex objects are built
-only for witnesses and the public Subgraph.edges and Subgraph.adjacency.
+only for witnesses and the public Subgraph.edges.
 The verifier trusts nothing: it images through the group's vertex
 tables and range-checks every key.  Blocks that partition E and
 are exactly the |G| distinct images of the base pass all six flags by
@@ -158,7 +158,7 @@ class Subgraph:
             raise ValueError("a subgraph needs at least one edge")
         for a, b in zip(ordered, ordered[1:]):
             if a == b:
-                raise ValueError(f"duplicate edge {action.edge(a)}")
+                raise ValueError(f"duplicate edge {action.edges([a])[0]}")
         self.action, self.keys, self.walk = action, array("q", ordered), walk
 
     @classmethod
@@ -187,11 +187,6 @@ class Subgraph:
             return NotImplemented
         same_graph = self.action.graph == other.action.graph
         return same_graph and self.keys == other.keys and self.walk == other.walk
-
-    def adjacency(self) -> dict:
-        """Each vertex of an edge of the subgraph, with the set of its neighbours."""
-        vertices = self.action.vertices
-        return {vertices[i]: {vertices[j] for j in js} for i, js in _index_adjacency(self).items()}
 
 
 def _index_adjacency(sub: Subgraph) -> dict[int, set[int]]:

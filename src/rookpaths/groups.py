@@ -9,17 +9,18 @@ call, for the closure, the fixed-edge test and Walk.image.  EdgeAction is a
 graph's integer edge keys (vertex i is row * m + col on a grid,
 label - 1 on K_n; edge i < j is i * |V| + j), the one form every
 decompose.Subgraph is stored in (walk_keys keys a Walk's index path,
-keys() the edges of Subgraph.of_edges); edge and vertex objects are built
-back only for witnesses, orbit ids and Subgraph.edges.  EdgeAction.images
-transports the base through a group's tables, splitting its keys into
-their ends once; image_keys transports through one table, which is
-faster where that split would serve one table only (the invariance
-loop).  |E| distinct images of a base certify semiregularity and the
-transversal at once (see decompose).  The other checks read the vertex
-tables directly: both ends of an edge lie on one grid line (one line of
-all vertices on K_n), so automorphism_violation and fixed_edge_witness
-walk the lines, and an element fixes an edge setwise exactly when it
-fixes both ends or swaps them.  Only edge_orbits images whole orbits.
+keys() the edges of Subgraph.of_edges); edges() builds edge and vertex
+objects back only for witnesses, orbit ids and Subgraph.edges.
+EdgeAction.images transports the base through a group's tables,
+splitting its keys into their ends once; image_keys transports through
+one table, which is faster where that split would serve one table only
+(the invariance loop).  |E| distinct images of a base certify
+semiregularity and the transversal at once (see decompose).  The other
+checks read the vertex tables directly: both ends of an edge lie on one
+grid line (one line of all vertices on K_n), so automorphism_violation
+and fixed_edge_witness walk the lines, and an element fixes an edge
+setwise exactly when it fixes both ends or swaps them.  Only edge_orbits
+images whole orbits.
 """
 
 from __future__ import annotations
@@ -230,9 +231,9 @@ class EdgeAction:
     graph, and the edge on i < j has key i * |V| + j, so keys sort like
     GridEdge/LabelEdge objects.  The group enters only as vertex tables
     handed to image_keys and images; edge images are computed, never
-    stored.  edge() and edges() build validated edge objects, for
-    witnesses, orbit ids and Subgraph.edges only: nothing else reads
-    ``vertices``, the graph's vertex tuple.
+    stored.  edges() builds validated edge objects, for witnesses,
+    orbit ids and Subgraph.edges only: nothing else reads ``vertices``,
+    the graph's vertex tuple.
     """
 
     __slots__ = ("graph", "size", "_grid")
@@ -263,11 +264,6 @@ class EdgeAction:
         if None in out:
             raise ValueError(f"{edges[out.index(None)]} is not an edge of {self.graph}")
         return out
-
-    def edge(self, key: int):
-        """The edge object of a key, on the shared vertex list."""
-        i, j = divmod(key, self.size)
-        return self.graph.edge(self.vertices[i], self.vertices[j])
 
     def edges(self, keys) -> tuple:
         """The edge objects of ``keys``, in order."""
@@ -326,11 +322,6 @@ class EdgeOrbit:
     @property
     def size(self) -> int:
         return len(self.keys)
-
-    @property
-    def edges(self) -> tuple:
-        """The member edges as objects, in canonical order."""
-        return self.action.edges(self.keys)
 
 
 def _row_shift_orbit_id(action: EdgeAction, key: int) -> tuple:

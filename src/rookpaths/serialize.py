@@ -666,17 +666,20 @@ def blocks_to_text(blocks: Sequence[Subgraph]) -> str:
 
 def dot_for_blocks(blocks: Sequence[Subgraph]) -> str:
     """GraphViz text: the blocks' vertices in order, then their edges, colored by block."""
+    colors = [f' [color="{c}"];' for c in PALETTE]
+    used: dict = {}  # action -> the keys of its blocks, for the vertices they touch
+    edge_lines = []
+    append = edge_lines.append
+    for i, (block, heads, tails) in enumerate(_with_halves(blocks, "%d,%d", '  "', '" -- "', '"')):
+        keys, size, color = block.keys, block.action.size, colors[i % len(colors)]
+        for k in keys:
+            append(heads[k // size] + tails[k % size] + color)
+        used.setdefault(block.action, []).extend(keys)
     nodes: dict = {}  # vertex object -> its text, for the sort across graphs
-    edge_lines, action = [], None
-    for i, block in enumerate(blocks):
-        if block.action is not action:
-            action, size = block.action, block.action.size
-            texts, vertices = _vertex_texts(action.graph, "%d,%d"), action.vertices
-        color = PALETTE[i % len(PALETTE)]
-        for k in block.keys:
-            a, b = divmod(k, size)
-            nodes[vertices[a]], nodes[vertices[b]] = texts[a], texts[b]
-            edge_lines.append(f'  "{texts[a]}" -- "{texts[b]}" [color="{color}"];')
+    for action, keys in used.items():
+        texts, vertices, size = _vertex_texts(action.graph, "%d,%d"), action.vertices, action.size
+        seen = {k // size for k in keys}.union([k % size for k in keys])
+        nodes.update([(vertices[i], texts[i]) for i in seen])
     lines = ["graph decomposition {", "  node [shape=circle fontsize=10];"]
     lines.extend([f'  "{nodes[v]}";' for v in sorted(nodes)])
     lines.extend(edge_lines)

@@ -173,11 +173,7 @@ def first_orbit_conflict(arr: Sequence[tuple[int, int]], n: int, m: int | None =
     """
     if m is None:
         m = n
-    return _orbit_conflict(_normalize_steps(arr, n, m), n, m)
-
-
-def _orbit_conflict(steps: Sequence[tuple[int, int]], n: int, m: int):
-    """first_orbit_conflict of steps already reduced mod (n, m)."""
+    steps = _normalize_steps(arr, n, m)
     # With c_i the column sum of steps 0 .. i-1 mod m, key a triple (c, dr, dc)
     # as the integer (c * n + dr) * m + dc, injective since c < m, dr < n, dc < m.
     # Then (a) holds for (i, j) iff key(c_j, step j) == key(c_i, step i), and (b)
@@ -204,26 +200,20 @@ def one_edge_per_orbit(arr: Sequence[tuple[int, int]], n: int, m: int | None = N
 
 
 def build_staircase_path(n: int) -> Walk:
-    """The certified staircase walk from (0, 0) on K_n [box] K_n.
+    """The staircase walk from (0, 0) on K_n [box] K_n, checked to be a path.
 
-    The walk is checked, not trusted: it must be a path and it must use
-    at most one edge per row-shift orbit.  Both hold whenever n is an
-    odd prime; for odd composite n the path check fails and the walk is
-    rejected with a ConstructionInvalid naming the repeated vertex.
+    For an odd prime n the walk is a path meeting every row-shift orbit
+    once; build_orbit_decomposition's certificate decides the orbit
+    transversal, and verify re-checks it.  Every odd composite n fails
+    the path check, with a ConstructionInvalid naming the repeated
+    vertex: for a prime factor p, stretch k = (p+1)/2 steps by p, so any
+    2n/p consecutive entries of its first 2n - 1 sum to (n, n), which is
+    (0, 0) mod n.
     """
-    steps = staircase_array(n)
-    walk = _index_walk(0, steps, n, n)
+    walk = _index_walk(0, staircase_array(n), n, n)
     if not is_path(walk):
         i, j, v = rep = first_repeated_vertex(walk)
         raise ConstructionInvalid(
             "path", f"staircase walk revisits {v} at positions {i} and {j}", witness=rep
-        )
-    conflict = _orbit_conflict(steps, n, n)
-    if conflict is not None:
-        i, j = conflict
-        raise ConstructionInvalid(
-            "orbit_transversal",
-            f"staircase edges {i + 1} and {j + 1} share a row-shift orbit",
-            witness=conflict,
         )
     return walk

@@ -20,7 +20,8 @@ objects, before they read key arrays.  permutation_of and apply are a
 Permutation's vertex-object constructor and call, as they were before a
 permutation became a graph and a table of vertex indices.
 brute_isomorphic tries every vertex bijection, the reference for the
-backtracking search in subgraphs_isomorphic.  tuple_closure is
+backtracking search in subgraphs_isomorphic; adjacency is a subgraph's
+neighbour sets on vertex objects, as Subgraph.adjacency() gave them.  tuple_closure is
 generate_group as it was before it gathered with itemgetter, composing
 one ``tuple(map(t.__getitem__, cur))`` at a time.
 """
@@ -224,6 +225,15 @@ def brute_partition_witnesses(graph, blocks: Iterable[Subgraph]) -> PartitionChe
     duplicated = tuple(sorted(e for e, c in counts.items() if c > 1))
     missing = tuple(sorted(e for e in graph_edges if e not in counts))
     return PartitionCheck(not duplicated and not missing, duplicated, missing)
+
+
+def adjacency(sub: Subgraph) -> dict:
+    """Each vertex of an edge of ``sub`` with the set of its neighbours, as vertex objects."""
+    adj: dict = {}
+    for e in sub.edges:
+        adj.setdefault(e.u, set()).add(e.v)
+        adj.setdefault(e.v, set()).add(e.u)
+    return adj
 
 
 def brute_isomorphic(a: Subgraph, b: Subgraph) -> bool:

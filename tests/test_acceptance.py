@@ -48,6 +48,7 @@ from rookpaths.staircase import (
 
 from oracles import (
     ODD_PRIMES,
+    adjacency,
     random_step_arrays,
     vertices_distinct,
     walk_edge_orbits_distinct,
@@ -157,12 +158,12 @@ def test_criterion_6_k9_fixture():
         k9 = CompleteGraph(9)
         triangles = []
         for block in dec.blocks:
-            adjacency = block.adjacency()
+            adj = adjacency(block)
             seen = set()
-            for u in adjacency:
-                for v in adjacency[u]:
-                    for w in adjacency[v]:
-                        if w != u and w in adjacency[u]:
+            for u in adj:
+                for v in adj[u]:
+                    for w in adj[v]:
+                        if w != u and w in adj[u]:
                             tri = frozenset({u, v, w})
                             if tri not in seen:
                                 seen.add(tri)

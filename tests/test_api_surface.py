@@ -1,8 +1,12 @@
 """The package API is README's Library list, and every public name has a use."""
 
 import ast
+import dataclasses
+import importlib
 import re
 from pathlib import Path
+
+import rookpaths
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "rookpaths"
@@ -15,10 +19,15 @@ def library_section() -> str:
     return text[start : end if end >= 0 else len(text)]
 
 
-def readme_names() -> set[str]:
-    """Backquoted identifiers in the Library section's prose, outside its code blocks."""
+def readme_spans() -> list[str]:
+    """Backquoted spans in the Library section's prose, outside its code blocks."""
     prose = re.sub(r"```.*?```", "", library_section(), flags=re.S)
-    return {name for name in re.findall(r"`([^`]+)`", prose) if name.isidentifier()}
+    return re.findall(r"`([^`]+)`", prose)
+
+
+def readme_names() -> set[str]:
+    """Backquoted identifiers in the Library section's prose."""
+    return {name for name in readme_spans() if name.isidentifier()}
 
 
 def readme_imports() -> set[str]:
@@ -96,3 +105,32 @@ def test_every_public_definition_is_used_or_exported():
         )
     ]
     assert unused == []
+
+
+def has_member(owner, name: str) -> bool:
+    """An attribute, a slot, or a dataclass field of ``owner``."""
+    if hasattr(owner, name) or name in getattr(owner, "__slots__", ()):
+        return True
+    return dataclasses.is_dataclass(owner) and name in {f.name for f in dataclasses.fields(owner)}
+
+
+def test_readme_library_names_only_members_that_exist():
+    """Each backquoted `X.y` whose X is the package, a submodule or a class of the package
+    names a member of X; other prefixes, such as the parameter in `graph.vertices()`, are not
+    checked."""
+    owners: dict = {"rookpaths": rookpaths}
+    for path in SRC.glob("*.py"):
+        if not path.stem.startswith("__"):
+            module = owners[path.stem] = importlib.import_module(f"rookpaths.{path.stem}")
+            owners.update(
+                (name, value)
+                for name, value in vars(module).items()
+                if isinstance(value, type) and value.__module__.startswith("rookpaths.")
+            )
+    named = [
+        (match[1], match[2])
+        for match in map(re.compile(r"(\w+)\.(\w+)").match, readme_spans())
+        if match is not None and match[1] in owners
+    ]
+    assert len(named) >= 10
+    assert [f"{owner}.{name}" for owner, name in named if not has_member(owners[owner], name)] == []

@@ -536,7 +536,7 @@ def test_orbits_edges_lists_each_member_edge_as_its_str(capsys, group, n, m):
     expected = []
     for orbit in edge_orbits(GridGraph(n, m), generate_group([perm])):
         expected.append(f"{orbit_id_str(orbit.id)} size={orbit.size}")
-        expected += ["  " + str(e) for e in orbit.edges]
+        expected += ["  " + str(e) for e in orbit.action.edges(orbit.keys)]
     lines = out.splitlines()
     assert lines[4 : 4 + len(expected)] == expected
     assert [line[:7] for line in lines[4 + len(expected) :]] in ([], ["census:"])

@@ -42,6 +42,7 @@ from rookpaths.groups import (
 from rookpaths.staircase import is_path, staircase_array, walk_from_array
 
 from oracles import (
+    adjacency,
     apply,
     brute_isomorphic,
     orbit_path_preconditions,
@@ -80,8 +81,8 @@ def test_subgraph_validation():
         Subgraph.of_edges(k4, (k4.edge(1, 2), k4.edge(2, 1)))
     sub = Subgraph.of_edges(k4, (k4.edge(1, 2), k4.edge(2, 3)))
     assert sub.edge_count == 2
-    assert set(sub.adjacency()) == {1, 2, 3}
-    assert len(sub.adjacency()[2]) == 2
+    assert set(adjacency(sub)) == {1, 2, 3}
+    assert len(adjacency(sub)[2]) == 2
 
 
 def test_subgraph_sorts_and_scans_every_input():
@@ -440,12 +441,12 @@ def test_k9_triangle_refinement():
     triangles = []
     k9 = CompleteGraph(9)
     for block in dec.blocks:
-        adjacency = block.adjacency()
+        adj = adjacency(block)
         seen = set()
-        for u in sorted(adjacency):
-            for v in sorted(adjacency[u]):
-                for w in sorted(adjacency[v]):
-                    if w != u and w in adjacency[u]:
+        for u in sorted(adj):
+            for v in sorted(adj[u]):
+                for w in sorted(adj[v]):
+                    if w != u and w in adj[u]:
                         tri = frozenset({u, v, w})
                         if tri not in seen:
                             seen.add(tri)

@@ -92,7 +92,8 @@ def test_classify_edge():
     g = GridGraph(3, 3)
     h = g.edge(GridVertex(0, 0), GridVertex(0, 2))
     v = g.edge(GridVertex(0, 1), GridVertex(2, 1))
-    tag = {e: o.id[0] for o in edge_orbits(g, generate_group([row_shift(3, 3)])) for e in o.edges}
+    orbits = edge_orbits(g, generate_group([row_shift(3, 3)]))
+    tag = {e: o.id[0] for o in orbits for e in o.action.edges(o.keys)}
     assert (tag[h], tag[v]) == ("H", "V")
 
 

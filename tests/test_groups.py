@@ -244,7 +244,7 @@ def test_orbits_match_brute_closure():
         got = {
             frozenset(
                 frozenset({(e.u.row, e.u.col), (e.v.row, e.v.col)})
-                for e in orbit.edges
+                for e in orbit.action.edges(orbit.keys)
             )
             for orbit in edge_orbits(g, grp)
         }
@@ -458,7 +458,7 @@ def test_same_orbit_criterion_matches_enumeration():
             grp = generate_group([row_shift(n, m)])
             rep = {}
             for orbit in edge_orbits(g, grp):
-                for e in orbit.edges:
+                for e in orbit.action.edges(orbit.keys):
                     rep[e] = orbit.id
             edges = list(g.edges())
             ids = [rep[e] for e in edges]

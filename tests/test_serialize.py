@@ -317,7 +317,7 @@ def test_orbit_lines_write_each_member_edge_as_its_str():
     expected = []
     for orbit in orbits:
         expected.append(f"{orbit_id_str(orbit.id)} size={orbit.size}")
-        expected += ["  " + str(e) for e in orbit.edges]
+        expected += ["  " + str(e) for e in orbit.action.edges(orbit.keys)]
     assert orbit_lines(orbits, True) == expected
     assert orbit_lines(orbits, False) == [line for line in expected if line[0] != " "]
     assert expected[1] == "  1-2"

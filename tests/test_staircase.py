@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rookpaths import staircase
-from rookpaths.decompose import Subgraph, build_orbit_decomposition
+from rookpaths.decompose import Subgraph, build_orbit_decomposition, is_odd_prime
 from rookpaths.grid import DimensionError, GridGraph, GridVertex
 from rookpaths.groups import generate_group, row_shift
+from rookpaths.serialize import MAX_EDGES
 from rookpaths.staircase import (
     ConstructionInvalid,
     Walk,
@@ -243,8 +244,9 @@ def test_staircase_orbit_conflict_composites():
     assert not one_edge_per_orbit(staircase_array(15), 15)
 
 
-def test_build_reduces_the_staircase_steps_once(monkeypatch):
-    # staircase_array is reduced already; the public criterion still reduces and checks its input
+def test_build_runs_no_orbit_scan(monkeypatch):
+    # the orbit scan starts by reducing its steps and build reduces none; the public criterion
+    # still reduces and checks its input
     calls = []
     normalize = staircase._normalize_steps
     monkeypatch.setattr(staircase, "_normalize_steps", lambda *a: calls.append(a) or normalize(*a))
@@ -317,6 +319,25 @@ def test_build_staircase_path_fails_for_nine():
     assert info.value.check == "path"
     assert info.value.witness[:2] == (18, 24)
     assert "(1,0)" in str(info.value)
+
+
+ADMITTED_WIDTHS = [n for n in range(3, 200, 2) if n * n * (n - 1) <= MAX_EDGES]
+
+
+def test_admitted_widths_run_to_the_cap():
+    assert ADMITTED_WIDTHS == list(range(3, 136, 2))
+
+
+@pytest.mark.parametrize("n", ADMITTED_WIDTHS)
+def test_staircase_facts_at_every_admitted_width(n):
+    # build runs no orbit scan: a composite width fails the path check, a prime one meets
+    # each row-shift orbit at most once
+    if is_odd_prime(n):
+        assert first_orbit_conflict(staircase_array(n), n) is None
+    else:
+        with pytest.raises(ConstructionInvalid) as info:
+            build_staircase_path(n)
+        assert info.value.check == "path"
 
 
 def test_build_staircase_rejects_even():
