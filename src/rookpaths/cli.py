@@ -208,9 +208,9 @@ def cmd_split(args) -> int:
     if not _verified(report):
         return EXIT_MATH
     b = args.b if args.b is not None else args.n - 1
-    walk = dec.base.walk
+    walks = [dec.base.walk.image(t) for t in dec.group.tables]
     try:
-        parts = [haggkvist_split(walk.image(t), b) for t in dec.group.tables]
+        parts = [haggkvist_split(walk, b) for walk in walks]
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -220,8 +220,14 @@ def cmd_split(args) -> int:
         array("q", sorted(chain.from_iterable([s.keys for s in part]))) == block.keys
         for part, block in zip(parts, dec.blocks)
     )
+    # a stretch of a path is a path, so a segment is a b-edge path when its block walk
+    # is a path and it holds, sorted, the b keys of its stretch of that walk
+    paths_ok = all(
+        is_path(walk) and len(part) * b == len(keys)
+        and all(s.keys == array("q", sorted(keys[j * b : j * b + b])) for j, s in enumerate(part))
+        for walk, part, keys in zip(walks, parts, map(dec.base.action.walk_keys, walks))
+    )
     segments = [s for part in parts for s in part]
-    paths_ok = all(is_path(s.walk) and s.edge_count == b for s in segments)
     summary = {
         "graph": {"kind": "grid", "n": args.n, "m": args.n},
         "edges_per_segment": b,

@@ -14,7 +14,7 @@ reads the vertex tables and only the transversal witness needs orbits.
 
 Every Subgraph (base, block or split segment) is an ascending edge-key
 array on a groups.EdgeAction; is_path_subgraph and the isomorphism check
-read an adjacency of vertex indices; a split segment's walk needs none.
+read an adjacency of vertex indices, and only a walk base carries a walk.
 Edge objects enter only through Subgraph.of_edges, and every check that
 is given a graph reads the keys of subgraphs of that graph and raises
 ValueError for a subgraph of another.  Edge and vertex objects are built
@@ -60,7 +60,7 @@ from .groups import (
     permutation_from_cycles,
     row_shift,
 )
-from .staircase import Walk, build_staircase_path, is_path, walk_from_array
+from .staircase import Walk, build_staircase_path, first_repeated_vertex, is_path, walk_from_array
 
 ISO_VERTEX_CAP = 16
 
@@ -145,9 +145,9 @@ class Subgraph:
     EdgeAction): the constructor sorts any keys and rejects an empty or
     repeated set (_ascending keeps an array its caller proved strictly
     ascending), and range checks are build's and verify's.
-    ``edges`` builds the edge objects when read.  ``walk`` records how a
-    walk base or a split segment was traced; blocks carry none, and the
-    walk of the block of an element's table t is ``base.walk.image(t)``.
+    ``edges`` builds the edge objects when read.  Only a walk base
+    carries a ``walk``, how it was traced; the walk of the block of an
+    element's table t is ``base.walk.image(t)``.
     """
 
     __slots__ = ("action", "keys", "walk")
@@ -162,10 +162,10 @@ class Subgraph:
         self.action, self.keys, self.walk = action, array("q", ordered), walk
 
     @classmethod
-    def _ascending(cls, action: EdgeAction, keys: array, walk: Walk | None = None) -> Subgraph:
+    def _ascending(cls, action: EdgeAction, keys: array) -> Subgraph:
         """The subgraph on ``keys``, a non-empty array('q') its caller proved strictly ascending."""
         sub = object.__new__(cls)
-        sub.action, sub.keys, sub.walk = action, keys, walk
+        sub.action, sub.keys, sub.walk = action, keys, None
         return sub
 
     @classmethod
@@ -583,21 +583,21 @@ def haggkvist_split(path: Walk, b: int) -> list[Subgraph]:
 
     Splitting every block of a 2b-regular graph's path decomposition
     this way refines it into a decomposition by b-edge paths.  ``b``
-    must divide the walk length.  A segment's keys are its slice of the
-    walk's, so it is a b-edge path exactly when is_path(segment.walk).
-    A path's slices are only sorted; elsewhere a repeated edge raises
-    ValueError.
+    must divide the walk length, and a walk that is no path raises
+    ValueError naming its first repeated vertex.  Segment j holds,
+    sorted, the keys of stretch j of the walk's walk_keys, and no walk:
+    a stretch of a path is a b-edge path.
     """
     if b < 1:
         raise ValueError(f"segment size must be positive, got {b}")
     if path.length % b != 0:
         raise ValueError(f"segment size {b} does not divide path length {path.length}")
+    if not is_path(path):
+        i, j, v = first_repeated_vertex(path)
+        raise ValueError(f"walk revisits {v} at positions {i} and {j}")
     action = EdgeAction(GridGraph(path.n, path.m))
     keys, starts = action.walk_keys(path), range(0, path.length, b)
-    if not is_path(path):
-        return [Subgraph(action, keys[i : i + b], path.segment(i, i + b)) for i in starts]
-    ascending = partial(Subgraph._ascending, action)
-    return [ascending(array("q", sorted(keys[i : i + b])), path.segment(i, i + b)) for i in starts]
+    return [Subgraph._ascending(action, array("q", sorted(keys[i : i + b]))) for i in starts]
 
 
 K9_TRIANGLES = ((1, 4, 5), (2, 6, 8), (3, 7, 9), (5, 6, 7))

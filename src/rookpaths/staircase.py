@@ -96,12 +96,6 @@ class Walk:
         n, m, path = self.n, self.m, self.path
         return [((b // m - a // m) % n, (b - a) % m) for a, b in pairwise(path)]
 
-    def segment(self, i: int, j: int) -> "Walk":
-        """Sub-walk from vertex i to vertex j (0-based, inclusive endpoints)."""
-        if not 0 <= i <= j <= self.length:
-            raise ValueError(f"segment [{i}, {j}] out of range for length {self.length}")
-        return Walk(self.n, self.m, self.path[i : j + 1])
-
     def image(self, table: tuple) -> "Walk":
         """The walk through the images of its vertices under one vertex table."""
         return Walk(self.n, self.m, gather(self.path)(table))

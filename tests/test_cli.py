@@ -21,7 +21,6 @@ from rookpaths.decompose import Subgraph, VerificationReport
 from rookpaths.grid import GridGraph
 from rookpaths.groups import diagonal_shift, edge_orbits, generate_group, row_shift
 from rookpaths.serialize import MAX_EDGES, orbit_id_str
-from rookpaths.staircase import Walk
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
@@ -247,6 +246,29 @@ def trivial_group_file(tmp_path, n, base, blocks):
     path = tmp_path / "trivial.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+INPUT_CHECKS = [
+    ({"graph": {"kind": "complete", "n": 0}}, "$.graph.n: complete graph needs n >= 1, got 0"),
+    # under the vertex cap, over the edge cap
+    ({"graph": {"kind": "complete", "n": 3000}},
+     "$.graph: K_3000 has 4498500 edges, more than the cap of 2500000"),
+    ({"graph": {"kind": "grid", "n": 141, "m": 141}},
+     "$.graph: K_141 box K_141 has 2783340 edges, more than the cap of 2500000"),
+    ({"group": {"kind": "explicit", "order": 1, "generators": [{"kind": "rotate"}]}},
+     "$.group.generators[0].kind: unknown permutation kind 'rotate'"),
+    ({"base": {}}, "$.base: base needs either start+steps or edges"),
+]
+
+
+@pytest.mark.parametrize("change, message", INPUT_CHECKS)
+def test_verify_refuses_each_malformed_part(tmp_path, capsys, change, message):
+    # a valid K_3 file under the trivial group, with one part replaced
+    path = trivial_group_file(tmp_path, 3, [[1, 2], [2, 3], [1, 3]], [[[1, 2], [2, 3], [1, 3]]])
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    assert run(capsys, "verify", "--input", path)[0] == 0
+    Path(path).write_text(json.dumps({**doc, **change}), encoding="utf-8")
+    assert run(capsys, "verify", "--input", path) == (1, "", f"error: {message}\n")
 
 
 def test_verify_two_different_cycles(tmp_path, capsys):
@@ -615,7 +637,7 @@ def test_split_indivisible(capsys):
 
 
 def test_split_builds_no_adjacency(capsys, monkeypatch):
-    # segments are checked on their walk indices; the stdout is the one digests.json pins
+    # segments are checked against their block walk's keys; the stdout is the one digests.json pins
     calls = []
     index_adjacency = decompose._index_adjacency
     monkeypatch.setattr(decompose, "_index_adjacency", lambda sub: calls.append(sub) or index_adjacency(sub))
@@ -628,7 +650,7 @@ def test_split_builds_no_adjacency(capsys, monkeypatch):
 
 
 def test_split_reports_a_refinement_that_fails_both_checks(capsys, monkeypatch):
-    # block 0's segments lose one edge and hold another twice, and one of them walks no path
+    # block 0's first segment loses its last edge and holds segment 1's first a second time
     split, walks = cli.haggkvist_split, []
 
     def tampered(walk, b):
@@ -636,8 +658,7 @@ def test_split_reports_a_refinement_that_fails_both_checks(capsys, monkeypatch):
         walks.append(walk)
         if len(walks) == 1:
             first, second = segments[0], segments[1]
-            revisit = Walk(walk.n, walk.m, first.walk.path[:-1] + first.walk.path[:1])
-            segments[0] = Subgraph(first.action, [*first.keys[:-1], second.keys[0]], revisit)
+            segments[0] = Subgraph(first.action, [*first.keys[:-1], second.keys[0]])
         return segments
 
     monkeypatch.setattr(cli, "haggkvist_split", tampered)
@@ -646,6 +667,34 @@ def test_split_reports_a_refinement_that_fails_both_checks(capsys, monkeypatch):
     data = json.loads(out)
     assert (data["is_partition"], data["segments_are_paths"]) == (False, False)
     assert (data["segment_count"], len(walks)) == (25, 5)
+
+
+def test_split_checks_the_segment_keys_it_prints(capsys, monkeypatch):
+    # each block's keys sorted and then cut: the segments still partition E, but no printed
+    # segment is a path, even though each keeps whatever walk the true segment carries
+    split, printed = cli.haggkvist_split, []
+
+    def sorted_then_cut(walk, b):
+        segments = split(walk, b)
+        keys = sorted(k for s in segments for k in s.keys)
+        cut = [Subgraph(s.action, keys[i * b : i * b + b], s.walk) for i, s in enumerate(segments)]
+        printed.extend(cut)
+        return cut
+
+    monkeypatch.setattr(cli, "haggkvist_split", sorted_then_cut)
+    code, out, err = run(capsys, "split", "--n", "5")
+    assert (code, err) == (2, "refinement failed verification\n")
+    data = json.loads(out)
+    assert (data["is_partition"], data["segments_are_paths"]) == (True, False)
+    assert len(printed) == data["segment_count"] == 25
+    assert not any(decompose.is_path_subgraph(s) for s in printed)
+
+
+@pytest.mark.parametrize("b", ["0", "-1"])
+def test_split_refuses_a_segment_size_below_one(capsys, b):
+    code, out, err = run(capsys, "split", "--n", "5", "--b", b)
+    assert (code, out) == (1, "")
+    assert err == f"error: segment size must be positive, got {b}\n"
 
 
 def test_split_rejects_nine(capsys):

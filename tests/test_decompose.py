@@ -1,6 +1,7 @@
 """Decomposition construction and the six-flag verifier."""
 
 import random
+import re
 from array import array
 from itertools import combinations
 from pathlib import Path
@@ -39,7 +40,7 @@ from rookpaths.groups import (
     permutation_from_cycles,
     row_shift,
 )
-from rookpaths.staircase import is_path, staircase_array, walk_from_array
+from rookpaths.staircase import first_repeated_vertex, staircase_array, walk_from_array
 
 from oracles import (
     adjacency,
@@ -62,6 +63,8 @@ def test_complete_graph_basics():
     assert str(k5) == "K_5"
     with pytest.raises(ValueError):
         k5.edge(1, 6)
+    with pytest.raises(ValueError, match=r"^complete graph needs n >= 1, got 0$"):
+        CompleteGraph(0)
 
 
 def test_label_edge_canonical():
@@ -520,23 +523,18 @@ def grid_walks(draw):
 @settings(max_examples=300, deadline=None)
 @given(grid_walks())
 def test_split_segments_are_paths_exactly_when_their_indices_are_distinct(walk):
-    # the split command's index criterion against is_path_subgraph, for every b dividing the length
+    # a path walk's segment j is stretch j of its keys, sorted, and a path; any other walk raises
+    keys = EdgeAction(GridGraph(walk.n, walk.m)).walk_keys(walk)
     for b in (b for b in range(1, walk.length + 1) if walk.length % b == 0):
-        starts = range(0, walk.length, b)
-        try:
-            segments = haggkvist_split(walk, b)
-        except ValueError as err:
-            assert "duplicate edge" in str(err)
-            keys = EdgeAction(GridGraph(walk.n, walk.m)).walk_keys(walk)
-            offending = [i for i in starts if len(set(keys[i : i + b])) < b]
-            assert offending
-            assert not any(is_path(walk.segment(i, i + b)) for i in offending)
+        if len(set(walk.path)) < len(walk.path):
+            i, j, v = first_repeated_vertex(walk)
+            with pytest.raises(ValueError, match=re.escape(f"walk revisits {v} at positions {i} and {j}")):
+                haggkvist_split(walk, b)
             continue
-        assert [s.walk for s in segments] == [walk.segment(i, i + b) for i in starts]
-        for s in segments:
-            assert s.keys == array("q", sorted(s.action.walk_keys(s.walk)))
-            assert s.edge_count == b
-            assert is_path(s.walk) == is_path_subgraph(s)
+        segments = haggkvist_split(walk, b)
+        stretches = [array("q", sorted(keys[i : i + b])) for i in range(0, walk.length, b)]
+        assert [s.keys for s in segments] == stretches
+        assert all(s.walk is None and is_path_subgraph(s) for s in segments)
 
 
 def test_haggkvist_split_segments_hold_each_block_key_once():

@@ -12,7 +12,7 @@ from rookpaths.decompose import (
     Subgraph,
     build_orbit_decomposition,
 )
-from rookpaths.grid import GridGraph, GridVertex
+from rookpaths.grid import DimensionError, GridGraph, GridVertex
 from rookpaths.groups import (
     EdgeOrbit,
     GroupTooLarge,
@@ -218,6 +218,8 @@ def test_permutation_from_cycles_k9():
     assert generate_group([p]).order == 3
     with pytest.raises(ValueError):
         permutation_from_cycles(k9, ((1, 2), (2, 3)))
+    with pytest.raises(ValueError, match="^4 is not a vertex$"):
+        permutation_from_cycles(CompleteGraph(3), [(1, 4)])
 
 
 def test_edge_image():
@@ -474,6 +476,8 @@ def test_same_orbit_validates_membership():
     e = g.edge(GridVertex(0, 0), GridVertex(0, 4))
     with pytest.raises(ValueError):
         same_orbit_row_shift(e, e, 3, 3)
+    with pytest.raises(DimensionError, match=r"^grid needs n, m >= 2, got 1 x 5$"):
+        same_orbit_row_shift(e, e, 1, 5)
 
 
 def test_orbit_census_values():
@@ -484,6 +488,8 @@ def test_orbit_census_values():
         orbit_census(4, 4)
     with pytest.raises(ValueError):
         orbit_census(1, 4)
+    with pytest.raises(ValueError, match="^census requires m >= 2, got m=1$"):
+        orbit_census(3, 1)
 
 
 def test_census_matches_enumeration_everywhere():

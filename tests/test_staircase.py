@@ -162,7 +162,7 @@ def test_walk_from_array_rejects_bad_steps():
 
 def test_walk_segment_and_reverse():
     w = walk_from_array((0, 0), staircase_array(5), 5, 5)
-    seg = w.segment(0, 4)
+    seg = Walk(5, 5, w.path[0:5])
     assert seg.length == 4
     assert seg.path == w.path[:5]
     # the reversed walk is its reversed index path; its steps are derived from it
@@ -182,7 +182,7 @@ def test_transported_walk_commutes_with_shift():
         assert walk_vertex_objects(image) == tuple(apply(g, v) for v in walk_vertex_objects(w))
         assert image.step_pairs() == w.step_pairs()
         # a one-vertex walk images to a one-vertex walk
-        assert w.segment(3, 3).image(g.table) == image.segment(3, 3)
+        assert Walk(5, 5, w.path[3:4]).image(g.table) == Walk(5, 5, image.path[3:4])
         assert block.edges == Subgraph.of_edges(graph, walk_edge_objects(image)).edges
 
 

@@ -12,8 +12,9 @@ when any command differs.  The corpus:
   - generate for the odd primes up to 23, every width the digests
     claim, in all three formats;
   - split --n 5, 7 and 13 with several --b, in all three formats (at
-    n=13, --b 1 gives 2,028 one-edge segments and --b 5 exits 1); at
-    n=7 these are every --b the cli-small workload runs, and 42;
+    n=5, --b 0 exits 1; at n=13, --b 1 gives 2,028 one-edge segments
+    and --b 5 exits 1); at n=7 these are every --b the cli-small
+    workload runs, and 42;
   - orbits --edges under both groups on square grids, and under the
     row shift on every rectangular grid with 2 <= n != m <= 5;
   - help and usage errors (USAGE): no arguments, --help before and
@@ -21,7 +22,7 @@ when any command differs.  The corpus:
     missing, extra and malformed arguments, and argv just past the
     plain form that is read without a parser: help or "--" after a
     subcommand, abbreviated, repeated or --opt=value options, a negative
-    width and a stray positional;
+    width or segment size and a stray positional;
   - plain argv at the edges of reading them from the subcommand table
     (PLAIN): widths written " 5", "+5" and "07", options in another
     order than help lists them, examples' name after its option, and
@@ -73,7 +74,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = ROOT / "perfbench" / "digests.json"
 FORMATS = ("json", "dot", "edges")
 SPLITS = {
-    5: (None, 1, 2, 3, 4, 5, 10, 20),
+    5: (None, 0, 1, 2, 3, 4, 5, 10, 20),
     7: (None, 1, 2, 3, 4, 6, 7, 14, 21, 42),
     13: (None, 1, 5, 12, 156),
 }
@@ -87,7 +88,7 @@ USAGE = [
     ("generate", "--n", "5", "-h"), ("generate", "--he"), ("generate", "--", "--n", "5"),
     ("generate", "--fo", "dot", "--n", "3"), ("generate", "--n", "3", "--n", "5"),
     ("orbits", "--n", "-3"), ("verify", "--input="), ("split", "--n", "5", "--b"),
-    ("examples", "k9", "fig3"),
+    ("examples", "k9", "fig3"), ("split", "--n", "5", "--b", "-1"),
 ]
 PLAIN = [
     ("generate", "--n", " 5"), ("generate", "--n", "+5"), ("generate", "--n", "07"),
