@@ -21,6 +21,7 @@ from .decompose import (
     IsomorphismCapExceeded,
     NotOddPrime,
     PreconditionFailed,
+    Subgraph,
     build_orbit_decomposition,
     diagonal_fixture_n4,
     haggkvist_split,
@@ -208,26 +209,26 @@ def cmd_split(args) -> int:
     if not _verified(report):
         return EXIT_MATH
     b = args.b if args.b is not None else args.n - 1
-    walks = [dec.base.walk.image(t) for t in dec.group.tables]
+    walk, action = dec.base.walk, dec.base.action
     try:
-        parts = [haggkvist_split(walk, b) for walk in walks]
+        cut = haggkvist_split(walk, b)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    # block i, the image under tables[i], is verified and the blocks partition E, so the
-    # segments do exactly when each block's segments hold its keys once
-    partition_ok = all(
-        array("q", sorted(chain.from_iterable([s.keys for s in part]))) == block.keys
-        for part, block in zip(parts, dec.blocks)
+    # the cut is checked on the base alone: a stretch of a path is a path, so cut j is a
+    # b-edge path when the base walk is a path and cut j holds, sorted, stretch j's b keys
+    keys = action.walk_keys(walk)
+    paths_ok = is_path(walk) and len(cut) * b == len(keys) and all(
+        s.keys == array("q", sorted(keys[j * b : j * b + b])) for j, s in enumerate(cut)
     )
-    # a stretch of a path is a path, so a segment is a b-edge path when its block walk
-    # is a path and it holds, sorted, the b keys of its stretch of that walk
-    paths_ok = all(
-        is_path(walk) and len(part) * b == len(keys)
-        and all(s.keys == array("q", sorted(keys[j * b : j * b + b])) for j, s in enumerate(part))
-        for walk, part, keys in zip(walks, parts, map(dec.base.action.walk_keys, walks))
-    )
-    segments = [s for part in parts for s in part]
+    cut_keys = list(chain.from_iterable(s.keys for s in cut))
+    partition_ok = array("q", sorted(cut_keys)) == dec.base.keys
+    # verify certified every table as a bijective automorphism and the base's images as
+    # blocks partitioning E; an automorphism takes a b-edge path to one, and a bijection a
+    # partition of the base's keys to one of its image's, so the cut's images are b-edge
+    # paths that partition each block, and together E; tables[0], the identity, gives the cut
+    images = action.images(dec.group.tables, cut_keys)
+    segments = [Subgraph(action, image[i : i + b]) for image in images for i in range(0, len(image), b)]
     summary = {
         "graph": {"kind": "grid", "n": args.n, "m": args.n},
         "edges_per_segment": b,

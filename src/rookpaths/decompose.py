@@ -146,8 +146,7 @@ class Subgraph:
     repeated set (_ascending keeps an array its caller proved strictly
     ascending), and range checks are build's and verify's.
     ``edges`` builds the edge objects when read.  Only a walk base
-    carries a ``walk``, how it was traced; the walk of the block of an
-    element's table t is ``base.walk.image(t)``.
+    carries a ``walk``, how it was traced.
     """
 
     __slots__ = ("action", "keys", "walk")

@@ -5,9 +5,9 @@ is graph.vertices()[i]), and permutation_from_cycles is the one entry
 point that reads vertex objects.  A FiniteGroup holds one vertex table
 per element, and builds a Permutation from one only for a witness.
 gather composes a table with an index sequence in one C-level itemgetter
-call, for the closure, the fixed-edge test and Walk.image.  EdgeAction is a
-graph's integer edge keys (vertex i is row * m + col on a grid,
-label - 1 on K_n; edge i < j is i * |V| + j), the one form every
+call, for the closure, the fixed-edge test and EdgeAction.images.
+EdgeAction is a graph's integer edge keys (vertex i is row * m + col on
+a grid, label - 1 on K_n; edge i < j is i * |V| + j), the one form every
 decompose.Subgraph is stored in (walk_keys keys a Walk's index path,
 keys() the edges of Subgraph.of_edges); edges() builds edge and vertex
 objects back only for witnesses, orbit ids and Subgraph.edges.

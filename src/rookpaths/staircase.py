@@ -26,7 +26,6 @@ from itertools import pairwise
 from typing import Iterable, Sequence
 
 from .grid import DimensionError, GridGraph
-from .groups import gather
 
 
 class ConstructionInvalid(RuntimeError):
@@ -95,10 +94,6 @@ class Walk:
         """Differences of consecutive vertices, reduced mod (n, m), as (drow, dcol) pairs."""
         n, m, path = self.n, self.m, self.path
         return [((b // m - a // m) % n, (b - a) % m) for a, b in pairwise(path)]
-
-    def image(self, table: tuple) -> "Walk":
-        """The walk through the images of its vertices under one vertex table."""
-        return Walk(self.n, self.m, gather(self.path)(table))
 
 
 def _normalize_steps(arr: Iterable, n: int, m: int) -> list[tuple[int, int]]:

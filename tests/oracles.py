@@ -23,7 +23,9 @@ brute_isomorphic tries every vertex bijection, the reference for the
 backtracking search in subgraphs_isomorphic; adjacency is a subgraph's
 neighbour sets on vertex objects, as Subgraph.adjacency() gave them.  tuple_closure is
 generate_group as it was before it gathered with itemgetter, composing
-one ``tuple(map(t.__getitem__, cur))`` at a time.
+one ``tuple(map(t.__getitem__, cur))`` at a time.  walk_image is
+Walk.image, a walk's image under one vertex table, as it was before split
+carried the base's cut to every block instead of imaging each block walk.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from rookpaths.groups import (
     diagonal_shift,
     edge_orbits,
     fixed_edge_witness,
+    gather,
     generate_group,
     row_shift,
 )
@@ -68,7 +71,7 @@ from rookpaths.serialize import (
     PALETTE,
     SchemaError,
 )
-from rookpaths.staircase import walk_from_array
+from rookpaths.staircase import Walk, walk_from_array
 
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
 
@@ -113,6 +116,11 @@ def walk_edge_objects(walk) -> list:
     """A walk's edge objects in walk order, one per pair of consecutive vertices."""
     vertices = walk_vertex_objects(walk)
     return [GridEdge(a, b) for a, b in zip(vertices, vertices[1:])]
+
+
+def walk_image(walk: Walk, table: tuple) -> Walk:
+    """The walk through the images of its vertices under one vertex table."""
+    return Walk(walk.n, walk.m, gather(walk.path)(table))
 
 
 def brute_grid_edges(n, m):

@@ -52,6 +52,7 @@ from oracles import (
     random_step_arrays,
     vertices_distinct,
     walk_edge_orbits_distinct,
+    walk_image,
 )
 
 _CACHE = {}
@@ -227,7 +228,7 @@ def test_criterion_9_refinement():
             assert gallai_check(graph, dec)
             segments = []
             for t in dec.group.tables:
-                segments.extend(haggkvist_split(dec.base.walk.image(t), n - 1))
+                segments.extend(haggkvist_split(walk_image(dec.base.walk, t), n - 1))
             assert len(segments) == n * n
             assert all(s.edge_count == n - 1 for s in segments)
             assert all(is_path_subgraph(s) for s in segments)

@@ -8,17 +8,19 @@ import os
 import subprocess
 import sys
 import time
+from array import array
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import rookpaths
 from rookpaths import cli, decompose, serialize
 from rookpaths.cli import SUBCOMMANDS, build_parser, main, parse_command
 from rookpaths.decompose import Subgraph, VerificationReport
-from rookpaths.grid import GridGraph
+from rookpaths.grid import GridGraph, GridVertex
 from rookpaths.groups import diagonal_shift, edge_orbits, generate_group, row_shift
 from rookpaths.serialize import MAX_EDGES, orbit_id_str
 
@@ -637,7 +639,7 @@ def test_split_indivisible(capsys):
 
 
 def test_split_builds_no_adjacency(capsys, monkeypatch):
-    # segments are checked against their block walk's keys; the stdout is the one digests.json pins
+    # the cut is checked against the base walk's keys; the stdout is the one digests.json pins
     calls = []
     index_adjacency = decompose._index_adjacency
     monkeypatch.setattr(decompose, "_index_adjacency", lambda sub: calls.append(sub) or index_adjacency(sub))
@@ -666,7 +668,7 @@ def test_split_reports_a_refinement_that_fails_both_checks(capsys, monkeypatch):
     assert (code, err) == (2, "refinement failed verification\n")
     data = json.loads(out)
     assert (data["is_partition"], data["segments_are_paths"]) == (False, False)
-    assert (data["segment_count"], len(walks)) == (25, 5)
+    assert (data["segment_count"], len(walks)) == (25, 1)
 
 
 def test_split_checks_the_segment_keys_it_prints(capsys, monkeypatch):
@@ -686,8 +688,52 @@ def test_split_checks_the_segment_keys_it_prints(capsys, monkeypatch):
     assert (code, err) == (2, "refinement failed verification\n")
     data = json.loads(out)
     assert (data["is_partition"], data["segments_are_paths"]) == (True, False)
-    assert len(printed) == data["segment_count"] == 25
+    assert (len(printed), data["segment_count"]) == (5, 25)
     assert not any(decompose.is_path_subgraph(s) for s in printed)
+
+
+def test_split_checks_that_the_cut_covers_the_base_walk(capsys, monkeypatch):
+    # the cut one segment short: each segment it keeps is a stretch of the base walk, sorted,
+    # but together they miss the walk's last b keys
+    split = cli.haggkvist_split
+    monkeypatch.setattr(cli, "haggkvist_split", lambda walk, b: split(walk, b)[:-1])
+    code, out, err = run(capsys, "split", "--n", "5")
+    assert (code, err) == (2, "refinement failed verification\n")
+    data = json.loads(out)
+    assert (data["is_partition"], data["segments_are_paths"]) == (False, False)
+    assert data["segment_count"] == 20
+
+
+# b values dividing n(n-1), 1 and n(n-1) among them
+SPLIT_SIZES = {
+    3: (1, 2, 3, 6),
+    5: (1, 2, 4, 5, 10, 20),
+    7: (1, 3, 6, 7, 21, 42),
+    11: (1, 5, 10, 11, 55, 110),
+    13: (1, 4, 12, 13, 78, 156),
+}
+
+
+@pytest.mark.parametrize("n,b", [(n, b) for n, sizes in SPLIT_SIZES.items() for b in sizes])
+def test_split_prints_each_block_walk_cut_into_b_edge_paths(capsys, n, b):
+    # split checks its cut on the base alone and prints the cut's images; here each block
+    # walk is imaged and cut on its own, and the printed segments are checked as paths and
+    # as a partition of E
+    code, out, _ = run(capsys, "split", "--n", str(n), "--b", str(b))
+    assert code == 0
+    graph = GridGraph(n, n)
+    printed = [
+        Subgraph.of_edges(graph, [graph.edge(GridVertex(*u), GridVertex(*v)) for u, v in s["edges"]])
+        for s in json.loads(out)["segments"]
+    ]
+    dec, _ = decompose.staircase_decomposition(n)
+    expected = []
+    for t in dec.group.tables:
+        keys = dec.base.action.walk_keys(oracles.walk_image(dec.base.walk, t))
+        expected += [array("q", sorted(keys[i : i + b])) for i in range(0, len(keys), b)]
+    assert [s.keys for s in printed] == expected
+    assert all(decompose.is_path_subgraph(s) for s in printed)
+    assert decompose.partition_witnesses(graph, printed).ok
 
 
 @pytest.mark.parametrize("b", ["0", "-1"])

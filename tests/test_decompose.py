@@ -49,6 +49,7 @@ from oracles import (
     orbit_path_preconditions,
     path_edge_set,
     walk_edge_objects,
+    walk_image,
 )
 
 
@@ -488,7 +489,7 @@ def test_gallai_check():
 
 def test_haggkvist_split():
     dec, _ = staircase_decomposition(5)
-    walk = dec.base.walk.image(dec.group.tables[0])
+    walk = walk_image(dec.base.walk, dec.group.tables[0])
     segments = haggkvist_split(walk, 4)
     assert len(segments) == 5
     assert all(s.edge_count == 4 for s in segments)
@@ -541,13 +542,13 @@ def test_haggkvist_split_segments_hold_each_block_key_once():
     # cmd_split's partition check: block i's segment keys, sorted together, are block i's keys
     dec, _ = staircase_decomposition(5)
     for t, block in zip(dec.group.tables, dec.blocks):
-        segments = haggkvist_split(dec.base.walk.image(t), 4)
+        segments = haggkvist_split(walk_image(dec.base.walk, t), 4)
         assert sorted(k for s in segments for k in s.keys) == list(block.keys)
 
 
 def test_haggkvist_split_whole_path():
     dec, _ = staircase_decomposition(3)
-    walk = dec.base.walk.image(dec.group.tables[0])
+    walk = walk_image(dec.base.walk, dec.group.tables[0])
     only = haggkvist_split(walk, walk.length)
     assert len(only) == 1
     assert sorted(only[0].edges) == sorted(dec.blocks[0].edges)

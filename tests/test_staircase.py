@@ -34,6 +34,7 @@ from oracles import (
     no_zero_run,
     walk_edge_objects,
     walk_edge_orbits_distinct,
+    walk_image,
     walk_vertex_objects,
 )
 
@@ -178,11 +179,11 @@ def test_transported_walk_commutes_with_shift():
     dec = build_orbit_decomposition(graph, group, Subgraph.of_edges(graph, walk_edge_objects(w), w))
     assert len(dec.blocks) == group.order
     for g, block in zip(group_elements(group), dec.blocks):
-        image = w.image(g.table)
+        image = walk_image(w, g.table)
         assert walk_vertex_objects(image) == tuple(apply(g, v) for v in walk_vertex_objects(w))
         assert image.step_pairs() == w.step_pairs()
         # a one-vertex walk images to a one-vertex walk
-        assert Walk(5, 5, w.path[3:4]).image(g.table) == Walk(5, 5, image.path[3:4])
+        assert walk_image(Walk(5, 5, w.path[3:4]), g.table) == Walk(5, 5, image.path[3:4])
         assert block.edges == Subgraph.of_edges(graph, walk_edge_objects(image)).edges
 
 

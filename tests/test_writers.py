@@ -25,7 +25,7 @@ def block_lists():
     for n, found in blocks.items():
         yield f"staircase n={n}", found
     for n, sizes in SPLITS.items():
-        walks = [decs[n].base.walk.image(t) for t in decs[n].group.tables]
+        walks = [oracles.walk_image(decs[n].base.walk, t) for t in decs[n].group.tables]
         for b in sizes:
             segments = [s for walk in walks for s in haggkvist_split(walk, b)]
             yield f"split n={n} b={b}", segments

@@ -11,10 +11,11 @@ when any command differs.  The corpus:
   - every command in perfbench/digests.json (read, never written);
   - generate for the odd primes up to 23, every width the digests
     claim, in all three formats;
-  - split --n 5, 7 and 13 with several --b, in all three formats (at
-    n=5, --b 0 exits 1; at n=13, --b 1 gives 2,028 one-edge segments
-    and --b 5 exits 1); at n=7 these are every --b the cli-small
-    workload runs, and 42;
+  - split --n 3, 5, 7, 11 and 13 with several --b, in all three
+    formats: at n=3, 11 and 13 among them --b 1 and the whole block,
+    n(n-1) (at n=13, --b 1 gives 2,028 one-edge segments); at n=5,
+    --b 0 exits 1, and at n=13, --b 5 exits 1; at n=7 these are every
+    --b the cli-small workload runs, and 42;
   - orbits --edges under both groups on square grids, and under the
     row shift on every rectangular grid with 2 <= n != m <= 5;
   - help and usage errors (USAGE): no arguments, --help before and
@@ -74,8 +75,10 @@ ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = ROOT / "perfbench" / "digests.json"
 FORMATS = ("json", "dot", "edges")
 SPLITS = {
+    3: (None, 1, 2, 3, 6),
     5: (None, 0, 1, 2, 3, 4, 5, 10, 20),
     7: (None, 1, 2, 3, 4, 6, 7, 14, 21, 42),
+    11: (None, 1, 5, 22, 110),
     13: (None, 1, 5, 12, 156),
 }
 USAGE = [
