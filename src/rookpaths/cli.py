@@ -159,10 +159,8 @@ def cmd_orbits(args) -> int:
     status = EXIT_OK
     if args.group == "row_shift" and n % 2 == 1:
         census = orbit_census(n, m)
-        horizontal = sum(1 for o in orbits if o.id[0] == "H")
-        vertical = sum(1 for o in orbits if o.id[0] == "V")
-        uniform = all(o.size == census.orbit_size for o in orbits)
-        if (horizontal, vertical) == census[:2] and uniform:
+        horizontal, vertical = [sum(o.id[0] == kind for o in orbits) for kind in "HV"]
+        if (horizontal, vertical) == census[:2] and sizes == [census.orbit_size]:
             print(
                 f"census: horizontal={census.horizontal_orbits}"
                 f" vertical={census.vertical_orbits} size={census.orbit_size} OK"
@@ -175,7 +173,8 @@ def cmd_orbits(args) -> int:
                 f" sizes={','.join(map(str, sizes))}"
             )
             status = EXIT_MATH
-    fixed = fixed_edge_witness(graph, group)
+    # orbit-stabilizer: a non-identity element fixes an edge just when the edge's orbit is short
+    fixed = fixed_edge_witness(graph, group) if sizes != [group.order] else None
     if fixed is not None:
         print(
             f"warning: not semiregular on edges: a non-identity element fixes {fixed[1]}",

@@ -170,7 +170,7 @@ class FiniteGroup:
     def tables_on(self, graph) -> tuple[tuple, ...]:
         """``tables``; ValueError unless the group acts on the vertices of ``graph``."""
         if self.graph != graph:
-            raise ValueError(f"the group does not act on the vertices of {graph}")
+            raise ValueError(f"the group does not act on the vertices of {graph} but of {self.graph}")
         return self.tables
 
     def non_identity(self) -> tuple[Permutation, ...]:

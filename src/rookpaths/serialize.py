@@ -6,7 +6,7 @@ as [row, col] pairs on grids and bare integer labels on complete
 graphs.  Identical inputs always serialize to identical bytes, so
 outputs can be diffed and used as golden files.  JSON blocks and split
 segments, edge text and DOT are all written straight from key arrays
-through one per-vertex text table per graph (_vertex_texts); edge
+through one per-vertex text table per call (_vertex_texts); edge
 objects are written only for witnesses and an edge-list base.
 
 Parsing is strict and reports the JSON path of the first offending
@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import islice
-from typing import Iterator, Sequence
+from itertools import chain, islice
+from typing import Sequence
 
 from .decompose import (
     CompleteGraph,
@@ -170,29 +170,27 @@ def _vertex_texts(graph, grid_form: str) -> tuple[str, ...]:
     return tuple(map(str, graph.vertices()))
 
 
-def _with_halves(subs, grid_form: str, open_: str, sep: str, close: str) -> Iterator[tuple]:
-    """Each subgraph with per-vertex texts made once per graph and fetched once per run of
-    subgraphs on one action: edge i < j is heads[i] + tails[j]."""
-    made: dict = {}
-    action = halves = None
+def _check_on(graph, subs) -> None:
+    """ValueError naming both graphs unless every one of ``subs`` is a subgraph of ``graph``."""
     for sub in subs:
-        if sub.action is not action:
-            action, graph = sub.action, sub.action.graph
-            if graph not in made:
-                texts = _vertex_texts(graph, grid_form)
-                made[graph] = [open_ + t + sep for t in texts], [t + close for t in texts]
-            halves = made[graph]
-        yield sub, *halves
+        if sub.action.graph is not graph and sub.action.graph != graph:
+            raise ValueError(f"a subgraph of {sub.action.graph} is not a subgraph of {graph}")
+
+
+def _halves(subs, grid_form: str, open_: str, sep: str, close: str) -> tuple[list, list, int]:
+    """(heads, tails, |V|) of the one graph ``subs`` lie on: edge i < j is heads[i] + tails[j]."""
+    if not subs:
+        return [], [], 0
+    _check_on(subs[0].action.graph, subs)
+    texts = _vertex_texts(subs[0].action.graph, grid_form)
+    return [open_ + t + sep for t in texts], [t + close for t in texts], len(texts)
 
 
 def dumps_with_edges(fields: dict, name: str) -> str:
     """dumps(fields), member ``name`` (subgraphs) written from the keys, large texts copied once."""
-    lists = []
-    for sub, heads, tails in _with_halves(fields[name], "[%d,%d]", "[", ",", "]"):
-        size = sub.action.size
-        edges = ",".join([heads[k // size] + tails[k % size] for k in sub.keys])
-        lists.append(f'{{"edges":[{edges}]}}')
-    edge_lists = "[%s]" % ",".join(lists)
+    heads, tails, size = _halves(fields[name], "[%d,%d]", "[", ",", "]")
+    texts = (",".join([heads[k // size] + tails[k % size] for k in sub.keys]) for sub in fields[name])
+    edge_lists = "[%s]" % ",".join([f'{{"edges":[{text}]}}' for text in texts])
     members = (
         f'"{key}":{edge_lists if key == name else dumps(value)}' for key, value in fields.items()
     )
@@ -200,7 +198,9 @@ def dumps_with_edges(fields: dict, name: str) -> str:
 
 
 def decomposition_to_json(graph, dec: Decomposition, report: VerificationReport) -> str:
-    """The decomposition's JSON text: graph, group, base, blocks, report."""
+    """The JSON text of ``dec``, whose group, base and blocks are on ``graph`` (else ValueError)."""
+    dec.group.tables_on(graph)
+    _check_on(graph, (dec.base, *dec.blocks))
     fields = {
         "graph": _graph_json(graph),
         "group": _group_json(dec.group),
@@ -217,11 +217,11 @@ def orbit_id_str(oid: tuple) -> str:
 
 def orbit_lines(orbits: Sequence[EdgeOrbit], edges: bool) -> list[str]:
     """Each orbit's id and size, then with ``edges`` its member edges as "  (a,b)-(c,d)"."""
+    heads, tails, size = _halves(orbits, "(%d,%d)", "  ", "-", "")
     lines = []
-    for orbit, heads, tails in _with_halves(orbits, "(%d,%d)", "  ", "-", ""):
+    for orbit in orbits:
         lines.append(f"{orbit_id_str(orbit.id)} size={orbit.size}")
         if edges:
-            size = orbit.action.size
             lines += [heads[k // size] + tails[k % size] for k in orbit.keys]
     return lines
 
@@ -652,37 +652,29 @@ def parse_decomposition(data) -> tuple:
 
 
 def blocks_to_text(blocks: Sequence[Subgraph]) -> str:
-    """Edge text for several blocks, with a comment header per block.
+    """Edge text for the blocks of one graph, with a comment header per block.
 
     One edge per line, canonical endpoint first: (a,b)-(c,d) or u-v.
     """
+    heads, tails, size = _halves(blocks, "(%d,%d)", "", "-", "\n")
     chunks = []
-    for i, (block, heads, tails) in enumerate(_with_halves(blocks, "(%d,%d)", "", "-", "\n")):
-        size = block.action.size
+    for i, block in enumerate(blocks):
         chunks.append(f"# block {i}\n")
         chunks.extend([heads[k // size] + tails[k % size] for k in block.keys])
     return "".join(chunks)
 
 
 def dot_for_blocks(blocks: Sequence[Subgraph]) -> str:
-    """GraphViz text: the blocks' vertices in order, then their edges, colored by block."""
-    colors = [f' [color="{c}"];' for c in PALETTE]
-    used: dict = {}  # action -> the keys of its blocks, for the vertices they touch
-    edge_lines = []
-    append = edge_lines.append
-    for i, (block, heads, tails) in enumerate(_with_halves(blocks, "%d,%d", '  "', '" -- "', '"')):
-        keys, size, color = block.keys, block.action.size, colors[i % len(colors)]
-        for k in keys:
-            append(heads[k // size] + tails[k % size] + color)
-        used.setdefault(block.action, []).extend(keys)
-    nodes: dict = {}  # vertex object -> its text, for the sort across graphs
-    for action, keys in used.items():
-        texts, vertices, size = _vertex_texts(action.graph, "%d,%d"), action.vertices, action.size
-        seen = {k // size for k in keys}.union([k % size for k in keys])
-        nodes.update([(vertices[i], texts[i]) for i in seen])
+    """GraphViz text for the blocks of one graph: the vertices they touch in index order, which
+    is vertex order on a grid or a K_n, then their edges, colored by block."""
+    heads, tails, size = _halves(blocks, "%d,%d", '  "', '" -- "', '"')
+    keys = list(chain.from_iterable(block.keys for block in blocks))
+    touched = {k // size for k in keys}.union([k % size for k in keys])
     lines = ["graph decomposition {", "  node [shape=circle fontsize=10];"]
-    lines.extend([f'  "{nodes[v]}";' for v in sorted(nodes)])
-    lines.extend(edge_lines)
+    lines += [f'  "{tails[i]};' for i in sorted(touched)]
+    for i, block in enumerate(blocks):
+        color = f' [color="{PALETTE[i % len(PALETTE)]}"];'
+        lines += [heads[k // size] + tails[k % size] + color for k in block.keys]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

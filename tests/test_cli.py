@@ -21,7 +21,7 @@ from rookpaths import cli, decompose, serialize
 from rookpaths.cli import SUBCOMMANDS, build_parser, main, parse_command
 from rookpaths.decompose import Subgraph, VerificationReport
 from rookpaths.grid import GridGraph, GridVertex
-from rookpaths.groups import diagonal_shift, edge_orbits, generate_group, row_shift
+from rookpaths.groups import OrbitCensus, diagonal_shift, edge_orbits, generate_group, row_shift
 from rookpaths.serialize import MAX_EDGES, orbit_id_str
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
@@ -44,7 +44,9 @@ def test_generate_n5(capsys):
 
 def test_generate_builds_no_vertex_tuple(capsys):
     # the actions, the checks and the writers read vertex indices; only witnesses read objects
-    for command in ("generate --n 23", "split --n 7", "orbits --n 7 --edges"):
+    commands = ("generate --n 23", "split --n 7", "orbits --n 7 --edges")
+    dot = ("generate --n 7 --format dot", "split --n 7 --format dot", "examples diag4 --format dot")
+    for command in commands + dot:
         GridGraph.vertices.cache_clear()
         code, _, _ = run(capsys, *command.split())
         assert code == 0
@@ -564,6 +566,56 @@ def test_orbits_edges_lists_each_member_edge_as_its_str(capsys, group, n, m):
     lines = out.splitlines()
     assert lines[4 : 4 + len(expected)] == expected
     assert [line[:7] for line in lines[4 + len(expected) :]] in ([], ["census:"])
+
+
+SEMIREGULAR = [("row_shift", n, m) for n in (3, 5, 7) for m in range(2, 8)]
+SEMIREGULAR += [("diagonal_shift", n, n) for n in range(3, 7)]
+
+
+def test_semiregular_orbits_run_no_fixed_edge_scan(capsys, monkeypatch):
+    # every orbit has |G| edges, so no non-identity element fixes an edge (orbit-stabilizer)
+    expected = {}
+    for group, n, m in SEMIREGULAR:
+        for edges in ([], ["--edges"]):
+            argv = ["orbits", "--n", str(n), "--m", str(m), "--group", group, *edges]
+            expected[tuple(argv)] = run(capsys, *argv)
+
+    def no_scan(graph, group):
+        raise AssertionError("fixed_edge_witness called on a semiregular action")
+
+    monkeypatch.setattr(cli, "fixed_edge_witness", no_scan)
+    for argv, before in expected.items():
+        assert run(capsys, *argv) == before == (0, before[1], ""), argv
+
+
+def test_short_orbits_still_name_the_fixed_edge(capsys):
+    code, out, err = run(capsys, "orbits", "--n", "4", "--m", "6")
+    assert code == 2
+    assert "sizes: 2,4" in out
+    assert err == "warning: not semiregular on edges: a non-identity element fixes (0,0)-(2,0)\n"
+
+
+@pytest.mark.parametrize(
+    "census, expected",
+    [
+        (
+            (4, 3, 3),
+            "census: MISMATCH expected horizontal=4 vertical=3 size=3,"
+            " enumerated horizontal=3 vertical=3 sizes=3",
+        ),
+        (
+            (3, 3, 5),
+            "census: MISMATCH expected horizontal=3 vertical=3 size=5,"
+            " enumerated horizontal=3 vertical=3 sizes=3",
+        ),
+    ],
+)
+def test_orbits_census_mismatch_exits_2(capsys, monkeypatch, census, expected):
+    monkeypatch.setattr(cli, "orbit_census", lambda n, m: OrbitCensus(*census))
+    code, out, err = run(capsys, "orbits", "--n", "3", "--m", "3")
+    assert code == 2
+    assert out.splitlines()[-1] == expected
+    assert err == ""
 
 
 def test_orbits_bad_dimensions(capsys):

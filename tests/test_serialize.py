@@ -7,6 +7,7 @@ import pytest
 
 from rookpaths import serialize
 from rookpaths.decompose import (
+    Decomposition,
     Subgraph,
     VerificationReport,
     build_orbit_decomposition,
@@ -15,7 +16,7 @@ from rookpaths.decompose import (
     verify_decomposition,
 )
 from rookpaths.grid import GridGraph
-from rookpaths.groups import edge_orbits
+from rookpaths.groups import Permutation, edge_orbits, generate_group, row_shift
 from rookpaths.serialize import (
     SchemaError,
     blocks_to_text,
@@ -83,6 +84,49 @@ def test_output_is_compact_ascii():
     text = n3_payload()
     assert " " not in text
     assert text.isascii()
+
+
+def test_named_shift_among_explicit_generators_round_trips():
+    # generators of two kinds make an explicit group, whose row shift keeps its name
+    base = staircase_decomposition(5)[0].base
+    graph = base.action.graph
+    shift = row_shift(5, 5)
+    group = generate_group([shift, Permutation(graph, shift.table)])
+    dec = build_orbit_decomposition(graph, group, base)
+    text = decomposition_to_json(graph, dec, verify_decomposition(graph, group, dec))
+    data = json.loads(text)
+    assert data["group"]["kind"] == "explicit" and data["group"]["order"] == 5
+    assert data["group"]["generators"][0] == {"kind": "row_shift", "n": 5, "m": 5}
+    assert data["group"]["generators"][1]["kind"] == "explicit"
+    graph2, group2, dec2 = parse_decomposition(text)
+    assert group2.tables == group.tables
+    assert [g.kind for g in group2.generators] == ["row_shift", "explicit"]
+    assert [b.keys for b in dec2.blocks] == [b.keys for b in dec.blocks]
+    report = verify_decomposition(graph2, group2, dec2)
+    assert report.all_ok and len(report.flags()) == 6
+    assert decomposition_to_json(graph2, dec2, report) == text
+
+
+def test_decomposition_to_json_refuses_a_decomposition_off_its_graph():
+    small, report = staircase_decomposition(3)
+    large, _ = staircase_decomposition(5)
+    graph = GridGraph(3, 3)
+    cases = [
+        (large, "the group does not act on the vertices of K_3 box K_3 but of K_5 box K_5"),
+        (
+            Decomposition(small.blocks, small.group, large.base),
+            "a subgraph of K_5 box K_5 is not a subgraph of K_3 box K_3",
+        ),
+        (
+            Decomposition((*small.blocks, large.blocks[0]), small.group, small.base),
+            "a subgraph of K_5 box K_5 is not a subgraph of K_3 box K_3",
+        ),
+    ]
+    for dec, message in cases:
+        with pytest.raises(ValueError) as err:
+            decomposition_to_json(graph, dec, report)
+        assert str(err.value) == message
+    assert json.loads(decomposition_to_json(graph, small, report))["graph"]["n"] == 3
 
 
 def test_report_witnesses_only_when_failing():
