@@ -1,4 +1,5 @@
-"""Edge text and DOT written from key arrays match the edge-object writers in oracles."""
+"""Edge text and DOT written from key arrays match the edge-object writers in oracles, and
+every writer refuses the subgraphs of two graphs."""
 
 import pytest
 
@@ -88,7 +89,7 @@ def test_writers_refuse_subgraphs_of_two_graphs(label, subs, other):
 
 def test_orbit_lines_refuse_orbits_of_two_graphs():
     square, wide = GridGraph(3, 3), GridGraph(3, 4)
-    orbits = [*edge_orbits(square, generate_group([row_shift(3, 3)]))[:2]]
+    orbits = edge_orbits(square, generate_group([row_shift(3, 3)]))[:2]
     orbits += edge_orbits(wide, generate_group([row_shift(3, 4)]))[:1]
     k4 = CompleteGraph(4)
     orbits_k = edge_orbits(k4, generate_group([Permutation(k4, (1, 2, 3, 0))]))
