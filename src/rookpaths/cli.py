@@ -151,16 +151,19 @@ def cmd_orbits(args) -> int:
         perm = row_shift(n, m)
     group = generate_group([perm])
     orbits = edge_orbits(graph, group)
-    sizes = sorted({o.size for o in orbits})
+    sizes, kinds = set(), dict.fromkeys("HVO", 0)  # orbit sizes; orbit count per id kind
+    for orbit in orbits:
+        sizes.add(len(orbit.keys))
+        kinds[orbit.id[0]] += 1
     lines = [f"graph: {graph}", f"group: {args.group}, order {group.order}"]
-    lines += [f"orbits: {len(orbits)}", "sizes: " + ",".join(map(str, sizes))]
+    lines += [f"orbits: {len(orbits)}", "sizes: " + ",".join(map(str, sorted(sizes)))]
     lines += orbit_lines(orbits, args.edges)
     print("\n".join(lines))
     status = EXIT_OK
     if args.group == "row_shift" and n % 2 == 1:
         census = orbit_census(n, m)
-        horizontal, vertical = [sum(o.id[0] == kind for o in orbits) for kind in "HV"]
-        if (horizontal, vertical) == census[:2] and sizes == [census.orbit_size]:
+        horizontal, vertical = kinds["H"], kinds["V"]
+        if (horizontal, vertical) == census[:2] and sizes == {census.orbit_size}:
             print(
                 f"census: horizontal={census.horizontal_orbits}"
                 f" vertical={census.vertical_orbits} size={census.orbit_size} OK"
@@ -170,11 +173,11 @@ def cmd_orbits(args) -> int:
                 f"census: MISMATCH expected horizontal={census.horizontal_orbits}"
                 f" vertical={census.vertical_orbits} size={census.orbit_size},"
                 f" enumerated horizontal={horizontal} vertical={vertical}"
-                f" sizes={','.join(map(str, sizes))}"
+                f" sizes={','.join(map(str, sorted(sizes)))}"
             )
             status = EXIT_MATH
     # orbit-stabilizer: a non-identity element fixes an edge just when the edge's orbit is short
-    fixed = fixed_edge_witness(graph, group) if sizes != [group.order] else None
+    fixed = fixed_edge_witness(graph, group) if sizes != {group.order} else None
     if fixed is not None:
         print(
             f"warning: not semiregular on edges: a non-identity element fixes {fixed[1]}",
@@ -227,7 +230,8 @@ def cmd_split(args) -> int:
     # partition of the base's keys to one of its image's, so the cut's images are b-edge
     # paths that partition each block, and together E; tables[0], the identity, gives the cut
     images = action.images(dec.group.tables, cut_keys)
-    segments = [Subgraph(action, image[i : i + b]) for image in images for i in range(0, len(image), b)]
+    stretches = (sorted(image[i : i + b]) for image in images for i in range(0, len(image), b))
+    segments = [Subgraph._ascending(action, array("q", keys)) for keys in stretches]
     summary = {
         "graph": {"kind": "grid", "n": args.n, "m": args.n},
         "edges_per_segment": b,

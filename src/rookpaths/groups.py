@@ -294,11 +294,10 @@ class EdgeAction:
         """Every edge key of the graph, ascending: for each i, the rest of its row, then column."""
         size = self.size
         m = self._grid[1] if self._grid is not None else size
-        return chain.from_iterable(
-            r
-            for i, row in zip(range(size), range(0, size * size, size))
-            for r in (range(row + i + 1, row + i - i % m + m), range(row + i + m, row + size, m))
-        )
+        ranges = []
+        for i, row in zip(range(size), range(0, size * size, size)):
+            ranges += (range(row + i + 1, row + i - i % m + m), range(row + i + m, row + size, m))
+        return chain.from_iterable(ranges)
 
     def check_keys(self, keys) -> None:
         """ValueError naming the first of ``keys`` that is not the key of an edge of the graph."""
@@ -319,19 +318,6 @@ class EdgeOrbit:
     keys: tuple
     action: EdgeAction = field(repr=False, compare=False)
 
-    @property
-    def size(self) -> int:
-        return len(self.keys)
-
-
-def _row_shift_orbit_id(action: EdgeAction, key: int) -> tuple:
-    n, m = action._grid
-    (r1, c1), (r2, c2) = (divmod(i, m) for i in divmod(key, action.size))
-    if r1 == r2:
-        return ("H", c1, c2)
-    t = (r2 - r1) % n
-    return ("V", min(t, n - t), c1)
-
 
 def edge_orbits(graph, group: FiniteGroup) -> list[EdgeOrbit]:
     """The orbits of the induced edge action, sorted by orbit id.
@@ -342,22 +328,24 @@ def edge_orbits(graph, group: FiniteGroup) -> list[EdgeOrbit]:
     opaque ids ("O", least member edge).  Orbits partition the edge set.
     """
     tables, action = group.tables_on(graph), EdgeAction(graph)
-    size = action.size
-    seen: set = set()
-    members = []  # each orbit as an ascending key tuple, in order of least member
+    size, seen, found = action.size, set(), []
+    labelled = isinstance(graph, GridGraph) and group.generator_kind == ROW_SHIFT
+    m = graph.m if labelled else 0
     for k in action.all_keys():
         if k not in seen:
             i, j = divmod(k, size)
             orbit = {a * size + b if (a := t[i]) < (b := t[j]) else b * size + a for t in tables}
             seen.update(orbit)
-            members.append(tuple(sorted(orbit)))
-    if isinstance(graph, GridGraph) and group.generator_kind == ROW_SHIFT:
-        orbits = [EdgeOrbit(_row_shift_orbit_id(action, o[0]), o, action) for o in members]
-        orbits.sort(key=lambda o: o.id)
-        return orbits
-    # orbits arrive in order of least member, which is the order of these ids
-    least = action.edges([o[0] for o in members])
-    return [EdgeOrbit(("O", e), o, action) for e, o in zip(least, members)]
+            oid = k  # k, first in all_keys, is the least member, an opaque id's edge
+            if labelled:  # k is at row 0, and its row offset d is 0 on a row, min(t, n-t) on a column
+                d = (j - i) // m
+                oid = ("V", d, i % m) if d else ("H", i % m, j % m)
+            found.append((oid, tuple(sorted(orbit))))
+    found.sort()
+    if labelled:
+        return [EdgeOrbit(oid, keys, action) for oid, keys in found]
+    least = action.edges([k for k, _ in found])
+    return [EdgeOrbit(("O", e), keys, action) for e, (_, keys) in zip(least, found)]
 
 
 def fixed_edge_witness(graph, group: FiniteGroup):

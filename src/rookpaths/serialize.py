@@ -216,13 +216,20 @@ def orbit_id_str(oid: tuple) -> str:
 
 
 def orbit_lines(orbits: Sequence[EdgeOrbit], edges: bool) -> list[str]:
-    """Each orbit's id and size, then with ``edges`` its member edges as "  (a,b)-(c,d)"."""
-    heads, tails, size = _halves(orbits, "(%d,%d)", "  ", "-", "")
-    lines = []
+    """Each orbit's id and size, then with ``edges`` its member edges as "  (a,b)-(c,d)"; the
+    orbits are of one graph, and an opaque id ("O", e) is written from e's key, the least."""
+    if not orbits:
+        return []
+    graph, lines, size = orbits[0].action.graph, [], orbits[0].action.size
+    _check_on(graph, orbits)
+    texts = _vertex_texts(graph, "(%d,%d)") if edges or any(o.id[0] == "O" for o in orbits) else ()
+    heads = edges and ["  " + t + "-" for t in texts]
     for orbit in orbits:
-        lines.append(f"{orbit_id_str(orbit.id)} size={orbit.size}")
+        oid, k = orbit.id, orbit.keys[0]
+        name = f"O({texts[k // size]}-{texts[k % size]})" if oid[0] == "O" else orbit_id_str(oid)
+        lines.append(f"{name} size={len(orbit.keys)}")
         if edges:
-            lines += [heads[k // size] + tails[k % size] for k in orbit.keys]
+            lines += [heads[k // size] + texts[k % size] for k in orbit.keys]
     return lines
 
 

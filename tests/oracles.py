@@ -26,6 +26,8 @@ generate_group as it was before it gathered with itemgetter, composing
 one ``tuple(map(t.__getitem__, cur))`` at a time.  walk_image is
 Walk.image, a walk's image under one vertex table, as it was before split
 carried the base's cut to every block instead of imaging each block walk.
+brute_edge_orbits closes each edge's orbit on edge objects and labels it
+from the paper's definition, the reference for edge_orbits' ids and order.
 """
 
 from __future__ import annotations
@@ -196,6 +198,45 @@ def brute_orbits(edges, perms):
         orbits.add(frozenset(orbit))
         remaining -= orbit
     return orbits
+
+
+def brute_edge_orbits(graph, group: FiniteGroup) -> list[tuple]:
+    """edge_orbits as (id, ascending member keys) pairs, in id order, on edge objects.
+
+    Each orbit is an edge's closure under the generators.  Under row
+    shifts on a grid the id is the paper's label, ("H", b1, b2) for the
+    columns of a row edge and ("V", min(t, n - t), b) for a column edge
+    t rows long, and every member must give the same one; any other
+    group gets ("O", least edge).  A key is i * |V| + j for the vertex
+    indices i < j of the edge's ends.
+    """
+    vertices = graph.vertices()
+    index = {v: i for i, v in enumerate(vertices)}
+    shifts = isinstance(graph, GridGraph) and {g.kind for g in group.generators} == {ROW_SHIFT}
+
+    def label(e):
+        if e.u.row == e.v.row:
+            return ("H", e.u.col, e.v.col)
+        t = (e.v.row - e.u.row) % graph.n
+        return ("V", min(t, graph.n - t), e.u.col)
+
+    remaining, found = set(graph.edges()), []
+    while remaining:
+        orbit = {min(remaining)}
+        frontier = list(orbit)
+        while frontier:
+            e = frontier.pop()
+            for g in group.generators:
+                image = graph.edge(apply(g, e.u), apply(g, e.v))
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        remaining -= orbit
+        labels = {label(e) for e in orbit} if shifts else {("O", min(orbit))}
+        assert len(labels) == 1, labels
+        keys = sorted(index[e.u] * len(vertices) + index[e.v] for e in orbit)
+        found.append((labels.pop(), tuple(keys)))
+    return sorted(found)
 
 
 def group_elements(group: FiniteGroup) -> list[Permutation]:

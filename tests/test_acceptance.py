@@ -109,7 +109,7 @@ def test_criterion_3_orbit_census():
                 vertical = sum(1 for o in orbits if o.id[0] == "V")
                 assert horizontal == census.horizontal_orbits, (n, m)
                 assert vertical == census.vertical_orbits, (n, m)
-                assert {o.size for o in orbits} == {census.orbit_size}, (n, m)
+                assert {len(o.keys) for o in orbits} == {census.orbit_size}, (n, m)
 
 
 def test_criterion_4_partial_sums():

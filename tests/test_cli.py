@@ -561,7 +561,7 @@ def test_orbits_edges_lists_each_member_edge_as_its_str(capsys, group, n, m):
     perm = row_shift(n, m) if group == "row_shift" else diagonal_shift(n)
     expected = []
     for orbit in edge_orbits(GridGraph(n, m), generate_group([perm])):
-        expected.append(f"{orbit_id_str(orbit.id)} size={orbit.size}")
+        expected.append(f"{orbit_id_str(orbit.id)} size={len(orbit.keys)}")
         expected += ["  " + str(e) for e in orbit.action.edges(orbit.keys)]
     lines = out.splitlines()
     assert lines[4 : 4 + len(expected)] == expected

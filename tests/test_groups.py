@@ -11,6 +11,7 @@ from rookpaths.decompose import (
     PreconditionFailed,
     Subgraph,
     build_orbit_decomposition,
+    k9_fixture,
 )
 from rookpaths.grid import DimensionError, GridGraph, GridVertex
 from rookpaths.groups import (
@@ -32,6 +33,7 @@ from oracles import (
     apply,
     brute_automorphism_violation,
     brute_diagonal_shift,
+    brute_edge_orbits,
     brute_fixed_edge_witness,
     brute_grid_edges,
     brute_group_elements,
@@ -233,10 +235,10 @@ def test_orbit_counts_small_grids():
     # frozen counts: horizontal C(m,2), vertical m(n-1)/2, size n
     grid33 = edge_orbits(GridGraph(3, 3), generate_group([row_shift(3, 3)]))
     assert len(grid33) == 6
-    assert {o.size for o in grid33} == {3}
+    assert {len(o.keys) for o in grid33} == {3}
     grid34 = edge_orbits(GridGraph(3, 4), generate_group([row_shift(3, 4)]))
     assert len(grid34) == 10
-    assert {o.size for o in grid34} == {3}
+    assert {len(o.keys) for o in grid34} == {3}
 
 
 def test_orbits_match_brute_closure():
@@ -253,6 +255,17 @@ def test_orbits_match_brute_closure():
         assert got == brute_orbits(brute_grid_edges(n, m), [brute_row_shift(n, m)])
 
 
+ORBIT_ID_CASES = {f"row_shift-{n}x{m}": row_shift(n, m) for n in range(2, 8) for m in range(2, 8)}
+ORBIT_ID_CASES.update({f"diagonal_shift-{n}": diagonal_shift(n) for n in range(3, 7)})
+
+
+@pytest.mark.parametrize("case", [*ORBIT_ID_CASES, "k9"])
+def test_orbit_ids_keys_and_order_match_brute_closure(case):
+    group = k9_fixture()[1] if case == "k9" else generate_group([ORBIT_ID_CASES[case]])
+    got = [(orbit.id, orbit.keys) for orbit in edge_orbits(group.graph, group)]
+    assert got == brute_edge_orbits(group.graph, group)
+
+
 def test_orbit_ids_structured_for_row_shift():
     orbits = edge_orbits(GridGraph(5, 5), generate_group([row_shift(5, 5)]))
     kinds = {o.id[0] for o in orbits}
@@ -265,7 +278,7 @@ def test_orbit_ids_generic_otherwise():
     orbits = edge_orbits(GridGraph(4, 4), generate_group([diagonal_shift(4)]))
     assert all(o.id[0] == "O" for o in orbits)
     assert len(orbits) == 12
-    assert {o.size for o in orbits} == {4}
+    assert {len(o.keys) for o in orbits} == {4}
 
 
 def test_k9_orbits():
@@ -273,7 +286,7 @@ def test_k9_orbits():
     p = permutation_from_cycles(k9, ((1, 4, 7), (2, 5, 8), (3, 6, 9)))
     orbits = edge_orbits(k9, generate_group([p]))
     assert len(orbits) == 12
-    assert {o.size for o in orbits} == {3}
+    assert {len(o.keys) for o in orbits} == {3}
     oracle = brute_orbits(
         {frozenset(e) for e in [(u, v) for u in range(1, 10) for v in range(u + 1, 10)]},
         [{**{1: 4, 4: 7, 7: 1, 2: 5, 5: 8, 8: 2, 3: 6, 6: 9, 9: 3}}],
@@ -501,7 +514,7 @@ def test_census_matches_enumeration_everywhere():
             horizontal = sum(1 for o in orbits if o.id[0] == "H")
             vertical = sum(1 for o in orbits if o.id[0] == "V")
             assert (horizontal, vertical) == (census.horizontal_orbits, census.vertical_orbits)
-            assert {o.size for o in orbits} == {census.orbit_size}
+            assert {len(o.keys) for o in orbits} == {census.orbit_size}
 
 
 def test_orbit_tuple_shape():

@@ -74,7 +74,10 @@ SMALL_COMMANDS = (
     ("generate", "--n", "13"),
     ("generate", "--n", "9"),
     ("orbits", "--n", "7"),
+    ("orbits", "--n", "5", "--m", "6"),
+    ("orbits", "--n", "6", "--group", "diagonal_shift", "--edges"),
     ("split", "--n", "7", "--format", "edges"),
+    ("split", "--n", "7", "--b", "2"),
     ("examples", "k9"),
     ("generate", "--n", "x"),
 )
