@@ -47,8 +47,8 @@ from .serialize import (
     dumps,
     dumps_with_edges,
     orbit_lines,
-    parse_decomposition,
     report_to_json_dict,
+    verify_text,
 )
 from .staircase import ConstructionInvalid, is_path
 
@@ -114,12 +114,10 @@ def cmd_verify(args) -> int:
         print(f"error: cannot read {args.input}: {err}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        graph, group, dec = parse_decomposition(text)
+        report = verify_text(text)[3]
     except SchemaError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        report = verify_decomposition(graph, group, dec)
     except PreconditionFailed as err:
         print(err, file=sys.stderr)
         return EXIT_MATH

@@ -34,7 +34,11 @@ and a cover of E passes all three).  _transport tests each image as it
 is made and sorts it into its block's array, unscanned; no other key is
 sorted unless the verifier's certificate fails.  The verifier images
 |G| * |base| keys, and off the common case one more per block edge and
-distinct generator (none for a block of all |E| edges).
+distinct generator (none for a block of all |E| edges).  Its flag
+checks (_check_flags) take the premises and images as given, so that
+serialize.verify_text can run both once, before it reads the blocks,
+and look each block up among the images; off the common case the
+isomorphism test builds the base's side once per verify.
 """
 
 from __future__ import annotations
@@ -302,17 +306,18 @@ def _premises(graph, group: FiniteGroup, base: Subgraph) -> tuple[EdgeAction, tu
     return action, tables, keys
 
 
-def _transport(action: EdgeAction, tables, keys, make) -> tuple[list, bool]:
-    """``make`` of the base ``keys``' image under each of ``tables``, an ascending array('q'),
-    in order, and whether the images partition E: the module docstring's certificate,
-    tested on each non-identity image while it is a fresh list."""
+def _transport(action: EdgeAction, tables, keys, make=None) -> tuple[list, bool]:
+    """The base ``keys``' image under each of ``tables``, an ascending array('q') passed through
+    ``make`` if given, in order, and whether the images partition E: the module docstring's
+    certificate, tested on each non-identity image while it is a fresh list."""
     out, base, size = [], set(keys), len(keys)
     partitioned = len(base) == size and len(tables) * size == action.graph.edge_count
     for image in action.images(tables, keys):
         if out and partitioned:
             partitioned = base.isdisjoint(image)
         image.sort()
-        out.append(make(array("q", image)))
+        image = array("q", image)
+        out.append(image if make is None else make(image))
     return out, partitioned
 
 
@@ -375,7 +380,21 @@ def is_path_subgraph(sub: Subgraph) -> bool:
     return max(map(len, adj.values())) <= 2 and _component_shapes(adj) == [("path", len(sub.keys))]
 
 
-def subgraphs_isomorphic(a: Subgraph, b: Subgraph) -> bool:
+def _isomorphism_side(b: Subgraph) -> tuple:
+    """b's side of subgraphs_isomorphic: its sorted degrees, then its component shapes if no
+    degree passes 2, else its neighbour and degree masks over its vertices as bits."""
+    adj = _index_adjacency(b)
+    degrees = sorted(map(len, adj.values()))
+    if degrees[-1] <= 2:
+        return degrees, _component_shapes(adj), {}, {}
+    bit = {v: 1 << i for i, v in enumerate(adj)} if len(degrees) <= ISO_VERTEX_CAP else {}
+    of_degree: dict = defaultdict(int)
+    for v in bit:
+        of_degree[len(adj[v])] |= bit[v]
+    return degrees, None, {bit[v]: sum(map(bit.__getitem__, adj[v])) for v in bit}, of_degree
+
+
+def subgraphs_isomorphic(a: Subgraph, b: Subgraph, side: tuple | None = None) -> bool:
     """Graph isomorphism of two edge-induced subgraphs.
 
     Equal key sets on one graph are isomorphic by the identity map.
@@ -387,26 +406,21 @@ def subgraphs_isomorphic(a: Subgraph, b: Subgraph) -> bool:
     held as bits.  A candidate x for vertex v must be unused and of v's
     degree, and x's neighbours among the used vertices must be exactly
     the images of v's placed neighbours, so a placed non-neighbour
-    rejects x as surely as a missing neighbour does.
+    rejects x as surely as a missing neighbour does.  A caller testing
+    many a against one b passes ``side``, _isomorphism_side(b), built once.
     """
     if a.action.graph == b.action.graph and a.keys == b.keys:
         return True
     if a.edge_count != b.edge_count:
         return False
-    adj_a, adj_b = _index_adjacency(a), _index_adjacency(b)
-    degrees = sorted(map(len, adj_a.values()))
-    if degrees != sorted(map(len, adj_b.values())):
+    degrees, shapes, neighbours, of_degree = side or _isomorphism_side(b)
+    adj_a = _index_adjacency(a)
+    if degrees != sorted(map(len, adj_a.values())):
         return False
-    if degrees[-1] <= 2:
-        return _component_shapes(adj_a) == _component_shapes(adj_b)
+    if shapes is not None:
+        return _component_shapes(adj_a) == shapes
     if len(degrees) > ISO_VERTEX_CAP:
         raise IsomorphismCapExceeded(f"isomorphism search capped at {ISO_VERTEX_CAP} vertices")
-
-    bit = {v: 1 << i for i, v in enumerate(adj_b)}
-    neighbours = {bit[v]: sum(map(bit.__getitem__, ws)) for v, ws in adj_b.items()}
-    of_degree: dict = defaultdict(int)
-    for v, ws in adj_b.items():
-        of_degree[len(ws)] |= bit[v]
 
     rank = {v: (len(ws), v) for v, ws in adj_a.items()}
     # a's vertices in visiting order, each with its neighbours placed before it
@@ -475,14 +489,20 @@ def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> Verif
     the edges (see the module docstring), pass all six.  Otherwise
     partition_witnesses sorts the keys and each flag is checked on its
     own: a block equal to an image of the base is certified isomorphic by
-    that element, only other blocks go through subgraphs_isomorphic, and
-    every failed flag carries a concrete witness.
+    that element, only other blocks go through the isomorphism test, whose
+    base side is built once, and every failed flag carries a concrete witness.
     """
     action, tables, base_keys = _premises(graph, group, dec.base)
+    images, partitioned = _transport(action, tables, base_keys, array.tobytes)
+    return _check_flags(graph, group, dec, action, images, partitioned)
+
+
+def _check_flags(graph, group, dec, action, images: list[bytes], partitioned) -> VerificationReport:
+    """verify_decomposition's flags, past the premises: ``images`` are the base's images as
+    array bytes in group order, and ``partitioned`` whether they are certified to partition E."""
     block_keys = [_keys_on(graph, block) for block in dec.blocks]
     signatures = [keys.tobytes() for keys in block_keys]
     block_set = set(signatures)
-    images, partitioned = _transport(action, tables, base_keys, array.tobytes)
     certified = set(images)
     if partitioned and len(signatures) == group.order and block_set == certified:
         return VerificationReport({})
@@ -496,11 +516,14 @@ def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> Verif
             "foreign": [],
         }
 
+    side = None  # the base's side of the isomorphism test, built for the first block that needs it
     for idx, block in enumerate(dec.blocks):
         if signatures[idx] in certified:
             continue
+        if side is None and block.edge_count == dec.base.edge_count:
+            side = _isomorphism_side(dec.base)
         try:
-            same = subgraphs_isomorphic(block, dec.base)
+            same = subgraphs_isomorphic(block, dec.base, side)
         except IsomorphismCapExceeded as err:
             err.block_index = idx
             raise
@@ -524,7 +547,7 @@ def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> Verif
         unreached = [i for i, sig in enumerate(signatures) if sig not in certified]
         witnesses["group_transitive"] = {"unreached_blocks": unreached}
 
-    stabilizer = images.count(base_keys.tobytes())
+    stabilizer = images.count(dec.base.keys.tobytes())
     if stabilizer != 1:
         witnesses["stabilizer_trivial"] = {"stabilizer_order": stabilizer}
 

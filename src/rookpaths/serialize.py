@@ -25,11 +25,19 @@ The rest of such a document is small and is decoded as usual.  Every
 other layout (whitespace, escapes, a repeated "blocks" key, leading
 zeros, reversed pairs, any malformed edge) is decoded whole by
 json.loads, so it gives the same result and the same error.
+
+verify_text, the command line's verify, runs the verifier's premises
+and transport right after the head, and the reader then takes a block
+whose text is exactly the writer's _edge_list text of an image, found
+by the block's first pair, as that image's key array; only other
+blocks are tokenized.  It gives what parse_decomposition followed by
+verify_decomposition gives.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from functools import lru_cache
 from itertools import chain, islice
 from typing import Sequence
@@ -38,8 +46,13 @@ from .decompose import (
     CompleteGraph,
     Decomposition,
     LabelEdge,
+    PreconditionFailed,
     Subgraph,
     VerificationReport,
+    _check_flags,
+    _premises,
+    _transport,
+    verify_decomposition,
 )
 from .grid import GridEdge, GridGraph, GridVertex
 from .groups import (
@@ -72,7 +85,7 @@ MAX_GENERATORS = DEFAULT_GROUP_CAP.bit_length() - 1
 # characters of a block's text split at a time by the canonical-layout reader.  For
 # K_135 box K_135 in one 46 MB block, verify peaks at 288 MB, and at 579 MB unsplit.
 CHUNK_CHARS = 1 << 20
-# per-vertex text tables kept for the writers: (graph, form) pairs
+# per-vertex text tables kept for the writers and the reader: (graph, form) pairs
 VERTEX_TEXT_TABLES = 8
 
 # 12 distinguishable edge colors, cycled by block index
@@ -177,19 +190,35 @@ def _check_on(graph, subs) -> None:
             raise ValueError(f"a subgraph of {sub.action.graph} is not a subgraph of {graph}")
 
 
-def _halves(subs, grid_form: str, open_: str, sep: str, close: str) -> tuple[list, list, int]:
-    """(heads, tails, |V|) of the one graph ``subs`` lie on: edge i < j is heads[i] + tails[j]."""
+@lru_cache(maxsize=VERTEX_TEXT_TABLES)
+def _pair_halves(graph, grid_form: str, open_: str, sep: str, close: str) -> tuple[tuple, tuple]:
+    """(heads, tails) of ``graph``: the text of edge i < j is heads[i] + tails[j]."""
+    texts = _vertex_texts(graph, grid_form)
+    return tuple([open_ + t + sep for t in texts]), tuple([t + close for t in texts])
+
+
+def _halves(subs, *form: str) -> tuple[tuple, tuple, int]:
+    """(heads, tails, |V|) of the one graph ``subs`` lie on, in _pair_halves' ``form``."""
     if not subs:
-        return [], [], 0
-    _check_on(subs[0].action.graph, subs)
-    texts = _vertex_texts(subs[0].action.graph, grid_form)
-    return [open_ + t + sep for t in texts], [t + close for t in texts], len(texts)
+        return (), (), 0
+    graph = subs[0].action.graph
+    _check_on(graph, subs)
+    return (*_pair_halves(graph, *form), graph.vertex_count)
+
+
+# the JSON edge list's form for _pair_halves: [[r,c],[r,c]] on a grid, [a,b] on K_n
+JSON_PAIR = ("[%d,%d]", "[", ",", "]")
+
+
+def _edge_list(keys, heads: tuple, tails: tuple, size: int) -> str:
+    """The text of ``keys``' pairs, comma-separated: an edge list without its brackets."""
+    return ",".join([heads[k // size] + tails[k % size] for k in keys])
 
 
 def dumps_with_edges(fields: dict, name: str) -> str:
     """dumps(fields), member ``name`` (subgraphs) written from the keys, large texts copied once."""
-    heads, tails, size = _halves(fields[name], "[%d,%d]", "[", ",", "]")
-    texts = (",".join([heads[k // size] + tails[k % size] for k in sub.keys]) for sub in fields[name])
+    heads, tails, size = _halves(fields[name], *JSON_PAIR)
+    texts = (_edge_list(sub.keys, heads, tails, size) for sub in fields[name])
     edge_lists = "[%s]" % ",".join([f'{{"edges":[{text}]}}' for text in texts])
     members = (
         f'"{key}":{edge_lists if key == name else dumps(value)}' for key, value in fields.items()
@@ -507,29 +536,55 @@ def _split_blocks(text: str):
     return doc, text[start:end]
 
 
-def _canonical_block_keys(action: EdgeAction, text: str) -> tuple[list, bool]:
+@lru_cache(maxsize=VERTEX_TEXT_TABLES)
+def _token_tables(graph) -> tuple[dict, dict, tuple, tuple]:
+    """The canonical reader's tables of ``graph``, read and never written: each vertex index
+    by its opened ("[r,c" or "[a") and its closed ("r,c]" or "a]") text, then each vertex's
+    line numbers, its row and column on a grid, the one line of K_n."""
+    texts, size = _vertex_texts(graph, "%d,%d"), graph.vertex_count
+    firsts = {"[" + t: i for i, t in enumerate(texts)}
+    seconds = {t + "]": i for i, t in enumerate(texts)}
+    if not isinstance(graph, GridGraph):
+        return firsts, seconds, (0,) * size, (0,) * size
+    rows, cols = zip(*[divmod(i, graph.m) for i in range(size)])
+    return firsts, seconds, rows, cols
+
+
+def _canonical_block_keys(action: EdgeAction, text: str, images=()) -> tuple[list, bool]:
     """(the keys of the leading blocks in the writer's layout, whether those are all the blocks).
 
     ``text`` is cut by _split_blocks: ``[{"edges":[`` up to ``}]``.
-    A block ``[[a,b],[c,d],...]`` (``[[[r,c],[r,c]],...]`` on a grid)
-    splits on the writer's separators into endpoint tokens that must be
-    exactly the vertex texts _vertex_texts gives, opened or closed, so
-    the text is the canonical rendering of the pairs it yields.  Every
-    pair must be ascending and, on a grid, on one line.  Reading stops
-    before the first block that is not in the layout, or that takes the
-    total past MAX_EDGES.  A long block is split a chunk of pairs at a
-    time, in place.
+    A block whose text is the writer's rendering of one of ``images``
+    (strictly ascending key arrays of edges, see verify_text) is that
+    array: the block's first pair names the one image to render and
+    compare, so no other image is rendered.  Any other block
+    ``[[a,b],[c,d],...]`` (``[[[r,c],[r,c]],...]`` on a grid) splits on
+    the writer's separators into endpoint tokens that must be exactly
+    the vertex texts _vertex_texts gives, opened or closed, so the text
+    is the canonical rendering of the pairs it yields.  Every pair must
+    be ascending and, on a grid, on one line.  Reading stops before the
+    first block that is not in the layout, or that takes the total past
+    MAX_EDGES.  A long block is split a chunk of pairs at a time, in
+    place.
     """
     graph, size = action.graph, action.size
-    grid = isinstance(graph, GridGraph)
-    texts = _vertex_texts(graph, "%d,%d")
-    firsts = {"[" + t: i for i, t in enumerate(texts)}
-    seconds = {t + "]": i for i, t in enumerate(texts)}
-    # each vertex's line numbers: its row and column on a grid, the one line of K_n
-    rows = [i // graph.m for i in range(size)] if grid else [0] * size
-    cols = [i % graph.m for i in range(size)] if grid else rows
-    opening, closing, sep = ("[[", "]]", "],[") if grid else ("[", "]", ",")
+    opening, closing, sep = ("[[", "]]", "],[") if isinstance(graph, GridGraph) else ("[", "]", ",")
     between = "]" + sep + "["  # from the end of one pair to the start of the next
+    heads, tails = _pair_halves(graph, *JSON_PAIR) if images else ((), ())
+    # each image by the text of its first, least pair, which ends at the pair's first ``closing``
+    by_first = {heads[a[0] // size] + tails[a[0] % size]: a for a in reversed(images)}
+
+    def image_at(pos: int, end: int):
+        """The image whose rendering is the block text[pos:end], or None."""
+        cut = text.find(closing, pos, end)
+        image = by_first.get(text[pos + 1 : cut + len(closing)]) if cut > pos else None
+        # a pair's text has 5 characters or more ("[a,b]"), so no image longer than the block
+        # is rendered: rendering costs at most what reading the block does
+        if image is None or 5 * len(image) > end - pos:
+            return None
+        body = _edge_list(image, heads, tails, size)
+        framed = text[pos] == "[" and text[end - 1] == "]" and end - pos == len(body) + 2
+        return image if framed and text.startswith(body, pos + 1) else None
 
     def block_keys(pos: int, end: int):
         """The keys of the block text[pos:end], or None."""
@@ -537,6 +592,7 @@ def _canonical_block_keys(action: EdgeAction, text: str) -> tuple[list, bool]:
         framed = text.startswith(opening, pos) and text.endswith(closing, pos, end)
         if not (start < body_end and framed):
             return None
+        firsts, seconds, rows, cols = _token_tables(graph)
         while start < body_end:
             cut = text.find(between, start + CHUNK_CHARS, body_end) + 1 or body_end
             tokens = text[start:cut].split(sep)
@@ -560,7 +616,10 @@ def _canonical_block_keys(action: EdgeAction, text: str) -> tuple[list, bool]:
     key_lists, total, pos, stop = [], 0, len('[{"edges":'), len(text) - len("}]")
     while True:
         end = text.find('},{"edges":', pos, stop)
-        keys = block_keys(pos, stop if end < 0 else end)
+        block_end = stop if end < 0 else end
+        keys = image_at(pos, block_end) if by_first else None
+        if keys is None:
+            keys = block_keys(pos, block_end)
         if keys is None:
             return key_lists, False
         total += len(keys)
@@ -585,32 +644,32 @@ def _parse_head(data) -> tuple:
     return graph, action, group, base
 
 
-def _parse_text(text: str) -> tuple:
-    """parse_decomposition of a JSON string.
-
-    Text in the writer's layout has its head decoded with the blocks
-    read as null (_split_blocks) and its blocks read from the text
-    (_canonical_block_keys).  At the first block the reader doubts, the
-    text is decoded whole, and the blocks read so far are kept if the
-    decoder's document has the same members besides blocks: a second
-    member inside the blocks text would override the head.  Any other
-    text, and any error in the head, goes to the decoder.
-    """
+def _text_head(text: str):
+    """(document with null blocks, blocks text, head) of text in the writer's layout whose
+    head parses (_split_blocks, _parse_head), else None: such text is decoded whole."""
     split = _split_blocks(text)
     if split is None:
-        return parse_decomposition(_loads(text))
-    doc, blocks_text = split
+        return None
     try:
-        head = _parse_head(doc)
+        return (*split, _parse_head(split[0]))
     except SchemaError:
-        return parse_decomposition(_loads(text))
-    key_lists, whole = _canonical_block_keys(head[1], blocks_text)
-    if whole:
-        doc["blocks"] = key_lists  # read already: _parse_blocks takes no entry of them
-        return _parse_blocks(doc, head, key_lists)
+        return None
+
+
+def _text_blocks(text: str, doc: dict, blocks_text: str, head: tuple, images=()) -> tuple:
+    """(graph, group, decomposition) of ``text``, whose _text_head is (doc, blocks_text, head).
+
+    The blocks are read from the text (_canonical_block_keys).  At the
+    first block the reader doubts, the text is decoded whole, and the
+    blocks read so far are kept if the decoder's document has the same
+    members besides blocks: a second member inside the blocks text would
+    override the head, and then that document is parsed afresh.
+    """
+    key_lists, whole = _canonical_block_keys(head[1], blocks_text, images)
+    if whole:  # read already: _parse_blocks takes no entry of them
+        return _parse_blocks(dict(doc, blocks=key_lists), head, key_lists)
     data = _loads(text)
-    doc["blocks"] = data.get("blocks") if type(data) is dict else None
-    if data != doc:
+    if type(data) is not dict or data != dict(doc, blocks=data.get("blocks")):
         return parse_decomposition(data)
     return _parse_blocks(data, head, key_lists)
 
@@ -634,7 +693,8 @@ def _parse_blocks(data, head: tuple, leading: list) -> tuple:
         total += len(keys)
         if total > MAX_EDGES:
             raise SchemaError(path, f"{total} block edges in all, more than the cap of {MAX_EDGES}")
-        blocks.append(_subgraph(action, keys, path))
+        matched = type(keys) is array  # an image the reader matched, strictly ascending already
+        blocks.append(Subgraph._ascending(action, keys) if matched else _subgraph(action, keys, path))
     _parse_report_stub(_get(data, "report", "$"), "$.report")
     return graph, group, Decomposition(tuple(blocks), group, base)
 
@@ -647,12 +707,50 @@ def parse_decomposition(data) -> tuple:
     expected to re-verify.  Explicit generators are checked to be
     bijections here; whether they are automorphisms is a mathematical
     question left to the caller.  Text whose blocks are in the writer's
-    layout has them read without the decoder (_parse_text); any other
+    layout has them read without the decoder (_text_blocks); any other
     text gives the same result or error as its decoded object.
     """
     if isinstance(data, str):
-        return _parse_text(data)
+        read = _text_head(data)
+        return parse_decomposition(_loads(data)) if read is None else _text_blocks(data, *read)
     return _parse_blocks(data, _parse_head(data), [])
+
+
+def verify_text(text: str) -> tuple:
+    """(graph, group, decomposition, report): parse_decomposition of ``text``, then
+    verify_decomposition, with their result or exception, in one pass.
+
+    In the writer's layout the premises and transport run once, after
+    the head.  Every group element is then a bijective automorphism and
+    the parsed base's keys are distinct edges, so each image is a
+    strictly ascending array of edge keys, and the writer's text of it
+    is exactly the text the reader parses back to it: a block with that
+    text is taken as the image (_canonical_block_keys), which changes no
+    parse result, and the flags are checked on the same premises and
+    images.  Failed premises leave every block to the tokenizer and are
+    raised after the parse, so a malformed block still comes first.  A
+    decoded document with another head than the text's, and text in any
+    other layout, are verified afresh.
+    """
+    read = _text_head(text)
+    if read is None:
+        graph, group, dec = parse_decomposition(_loads(text))
+        return graph, group, dec, verify_decomposition(graph, group, dec)
+    graph, action, group, base = read[2]
+    failed = images = None
+    try:
+        action, tables, keys = _premises(graph, group, base)
+    except PreconditionFailed as err:
+        failed = err
+    else:
+        images, partitioned = _transport(action, tables, keys)
+    parsed = _text_blocks(text, *read, images or ())
+    if parsed[2].base is not base:
+        return *parsed, verify_decomposition(*parsed)
+    if failed is not None:
+        raise failed
+    signatures = [image.tobytes() for image in images]
+    return *parsed, _check_flags(graph, group, parsed[2], action, signatures, partitioned)
 
 
 # ---------------------------------------------------------------- text formats

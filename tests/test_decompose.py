@@ -18,6 +18,7 @@ from rookpaths.decompose import (
     NotOddPrime,
     PreconditionFailed,
     Subgraph,
+    _isomorphism_side,
     build_orbit_decomposition,
     diagonal_fixture_n4,
     gallai_check,
@@ -321,7 +322,10 @@ def test_subgraphs_isomorphic_matches_brute_force(data):
         size = len(edges)
         other = data.draw(st.lists(st.sampled_from(K8_PAIRS), min_size=size, max_size=size, unique=True))
     a, b = label_subgraph(8, edges), label_subgraph(8, other)
-    assert subgraphs_isomorphic(a, b) == brute_isomorphic(a, b)
+    expected = brute_isomorphic(a, b)
+    assert subgraphs_isomorphic(a, b) == expected
+    # the verifier's form: b's side built once, up front
+    assert subgraphs_isomorphic(a, b, _isomorphism_side(b)) == expected
 
 
 def test_subgraphs_isomorphic_rook_and_shrikhande(monkeypatch):
@@ -337,6 +341,7 @@ def test_subgraphs_isomorphic_rook_and_shrikhande(monkeypatch):
     assert shrikhande.edge_count == 48
     assert not subgraphs_isomorphic(shrikhande, rook)
     assert not subgraphs_isomorphic(rook, shrikhande)
+    assert not subgraphs_isomorphic(shrikhande, rook, _isomorphism_side(rook))
 
 
 def test_partition_witnesses():

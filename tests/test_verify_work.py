@@ -3,12 +3,17 @@
 The parser caps each term: |G| * |base| and the sum of block sizes at
 MAX_EDGES, and the distinct generators at MAX_GENERATORS, so no file
 makes verify image more than (1 + MAX_GENERATORS) * MAX_EDGES keys.
+A valid file verified through the command line images exactly |G| * |base|.
 """
 
+import contextlib
+import io
 import json
 
 import pytest
 
+from rookpaths import decompose
+from rookpaths.cli import main
 from rookpaths.decompose import VerificationReport, staircase_decomposition, verify_decomposition
 from rookpaths.grid import GridGraph
 from rookpaths.groups import EdgeAction
@@ -139,3 +144,43 @@ def test_verify_images_within_the_bound(monkeypatch, name):
     )
     assert 0 < sum(imaged) <= bound <= (1 + MAX_GENERATORS) * MAX_EDGES
     assert report.failed() == failed
+
+
+def test_verify_of_a_valid_file_runs_premises_and_transport_once(monkeypatch, tmp_path):
+    """Through the command line, a valid n = 7 file images |G| * |base| keys, and each distinct
+    generator goes through the automorphism scan once."""
+    dec, report = staircase_decomposition(7)
+    doc = json.loads(decomposition_to_json(dec.base.action.graph, dec, report))
+    repeated = dict(doc, group={"kind": "explicit", "order": 7, "generators": []})
+    shift = [[[a, b], [(a + 1) % 7, b]] for a in range(7) for b in range(7)]
+    repeated["group"]["generators"] = [{"kind": "explicit", "map": shift}] * 3
+    imaged, scanned = [], []
+    image_keys, images = EdgeAction.image_keys, EdgeAction.images
+    violation = decompose.automorphism_violation
+
+    def counted_keys(self, table, keys):
+        out = image_keys(self, table, keys)
+        imaged.append(len(out))
+        return out
+
+    def counted_images(self, tables, keys):
+        for out in images(self, tables, keys):
+            imaged.append(len(out))
+            yield out
+
+    def counted_violation(graph, perm):
+        scanned.append(perm.table)
+        return violation(graph, perm)
+
+    monkeypatch.setattr(EdgeAction, "image_keys", counted_keys)
+    monkeypatch.setattr(EdgeAction, "images", counted_images)
+    monkeypatch.setattr(decompose, "automorphism_violation", counted_violation)
+    for document in (doc, repeated):
+        imaged.clear()
+        scanned.clear()
+        path = tmp_path / "n7.json"
+        path.write_text(json.dumps(document, separators=(",", ":")), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["verify", "--input", str(path)]) == 0
+        assert sum(imaged) == 7 * dec.base.edge_count == 7 * 42
+        assert len(scanned) == len(set(scanned)) == 1

@@ -29,17 +29,20 @@ when any command differs.  The corpus:
     order than help lists them, examples' name after its option, and
     verify of an empty path;
   - verify of files written from the first tree's output of generate
-    --n 5 and 7 and examples k9 and diag4: the valid file, one with an
-    edge moved to another block and one with an edge dropped; for
-    generate also one whose base walk starts one column over, so that
-    the base is no block; for k9 also explicit maps with a vertex mapped
-    twice, with an image used twice and with an entry missing; for n5
-    also one explicit generator swapping two vertices, a bijection but
-    no automorphism, and the identity followed by that swap twice; for
+    --n 5 and 7 and examples k9 and diag4: the valid file, one with its
+    blocks rotated by one, one with block 0 repeated in place of block
+    1, one whose last block ends in a degenerate edge, one with an edge
+    moved to another block and one with an edge dropped; for generate
+    also one whose base walk starts one column over, so that the base
+    is no block; for k9 also explicit maps with a vertex mapped twice,
+    with an image used twice and with an entry missing; for n5 also one
+    explicit generator swapping two vertices, a bijection but no
+    automorphism, the identity followed by that swap twice, and that
+    swap with the degenerate last edge (exit 1 at the block, not 2); for
     diag4 also the row shift with a one-edge base and its images as
     blocks, whose report prints the element that fixes an edge as an
-    explicit map.  These files are in the writer's
-    compact layout.  Each valid document is also written in four other
+    explicit map.  These files are in the writer's compact layout, the
+    one whose blocks verify looks up among the base's images.  Each valid document is also written in four other
     layouts, which verify reads through json.loads: pretty-printed, with
     a second, escaped "blocks" key holding other blocks, with a leading
     zero in a block coordinate, and with report before blocks;
@@ -102,11 +105,26 @@ FLAGS = ("is_partition", "blocks_isomorphic_to_base", "group_invariant",
          "group_transitive", "stabilizer_trivial", "semiregular")
 # name: (source command, the variants written besides valid, moved and dropped)
 VERIFY_SOURCES = {
-    "n5": (("generate", "--n", "5"), ("shifted-base", "swap", "late-swap")),
+    "n5": (("generate", "--n", "5"), ("shifted-base", "swap", "late-swap", "swap-malformed")),
     "n7": (("generate", "--n", "7"), ("shifted-base",)),
     "k9": (("examples", "k9"), ("mapped-twice", "image-twice", "short-map")),
     "diag4": (("examples", "diag4"), ("row-shift-edge",)),
 }
+
+
+def rotated(doc: dict) -> None:
+    doc["blocks"].append(doc["blocks"].pop(0))
+
+
+def repeated(doc: dict) -> None:
+    """Block 0's edges in place of block 1's: one image twice, another missing."""
+    doc["blocks"][1] = doc["blocks"][0]
+
+
+def malformed_last(doc: dict) -> None:
+    """The last edge of the last block made degenerate, an endpoint paired with itself."""
+    edges = doc["blocks"][-1]["edges"]
+    edges[-1] = [edges[-1][0], edges[-1][0]]
 
 
 def moved(doc: dict) -> None:
@@ -158,6 +176,12 @@ def late_swap(doc: dict) -> None:
     generators[:] = [{"kind": "explicit", "map": identity}, generators[0], generators[0]]
 
 
+def swap_malformed(doc: dict) -> None:
+    """The swap generator, no automorphism, with a malformed last block: the block exits 1."""
+    swap(doc)
+    malformed_last(doc)
+
+
 def row_shift_edge(doc: dict) -> None:
     """The row shift, base (0,0)-(0,1) and its n images: on even n a shift fixes an edge."""
     n = doc["graph"]["n"]
@@ -200,9 +224,11 @@ LAYOUTS = {
 
 
 TAMPERS = {
-    "valid": lambda doc: None, "moved": moved, "dropped": dropped, "shifted-base": shifted_base,
+    "valid": lambda doc: None, "rotated": rotated, "repeated": repeated,
+    "malformed-last": malformed_last, "moved": moved, "dropped": dropped, "shifted-base": shifted_base,
     "mapped-twice": mapped_twice, "image-twice": image_twice, "short-map": short_map,
-    "swap": swap, "late-swap": late_swap, "row-shift-edge": row_shift_edge,
+    "swap": swap, "late-swap": late_swap, "swap-malformed": swap_malformed,
+    "row-shift-edge": row_shift_edge,
 }
 
 
@@ -247,8 +273,9 @@ TINY = {
 
 
 def tampers(name: str) -> list[str]:
-    """The variants written for a verify source: valid, moved, dropped and its own."""
-    return ["valid", "moved", "dropped", *VERIFY_SOURCES[name][1]]
+    """The variants written for a verify source: the common ones, then its own."""
+    common = ["valid", "rotated", "repeated", "malformed-last", "moved", "dropped"]
+    return common + list(VERIFY_SOURCES[name][1])
 
 
 def variants(name: str) -> list[str]:
