@@ -45,7 +45,6 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from math import comb, isqrt
@@ -88,34 +87,31 @@ class NotOddPrime(ValueError):
     """The staircase construction was asked for an unsupported width."""
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class LabelEdge:
+class LabelEdge(NamedTuple("LabelEdge", [("u", int), ("v", int)])):
     """Unordered pair of integer-labelled vertices, stored with u < v."""
 
-    u: int
-    v: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.u == self.v:
-            raise ValueError(f"degenerate edge at {self.u}")
-        if self.v < self.u:
-            lo, hi = self.v, self.u
-            object.__setattr__(self, "u", lo)
-            object.__setattr__(self, "v", hi)
+    def __new__(cls, u: int, v: int):
+        if u == v:
+            raise ValueError(f"degenerate edge at {u}")
+        if v < u:
+            u, v = v, u
+        return super().__new__(cls, u, v)
 
     def __str__(self) -> str:
         return f"{self.u}-{self.v}"
 
 
-@dataclass(frozen=True, slots=True)
-class CompleteGraph:
+class CompleteGraph(NamedTuple("CompleteGraph", [("n", int)])):
     """The complete graph on labels 1 .. n."""
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"complete graph needs n >= 1, got {self.n}")
+    def __new__(cls, n: int):
+        if n < 1:
+            raise ValueError(f"complete graph needs n >= 1, got {n}")
+        return super().__new__(cls, n)
 
     @property
     def vertex_count(self) -> int:
@@ -219,8 +215,7 @@ def _covers_once(action: EdgeAction, key_arrays) -> bool:
     return sorted(chain.from_iterable(key_arrays)) == list(action.all_keys())
 
 
-@dataclass(frozen=True, slots=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """A candidate decomposition: blocks, the acting group, and the base block."""
 
     blocks: tuple[Subgraph, ...]
@@ -228,8 +223,7 @@ class Decomposition:
     base: Subgraph
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of the six structural checks, as witnesses for the failures.
 
     ``witnesses`` maps each failed flag name to a concrete counterexample:
@@ -238,7 +232,7 @@ class VerificationReport:
     it has no witness.
     """
 
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict
 
     FLAGS = (
         "is_partition",

@@ -14,10 +14,9 @@ output.  All values here are immutable and all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 VERTEX_TUPLE_SHAPES = 8  # grid shapes whose vertex tuples are kept
 
@@ -26,8 +25,7 @@ class DimensionError(ValueError):
     """A grid dimension outside the supported range."""
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class GridVertex:
+class GridVertex(NamedTuple):
     """A point of Z_n x Z_m; ordering is lexicographic by (row, col)."""
 
     row: int
@@ -37,8 +35,7 @@ class GridVertex:
         return f"({self.row},{self.col})"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class GridEdge:
+class GridEdge(NamedTuple("GridEdge", [("u", GridVertex), ("v", GridVertex)])):
     """Unordered pair of grid vertices that agree in exactly one coordinate.
 
     Endpoints are stored in lexicographic order, so equal edges compare
@@ -46,33 +43,30 @@ class GridEdge:
     pairs.  Pairs that differ in both coordinates (or none) are rejected.
     """
 
-    u: GridVertex
-    v: GridVertex
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.u == self.v:
-            raise ValueError(f"degenerate edge at {self.u}")
-        if self.u.row != self.v.row and self.u.col != self.v.col:
-            raise ValueError(f"{self.u}-{self.v} is not a grid edge")
-        if self.v < self.u:
-            lo, hi = self.v, self.u
-            object.__setattr__(self, "u", lo)
-            object.__setattr__(self, "v", hi)
+    def __new__(cls, u: GridVertex, v: GridVertex):
+        if u == v:
+            raise ValueError(f"degenerate edge at {u}")
+        if u.row != v.row and u.col != v.col:
+            raise ValueError(f"{u}-{v} is not a grid edge")
+        if v < u:
+            u, v = v, u
+        return super().__new__(cls, u, v)
 
     def __str__(self) -> str:
         return f"{self.u}-{self.v}"
 
 
-@dataclass(frozen=True, slots=True)
-class GridGraph:
+class GridGraph(NamedTuple("GridGraph", [("n", int), ("m", int)])):
     """K_n [box] K_m.  Holds only the dimensions."""
 
-    n: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 2 or self.m < 2:
-            raise DimensionError(f"grid needs n, m >= 2, got {self.n} x {self.m}")
+    def __new__(cls, n: int, m: int):
+        if n < 2 or m < 2:
+            raise DimensionError(f"grid needs n, m >= 2, got {n} x {m}")
+        return super().__new__(cls, n, m)
 
     @property
     def vertex_count(self) -> int:

@@ -26,7 +26,6 @@ images whole orbits.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import chain, combinations
 from math import comb
 from operator import eq, itemgetter
@@ -233,7 +232,7 @@ class EdgeAction:
     handed to image_keys and images; edge images are computed, never
     stored.  edges() builds validated edge objects, for witnesses,
     orbit ids and Subgraph.edges only: nothing else reads ``vertices``,
-    the graph's vertex tuple.
+    the graph's vertex tuple.  Actions on equal graphs are equal.
     """
 
     __slots__ = ("graph", "size", "_grid")
@@ -241,6 +240,17 @@ class EdgeAction:
     def __init__(self, graph):
         self.graph, self.size = graph, graph.vertex_count
         self._grid = (graph.n, graph.m) if isinstance(graph, GridGraph) else None
+
+    def __eq__(self, other):
+        if not isinstance(other, EdgeAction):
+            return NotImplemented
+        return self.graph == other.graph
+
+    def __hash__(self) -> int:
+        return hash(self.graph)
+
+    def __repr__(self) -> str:
+        return f"EdgeAction({self.graph!r})"
 
     @property
     def vertices(self) -> tuple:
@@ -310,13 +320,12 @@ class EdgeAction:
                 raise ValueError(f"{name} is not an edge of {self.graph}")
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeOrbit:
+class EdgeOrbit(NamedTuple):
     """One orbit of the edge action: a sort key plus the member keys, ascending."""
 
     id: tuple
     keys: tuple
-    action: EdgeAction = field(repr=False, compare=False)
+    action: EdgeAction
 
 
 def edge_orbits(graph, group: FiniteGroup) -> list[EdgeOrbit]:

@@ -45,7 +45,6 @@ from typing import Sequence
 from .decompose import (
     CompleteGraph,
     Decomposition,
-    LabelEdge,
     PreconditionFailed,
     Subgraph,
     VerificationReport,
@@ -54,7 +53,7 @@ from .decompose import (
     _transport,
     verify_decomposition,
 )
-from .grid import GridEdge, GridGraph, GridVertex
+from .grid import GridGraph
 from .groups import (
     DEFAULT_GROUP_CAP,
     DIAGONAL_SHIFT,
@@ -110,22 +109,12 @@ def dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
 
 
-def _vertex_json(v):
-    if isinstance(v, GridVertex):
-        return [v.row, v.col]
-    return v
-
-
-def _edge_json(e):
-    return [_vertex_json(e.u), _vertex_json(e.v)]
-
-
 def permutation_to_json(perm: Permutation) -> dict:
     graph = perm.graph
     if perm.kind in (ROW_SHIFT, DIAGONAL_SHIFT):
         return {"kind": perm.kind, "n": graph.n, "m": graph.m}
     vs = graph.vertices()
-    pairs = [[_vertex_json(v), _vertex_json(vs[j])] for v, j in zip(vs, perm.table)]
+    pairs = [[v, vs[j]] for v, j in zip(vs, perm.table)]
     return {"kind": EXPLICIT, "map": pairs}
 
 
@@ -150,15 +139,11 @@ def _base_json(base: Subgraph) -> dict:
     if base.walk is not None:
         w = base.walk
         return {"start": list(divmod(w.path[0], w.m)), "steps": [list(p) for p in w.step_pairs()]}
-    return {"edges": [_edge_json(e) for e in base.edges]}
+    return {"edges": base.edges}
 
 
 def _jsonable(value):
-    """Best-effort conversion of witness payloads to plain JSON values."""
-    if isinstance(value, (GridEdge, LabelEdge)):
-        return _edge_json(value)
-    if isinstance(value, GridVertex):
-        return _vertex_json(value)
+    """Witness payloads as values json.dumps writes: a tuple (an edge or vertex too) as an array."""
     if isinstance(value, Permutation):
         return permutation_to_json(value)
     if isinstance(value, dict):

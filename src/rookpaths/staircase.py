@@ -21,9 +21,8 @@ one_edge_per_orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import pairwise
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .grid import DimensionError, GridGraph
 
@@ -78,8 +77,7 @@ def partial_stretch_sum(n: int, k: int, p: int, q: int) -> tuple[int, int]:
     return (row, col)
 
 
-@dataclass(frozen=True, slots=True)
-class Walk:
+class Walk(NamedTuple):
     """A walk on K_n [box] K_m, stored as its vertex indices row * m + col; the rest is derived."""
 
     n: int

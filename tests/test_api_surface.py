@@ -1,7 +1,6 @@
 """The package API is README's Library list, and every public name has a use."""
 
 import ast
-import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -66,6 +65,22 @@ def used_names(node: ast.AST) -> set[str]:
     return out
 
 
+def test_no_module_imports_dataclasses():
+    """Value records are NamedTuples and objects with behaviour are __slots__ classes."""
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "dataclasses" for module in modules):
+                importers.append(path.name)
+    assert importers == []
+
+
 def test_every_public_definition_is_used_or_exported():
     """Public functions, classes, and their public methods and properties.
 
@@ -108,10 +123,8 @@ def test_every_public_definition_is_used_or_exported():
 
 
 def has_member(owner, name: str) -> bool:
-    """An attribute, a slot, or a dataclass field of ``owner``."""
-    if hasattr(owner, name) or name in getattr(owner, "__slots__", ()):
-        return True
-    return dataclasses.is_dataclass(owner) and name in {f.name for f in dataclasses.fields(owner)}
+    """An attribute or a slot of ``owner``."""
+    return hasattr(owner, name) or name in getattr(owner, "__slots__", ())
 
 
 def test_readme_library_names_only_members_that_exist():

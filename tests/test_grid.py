@@ -1,7 +1,18 @@
 """Grid graph construction and edge bookkeeping."""
 
+import re
+from functools import cache
+from typing import Callable, NamedTuple
+
 import pytest
 
+from rookpaths.decompose import (
+    CompleteGraph,
+    Decomposition,
+    LabelEdge,
+    VerificationReport,
+    staircase_decomposition,
+)
 from rookpaths.grid import (
     DimensionError,
     GridEdge,
@@ -142,3 +153,110 @@ def test_str_forms():
 def test_grid_graph_is_hashable_value():
     assert GridGraph(3, 3) == GridGraph(3, 3)
     assert len({GridGraph(3, 3), GridGraph(3, 3)}) == 1
+
+
+@cache
+def staircase3():
+    return staircase_decomposition(3)
+
+
+def staircase3_decomposition():
+    dec = staircase3()[0]
+    return Decomposition(dec.blocks, dec.group, dec.base)
+
+
+class ValueCase(NamedTuple):
+    make: Callable  # a new value each call, equal to the last
+    text: str  # its repr, "..." standing for any text
+    field: str  # a field that cannot be set
+    shown: str | None = None  # its str, if not its repr
+    hashable: bool = True
+    larger: Callable | None = None  # for an ordered class, a value greater than make()'s
+    errors: tuple = ()  # (call, exception type, message)
+
+
+VALUE_CASES = {
+    "GridVertex": ValueCase(
+        lambda: GridVertex(0, 1),
+        "GridVertex(row=0, col=1)",
+        "row",
+        shown="(0,1)",
+        larger=lambda: GridVertex(1, 0),
+    ),
+    "GridEdge": ValueCase(
+        lambda: GridEdge(GridVertex(1, 2), GridVertex(1, 0)),
+        "GridEdge(u=GridVertex(row=1, col=0), v=GridVertex(row=1, col=2))",
+        "u",
+        shown="(1,0)-(1,2)",
+        larger=lambda: GridEdge(GridVertex(1, 0), GridVertex(2, 0)),
+        errors=(
+            (lambda: GridEdge(GridVertex(1, 1), GridVertex(1, 1)), ValueError, "degenerate edge at (1,1)"),
+            (
+                lambda: GridEdge(GridVertex(0, 0), GridVertex(1, 1)),
+                ValueError,
+                "(0,0)-(1,1) is not a grid edge",
+            ),
+        ),
+    ),
+    "GridGraph": ValueCase(
+        lambda: GridGraph(3, 4),
+        "GridGraph(n=3, m=4)",
+        "n",
+        shown="K_3 box K_4",
+        errors=(
+            (lambda: GridGraph(1, 5), DimensionError, "grid needs n, m >= 2, got 1 x 5"),
+            (lambda: GridGraph(3, 1), DimensionError, "grid needs n, m >= 2, got 3 x 1"),
+        ),
+    ),
+    "LabelEdge": ValueCase(
+        lambda: LabelEdge(5, 2),
+        "LabelEdge(u=2, v=5)",
+        "v",
+        shown="2-5",
+        larger=lambda: LabelEdge(3, 4),
+        errors=((lambda: LabelEdge(3, 3), ValueError, "degenerate edge at 3"),),
+    ),
+    "CompleteGraph": ValueCase(
+        lambda: CompleteGraph(9),
+        "CompleteGraph(n=9)",
+        "n",
+        shown="K_9",
+        errors=((lambda: CompleteGraph(0), ValueError, "complete graph needs n >= 1, got 0"),),
+    ),
+    "EdgeOrbit": ValueCase(
+        lambda: edge_orbits(GridGraph(3, 3), generate_group([row_shift(3, 3)]))[0],
+        "EdgeOrbit(id=('H', 0, 1), keys=(1, 31, 61)...)",
+        "keys",
+    ),
+    "Walk": ValueCase(lambda: Walk(5, 5, (0, 10)), "Walk(n=5, m=5, path=(0, 10))", "path"),
+    "Decomposition": ValueCase(
+        staircase3_decomposition,
+        "Decomposition(blocks=(...), group=FiniteGroup(order=3), base=<...Subgraph object at ...>)",
+        "base",
+        hashable=False,
+    ),
+    # only the one report is compared, with itself
+    "VerificationReport": ValueCase(
+        lambda: staircase3()[1], "VerificationReport(witnesses={})", "witnesses", hashable=False
+    ),
+}
+
+
+@pytest.mark.parametrize("case", VALUE_CASES.values(), ids=VALUE_CASES)
+def test_value_semantics(case):
+    a, b = case.make(), case.make()
+    assert a == b and not a != b
+    if case.hashable:
+        assert hash(a) == hash(b) and len({a, b}) == 1
+    pattern = ".*".join(map(re.escape, case.text.split("...")))
+    assert re.fullmatch(pattern, repr(a)), repr(a)
+    assert str(a) == (repr(a) if case.shown is None else case.shown)
+    if case.larger is not None:
+        c = case.larger()
+        assert a < c and c > a and not c < a
+        assert sorted([c, a]) == [a, c]
+    for call, error, message in case.errors:
+        with pytest.raises(error, match=re.escape(message)):
+            call()
+    with pytest.raises(AttributeError):
+        setattr(a, case.field, getattr(a, case.field))

@@ -33,6 +33,7 @@ def test_stage_times_smoke(tmp_path):
     assert split["split_s"] > 0 and split["split_rss_mb"] > 0
     first = {row["argv"]: row for row in tree["first_call"]}
     assert first["generate --n 5"]["exit_code"] == 0 and len(first) == 10
+    assert all(row["import_ms"] > 0 for row in first.values())
     assert all(row["first_ms"] > 0 and row["again_ms"] > 0 for row in first.values())
     (hostile,) = tree["hostile"]
     assert (hostile["name"], hostile["exit_code"]) == ("k400-repeated-generator", 2)

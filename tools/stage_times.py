@@ -34,10 +34,11 @@ keep every run's verify_s next to the median.
 
 Short commands cost less than interpreter start-up, so --first-call
 times them inside the process instead: each of SMALL_COMMANDS runs in
-that many fresh processes, which import rookpaths.cli and time one
-``main(argv)`` call (``first_ms``, what a user's command pays after the
-import) and then AGAIN_CALLS more in the same process (``again_ms``, their
-median: the cost of a command that follows others in one process).
+that many fresh processes, which time their import of rookpaths.cli
+(``import_ms``) and one ``main(argv)`` call (``first_ms``, what a user's
+command pays after the import) and then AGAIN_CALLS more in the same
+process (``again_ms``, their median: the cost of a command that follows
+others in one process).
 
     python tools/stage_times.py --label after
     python tools/stage_times.py --label compare --tree before=../old/src --tree after=src
@@ -223,19 +224,23 @@ def child(n: int) -> None:
 
 
 def first_call_child(argv: list[str]) -> None:
-    """Time main(argv) once right after the import, then AGAIN_CALLS more; print one JSON line."""
+    """Time the import of rookpaths.cli, main(argv) once right after it, then AGAIN_CALLS more;
+    print one JSON line."""
     import contextlib
     import io
 
+    start = perf_counter()
     from rookpaths.cli import main as cli_main
 
+    imported = perf_counter() - start
     times = []
     for _ in range(1 + AGAIN_CALLS):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             start = perf_counter()
             code = cli_main(argv)
             times.append(perf_counter() - start)
-    print(json.dumps({"code": code, "first": times[0], "again": statistics.median(times[1:])}))
+    again = statistics.median(times[1:])
+    print(json.dumps({"code": code, "import": imported, "first": times[0], "again": again}))
 
 
 def run_first_call(src: Path, argv: tuple[str, ...]) -> dict:
@@ -249,6 +254,7 @@ def median_first_call(argv: tuple[str, ...], runs: list[dict]) -> dict:
     return {
         "argv": " ".join(argv),
         "exit_code": runs[0]["code"],
+        "import_ms": round(statistics.median(r["import"] for r in runs) * 1000, 3),
         "first_ms": round(statistics.median(r["first"] for r in runs) * 1000, 3),
         "again_ms": round(statistics.median(r["again"] for r in runs) * 1000, 3),
     }
