@@ -32,10 +32,13 @@ edges.  Then the images partition E exactly when H repeats no key,
 then distinct edges, pairwise disjoint as g(H) & h(H) = g(H & g^-1 h(H)),
 and a cover of E passes all three).  _transport tests each image as it
 is made and sorts it into its block's array, unscanned; no other key is
-sorted unless the verifier's certificate fails.  The verifier images
-|G| * |base| keys, and off the common case one more per block edge and
-distinct generator (none for a block of all |E| edges).  Its flag
-checks (_check_flags) take the premises and images as given, so that
+sorted unless the verifier's certificate fails.  While it holds, each
+edge lies in exactly one image, so the verifier's partition check reads
+only the blocks that are no image, the images that are no block and the
+image blocks that repeat.  The verifier images |G| * |base| keys, and
+off the common case one more per block edge and distinct generator
+(none for a block of all |E| edges).  Its flag checks (_check_flags)
+take the premises and images as given, so that
 serialize.verify_text can run both once, before it reads the blocks,
 and look each block up among the images; off the common case the
 isomorphism test builds the base's side once per verify.
@@ -50,7 +53,7 @@ from itertools import chain
 from math import comb, isqrt
 from typing import Iterable, Iterator, NamedTuple
 
-from .grid import GridGraph
+from .grid import GridGraph, Validated
 from .groups import (
     EdgeAction,
     EdgeOrbit,
@@ -87,7 +90,7 @@ class NotOddPrime(ValueError):
     """The staircase construction was asked for an unsupported width."""
 
 
-class LabelEdge(NamedTuple("LabelEdge", [("u", int), ("v", int)])):
+class LabelEdge(Validated, NamedTuple("LabelEdge", [("u", int), ("v", int)])):
     """Unordered pair of integer-labelled vertices, stored with u < v."""
 
     __slots__ = ()
@@ -103,7 +106,7 @@ class LabelEdge(NamedTuple("LabelEdge", [("u", int), ("v", int)])):
         return f"{self.u}-{self.v}"
 
 
-class CompleteGraph(NamedTuple("CompleteGraph", [("n", int)])):
+class CompleteGraph(Validated, NamedTuple("CompleteGraph", [("n", int)])):
     """The complete graph on labels 1 .. n."""
 
     __slots__ = ()
@@ -472,6 +475,31 @@ def partition_witnesses(graph, blocks: Iterable[Subgraph]) -> PartitionCheck:
     return PartitionCheck(not duplicated and not missing, duplicated, missing)
 
 
+def _partition_off_images(action, block_keys: list, signatures: list, images: set) -> PartitionCheck:
+    """partition_witnesses of blocks with these keys and byte signatures, where ``images`` are
+    the signatures of key arrays certified to partition E, so each edge lies in one image.
+
+    Only three small sets are read: the blocks that are no image, whose keys are range-checked
+    in block order; the images that are no block, whose keys no image block covers; and the
+    image blocks that repeat, whose keys are all duplicated.  A key of a block that is no image
+    is duplicated when another such block holds it too, or an image block covers it.
+    """
+    spare: Counter = Counter()
+    for keys, sig in zip(block_keys, signatures):
+        if sig not in images:
+            action.check_keys(keys)
+            spare.update(keys)
+    present = set(signatures)
+    uncovered = {k for sig in images - present for k in array("q", sig)}
+    duplicated = {k for k, c in spare.items() if c > 1 or k not in uncovered}
+    if len(present) != len(signatures):
+        repeated = [sig for sig, c in Counter(signatures).items() if c > 1 and sig in images]
+        duplicated.update(chain.from_iterable(array("q", sig) for sig in repeated))
+    missing = uncovered.difference(spare)
+    edges = action.edges
+    return PartitionCheck(not duplicated and not missing, edges(sorted(duplicated)), edges(sorted(missing)))
+
+
 def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> VerificationReport:
     """Recheck every structural claim of a decomposition from the vertex permutations.
 
@@ -480,9 +508,12 @@ def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> Verif
     (the base's ValueError), and the flags are recomputed from the
     vertex tables of ``group``.  Blocks that are exactly the |G|
     distinct images of the base, with those images certified to partition
-    the edges (see the module docstring), pass all six.  Otherwise
-    partition_witnesses sorts the keys and each flag is checked on its
-    own: a block equal to an image of the base is certified isomorphic by
+    the edges (see the module docstring), pass all six.  Otherwise each
+    flag is checked on its own.  While the certificate holds, the
+    partition is read off the images: only the blocks that are no image
+    and the images that are no block are read, and only the witnesses
+    are sorted.  Without it, partition_witnesses sorts every key.  A
+    block equal to an image of the base is certified isomorphic by
     that element, only other blocks go through the isomorphism test, whose
     base side is built once, and every failed flag carries a concrete witness.
     """
@@ -501,7 +532,10 @@ def _check_flags(graph, group, dec, action, images: list[bytes], partitioned) ->
     if partitioned and len(signatures) == group.order and block_set == certified:
         return VerificationReport({})
 
-    partition = partition_witnesses(graph, dec.blocks)
+    if partitioned:
+        partition = _partition_off_images(action, block_keys, signatures, certified)
+    else:
+        partition = partition_witnesses(graph, dec.blocks)
     witnesses: dict = {}
     if not partition.ok:
         witnesses["is_partition"] = {

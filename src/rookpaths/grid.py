@@ -25,6 +25,17 @@ class DimensionError(ValueError):
     """A grid dimension outside the supported range."""
 
 
+class Validated:
+    """The first base of a NamedTuple that validates in ``__new__``: its ``_make``, and so its
+    ``_replace``, build through the class instead of around it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class GridVertex(NamedTuple):
     """A point of Z_n x Z_m; ordering is lexicographic by (row, col)."""
 
@@ -35,7 +46,7 @@ class GridVertex(NamedTuple):
         return f"({self.row},{self.col})"
 
 
-class GridEdge(NamedTuple("GridEdge", [("u", GridVertex), ("v", GridVertex)])):
+class GridEdge(Validated, NamedTuple("GridEdge", [("u", GridVertex), ("v", GridVertex)])):
     """Unordered pair of grid vertices that agree in exactly one coordinate.
 
     Endpoints are stored in lexicographic order, so equal edges compare
@@ -58,7 +69,7 @@ class GridEdge(NamedTuple("GridEdge", [("u", GridVertex), ("v", GridVertex)])):
         return f"{self.u}-{self.v}"
 
 
-class GridGraph(NamedTuple("GridGraph", [("n", int), ("m", int)])):
+class GridGraph(Validated, NamedTuple("GridGraph", [("n", int), ("m", int)])):
     """K_n [box] K_m.  Holds only the dimensions."""
 
     __slots__ = ()

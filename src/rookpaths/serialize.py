@@ -21,10 +21,14 @@ element that fails a check.
 Text in the writer's layout has its blocks read straight from the text:
 split on the writer's separators, each endpoint token looked up in the
 vertex-text table, without json.loads building three lists per edge.
-The rest of such a document is small and is decoded as usual.  Every
-other layout (whitespace, escapes, a repeated "blocks" key, leading
-zeros, reversed pairs, any malformed edge) is decoded whole by
-json.loads, so it gives the same result and the same error.
+The rest of such a document is small and is decoded as usual.  From the
+first block the reader doubts (leading zeros, reversed pairs, any
+malformed edge), json.loads decodes only the rest of the blocks, which
+gives the same blocks as decoding the whole text (_text_blocks).  Text
+in another layout around its blocks (whitespace, escapes, a repeated
+"blocks" key), and text whose rest of the blocks is no JSON value, is
+decoded whole by json.loads, so it gives the same result and the same
+error.
 
 verify_text, the command line's verify, runs the verifier's premises
 and transport right after the head, and the reader then takes a block
@@ -535,14 +539,17 @@ def _token_tables(graph) -> tuple[dict, dict, tuple, tuple]:
     return firsts, seconds, rows, cols
 
 
-def _canonical_block_keys(action: EdgeAction, text: str, images=()) -> tuple[list, bool]:
-    """(the keys of the leading blocks in the writer's layout, whether those are all the blocks).
+def _canonical_block_keys(action: EdgeAction, text: str, images=()) -> tuple[list, int | None]:
+    """(the keys of the leading blocks in the writer's layout, the offset in ``text`` of the
+    ``{"edges":`` of the first block not read, or None when every block is read).
 
     ``text`` is cut by _split_blocks: ``[{"edges":[`` up to ``}]``.
     A block whose text is the writer's rendering of one of ``images``
     (strictly ascending key arrays of edges, see verify_text) is that
     array: the block's first pair names the one image to render and
-    compare, so no other image is rendered.  Any other block
+    compare, so no other image is rendered, and an image's rendering is
+    kept once a block fails to match it, so the blocks that are no image
+    render each image once between them.  Any other block
     ``[[a,b],[c,d],...]`` (``[[[r,c],[r,c]],...]`` on a grid) splits on
     the writer's separators into endpoint tokens that must be exactly
     the vertex texts _vertex_texts gives, opened or closed, so the text
@@ -559,17 +566,23 @@ def _canonical_block_keys(action: EdgeAction, text: str, images=()) -> tuple[lis
     # each image by the text of its first, least pair, which ends at the pair's first ``closing``
     by_first = {heads[a[0] // size] + tails[a[0] % size]: a for a in reversed(images)}
 
+    rendered: dict = {}  # an image's rendering by its first pair's text, once a block is not it
+
     def image_at(pos: int, end: int):
         """The image whose rendering is the block text[pos:end], or None."""
         cut = text.find(closing, pos, end)
-        image = by_first.get(text[pos + 1 : cut + len(closing)]) if cut > pos else None
+        first = text[pos + 1 : cut + len(closing)] if cut > pos else ""
+        image = by_first.get(first)
         # a pair's text has 5 characters or more ("[a,b]"), so no image longer than the block
         # is rendered: rendering costs at most what reading the block does
         if image is None or 5 * len(image) > end - pos:
             return None
-        body = _edge_list(image, heads, tails, size)
+        body = rendered.get(first) or _edge_list(image, heads, tails, size)
         framed = text[pos] == "[" and text[end - 1] == "]" and end - pos == len(body) + 2
-        return image if framed and text.startswith(body, pos + 1) else None
+        if framed and text.startswith(body, pos + 1):
+            return image
+        rendered[first] = body
+        return None
 
     def block_keys(pos: int, end: int):
         """The keys of the block text[pos:end], or None."""
@@ -605,14 +618,12 @@ def _canonical_block_keys(action: EdgeAction, text: str, images=()) -> tuple[lis
         keys = image_at(pos, block_end) if by_first else None
         if keys is None:
             keys = block_keys(pos, block_end)
-        if keys is None:
-            return key_lists, False
+        if keys is None or total + len(keys) > MAX_EDGES:
+            return key_lists, pos - len('{"edges":')
         total += len(keys)
-        if total > MAX_EDGES:
-            return key_lists, False
         key_lists.append(keys)
         if end < 0:
-            return key_lists, True
+            return key_lists, None
         pos = end + len('},{"edges":')
 
 
@@ -644,15 +655,28 @@ def _text_head(text: str):
 def _text_blocks(text: str, doc: dict, blocks_text: str, head: tuple, images=()) -> tuple:
     """(graph, group, decomposition) of ``text``, whose _text_head is (doc, blocks_text, head).
 
-    The blocks are read from the text (_canonical_block_keys).  At the
-    first block the reader doubts, the text is decoded whole, and the
-    blocks read so far are kept if the decoder's document has the same
-    members besides blocks: a second member inside the blocks text would
-    override the head, and then that document is parsed afresh.
+    The blocks are read from the text (_canonical_block_keys).  From the
+    first block the reader doubts, at ``offset``, the rest R of the
+    blocks text is decoded: blocks_text is ``[B0,...,Bk-1,`` + R with
+    each Bi a writer's rendering, so it is one JSON value exactly when
+    ``[`` + R is, and then the whole text is ``doc`` with that value in
+    the place of its null.  ``[[`` + R + ``]`` must decode, through
+    _loads as the whole text would be, to a one-element list: the outer
+    ``[[`` gives R the document's own nesting depth.  Otherwise the text
+    is decoded whole, and the blocks read so far are kept if the
+    decoder's document has the same members besides blocks: a second
+    member inside the blocks text would override the head, and then
+    that document is parsed afresh.
     """
-    key_lists, whole = _canonical_block_keys(head[1], blocks_text, images)
-    if whole:  # read already: _parse_blocks takes no entry of them
+    key_lists, offset = _canonical_block_keys(head[1], blocks_text, images)
+    if offset is None:  # read already: _parse_blocks takes no entry of them
         return _parse_blocks(dict(doc, blocks=key_lists), head, key_lists)
+    try:
+        rest = _loads("[[" + blocks_text[offset:] + "]")
+    except SchemaError:  # the whole text's decode gives the error, or another document
+        rest = ()
+    if len(rest) == 1:
+        return _parse_blocks(dict(doc, blocks=key_lists + rest[0]), head, key_lists)
     data = _loads(text)
     if type(data) is not dict or data != dict(doc, blocks=data.get("blocks")):
         return parse_decomposition(data)

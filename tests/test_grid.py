@@ -173,6 +173,7 @@ class ValueCase(NamedTuple):
     hashable: bool = True
     larger: Callable | None = None  # for an ordered class, a value greater than make()'s
     errors: tuple = ()  # (call, exception type, message)
+    replaced: tuple = ()  # (fields given to _replace, the value it returns)
 
 
 VALUE_CASES = {
@@ -196,6 +197,19 @@ VALUE_CASES = {
                 ValueError,
                 "(0,0)-(1,1) is not a grid edge",
             ),
+            (
+                lambda: GridEdge(GridVertex(1, 2), GridVertex(1, 0))._replace(v=GridVertex(1, 0)),
+                ValueError,
+                "degenerate edge at (1,0)",
+            ),
+            (
+                lambda: GridEdge._make((GridVertex(0, 0), GridVertex(1, 1))),
+                ValueError,
+                "(0,0)-(1,1) is not a grid edge",
+            ),
+        ),
+        replaced=(
+            ({"u": GridVertex(1, 5)}, GridEdge(GridVertex(1, 2), GridVertex(1, 5))),
         ),
     ),
     "GridGraph": ValueCase(
@@ -206,7 +220,10 @@ VALUE_CASES = {
         errors=(
             (lambda: GridGraph(1, 5), DimensionError, "grid needs n, m >= 2, got 1 x 5"),
             (lambda: GridGraph(3, 1), DimensionError, "grid needs n, m >= 2, got 3 x 1"),
+            (lambda: GridGraph(3, 4)._replace(m=1), DimensionError, "got 3 x 1"),
+            (lambda: GridGraph._make((1, 1)), DimensionError, "got 1 x 1"),
         ),
+        replaced=(({"m": 2}, GridGraph(3, 2)),),
     ),
     "LabelEdge": ValueCase(
         lambda: LabelEdge(5, 2),
@@ -214,14 +231,23 @@ VALUE_CASES = {
         "v",
         shown="2-5",
         larger=lambda: LabelEdge(3, 4),
-        errors=((lambda: LabelEdge(3, 3), ValueError, "degenerate edge at 3"),),
+        errors=(
+            (lambda: LabelEdge(3, 3), ValueError, "degenerate edge at 3"),
+            (lambda: LabelEdge(5, 2)._replace(u=5), ValueError, "degenerate edge at 5"),
+            (lambda: LabelEdge._make((4, 4)), ValueError, "degenerate edge at 4"),
+        ),
+        replaced=(({"u": 9}, LabelEdge(5, 9)),),
     ),
     "CompleteGraph": ValueCase(
         lambda: CompleteGraph(9),
         "CompleteGraph(n=9)",
         "n",
         shown="K_9",
-        errors=((lambda: CompleteGraph(0), ValueError, "complete graph needs n >= 1, got 0"),),
+        errors=(
+            (lambda: CompleteGraph(0), ValueError, "complete graph needs n >= 1, got 0"),
+            (lambda: CompleteGraph(9)._replace(n=0), ValueError, "got 0"),
+            (lambda: CompleteGraph._make([-1]), ValueError, "got -1"),
+        ),
     ),
     "EdgeOrbit": ValueCase(
         lambda: edge_orbits(GridGraph(3, 3), generate_group([row_shift(3, 3)]))[0],
@@ -258,5 +284,8 @@ def test_value_semantics(case):
     for call, error, message in case.errors:
         with pytest.raises(error, match=re.escape(message)):
             call()
+    assert type(a)._make(a) == a._replace() == a
+    for fields, value in case.replaced:
+        assert a._replace(**fields) == value and type(a._replace(**fields)) is type(a)
     with pytest.raises(AttributeError):
         setattr(a, case.field, getattr(a, case.field))

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -299,17 +300,23 @@ def entry_result(data):
     return ("ok", graph, kinds, group.graph, group.tables, dec.base, [b.keys for b in dec.blocks])
 
 
-def decoded_result(text):
-    """What the decoded entry point gives for ``text``, or the decoder's error."""
+def decoded_result(text, frames=0):
+    """What the decoded entry point gives for ``text``, or the decoder's error.  The text is
+    decoded ``frames`` calls further down the stack: json's nesting limit counts the frames
+    above it, so a text nested near that limit is compared at the text entry point's depth."""
+    if frames:
+        return decoded_result(text, frames - 1)
     try:
         data = json.loads(text)
     except ValueError as err:
         return ("error", f"$: invalid JSON: {err}")
+    except RecursionError:
+        return ("error", "$: invalid JSON: nested too deeply")
     return entry_result(data)
 
 
-def assert_entry_points_agree(text):
-    expected = decoded_result(text)
+def assert_entry_points_agree(text, frames=0):
+    expected = decoded_result(text, frames)
     assert entry_result(text) == expected
     return expected
 
@@ -339,10 +346,11 @@ def test_blocks_past_the_cap_leave_the_rest_to_the_decoder(monkeypatch):
     monkeypatch.setattr(serialize, "MAX_EDGES", sum(len(b["edges"]) for b in doc["blocks"]))
     over = dumps(edited(doc, ("blocks",), doc["blocks"] * 2))
     assert entry_result(over)[1].startswith("$.blocks[5].edges: ")
-    # the reader keeps no more than MAX_EDGES keys: the decoder reads the rest
+    # the reader keeps no more than MAX_EDGES keys: the decoder reads the rest, from block 5 on
     blocks_text = serialize._split_blocks(over)[1]
-    key_lists, whole = serialize._canonical_block_keys(EdgeAction(GridGraph(5, 5)), blocks_text)
-    assert (len(key_lists), whole) == (5, False)
+    key_lists, offset = serialize._canonical_block_keys(EdgeAction(GridGraph(5, 5)), blocks_text)
+    assert (len(key_lists), offset) == (5, len(dumps(doc["blocks"])))
+    assert blocks_text[offset:] == dumps(doc["blocks"])[1:]
     garbage = splice(over, '}],"report":', '},{"edges":[,]}],"report":')
     assert assert_entry_points_agree(garbage)[1].startswith("$: invalid JSON: ")
     hidden = splice(over, '}],"report":', '} ],"graph":[{}],"report":')
@@ -474,3 +482,129 @@ def test_entry_points_agree_on_mutated_text(name, where, action, char, token):
         p = where % len(text)
         text = text[:p] + ("" if action == "delete" else char) + text[p + (action != "insert") :]
     assert_entry_points_agree(text)
+
+
+# ---------------------------------------------------------------- a doubted block's suffix
+
+
+def with_block(text, i, edit):
+    """``text``, a file in the writer's layout, with block i's text replaced by ``edit`` of it."""
+    doc = json.loads(text)
+    pieces = [dumps(block) for block in doc["blocks"]]
+    start = text.index('"blocks":[') + len('"blocks":[')
+    end = start + len(",".join(pieces))
+    assert text[start:end] == ",".join(pieces)
+    pieces[i] = edit(pieces[i], doc["blocks"][i]["edges"])
+    return text[:start] + ",".join(pieces) + text[end:]
+
+
+def block_edits():
+    """(label, edit) pairs: test_entry_points_agree_on_other_layouts' edits of one block, each
+    of which the reader doubts, then rests that are no JSON and an integer past the digit limit."""
+
+    def first_pair(variant):
+        return lambda piece, edges: piece.replace(dumps(edges[0]), variant(edges[0]), 1)
+
+    def coordinate(token):
+        def variant(edge):
+            text = dumps(edge)
+            head = edge[0][0] if isinstance(edge[0], list) else edge[0]
+            start = text[: text.index(str(head))]
+            return start + token(head) + text[len(start) + len(str(head)) :]
+
+        return first_pair(variant)
+
+    yield "reversed pair", first_pair(lambda edge: dumps(edge[::-1]))
+    yield "empty block", lambda piece, edges: '{"edges":[]}'
+    yield "bare vertex after the last pair", lambda piece, edges: piece[:-2] + f",{dumps(edges[0][0])}]}}"
+    yield "unclosed last pair", lambda piece, edges: piece[:-3] + f",[{dumps(edges[0][0])}]]}}"
+    yield "opened by a space", lambda piece, edges: piece.replace('"edges":', '"edges": ', 1)
+    for token in ("0{}", "-0", "{}.0", "true", "{}e0", " {}", "{} ", "99", "-1", '"{}"'):
+        yield f"coordinate {token.format('h')}", coordinate(token.format)
+    yield "no JSON after it", first_pair(lambda edge: f"{dumps(edge)},,")
+    yield "the blocks closed after it, then an array", lambda piece, edges: piece + ',1],[{"x":0}'
+    yield "an integer past the digit limit", coordinate(lambda head: "1" * 5000)
+
+
+def doubted_texts():
+    for name, text in CANONICAL.items():
+        k = len(json.loads(text)["blocks"])
+        for where, i in (("first", 0), ("middle", k // 2), ("last", k - 1)):
+            for label, edit in block_edits():
+                yield f"{name}: {where} block, {label}", with_block(text, i, edit)
+
+
+DOUBTED = list(doubted_texts())
+
+
+@pytest.mark.parametrize("label, text", DOUBTED, ids=[label for label, _ in DOUBTED])
+def test_entry_points_agree_on_a_doubted_block(label, text):
+    assert_entry_points_agree(text)
+
+
+def test_a_doubted_block_decodes_only_the_rest(monkeypatch):
+    """Past a doubted block, the rest of the blocks is decoded, not the whole text, unless the
+    rest is no JSON value; and every outcome is among the doubted texts."""
+    loads, whole = serialize._loads, []
+
+    def recorded(text):
+        whole.append(text.startswith("{"))
+        return loads(text)
+
+    monkeypatch.setattr(serialize, "_loads", recorded)
+    outcomes = set()
+    for label, text in DOUBTED:
+        whole.clear()
+        result = entry_result(text)
+        undecodable = result[0] == "error" and result[1].startswith("$: invalid JSON")
+        outcomes.add(result[0] if result[0] == "ok" else result[1].split(":")[0])
+        if serialize._text_head(text) is not None:
+            assert whole and whole[-1] == undecodable, label
+    assert {"ok", "$", "$.blocks[0].edges", "$.blocks[6].edges", "$.blocks[6].edges[0][0]"} <= outcomes
+
+
+def stack_depth():
+    """The number of frames on the caller's stack."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_a_doubted_block_nested_around_the_decoder_limit(monkeypatch):
+    """A doubted block whose first pair is nested d deep, for each d in a window around the
+    depth at which json's decoder gives up: the rest of the blocks nests as deep as in the whole
+    text, so the text entry point gives the decoded one's result at every d."""
+    text = CANONICAL["n5"]
+
+    def nested(i, d):
+        return with_block(text, i, lambda piece, edges: piece.replace(dumps(edges[0]), "[" * d + "]" * d, 1))
+
+    depths = []
+
+    class Recording(json.JSONDecoder):
+        def decode(self, s, *args):
+            depths.append(stack_depth())
+            return super().decode(s, *args)
+
+    shallow = nested(2, 1)
+    monkeypatch.setattr(json, "_default_decoder", Recording())
+    entry_result(shallow)  # decodes the head, then the rest of the blocks
+    decoded_result(shallow)
+    monkeypatch.undo()
+    assert len(depths) == 3
+    frames = depths[1] - depths[2]  # the blocks' decode's depth, the text's less the decoded's
+    assert frames >= 0
+
+    # the least depth that is too deep for the text entry point, by bisection
+    too_deep = ("error", "$: invalid JSON: nested too deeply")
+    fine, limit = 1, 1 << 16
+    assert entry_result(nested(2, fine)) != too_deep and entry_result(nested(2, limit)) == too_deep
+    while limit - fine > 1:
+        mid = (fine + limit) // 2
+        fine, limit = (fine, mid) if entry_result(nested(2, mid)) == too_deep else (mid, limit)
+    results = set()
+    for i in (0, 2, 4):
+        for d in range(limit - 3, limit + 4):
+            results.add(assert_entry_points_agree(nested(i, d), frames) == too_deep)
+    assert results == {True, False}

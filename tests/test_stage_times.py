@@ -3,9 +3,12 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from rookpaths.serialize import parse_decomposition
 
@@ -73,3 +76,25 @@ def test_transpositions_writer_at_small_scale(tmp_path, monkeypatch):
     flags = json.loads(done.stdout)
     assert done.returncode == 2
     assert not flags["semiregular"] and flags["witnesses"]["stabilizer_trivial"] == {"stabilizer_order": 8}
+
+
+@pytest.mark.parametrize("defect", ["dropped", "malformed"])
+def test_tampered_staircase_writer_at_small_scale(tmp_path, monkeypatch, defect):
+    # the n101 tampered writers at n=7: generate's file less one edge, or with one pair of the
+    # last block's second half no grid edge
+    monkeypatch.syspath_prepend(str(TOOL.parent))
+    tool = importlib.import_module("stage_times")
+    path = tmp_path / f"n7-{defect}.json"
+    tool.staircase_tampered(path, 7, defect)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    cmd = [sys.executable, "-m", "rookpaths", "verify", "--input", str(path)]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    if defect == "dropped":
+        flags = json.loads(done.stdout)
+        assert done.returncode == 2
+        assert len(flags["witnesses"]["is_partition"]["missing"]) == 1
+        assert sum(len(block["edges"]) for block in json.loads(path.read_text())["blocks"]) == 293
+    else:
+        assert done.returncode == 1
+        found = re.fullmatch(r"error: \$\.blocks\[6\]\.edges\[(\d+)\]: .* is not a grid edge\n", done.stderr)
+        assert found and 21 <= int(found[1]) < 42  # 42 edges in a block

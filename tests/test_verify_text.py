@@ -7,13 +7,25 @@ verify-files-style variants and hand-made tampers of the writer's layout.
 
 import json
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rookpaths import serialize
-from rookpaths.decompose import IsomorphismCapExceeded, PreconditionFailed, verify_decomposition
+from rookpaths.decompose import (
+    Decomposition,
+    IsomorphismCapExceeded,
+    PreconditionFailed,
+    Subgraph,
+    _partition_off_images,
+    _premises,
+    _transport,
+    partition_witnesses,
+    verify_decomposition,
+)
+from rookpaths.grid import GridGraph
 from rookpaths.serialize import (
     SchemaError,
     dumps,
@@ -22,6 +34,7 @@ from rookpaths.serialize import (
     verify_text,
 )
 
+from oracles import brute_partition_witnesses
 from test_parse_parity import CANONICAL, CORPUS, LAYOUTS, WALK_BASE_CORPUS
 from test_verify_fuzz import DOCUMENTS, ENTRIES, PATHS, VALUES, mutate
 
@@ -252,3 +265,113 @@ def test_no_image_longer_than_its_block_is_rendered(monkeypatch):
     text = dumps(doc)
     assert assert_same(text)[5]["is_partition"] is False
     assert sum(rendered) == 0
+
+
+def test_an_image_is_rendered_once_for_the_blocks_that_are_not_it(monkeypatch):
+    """K_8 under the trivial group, its base the path 1-2-3-4: 14 other paths 1-2-a-b open with
+    the base's first pair, and the reader renders the base once for all of them, then once more
+    for each block that is the base."""
+    identity = {"kind": "explicit", "map": [[v, v] for v in range(1, 9)]}
+    others = [[[1, 2], [2, a], [a, b]] for a in range(3, 8) for b in range(a + 1, 9) if (a, b) != (3, 4)]
+    base = [[1, 2], [2, 3], [3, 4]]
+    doc = {
+        "graph": {"kind": "complete", "n": 8},
+        "group": {"kind": "explicit", "order": 1, "generators": [identity]},
+        "base": {"edges": base},
+        "blocks": [{"edges": edges} for edges in others],
+        "report": SOURCES["k9"]["report"],
+    }
+    rendered = []
+    edge_list = serialize._edge_list
+
+    def counted(keys, *args):
+        rendered.append(len(keys))
+        return edge_list(keys, *args)
+
+    monkeypatch.setattr(serialize, "_edge_list", counted)
+    assert assert_same(dumps(doc))[5]["group_transitive"] is False
+    assert rendered == [3]
+    rendered.clear()
+    doc["blocks"] = [{"edges": base}, *doc["blocks"], {"edges": base}]
+    assert assert_same(dumps(doc))[5]["is_partition"] is False
+    assert rendered == [3, 3]
+
+
+# ---------------------------------------------------------------- partition off the certificate
+
+
+def partition_tampers(blocks):
+    """(label, blocks): the blocks of a valid file with one defect a partition check must see."""
+    k = len(blocks)
+
+    def fresh():
+        return json.loads(json.dumps(blocks))
+
+    dropped = fresh()
+    dropped[1]["edges"].pop(0)
+    yield "an edge dropped", dropped
+    moved = fresh()
+    moved[k - 1]["edges"] = sorted(moved[k - 1]["edges"] + [moved[0]["edges"].pop(1)])
+    yield "an edge moved", moved
+    copied = fresh()
+    copied[1]["edges"] = sorted(copied[1]["edges"] + [copied[0]["edges"][0]])
+    yield "an edge copied into another block", copied
+    yield "a block repeated", [*blocks, blocks[1]]
+    yield "a block dropped", blocks[:1] + blocks[2:]
+    yield "blocks rotated", blocks[1:] + blocks[:1]
+
+
+CERTIFIED = [
+    (f"{name}: {label}", dumps(dict(SOURCES[name], blocks=blocks)))
+    for name in ("n5", "n7", "k9", "diag4")
+    for label, blocks in partition_tampers(SOURCES[name]["blocks"])
+]
+
+
+def images_of(graph, group, base):
+    """The base's images as array bytes, asserted certified to partition E, and the action."""
+    action, tables, keys = _premises(graph, group, base)
+    images, partitioned = _transport(action, tables, keys, array.tobytes)
+    assert partitioned
+    return action, set(images)
+
+
+@pytest.mark.parametrize("label, text", CERTIFIED, ids=[label for label, _ in CERTIFIED])
+def test_partition_off_the_certificate(label, text):
+    """With the base's images certified to partition E, the witnesses read off them are
+    partition_witnesses' and the oracle's, and both verify paths report them."""
+    graph, group, dec = parse_decomposition(text)
+    action, images = images_of(graph, group, dec.base)
+    block_keys = [block.keys for block in dec.blocks]
+    check = _partition_off_images(action, block_keys, [k.tobytes() for k in block_keys], images)
+    assert check == partition_witnesses(graph, dec.blocks) == brute_partition_witnesses(graph, dec.blocks)
+    witnesses = verify_decomposition(graph, group, dec).witnesses
+    expected = None if check.ok else {
+        "duplicated": list(check.duplicated), "missing": list(check.missing), "foreign": []
+    }
+    assert witnesses.get("is_partition") == expected
+    assert (label.endswith("rotated") or label.endswith("moved")) == check.ok
+    assert assert_same(text)[0] == "ok"
+
+
+@pytest.mark.parametrize("name", ["n5", "n7", "k9", "diag4"])
+@pytest.mark.parametrize("where", ["no edge", "past the last vertex"])
+def test_a_key_of_no_edge_off_the_certificate(name, where):
+    """A library block holding a key of no edge raises partition_witnesses' ValueError: a pair
+    of vertices that is no edge ((0,0)-(1,1) on a grid, a loop on K_n), or a key past them."""
+    graph, group, dec = parse_decomposition(CANONICAL[name])
+    action = dec.base.action
+    if where == "no edge":
+        foreign = graph.m + 1 if isinstance(graph, GridGraph) else 0  # (0,0)-(1,1), or 1-1
+    else:
+        foreign = action.size * action.size
+    bad = Subgraph(action, [*dec.blocks[1].keys[1:], foreign])
+    blocks = (dec.blocks[0], bad, *dec.blocks[2:])
+    with pytest.raises(ValueError) as expected:
+        partition_witnesses(graph, blocks)
+    if where == "no edge":
+        with pytest.raises(ValueError):
+            brute_partition_witnesses(graph, blocks)
+    with pytest.raises(ValueError) as got:
+        verify_decomposition(graph, group, Decomposition(blocks, group, dec.base))
+    assert str(got.value) == str(expected.value)

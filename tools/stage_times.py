@@ -28,7 +28,10 @@ transpositions, a group of 65,536 elements, with a one-edge base and
 block; and K_16 under a trivial
 explicit group with base K_4 box K_4 and 52,083 distinct seeded
 relabellings of it as blocks, each of which goes through the
-isomorphism search.  Each file is written by a process of its own, so
+isomorphism search.  Two more are tampered files in the writer's layout:
+``generate --n 101``'s file with one seeded edge dropped from one
+block, and with one pair of the last block made no grid edge.  Each
+file is written by a process of its own, so
 that no timed child's peak RSS includes the writer's.  Hostile rows
 keep every run's verify_s next to the median.
 
@@ -163,7 +166,30 @@ def complete_relabelled(path: Path, count: int) -> None:
     _write_doc(path, graph, group, compact(head["base"]["edges"])[1:-1], blocks())
 
 
-# hostile verify inputs at the parser's caps: name -> writer of the file
+def staircase_tampered(path: Path, n: int, defect: str, seed: int = 1) -> None:
+    """``generate --n N``'s file, written by the tree under ROOT, with one seeded defect in the
+    writer's layout: "dropped" takes one edge out of one block, "malformed" turns one pair in the
+    second half of the last block into a pair of vertices that is no grid edge."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    cmd = [sys.executable, "-m", "rookpaths", "generate", "--n", str(n)]
+    text = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True).stdout
+    start = text.index('"blocks":[{"edges":[') + len('"blocks":[{"edges":[')
+    end = text.index(']}],"report":')
+    blocks = [block[2:-2].split("]],[[") for block in text[start:end].split(']},{"edges":[')]
+    rng = random.Random(seed)
+    if defect == "dropped":
+        pairs = blocks[rng.randrange(len(blocks))]
+        pairs.pop(rng.randrange(len(pairs)))
+    else:
+        pairs = blocks[-1]
+        j = rng.randrange(len(pairs) // 2, len(pairs))
+        r, c = map(int, pairs[j].split("],[")[0].split(","))
+        pairs[j] = f"{r},{c}],[{(r + 1) % n},{(c + 1) % n}"
+    body = ']},{"edges":['.join("[[" + "]],[[".join(pairs) + "]]" for pairs in blocks)
+    path.write_text(text[:start] + body + text[end:], encoding="utf-8")
+
+
+# verify inputs that fail or sit at the parser's caps: name -> writer of the file
 HOSTILE = {
     "k135-one-block": lambda path: grid_one_block(path, 135, report=True),
     "k135-one-block-no-report": lambda path: grid_one_block(path, 135, report=False),
@@ -171,6 +197,8 @@ HOSTILE = {
     "k1024-all-elements": lambda path: complete_one_block(path, 1024, range(16), step=64),
     "k61-transpositions": lambda path: complete_transpositions(path, 61, 16),
     "k16-relabelled": lambda path: complete_relabelled(path, 52_083),
+    "n101-dropped": lambda path: staircase_tampered(path, 101, "dropped"),
+    "n101-malformed": lambda path: staircase_tampered(path, 101, "malformed"),
 }
 
 
