@@ -22,6 +22,9 @@ from .decompose import (
     NotOddPrime,
     PreconditionFailed,
     Subgraph,
+    _premises,
+    _staircase_walk,
+    _transport,
     build_orbit_decomposition,
     diagonal_fixture_n4,
     haggkvist_split,
@@ -31,6 +34,7 @@ from .decompose import (
 )
 from .grid import DimensionError, GridGraph
 from .groups import (
+    EdgeAction,
     diagonal_shift,
     edge_orbits,
     fixed_edge_witness,
@@ -73,14 +77,15 @@ def _verified(report) -> bool:
     return False
 
 
-def _build_staircase(n: int, force: bool):
-    """Shared generate/split front end; returns (dec, report) or an exit code."""
+def _staircase(n: int, force: bool, build):
+    """Shared generate/split front end: ``build(n, force)``, or an exit code for a width over
+    the cap, one that is no odd prime, or a walk that fails its construction check."""
     if n * n * (n - 1) > MAX_EDGES:
         message = f"width {n} gives {n * n * (n - 1)} edges, over verify's cap of {MAX_EDGES}"
         print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return staircase_decomposition(n, force=force)
+        return build(n, force)
     except NotOddPrime:
         if n >= 3 and n % 2 == 1:
             print(
@@ -96,7 +101,7 @@ def _build_staircase(n: int, force: bool):
 
 
 def cmd_generate(args) -> int:
-    result = _build_staircase(args.n, args.force)
+    result = _staircase(args.n, args.force, staircase_decomposition)
     if isinstance(result, int):
         return result
     dec, report = result
@@ -202,34 +207,41 @@ def cmd_examples(args) -> int:
 
 
 def cmd_split(args) -> int:
-    result = _build_staircase(args.n, args.force)
-    if isinstance(result, int):
-        return result
-    dec, report = result
-    if not _verified(report):
-        return EXIT_MATH
+    walk = _staircase(args.n, args.force, _staircase_walk)
+    if isinstance(walk, int):
+        return walk
     b = args.b if args.b is not None else args.n - 1
-    walk, action = dec.base.walk, dec.base.action
     try:
         cut = haggkvist_split(walk, b)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    graph = GridGraph(args.n, args.n)
+    group = generate_group([row_shift(args.n, args.n)])
+    action = EdgeAction(graph)
+    keys = action.walk_keys(walk)
+    _, tables, base_keys = _premises(graph, group, Subgraph(action, keys))
     # the cut is checked on the base alone: a stretch of a path is a path, so cut j is a
     # b-edge path when the base walk is a path and cut j holds, sorted, stretch j's b keys
-    keys = action.walk_keys(walk)
     paths_ok = is_path(walk) and len(cut) * b == len(keys) and all(
         s.keys == array("q", sorted(keys[j * b : j * b + b])) for j, s in enumerate(cut)
     )
     cut_keys = list(chain.from_iterable(s.keys for s in cut))
-    partition_ok = array("q", sorted(cut_keys)) == dec.base.keys
-    # verify certified every table as a bijective automorphism and the base's images as
-    # blocks partitioning E; an automorphism takes a b-edge path to one, and a bijection a
-    # partition of the base's keys to one of its image's, so the cut's images are b-edge
-    # paths that partition each block, and together E; tables[0], the identity, gives the cut
-    images = action.images(dec.group.tables, cut_keys)
-    stretches = (sorted(image[i : i + b]) for image in images for i in range(0, len(image), b))
-    segments = [Subgraph._ascending(action, array("q", keys)) for keys in stretches]
+    partition_ok = array("q", sorted(cut_keys)) == base_keys
+    # the premises make every table a bijective automorphism, which takes a b-edge path to one;
+    # a cut with the base's keys is certified exactly when the base's images partition E, and
+    # then its images, each sliced in cut order into b-key stretches, are b-edge paths that
+    # partition E; tables[0], the identity, gives the cut itself
+
+    def stretches(image):
+        starts = range(0, len(image), b)
+        return [Subgraph._ascending(action, array("q", sorted(image[i : i + b]))) for i in starts]
+
+    images, certified = _transport(action, tables, cut_keys, stretches)
+    if partition_ok and not certified:
+        print("refinement failed: the base's images do not partition the edges", file=sys.stderr)
+        return EXIT_MATH
+    segments = list(chain.from_iterable(images))
     summary = {
         "graph": {"kind": "grid", "n": args.n, "m": args.n},
         "edges_per_segment": b,

@@ -31,11 +31,14 @@ edges.  Then the images partition E exactly when H repeats no key,
 |G| * |H| = |E| and H misses every non-identity image (the images are
 then distinct edges, pairwise disjoint as g(H) & h(H) = g(H & g^-1 h(H)),
 and a cover of E passes all three).  _transport tests each image as it
-is made and sorts it into its block's array, unscanned; no other key is
+is made and hands it to its caller's ``make``, which sorts it: the
+builder into its block's array, the verifier into its bytes and the
+split command into its b-key stretches, unscanned; no other key is
 sorted unless the verifier's certificate fails.  While it holds, each
 edge lies in exactly one image, so the verifier's partition check reads
 only the blocks that are no image, the images that are no block and the
-image blocks that repeat.  The verifier images |G| * |base| keys, and
+image blocks that repeat, and no element fixes an edge, so the
+semiregular flag needs no scan.  The verifier images |G| * |base| keys, and
 off the common case one more per block edge and distinct generator
 (none for a block of all |E| edges).  Its flag checks (_check_flags)
 take the premises and images as given, so that
@@ -48,7 +51,6 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter, defaultdict
-from functools import partial
 from itertools import chain
 from math import comb, isqrt
 from typing import Iterable, Iterator, NamedTuple
@@ -303,18 +305,23 @@ def _premises(graph, group: FiniteGroup, base: Subgraph) -> tuple[EdgeAction, tu
     return action, tables, keys
 
 
-def _transport(action: EdgeAction, tables, keys, make=None) -> tuple[list, bool]:
-    """The base ``keys``' image under each of ``tables``, an ascending array('q') passed through
-    ``make`` if given, in order, and whether the images partition E: the module docstring's
-    certificate, tested on each non-identity image while it is a fresh list."""
+def _sorted_keys(image: list) -> array:
+    """A fresh image list sorted in place, as an array('q')."""
+    image.sort()
+    return array("q", image)
+
+
+def _transport(action: EdgeAction, tables, keys, make) -> tuple[list, bool]:
+    """``make`` of the base ``keys``' image under each of ``tables``, in order, and whether the
+    images partition E: the module docstring's certificate, tested on each non-identity image
+    before ``make`` receives it as a fresh list in ``keys``' order, to sort as it needs."""
     out, base, size = [], set(keys), len(keys)
     partitioned = len(base) == size and len(tables) * size == action.graph.edge_count
     for image in action.images(tables, keys):
         if out and partitioned:
             partitioned = base.isdisjoint(image)
-        image.sort()
-        image = array("q", image)
-        out.append(image if make is None else make(image))
+        out.append(make(image))
+        del image  # so that the next image's keys reuse this one's memory
     return out, partitioned
 
 
@@ -331,7 +338,9 @@ def build_orbit_decomposition(graph, group: FiniteGroup, base: Subgraph) -> Deco
     blocks are |E| distinct keys, pairwise disjoint.
     """
     action, tables, keys = _premises(graph, group, base)
-    blocks, partitioned = _transport(action, tables, keys, partial(Subgraph._ascending, action))
+    blocks, partitioned = _transport(
+        action, tables, keys, lambda image: Subgraph._ascending(action, _sorted_keys(image))
+    )
     if not partitioned:
         fixed = fixed_edge_witness(graph, group)
         if fixed is not None:
@@ -512,13 +521,14 @@ def verify_decomposition(graph, group: FiniteGroup, dec: Decomposition) -> Verif
     flag is checked on its own.  While the certificate holds, the
     partition is read off the images: only the blocks that are no image
     and the images that are no block are read, and only the witnesses
-    are sorted.  Without it, partition_witnesses sorts every key.  A
-    block equal to an image of the base is certified isomorphic by
-    that element, only other blocks go through the isomorphism test, whose
-    base side is built once, and every failed flag carries a concrete witness.
+    are sorted, and semiregular holds with no fixed-edge scan.  Without
+    it, partition_witnesses sorts every key.  A block equal to an image
+    of the base is certified isomorphic by that element, only other
+    blocks go through the isomorphism test, whose base side is built
+    once, and every failed flag carries a concrete witness.
     """
     action, tables, base_keys = _premises(graph, group, dec.base)
-    images, partitioned = _transport(action, tables, base_keys, array.tobytes)
+    images, partitioned = _transport(action, tables, base_keys, lambda image: _sorted_keys(image).tobytes())
     return _check_flags(graph, group, dec, action, images, partitioned)
 
 
@@ -579,7 +589,7 @@ def _check_flags(graph, group, dec, action, images: list[bytes], partitioned) ->
     if stabilizer != 1:
         witnesses["stabilizer_trivial"] = {"stabilizer_order": stabilizer}
 
-    fixed = fixed_edge_witness(graph, group)
+    fixed = None if partitioned else fixed_edge_witness(graph, group)  # a bijection fixes no edge
     if fixed is not None:
         witnesses["semiregular"] = {"element": fixed[0], "edge": fixed[1]}
 
@@ -589,6 +599,16 @@ def _check_flags(graph, group, dec, action, images: list[bytes], partitioned) ->
 def is_odd_prime(n: int) -> bool:
     """Trial division by odd numbers; 2 is excluded by the oddness requirement."""
     return n >= 3 and n % 2 == 1 and all(n % d for d in range(3, isqrt(n) + 1, 2))
+
+
+def _staircase_walk(n: int, force: bool) -> Walk:
+    """build_staircase_path(n) past staircase_decomposition's width gate (NotOddPrime)."""
+    if not is_odd_prime(n):
+        if n < 3 or n % 2 == 0:
+            raise NotOddPrime(f"staircase decomposition needs odd n >= 3, got {n}")
+        if not force:
+            raise NotOddPrime(f"{n} is not prime; pass force=True to run the checks anyway")
+    return build_staircase_path(n)
 
 
 def staircase_decomposition(n: int, force: bool = False):
@@ -603,12 +623,7 @@ def staircase_decomposition(n: int, force: bool = False):
     through the same pipeline; those fail inside build_staircase_path
     with a ConstructionInvalid naming the repeated vertex.
     """
-    if not is_odd_prime(n):
-        if n < 3 or n % 2 == 0:
-            raise NotOddPrime(f"staircase decomposition needs odd n >= 3, got {n}")
-        if not force:
-            raise NotOddPrime(f"{n} is not prime; pass force=True to run the checks anyway")
-    walk = build_staircase_path(n)
+    walk = _staircase_walk(n, force)
     graph = GridGraph(n, n)
     group = generate_group([row_shift(n, n)])
     action = EdgeAction(graph)

@@ -54,6 +54,7 @@ from .decompose import (
     VerificationReport,
     _check_flags,
     _premises,
+    _sorted_keys,
     _transport,
     verify_decomposition,
 )
@@ -752,7 +753,7 @@ def verify_text(text: str) -> tuple:
     except PreconditionFailed as err:
         failed = err
     else:
-        images, partitioned = _transport(action, tables, keys)
+        images, partitioned = _transport(action, tables, keys, _sorted_keys)
     parsed = _text_blocks(text, *read, images or ())
     if parsed[2].base is not base:
         return *parsed, verify_decomposition(*parsed)

@@ -19,6 +19,7 @@ from rookpaths.decompose import (
     PreconditionFailed,
     Subgraph,
     _covers_once,
+    _sorted_keys,
     _transport,
     build_orbit_decomposition,
     diagonal_fixture_n4,
@@ -44,7 +45,7 @@ def certificate(graph, group, base) -> tuple[bool, bool]:
     """(the certificate, whether the images cover every edge once by sorting)."""
     action = EdgeAction(graph)
     images = [Subgraph(action, action.image_keys(t, base.keys)).keys for t in group.tables]
-    transported, partitioned = _transport(action, group.tables, base.keys, lambda keys: keys)
+    transported, partitioned = _transport(action, group.tables, base.keys, _sorted_keys)
     assert transported == images
     return partitioned, _covers_once(action, images)
 

@@ -21,7 +21,14 @@ from rookpaths import cli, decompose, serialize
 from rookpaths.cli import SUBCOMMANDS, build_parser, main, parse_command
 from rookpaths.decompose import Subgraph, VerificationReport
 from rookpaths.grid import GridGraph, GridVertex
-from rookpaths.groups import OrbitCensus, diagonal_shift, edge_orbits, generate_group, row_shift
+from rookpaths.groups import (
+    OrbitCensus,
+    Permutation,
+    diagonal_shift,
+    edge_orbits,
+    generate_group,
+    row_shift,
+)
 from rookpaths.serialize import MAX_EDGES, orbit_id_str
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
@@ -754,6 +761,19 @@ def test_split_checks_that_the_cut_covers_the_base_walk(capsys, monkeypatch):
     data = json.loads(out)
     assert (data["is_partition"], data["segments_are_paths"]) == (False, False)
     assert data["segment_count"] == 20
+
+
+def test_split_exits_2_when_the_base_images_are_no_partition(capsys, monkeypatch):
+    # under the trivial group the one image of the cut covers 42 of the 294 edges: the cut
+    # passes both checks on the base, the certificate fails, and nothing is printed
+    def trivial(generators):
+        shift = generators[0]
+        return generate_group([Permutation(shift.graph, tuple(range(len(shift.table))))])
+
+    monkeypatch.setattr(cli, "generate_group", trivial)
+    code, out, err = run(capsys, "split", "--n", "7")
+    assert (code, out) == (2, "")
+    assert err == "refinement failed: the base's images do not partition the edges\n"
 
 
 # b values dividing n(n-1), 1 and n(n-1) among them

@@ -47,6 +47,8 @@ def test_corpus_covers_the_listed_split_and_orbit_commands(monkeypatch):
         for fmt in ("json", "dot", "edges"):
             assert ("split", "--n", "7", *size, "--format", fmt) in commands
         assert ("split", "--n", "7", *size) in commands
+    for front in ("9 --b 4", "9 --force --b 4", "4 --b 0", "137"):  # refused before --b is read
+        assert ("split", "--n", *front.split()) in commands
     rectangles = [(n, m) for n in range(2, 6) for m in range(2, 6) if n != m]
     assert len(rectangles) == 12
     for n, m in rectangles:

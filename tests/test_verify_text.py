@@ -7,13 +7,12 @@ verify-files-style variants and hand-made tampers of the writer's layout.
 
 import json
 import random
-from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rookpaths import serialize
+from rookpaths import decompose, serialize
 from rookpaths.decompose import (
     Decomposition,
     IsomorphismCapExceeded,
@@ -21,11 +20,13 @@ from rookpaths.decompose import (
     Subgraph,
     _partition_off_images,
     _premises,
+    _sorted_keys,
     _transport,
     partition_witnesses,
     verify_decomposition,
 )
 from rookpaths.grid import GridGraph
+from rookpaths.groups import fixed_edge_witness
 from rookpaths.serialize import (
     SchemaError,
     dumps,
@@ -35,6 +36,7 @@ from rookpaths.serialize import (
 )
 
 from oracles import brute_partition_witnesses
+from test_edge_action import corpus as edge_action_corpus
 from test_parse_parity import CANONICAL, CORPUS, LAYOUTS, WALK_BASE_CORPUS
 from test_verify_fuzz import DOCUMENTS, ENTRIES, PATHS, VALUES, mutate
 
@@ -331,7 +333,7 @@ CERTIFIED = [
 def images_of(graph, group, base):
     """The base's images as array bytes, asserted certified to partition E, and the action."""
     action, tables, keys = _premises(graph, group, base)
-    images, partitioned = _transport(action, tables, keys, array.tobytes)
+    images, partitioned = _transport(action, tables, keys, lambda image: _sorted_keys(image).tobytes())
     assert partitioned
     return action, set(images)
 
@@ -352,6 +354,45 @@ def test_partition_off_the_certificate(label, text):
     assert witnesses.get("is_partition") == expected
     assert (label.endswith("rotated") or label.endswith("moved")) == check.ok
     assert assert_same(text)[0] == "ok"
+
+
+def test_a_certified_file_runs_no_fixed_edge_scan(monkeypatch):
+    """While the base's images are certified to partition E, semiregular is read off the
+    certificate: neither verify path scans for a fixed edge, tampered blocks or not."""
+    scanned = []
+    monkeypatch.setattr(decompose, "fixed_edge_witness", lambda graph, group: scanned.append(graph))
+    for label, text in CERTIFIED:
+        result = together(text)
+        assert result == separately(text), label
+        assert result[5]["semiregular"] is True, label
+    assert scanned == []
+
+
+def verify_corpora():
+    """(label, graph, group, base) of every parsed case of the verify corpora."""
+    for label, graph, group, dec in edge_action_corpus():
+        yield label, graph, group, dec.base
+    for label, text in [*((label, dumps(doc)) for label, doc in CORPUS), *CERTIFIED]:
+        try:
+            graph, group, dec = parse_decomposition(text)
+        except SchemaError:
+            continue
+        yield label, graph, group, dec.base
+
+
+def test_a_certified_base_has_no_fixed_edge():
+    """The certificate makes (g, e) -> g(e) a bijection G x H -> E, which fixes no edge."""
+    outcomes = set()
+    for label, graph, group, base in verify_corpora():
+        try:
+            action, tables, keys = _premises(graph, group, base)
+        except (PreconditionFailed, ValueError):
+            continue
+        certified = _transport(action, tables, keys, len)[1]
+        semiregular = fixed_edge_witness(graph, group) is None
+        assert semiregular or not certified, label
+        outcomes.add((certified, semiregular))
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 @pytest.mark.parametrize("name", ["n5", "n7", "k9", "diag4"])

@@ -184,3 +184,36 @@ def test_verify_of_a_valid_file_runs_premises_and_transport_once(monkeypatch, tm
             assert main(["verify", "--input", str(path)]) == 0
         assert sum(imaged) == 7 * dec.base.edge_count == 7 * 42
         assert len(scanned) == len(set(scanned)) == 1
+
+
+@pytest.mark.parametrize("b, passes", [(None, [[42] * 7]), ("4", [])])
+def test_split_checks_the_premises_once_and_images_the_cut_once(monkeypatch, b, passes):
+    """split --n 7 scans its one generator once and images |G| * |base| = 294 keys in one pass
+    over the tables; a --b that does not divide the walk exits before either."""
+    imaged, scanned = [], []
+    image_keys, images = EdgeAction.image_keys, EdgeAction.images
+    violation = decompose.automorphism_violation
+
+    def counted_keys(self, table, keys):
+        out = image_keys(self, table, keys)
+        imaged.append([len(out)])
+        return out
+
+    def counted_images(self, tables, keys):
+        imaged.append([])
+        for out in images(self, tables, keys):
+            imaged[-1].append(len(out))
+            yield out
+
+    def counted_violation(graph, perm):
+        scanned.append(perm.table)
+        return violation(graph, perm)
+
+    monkeypatch.setattr(EdgeAction, "image_keys", counted_keys)
+    monkeypatch.setattr(EdgeAction, "images", counted_images)
+    monkeypatch.setattr(decompose, "automorphism_violation", counted_violation)
+    argv = ["split", "--n", "7"] + ([] if b is None else ["--b", b])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == (0 if b is None else 1)
+    assert imaged == passes
+    assert len(scanned) == len(passes)

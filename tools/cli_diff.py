@@ -16,6 +16,10 @@ when any command differs.  The corpus:
     n(n-1) (at n=13, --b 1 gives 2,028 one-edge segments); at n=5,
     --b 0 exits 1, and at n=13, --b 5 exits 1; at n=7 these are every
     --b the cli-small workload runs, and 42;
+  - split's front end, which refuses a width before it reads --b
+    (FRONT): --b 4 at the composite width 9, with and without --force
+    (exit 1 and exit 2), --b 0 at the even width 4, and width 137, over
+    the edge cap;
   - orbits --edges under both groups on square grids, and under the
     row shift on every rectangular grid with 2 <= n != m <= 5;
   - help and usage errors (USAGE): no arguments, --help before and
@@ -84,6 +88,10 @@ SPLITS = {
     11: (None, 1, 5, 22, 110),
     13: (None, 1, 5, 12, 156),
 }
+FRONT = [
+    ("split", "--n", "9", "--b", "4"), ("split", "--n", "9", "--force", "--b", "4"),
+    ("split", "--n", "4", "--b", "0"), ("split", "--n", "137"),
+]
 USAGE = [
     (), ("--help",), ("-h", "generate"), ("--", "generate", "--n", "5"), ("frobnicate",),
     ("gen", "--n", "5"), ("--n", "5", "generate"), ("generate",), ("generate", "--n", "x"),
@@ -292,6 +300,7 @@ def corpus() -> list[tuple[str, ...]]:
         for b in sizes:
             size = () if b is None else ("--b", str(b))
             commands += [("split", "--n", str(n), *size, "--format", fmt) for fmt in FORMATS]
+    commands += FRONT
     for group in ("row_shift", "diagonal_shift"):
         commands += [("orbits", "--n", str(n), "--group", group, "--edges") for n in (2, 3, 4, 5)]
     for n in range(2, 6):
