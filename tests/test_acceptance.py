@@ -35,6 +35,7 @@ from rookpaths.groups import (
     orbit_census,
     row_shift,
 )
+from rookpaths.serialize import decomposition_to_json, verify_text
 from rookpaths.staircase import (
     ConstructionInvalid,
     build_staircase_path,
@@ -87,6 +88,10 @@ def test_criterion_1_staircase_end_to_end():
             assert sum(b.edge_count for b in dec.blocks) == n * n * (n - 1)
             assert graph.edge_count == n * n * (n - 1)
             assert report.all_ok, report.failed()
+            # the report comes from build's certificate; the independent verifier agrees
+            assert verify_decomposition(graph, dec.group, dec) == report
+            if n <= 13:
+                assert verify_text(decomposition_to_json(graph, dec, report))[3] == report
             print(f"  n={n}: {elapsed:.2f}s")
             assert elapsed < 5.0
 

@@ -14,7 +14,7 @@ from rookpaths.serialize import parse_decomposition
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "stage_times.py"
-STAGES = ["walk", "group", "build", "verify", "json_out", "parse", "verify_again"]
+STAGES = ["walk", "group", "build", "verify", "pipeline", "json_out", "parse", "verify_again"]
 
 
 def test_stage_times_smoke(tmp_path):
@@ -29,6 +29,8 @@ def test_stage_times_smoke(tmp_path):
     (row,) = tree["rows"]
     assert (row["n"], row["edges"]) == (5, 100)
     assert all(row[stage] > 0 for stage in STAGES) and row["peak_rss_mb"] > 0
+    # pipeline repeats walk, group and build, so the total leaves it out
+    assert abs(row["total"] - sum(row[stage] for stage in STAGES if stage != "pipeline")) < 1e-5
     (cli,) = tree["cli"]
     assert cli["exit_codes"] == [0, 0] and len(cli["output_sha256"]) == 64
     (split,) = tree["split"]

@@ -118,78 +118,9 @@ FILES = {
 }
 
 
-@pytest.mark.parametrize("name", FILES)
-def test_verify_images_within_the_bound(monkeypatch, name):
-    make, failed = FILES[name]
-    graph, group, dec = parse_decomposition(json.dumps(make()))
-    imaged = []
-    image_keys, images = EdgeAction.image_keys, EdgeAction.images
-
-    def counted_keys(self, table, keys):
-        out = image_keys(self, table, keys)
-        imaged.append(len(out))
-        return out
-
-    def counted_images(self, tables, keys):
-        for out in images(self, tables, keys):
-            imaged.append(len(out))
-            yield out
-
-    monkeypatch.setattr(EdgeAction, "image_keys", counted_keys)
-    monkeypatch.setattr(EdgeAction, "images", counted_images)
-    report = verify_decomposition(graph, group, dec)
-    distinct = len({gen.table for gen in group.generators})
-    bound = group.order * dec.base.edge_count + distinct * sum(
-        block.edge_count for block in dec.blocks
-    )
-    assert 0 < sum(imaged) <= bound <= (1 + MAX_GENERATORS) * MAX_EDGES
-    assert report.failed() == failed
-
-
-def test_verify_of_a_valid_file_runs_premises_and_transport_once(monkeypatch, tmp_path):
-    """Through the command line, a valid n = 7 file images |G| * |base| keys, and each distinct
-    generator goes through the automorphism scan once."""
-    dec, report = staircase_decomposition(7)
-    doc = json.loads(decomposition_to_json(dec.base.action.graph, dec, report))
-    repeated = dict(doc, group={"kind": "explicit", "order": 7, "generators": []})
-    shift = [[[a, b], [(a + 1) % 7, b]] for a in range(7) for b in range(7)]
-    repeated["group"]["generators"] = [{"kind": "explicit", "map": shift}] * 3
-    imaged, scanned = [], []
-    image_keys, images = EdgeAction.image_keys, EdgeAction.images
-    violation = decompose.automorphism_violation
-
-    def counted_keys(self, table, keys):
-        out = image_keys(self, table, keys)
-        imaged.append(len(out))
-        return out
-
-    def counted_images(self, tables, keys):
-        for out in images(self, tables, keys):
-            imaged.append(len(out))
-            yield out
-
-    def counted_violation(graph, perm):
-        scanned.append(perm.table)
-        return violation(graph, perm)
-
-    monkeypatch.setattr(EdgeAction, "image_keys", counted_keys)
-    monkeypatch.setattr(EdgeAction, "images", counted_images)
-    monkeypatch.setattr(decompose, "automorphism_violation", counted_violation)
-    for document in (doc, repeated):
-        imaged.clear()
-        scanned.clear()
-        path = tmp_path / "n7.json"
-        path.write_text(json.dumps(document, separators=(",", ":")), encoding="utf-8")
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            assert main(["verify", "--input", str(path)]) == 0
-        assert sum(imaged) == 7 * dec.base.edge_count == 7 * 42
-        assert len(scanned) == len(set(scanned)) == 1
-
-
-@pytest.mark.parametrize("b, passes", [(None, [[42] * 7]), ("4", [])])
-def test_split_checks_the_premises_once_and_images_the_cut_once(monkeypatch, b, passes):
-    """split --n 7 scans its one generator once and images |G| * |base| = 294 keys in one pass
-    over the tables; a --b that does not divide the walk exits before either."""
+def count_passes(monkeypatch) -> tuple[list, list]:
+    """(imaged, scanned): one list of image sizes per image_keys call or images pass, and the
+    table of each generator that goes through the automorphism scan, as main runs."""
     imaged, scanned = [], []
     image_keys, images = EdgeAction.image_keys, EdgeAction.images
     violation = decompose.automorphism_violation
@@ -212,8 +143,69 @@ def test_split_checks_the_premises_once_and_images_the_cut_once(monkeypatch, b, 
     monkeypatch.setattr(EdgeAction, "image_keys", counted_keys)
     monkeypatch.setattr(EdgeAction, "images", counted_images)
     monkeypatch.setattr(decompose, "automorphism_violation", counted_violation)
+    return imaged, scanned
+
+
+@pytest.mark.parametrize("name", FILES)
+def test_verify_images_within_the_bound(monkeypatch, name):
+    make, failed = FILES[name]
+    graph, group, dec = parse_decomposition(json.dumps(make()))
+    imaged, _ = count_passes(monkeypatch)
+    report = verify_decomposition(graph, group, dec)
+    distinct = len({gen.table for gen in group.generators})
+    bound = group.order * dec.base.edge_count + distinct * sum(
+        block.edge_count for block in dec.blocks
+    )
+    assert 0 < sum(map(sum, imaged)) <= bound <= (1 + MAX_GENERATORS) * MAX_EDGES
+    assert report.failed() == failed
+
+
+def test_verify_of_a_valid_file_runs_premises_and_transport_once(monkeypatch, tmp_path):
+    """Through the command line, a valid n = 7 file images |G| * |base| keys, and each distinct
+    generator goes through the automorphism scan once."""
+    dec, report = staircase_decomposition(7)
+    doc = json.loads(decomposition_to_json(dec.base.action.graph, dec, report))
+    repeated = dict(doc, group={"kind": "explicit", "order": 7, "generators": []})
+    shift = [[[a, b], [(a + 1) % 7, b]] for a in range(7) for b in range(7)]
+    repeated["group"]["generators"] = [{"kind": "explicit", "map": shift}] * 3
+    imaged, scanned = count_passes(monkeypatch)
+    for document in (doc, repeated):
+        imaged.clear()
+        scanned.clear()
+        path = tmp_path / "n7.json"
+        path.write_text(json.dumps(document, separators=(",", ":")), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["verify", "--input", str(path)]) == 0
+        assert sum(map(sum, imaged)) == 7 * dec.base.edge_count == 7 * 42
+        assert len(scanned) == len(set(scanned)) == 1
+
+
+@pytest.mark.parametrize("b, passes", [(None, [[42] * 7]), ("4", [])])
+def test_split_checks_the_premises_once_and_images_the_cut_once(monkeypatch, b, passes):
+    """split --n 7 scans its one generator once and images |G| * |base| = 294 keys in one pass
+    over the tables; a --b that does not divide the walk exits before either."""
+    imaged, scanned = count_passes(monkeypatch)
     argv = ["split", "--n", "7"] + ([] if b is None else ["--b", b])
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == (0 if b is None else 1)
     assert imaged == passes
     assert len(scanned) == len(passes)
+
+
+@pytest.mark.parametrize(
+    "argv, passes",
+    [
+        (["generate", "--n", "7"], [[42] * 7]),
+        (["examples", "fig3"], [[6] * 3]),
+        (["examples", "k9"], [[12] * 3]),
+        (["examples", "diag4"], [[12] * 4]),
+    ],
+)
+def test_generate_and_examples_scan_once_and_image_the_base_once(monkeypatch, argv, passes):
+    """generate and examples scan each distinct generator once and image |G| * |base| keys in one
+    pass over the tables (294 for n = 7): the report comes from build's own certificate."""
+    imaged, scanned = count_passes(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    assert imaged == passes
+    assert len(scanned) == len(set(scanned)) == 1

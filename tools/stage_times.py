@@ -7,15 +7,19 @@ tree and times each stage once through the library API:
   group         generate_group([row_shift(n, n)])
   build         build_orbit_decomposition on the walk's base
   verify        verify_decomposition of the built decomposition
+  pipeline      staircase_decomposition(n), the library call generate makes:
+                walk, group, build and the report
   json_out      decomposition_to_json
   parse         parse_decomposition of that text
   verify_again  verify_decomposition of the parsed decomposition
 
-and reports its peak RSS.  Every row runs --repeat times, the trees
-alternating, and the record keeps the medians.  The command line is timed
-too (--cli widths): ``python -m rookpaths generate --n N`` into a file,
-then ``verify --input`` of that file, each as its own process, with wall
-time, peak RSS and the sha256 of the generated file, and so is
+and reports its peak RSS.  A row's ``total`` sums every stage but
+``pipeline``, which repeats walk, group and build.  Every row runs
+--repeat times, the trees alternating, and the record keeps the medians.
+The command line is timed too (--cli widths): ``python -m rookpaths
+generate --n N`` into a file, then ``verify --input`` of that file, each
+as its own process, with wall time, peak RSS and the sha256 of the
+generated file, and so is
 ``python -m rookpaths split --n N`` (--split widths), with its exit code,
 wall time, peak RSS and the sha256 of its stdout.  So is ``verify`` of
 each hostile input (--hostile names, default all of HOSTILE), files at
@@ -72,7 +76,7 @@ from time import perf_counter
 from cli_diff import FLAGS, ROOK, compact, relabelled, trivial_group_doc
 
 ROOT = Path(__file__).resolve().parents[1]
-STAGES = ("walk", "group", "build", "verify", "json_out", "parse", "verify_again")
+STAGES = ("walk", "group", "build", "verify", "pipeline", "json_out", "parse", "verify_again")
 SMALL_COMMANDS = (
     ("generate", "--n", "5"),
     ("generate", "--n", "13"),
@@ -223,7 +227,11 @@ def walk_base(n: int, walk):
 
 def child(n: int) -> None:
     """Time every stage for width n in this process; print one JSON line."""
-    from rookpaths.decompose import build_orbit_decomposition, verify_decomposition
+    from rookpaths.decompose import (
+        build_orbit_decomposition,
+        staircase_decomposition,
+        verify_decomposition,
+    )
     from rookpaths.grid import GridGraph
     from rookpaths.groups import generate_group, row_shift
     from rookpaths.serialize import decomposition_to_json, parse_decomposition
@@ -242,6 +250,10 @@ def child(n: int) -> None:
     group = timed("group", generate_group, [row_shift(n, n)])
     dec = timed("build", build_orbit_decomposition, graph, group, walk_base(n, walk))
     report = timed("verify", verify_decomposition, graph, group, dec)
+    piped, piped_report = timed("pipeline", staircase_decomposition, n)
+    if piped_report != report or piped.blocks != dec.blocks:
+        raise SystemExit(f"n={n}: staircase_decomposition differs from build and verify")
+    del piped  # so that the later stages hold one decomposition
     text = timed("json_out", decomposition_to_json, graph, dec, report)
     parsed_graph, parsed_group, parsed = timed("parse", parse_decomposition, text)
     again = timed("verify_again", verify_decomposition, parsed_graph, parsed_group, parsed)
@@ -372,7 +384,8 @@ def median_row(n: int, runs: list[dict]) -> dict:
     row = {"n": n, "edges": runs[0]["edges"]}
     for stage in STAGES:
         row[stage] = round(statistics.median(r["times"][stage] for r in runs), 6)
-    row["total"] = round(statistics.median(sum(r["times"].values()) for r in runs), 6)
+    totals = (sum(t for stage, t in r["times"].items() if stage != "pipeline") for r in runs)
+    row["total"] = round(statistics.median(totals), 6)
     row["peak_rss_mb"] = round(statistics.median(r["peak_rss_mb"] for r in runs), 1)
     return row
 
